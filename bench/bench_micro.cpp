@@ -50,24 +50,8 @@ struct ScopedSimdOn {
   ~ScopedSimdOn() { linalg::simd::set_enabled(false); }
 };
 
-void BM_SpMVSimd(benchmark::State& state) {
-  ScopedSimdOn simd;
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto a = poisson::assemble_laplacian(n);
-  linalg::Vector x(n * n, 1.0);
-  linalg::Vector y(n * n);
-  for (auto _ : state) {
-    a.multiply(x, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(a.nnz()));
-  state.SetLabel(linalg::simd::level_name(linalg::simd::detected_level()));
-}
-BENCHMARK(BM_SpMVSimd)->Arg(32)->Arg(64)->Arg(128);
-
-/// SELL padded layout with the vector unit on — compare against BM_SpMVSimd
-/// (same matrix, CSR layout) for the layout's own contribution.
+/// SELL padded layout with the vector unit on — compare against BM_SpMV
+/// (same matrix, CSR layout, always scalar) for the layout's contribution.
 void BM_SpMVSellSimd(benchmark::State& state) {
   ScopedSimdOn simd;
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -146,23 +130,6 @@ void BM_SpmvResidualFused(benchmark::State& state) {
                           static_cast<std::int64_t>(a.nnz()));
 }
 BENCHMARK(BM_SpmvResidualFused)->Arg(32)->Arg(64)->Arg(128);
-
-void BM_SpmvResidualFusedSimd(benchmark::State& state) {
-  ScopedSimdOn simd;
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto a = poisson::assemble_laplacian(n);
-  linalg::Vector x(n * n, 1.0);
-  linalg::Vector b(n * n, 2.0);
-  linalg::Vector r(n * n);
-  for (auto _ : state) {
-    const double norm = linalg::spmv_residual_norm2(a, x, b, r);
-    benchmark::DoNotOptimize(norm);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(a.nnz()));
-  state.SetLabel(linalg::simd::level_name(linalg::simd::detected_level()));
-}
-BENCHMARK(BM_SpmvResidualFusedSimd)->Arg(32)->Arg(64)->Arg(128);
 
 void BM_AxpyNorm2Unfused(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -477,8 +444,8 @@ void add_lookahead_fleet(sim::SimWorld& world, std::size_t nodes,
 }
 
 // The horizon question every round asks, on the steady-state path: nothing
-// changed since the last round, so the cached wire-cost minimum answers in
-// O(1) regardless of fleet size.
+// changed since the last round, so the cached per-shard wire-cost minima
+// answer in O(shards) regardless of fleet size.
 void BM_LookaheadCached(benchmark::State& state) {
   sim::SimConfig config;
   config.shards = 4;

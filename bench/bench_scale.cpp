@@ -28,11 +28,9 @@
 // The skewed-topology sweep (round engine; DESIGN.md §12) pins 32 sink hubs
 // to shard 0 so every delivery lands on one shard, then toggles the
 // deterministic rebalancer (`skew_floor`: occupancy improvement >= 1.3x with
-// bit-equal counters across a forced 2-thread rerun) and gives the hub class
-// a cheap wire to toggle adaptive per-shard horizons (`adaptive_lookahead`:
-// >= 1.2x fewer barrier rounds for the same drain). Both floors are sim-time
-// counters — strict even on a single-core host — and bench_guard check 6
-// enforces them.
+// bit-equal counters across a forced 2-thread rerun). The floor is a
+// sim-time counter — strict even on a single-core host — and bench_guard
+// check 6 enforces it.
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
@@ -70,8 +68,7 @@ double now_s() {
 struct Beacon {
   static constexpr net::MessageType kType = 9200;
   std::uint32_t round = 0;
-  void serialize(serial::Writer& w) const { w.u32(round); }
-  static Beacon deserialize(serial::Reader& r) { return Beacon{r.u32()}; }
+  JACEPP_WIRE_FIELDS(round)
 };
 
 /// Beacons to the ring neighbour and one stable long link every `period`,
@@ -175,7 +172,7 @@ CaseResult run_case(std::size_t daemons, std::size_t shards, double sim_seconds,
 }
 
 // ---------------------------------------------------------------------------
-// Skewed-topology sweep (round engine: rebalancer + adaptive lookahead)
+// Skewed-topology sweep (round engine: rebalancer)
 // ---------------------------------------------------------------------------
 
 /// Spoke of the hub-sink workload: beacons one fixed hub every `period`
@@ -229,7 +226,6 @@ class SinkActor : public net::Actor {
 
 struct SkewCaseResult {
   bool rebalance = false;
-  bool adaptive = false;
   std::size_t worker_threads = 1;
   std::size_t daemons = 0;
   std::uint64_t events = 0;
@@ -246,16 +242,11 @@ struct SkewCaseResult {
 /// hash lands in shard 0 become sink hubs, everyone else beacons hub
 /// (spoke_index % hubs) on a staggered 0.25 s period. With the static
 /// placement every delivery lands on shard 0 — the worst case the
-/// rebalancer exists for. `hub_overhead`/`spoke_overhead` set the per-class
-/// message_overhead_s: equal values give a homogeneous wire (the rebalance
-/// ablation), a cheap hub class makes shard 0's wire minimum much smaller
-/// than the rest (the adaptive-lookahead ablation, where a uniform global
-/// horizon is pessimal for the three spoke-only shards).
+/// rebalancer exists for. Every node has the same message_overhead_s (a
+/// homogeneous wire).
 SkewCaseResult run_skew_case(std::size_t daemons, std::size_t hubs,
                              double sim_seconds, std::uint64_t seed,
-                             bool rebalance, bool adaptive,
-                             std::size_t worker_threads, double hub_overhead,
-                             double spoke_overhead) {
+                             bool rebalance, std::size_t worker_threads) {
   constexpr std::size_t kShards = 4;
   sim::SimConfig config;
   config.seed = seed;
@@ -263,7 +254,6 @@ SkewCaseResult run_skew_case(std::size_t daemons, std::size_t hubs,
   config.worker_threads = worker_threads;
   config.message_jitter = 0.0;
   config.compute_jitter = 0.0;
-  config.adaptive_lookahead = adaptive;
   config.rebalance = rebalance;
   config.rebalance_every = 32;
   sim::SimWorld world(config);
@@ -271,12 +261,12 @@ SkewCaseResult run_skew_case(std::size_t daemons, std::size_t hubs,
   std::vector<net::Stub> hub_stubs;
   hub_stubs.reserve(hubs);
   std::size_t spoke_index = 0;
+  sim::MachineSpec spec;
+  spec.message_overhead_s = 8e-3;
   net::NodeId next_id = 1;  // add_node assigns sequential ids from 1
   for (std::size_t i = 0; i < daemons; ++i, ++next_id) {
     const bool is_hub = hub_stubs.size() < hubs &&
                         sim::SimWorld::shard_of(next_id, kShards) == 0;
-    sim::MachineSpec spec;
-    spec.message_overhead_s = is_hub ? hub_overhead : spoke_overhead;
     if (is_hub) {
       hub_stubs.push_back(world.add_node(std::make_unique<SinkActor>(), spec,
                                          net::EntityKind::SuperPeer));
@@ -294,7 +284,6 @@ SkewCaseResult run_skew_case(std::size_t daemons, std::size_t hubs,
 
   SkewCaseResult r;
   r.rebalance = rebalance;
-  r.adaptive = adaptive;
   r.worker_threads = worker_threads;
   r.daemons = daemons;
   r.events = world.events_executed();
@@ -834,22 +823,15 @@ int main(int argc, char** argv) {
   const std::size_t skew_daemons = *smoke ? 1000 : 10000;
   const std::size_t skew_hubs = 32;
   const double skew_sim_s = *smoke ? 2.0 : 5.0;
-  const double kHomogeneousOverhead = 8e-3;
   const SkewCaseResult skew_off =
       run_skew_case(skew_daemons, skew_hubs, skew_sim_s, *seed,
-                    /*rebalance=*/false, /*adaptive=*/false,
-                    /*worker_threads=*/1, kHomogeneousOverhead,
-                    kHomogeneousOverhead);
+                    /*rebalance=*/false, /*worker_threads=*/1);
   const SkewCaseResult skew_on =
       run_skew_case(skew_daemons, skew_hubs, skew_sim_s, *seed,
-                    /*rebalance=*/true, /*adaptive=*/false,
-                    /*worker_threads=*/1, kHomogeneousOverhead,
-                    kHomogeneousOverhead);
+                    /*rebalance=*/true, /*worker_threads=*/1);
   const SkewCaseResult skew_on_t2 =
       run_skew_case(skew_daemons, skew_hubs, skew_sim_s, *seed,
-                    /*rebalance=*/true, /*adaptive=*/false,
-                    /*worker_threads=*/2, kHomogeneousOverhead,
-                    kHomogeneousOverhead);
+                    /*rebalance=*/true, /*worker_threads=*/2);
   const std::vector<SkewCaseResult> skew_results{skew_off, skew_on, skew_on_t2};
   for (const SkewCaseResult& r : skew_results) {
     std::fprintf(stderr,
@@ -880,43 +862,6 @@ int main(int argc, char** argv) {
                  "\n",
                  skew_improvement, kSkewBound, skew_counters_equal ? 1 : 0,
                  skew_thread_invariant ? 1 : 0, skew_on.migrations);
-    ok = false;
-  }
-
-  // Adaptive-lookahead ablation: heterogeneous wire (cheap hub class on
-  // shard 0, expensive spokes elsewhere). A uniform horizon is limited by the
-  // global minimum (the hub class); per-shard horizons let the spoke-only
-  // shards advance by their own wire minimum, so the same drain takes fewer
-  // barrier rounds. Rounds are a sim counter: the >= 1.2x floor is strict.
-  const std::size_t adaptive_daemons = *smoke ? 500 : 2000;
-  const double kHubOverhead = 0.8e-3;
-  const SkewCaseResult la_uniform =
-      run_skew_case(adaptive_daemons, skew_hubs, skew_sim_s, *seed,
-                    /*rebalance=*/false, /*adaptive=*/false,
-                    /*worker_threads=*/1, kHubOverhead, kHomogeneousOverhead);
-  const SkewCaseResult la_adaptive =
-      run_skew_case(adaptive_daemons, skew_hubs, skew_sim_s, *seed,
-                    /*rebalance=*/false, /*adaptive=*/true,
-                    /*worker_threads=*/1, kHubOverhead, kHomogeneousOverhead);
-  std::fprintf(stderr,
-               "adaptive daemons %6zu  uniform %" PRIu64
-               " rounds  adaptive %" PRIu64 " rounds  wall %6.3fs vs %6.3fs\n",
-               adaptive_daemons, la_uniform.rounds, la_adaptive.rounds,
-               la_uniform.wall_s, la_adaptive.wall_s);
-  const bool la_counters_equal = la_adaptive.events == la_uniform.events &&
-                                 la_adaptive.frames == la_uniform.frames &&
-                                 la_adaptive.delivered == la_uniform.delivered;
-  const double kAdaptiveBound = 1.2;
-  const double la_ratio =
-      la_adaptive.rounds > 0 ? static_cast<double>(la_uniform.rounds) /
-                                   static_cast<double>(la_adaptive.rounds)
-                             : 0.0;
-  const bool la_ok = la_counters_equal && la_ratio >= kAdaptiveBound;
-  if (!la_ok) {
-    std::fprintf(stderr,
-                 "adaptive FLOOR FAILED: rounds ratio %.3f (bound %.1f), "
-                 "counters_equal %d\n",
-                 la_ratio, kAdaptiveBound, la_counters_equal ? 1 : 0);
     ok = false;
   }
 
@@ -1073,13 +1018,6 @@ int main(int argc, char** argv) {
               skew_counters_equal ? "true" : "false",
               skew_thread_invariant ? "true" : "false",
               skew_ok ? "true" : "false");
-  std::printf("  \"adaptive_lookahead\": {\"daemons\": %zu, "
-              "\"uniform_rounds\": %" PRIu64 ", \"adaptive_rounds\": %" PRIu64
-              ", \"ratio\": %.4f, \"bound\": %.2f, \"counters_equal\": %s, "
-              "\"ok\": %s},\n",
-              adaptive_daemons, la_uniform.rounds, la_adaptive.rounds, la_ratio,
-              kAdaptiveBound, la_counters_equal ? "true" : "false",
-              la_ok ? "true" : "false");
 
   std::printf("  \"cp_cases\": [\n");
   for (std::size_t i = 0; i < cp_results.size(); ++i) {
@@ -1159,11 +1097,6 @@ int main(int argc, char** argv) {
                skew_off.occupancy, skew_on.occupancy, skew_improvement,
                kSkewBound, skew_on.migrations,
                skew_thread_invariant ? "yes" : "NO");
-  std::fprintf(stderr,
-               "adaptive floor: rounds %" PRIu64 " -> %" PRIu64
-               " (%.2fx, bound %.1fx), counters equal %s\n",
-               la_uniform.rounds, la_adaptive.rounds, la_ratio, kAdaptiveBound,
-               la_counters_equal ? "yes" : "NO");
   std::fprintf(stderr,
                "cp floor: max share %.1f%% (bound %.1f%%), spawner conv msgs "
                "%" PRIu64 " (bound %" PRIu64 "), deterministic %s\n",

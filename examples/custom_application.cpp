@@ -18,6 +18,7 @@
 
 #include "core/deployment.hpp"
 #include "core/task.hpp"
+#include "serial/serial.hpp"
 #include "support/flags.hpp"
 
 using namespace jacepp;
@@ -32,16 +33,7 @@ struct HeatConfig {
   /// (otherwise a trivial 1-D solve spins sub-microsecond iterations).
   double work_per_cell = 1e4;
 
-  void serialize(serial::Writer& w) const {
-    w.u32(cells);
-    w.f64(work_per_cell);
-  }
-  static HeatConfig deserialize(serial::Reader& r) {
-    HeatConfig c;
-    c.cells = r.u32();
-    c.work_per_cell = r.f64();
-    return c;
-  }
+  JACEPP_WIRE_FIELDS(cells, work_per_cell)
 };
 
 /// -u'' = f, f = pi^2 sin(pi x)  ⇒  u = sin(pi x), Dirichlet u(0)=u(1)=0.
@@ -51,7 +43,7 @@ class HeatTask : public core::Task {
 
   void init(const core::AppDescriptor& app, core::TaskId task_id) override {
     serial::Reader reader(app.config);
-    config_ = HeatConfig::deserialize(reader);
+    config_ = reader.object<HeatConfig>();
     task_id_ = task_id;
     task_count_ = app.task_count;
 

@@ -16,13 +16,9 @@
 #     BENCH_GUARD_SKIP_BASELINE=1.
 #  2. SIMD speedup floors — the off-vs-on ratios inside BENCH_hotpath.json
 #     are measured within one run on one machine, so they are portable across
-#     machines. On an AVX2 machine the BLAS-1 reductions must clear 1.5x, the
-#     SELL SpMV 1.2x, and the gathered CSR rows must stay above 0.6x (i.e. no
-#     worse than a modest regression vs scalar — they hover near parity on
-#     5-nnz stencil rows and swing +/-30% with scheduler noise; the floor is
-#     a cliff detector for bugs like a serializing gather dependency, not a
-#     perf target). Floors only apply when the runtime dispatcher actually
-#     selected avx2.
+#     machines. On an AVX2 machine the BLAS-1 reductions must clear 1.5x and
+#     the SELL SpMV 1.2x. Floors only apply when the runtime dispatcher
+#     actually selected avx2.
 #  3. Sharded-scheduler floor — inside BENCH_scale.json, best sharded
 #     events/sec at the 1k-daemon tier vs single-queue, measured within one
 #     run. The floor is 1.0x with the guard tolerance applied (passes while
@@ -47,17 +43,13 @@
 #         increase sim execution time beyond the recorded tolerance,
 #     (b) redundant-execution voting (rep.redundancy=3) must flag exactly the
 #         injected liars — every liar caught, zero false positives.
-#  6. Round-engine floors (DESIGN.md §12) — also inside BENCH_scale.json,
-#     all within-run sim counters, so strict on any machine:
-#     (a) on the hub-pinned skew case the deterministic rebalancer must cut
-#         max/mean shard occupancy by at least the recorded bound (1.3x)
-#         while performing at least one migration, with every scenario
-#         counter bit-equal to the rebalance-off run AND to a forced
-#         2-thread rerun (skew_floor.counters_equal / .thread_invariant),
-#     (b) on the heterogeneous-wire case adaptive per-shard horizons must
-#         drain the same scenario in at least the recorded bound (1.2x)
-#         fewer barrier rounds than the uniform global horizon, with
-#         identical counters (adaptive_lookahead block).
+#  6. Round-engine floor (DESIGN.md §12) — also inside BENCH_scale.json,
+#     all within-run sim counters, so strict on any machine: on the
+#     hub-pinned skew case the deterministic rebalancer must cut max/mean
+#     shard occupancy by at least the recorded bound (1.3x) while performing
+#     at least one migration, with every scenario counter bit-equal to the
+#     rebalance-off run AND to a forced 2-thread rerun
+#     (skew_floor.counters_equal / .thread_invariant).
 #     The per-case rounds counts also feed the baseline comparison as cliff
 #     detectors: a lookahead regression shows up as a rounds blow-up long
 #     before it shows up in 1-core wall time.
@@ -118,10 +110,7 @@ simd_floor_checks() {
     [
       {metric: "simd/dot",                 value: (.kernels.dot.off_ns / .kernels.dot.on_ns),                                 floor: 1.5},
       {metric: "simd/axpy_norm2",          value: (.kernels.axpy_norm2.off_ns / .kernels.axpy_norm2.on_ns),                   floor: 1.5},
-      {metric: "simd/sell_spmv",           value: .sell.speedup,                                                              floor: 1.2},
-      {metric: "simd/spmv",                value: (.kernels.spmv.off_ns / .kernels.spmv.on_ns),                               floor: 0.6},
-      {metric: "simd/spmv_residual_norm2", value: (.kernels.spmv_residual_norm2.off_ns / .kernels.spmv_residual_norm2.on_ns), floor: 0.6},
-      {metric: "simd/spmv_dot",            value: (.kernels.spmv_dot.off_ns / .kernels.spmv_dot.on_ns),                       floor: 0.6}
+      {metric: "simd/sell_spmv",           value: .sell.speedup,                                                              floor: 1.2}
     ][] |
     select(.value < .floor) |
     "bench-guard: FLOOR \(.metric): \(.value * 1000 | floor / 1000)x below floor \(.floor)x"
@@ -162,7 +151,7 @@ churn_floor_checks() {
   ' "${file}" 2>/dev/null
 }
 
-# Round-engine floors (see header, check 6). Pure sim counters measured
+# Round-engine floor (see header, check 6). Pure sim counters measured
 # within one run — no tolerance knob, the bounds come from the bench output.
 round_engine_floor_checks() {
   local file="$1"
@@ -178,13 +167,7 @@ round_engine_floor_checks() {
       | "bench-guard: FLOOR skew/counters@\(.daemons)d: rebalanced run diverged from the rebalance-off scenario counters"),
     ((.skew_floor // empty)
       | select(.thread_invariant != true)
-      | "bench-guard: FLOOR skew/thread_invariance@\(.daemons)d: 2-thread rerun diverged from the 1-thread rebalanced run"),
-    ((.adaptive_lookahead // empty)
-      | select(.ratio < .bound)
-      | "bench-guard: FLOOR adaptive/rounds@\(.daemons)d: \(.ratio * 1000 | floor / 1000)x below bound \(.bound)x (\(.uniform_rounds) -> \(.adaptive_rounds) rounds)"),
-    ((.adaptive_lookahead // empty)
-      | select(.counters_equal != true)
-      | "bench-guard: FLOOR adaptive/counters@\(.daemons)d: adaptive horizons changed the scenario counters")
+      | "bench-guard: FLOOR skew/thread_invariance@\(.daemons)d: 2-thread rerun diverged from the 1-thread rebalanced run")
   ' "${file}" 2>/dev/null
 }
 
@@ -245,7 +228,7 @@ for file in "$@"; do
       echo "${round_violations}"
       total_warnings=$((total_warnings + $(echo "${round_violations}" | wc -l)))
     else
-      echo "bench-guard: ${name}: round-engine rebalance and adaptive-lookahead floors hold"
+      echo "bench-guard: ${name}: round-engine rebalance floor holds"
     fi
   fi
 

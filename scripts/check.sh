@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # One-command gate: tier-1 build + ctest, then the same suite under
-# ThreadSanitizer and AddressSanitizer (separate build trees, so the plain
-# build stays incremental).
+# ThreadSanitizer, AddressSanitizer and UndefinedBehaviorSanitizer (separate
+# build trees, so the plain build stays incremental).
 #
 # Usage:
-#   scripts/check.sh            # plain + tsan + asan
+#   scripts/check.sh            # plain + tsan + asan + ubsan
 #   scripts/check.sh plain      # just the tier-1 build + ctest
-#   scripts/check.sh tsan asan  # just the sanitizer configs
+#   scripts/check.sh tsan asan  # just those sanitizer configs
 #   JOBS=8 scripts/check.sh
 set -euo pipefail
 
@@ -14,7 +14,7 @@ REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 JOBS="${JOBS:-4}"
 CONFIGS=("$@")
 if [[ ${#CONFIGS[@]} -eq 0 ]]; then
-  CONFIGS=(plain tsan asan)
+  CONFIGS=(plain tsan asan ubsan)
 fi
 
 run_config() {
@@ -23,7 +23,8 @@ run_config() {
     plain) build_dir="${REPO_ROOT}/build"      sanitize="" ;;
     tsan)  build_dir="${REPO_ROOT}/build-tsan" sanitize="thread" ;;
     asan)  build_dir="${REPO_ROOT}/build-asan" sanitize="address" ;;
-    *) echo "unknown config '${name}' (want plain|tsan|asan)" >&2; return 1 ;;
+    ubsan) build_dir="${REPO_ROOT}/build-ubsan" sanitize="undefined" ;;
+    *) echo "unknown config '${name}' (want plain|tsan|asan|ubsan)" >&2; return 1 ;;
   esac
   echo "== ${name}: configure + build (${build_dir}) =="
   cmake -B "${build_dir}" -S "${REPO_ROOT}" -DJACEPP_SANITIZE="${sanitize}"

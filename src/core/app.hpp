@@ -43,31 +43,9 @@ struct AppDescriptor {
   double convergence_threshold = 1e-8;
   std::uint32_t stable_iterations_required = 3;
 
-  void serialize(serial::Writer& w) const {
-    w.u32(app_id);
-    w.str(program);
-    w.bytes(config);
-    w.u32(task_count);
-    w.u32(checkpoint_every);
-    w.u32(backup_peer_count);
-    ckpt.serialize(w);
-    w.f64(convergence_threshold);
-    w.u32(stable_iterations_required);
-  }
-
-  static AppDescriptor deserialize(serial::Reader& r) {
-    AppDescriptor d;
-    d.app_id = r.u32();
-    d.program = r.str();
-    d.config = r.bytes();
-    d.task_count = r.u32();
-    d.checkpoint_every = r.u32();
-    d.backup_peer_count = r.u32();
-    d.ckpt = checkpoint::CheckpointPolicy::deserialize(r);
-    d.convergence_threshold = r.f64();
-    d.stable_iterations_required = r.u32();
-    return d;
-  }
+  JACEPP_WIRE_FIELDS(app_id, program, config, task_count, checkpoint_every,
+                     backup_peer_count, ckpt, convergence_threshold,
+                     stable_iterations_required)
 };
 
 /// One task slot in the Application Register.
@@ -75,16 +53,7 @@ struct TaskEntry {
   TaskId task_id = 0;
   net::Stub daemon;
 
-  void serialize(serial::Writer& w) const {
-    w.u32(task_id);
-    daemon.serialize(w);
-  }
-  static TaskEntry deserialize(serial::Reader& r) {
-    TaskEntry e;
-    e.task_id = r.u32();
-    e.daemon = net::Stub::deserialize(r);
-    return e;
-  }
+  JACEPP_WIRE_FIELDS(task_id, daemon)
 };
 
 /// Versioned task→daemon mapping, broadcast by the Spawner on every change.
@@ -107,21 +76,7 @@ struct AppRegister {
     return e != nullptr ? e->daemon : net::Stub{};
   }
 
-  void serialize(serial::Writer& w) const {
-    w.u32(app_id);
-    w.u64(version);
-    spawner.serialize(w);
-    w.object_vector(tasks);
-  }
-
-  static AppRegister deserialize(serial::Reader& r) {
-    AppRegister reg;
-    reg.app_id = r.u32();
-    reg.version = r.u64();
-    reg.spawner = net::Stub::deserialize(r);
-    reg.tasks = r.object_vector<TaskEntry>();
-    return reg;
-  }
+  JACEPP_WIRE_FIELDS(app_id, version, spawner, tasks)
 };
 
 /// Round-robin backup-peer policy (paper §5.4): the backup peers of task t are

@@ -55,30 +55,9 @@ struct CheckpointPolicy {
   double net_bandwidth = 100e6;     ///< modelled transfer rate, bytes/s
   double net_latency = 1e-3;        ///< modelled per-save fixed cost, s
 
-  void serialize(serial::Writer& w) const {
-    w.u32(chunk_size);
-    w.u32(rebase_every);
-    w.u64(chain_byte_budget);
-    w.boolean(adaptive_interval);
-    w.u32(min_interval);
-    w.u32(max_interval);
-    w.f64(target_overhead);
-    w.f64(net_bandwidth);
-    w.f64(net_latency);
-  }
-  static CheckpointPolicy deserialize(serial::Reader& r) {
-    CheckpointPolicy p;
-    p.chunk_size = r.u32();
-    p.rebase_every = r.u32();
-    p.chain_byte_budget = r.u64();
-    p.adaptive_interval = r.boolean();
-    p.min_interval = r.u32();
-    p.max_interval = r.u32();
-    p.target_overhead = r.f64();
-    p.net_bandwidth = r.f64();
-    p.net_latency = r.f64();
-    return p;
-  }
+  JACEPP_WIRE_FIELDS(chunk_size, rebase_every, chain_byte_budget,
+                     adaptive_interval, min_interval, max_interval,
+                     target_overhead, net_bandwidth, net_latency)
 };
 
 /// Byte intervals of a task's serialized state that may have changed since

@@ -14,7 +14,7 @@ using linalg::Vector;
 void GenericMultisplitTask::init(const AppDescriptor& app,
                                  TaskId task_id) {
   serial::Reader reader(app.config);
-  config_ = GenericConfig::deserialize(reader);
+  config_ = reader.object<GenericConfig>();
   JACEPP_CHECK(reader.ok(), "GenericMultisplitTask: malformed config");
   const std::size_t n = config_.a.rows();
   JACEPP_CHECK(config_.a.cols() == n && config_.b.size() == n,

@@ -20,6 +20,7 @@
 #include "linalg/cg.hpp"
 #include "linalg/csr.hpp"
 #include "linalg/partition.hpp"
+#include "serial/serial.hpp"
 
 namespace jacepp::core {
 
@@ -31,22 +32,7 @@ struct GenericConfig {
   std::uint32_t inner_max_iterations = 500;
   double work_scale = 1.0;
 
-  void serialize(serial::Writer& w) const {
-    a.serialize(w);
-    w.f64_vector(b);
-    w.f64(inner_tolerance);
-    w.u32(inner_max_iterations);
-    w.f64(work_scale);
-  }
-  static GenericConfig deserialize(serial::Reader& r) {
-    GenericConfig c;
-    c.a = linalg::CsrMatrix::deserialize(r);
-    c.b = r.f64_vector<linalg::Vector>();
-    c.inner_tolerance = r.f64();
-    c.inner_max_iterations = r.u32();
-    c.work_scale = r.f64();
-    return c;
-  }
+  JACEPP_WIRE_FIELDS(a, b, inner_tolerance, inner_max_iterations, work_scale)
 };
 
 class GenericMultisplitTask : public Task {

@@ -1,6 +1,7 @@
 // Every protocol message exchanged between JaceP2P entities. Each struct is a
-// "remote method" in the rmi:: sense: a unique type tag plus a serializable
-// payload. Section references are to the paper.
+// "remote method" in the rmi:: sense: a unique type tag plus a field list
+// (serial/serial.hpp) whose order is the wire order. Section references are
+// to the paper.
 #pragma once
 
 #include <cstdint>
@@ -24,10 +25,7 @@ struct RegisterDaemon {
   static constexpr net::MessageType kType = 1;
   net::Stub daemon;
 
-  void serialize(serial::Writer& w) const { daemon.serialize(w); }
-  static RegisterDaemon deserialize(serial::Reader& r) {
-    return RegisterDaemon{net::Stub::deserialize(r)};
-  }
+  JACEPP_WIRE_FIELDS(daemon)
 };
 
 /// Super-Peer → Daemon: registration accepted; carries the SP's full stub so
@@ -36,10 +34,7 @@ struct RegisterAck {
   static constexpr net::MessageType kType = 2;
   net::Stub super_peer;
 
-  void serialize(serial::Writer& w) const { super_peer.serialize(w); }
-  static RegisterAck deserialize(serial::Reader& r) {
-    return RegisterAck{net::Stub::deserialize(r)};
-  }
+  JACEPP_WIRE_FIELDS(super_peer)
 };
 
 /// Harness → Super-Peer: the linked super-peer overlay (§2.2 hybrid topology).
@@ -47,10 +42,7 @@ struct LinkSuperPeers {
   static constexpr net::MessageType kType = 3;
   std::vector<net::Stub> peers;
 
-  void serialize(serial::Writer& w) const { w.object_vector(peers); }
-  static LinkSuperPeers deserialize(serial::Reader& r) {
-    return LinkSuperPeers{r.object_vector<net::Stub>()};
-  }
+  JACEPP_WIRE_FIELDS(peers)
 };
 
 // ---------------------------------------------------------------------------
@@ -61,18 +53,14 @@ struct LinkSuperPeers {
 /// periodic liveness signal.
 struct Heartbeat {
   static constexpr net::MessageType kType = 4;
-
-  void serialize(serial::Writer&) const {}
-  static Heartbeat deserialize(serial::Reader&) { return {}; }
+  JACEPP_WIRE_FIELDS()
 };
 
 /// Super-Peer → Daemon: heartbeat acknowledgement; its absence is how a
 /// daemon detects that its super-peer died and must re-bootstrap.
 struct HeartbeatAck {
   static constexpr net::MessageType kType = 5;
-
-  void serialize(serial::Writer&) const {}
-  static HeartbeatAck deserialize(serial::Reader&) { return {}; }
+  JACEPP_WIRE_FIELDS()
 };
 
 // ---------------------------------------------------------------------------
@@ -89,20 +77,7 @@ struct ReserveRequest {
   /// Super-peers already visited, to terminate forwarding loops.
   std::vector<net::Stub> visited;
 
-  void serialize(serial::Writer& w) const {
-    w.u32(request_id);
-    w.u32(count);
-    requester.serialize(w);
-    w.object_vector(visited);
-  }
-  static ReserveRequest deserialize(serial::Reader& r) {
-    ReserveRequest m;
-    m.request_id = r.u32();
-    m.count = r.u32();
-    m.requester = net::Stub::deserialize(r);
-    m.visited = r.object_vector<net::Stub>();
-    return m;
-  }
+  JACEPP_WIRE_FIELDS(request_id, count, requester, visited)
 };
 
 /// Super-Peer → requester: daemons reserved (possibly fewer than asked; the
@@ -114,18 +89,7 @@ struct ReserveReply {
   /// True when no super-peer in the overlay could serve the remainder.
   bool exhausted = false;
 
-  void serialize(serial::Writer& w) const {
-    w.u32(request_id);
-    w.object_vector(daemons);
-    w.boolean(exhausted);
-  }
-  static ReserveReply deserialize(serial::Reader& r) {
-    ReserveReply m;
-    m.request_id = r.u32();
-    m.daemons = r.object_vector<net::Stub>();
-    m.exhausted = r.boolean();
-    return m;
-  }
+  JACEPP_WIRE_FIELDS(request_id, daemons, exhausted)
 };
 
 /// Super-Peer → Daemon: you are reserved by this spawner; expect a task.
@@ -133,10 +97,7 @@ struct Reserved {
   static constexpr net::MessageType kType = 8;
   net::Stub spawner;
 
-  void serialize(serial::Writer& w) const { spawner.serialize(w); }
-  static Reserved deserialize(serial::Reader& r) {
-    return Reserved{net::Stub::deserialize(r)};
-  }
+  JACEPP_WIRE_FIELDS(spawner)
 };
 
 // ---------------------------------------------------------------------------
@@ -156,22 +117,7 @@ struct TaskAssignment {
   /// task's daemon died in the window between reporting stable and the halt.
   bool finalize_only = false;
 
-  void serialize(serial::Writer& w) const {
-    app.serialize(w);
-    w.u32(task_id);
-    reg.serialize(w);
-    w.boolean(restart);
-    w.boolean(finalize_only);
-  }
-  static TaskAssignment deserialize(serial::Reader& r) {
-    TaskAssignment m;
-    m.app = AppDescriptor::deserialize(r);
-    m.task_id = r.u32();
-    m.reg = AppRegister::deserialize(r);
-    m.restart = r.boolean();
-    m.finalize_only = r.boolean();
-    return m;
-  }
+  JACEPP_WIRE_FIELDS(app, task_id, reg, restart, finalize_only)
 };
 
 /// Spawner → all computing Daemons: updated Application Register after a
@@ -181,10 +127,7 @@ struct RegisterUpdate {
   static constexpr net::MessageType kType = 10;
   AppRegister reg;
 
-  void serialize(serial::Writer& w) const { reg.serialize(w); }
-  static RegisterUpdate deserialize(serial::Reader& r) {
-    return RegisterUpdate{AppRegister::deserialize(r)};
-  }
+  JACEPP_WIRE_FIELDS(reg)
 };
 
 // ---------------------------------------------------------------------------
@@ -207,24 +150,7 @@ struct TaskData {
   std::uint64_t iteration = 0;
   serial::Bytes payload;
 
-  void serialize(serial::Writer& w) const {
-    w.u32(app_id);
-    w.u32(from_task);
-    w.u32(to_task);
-    w.u32(tag);
-    w.u64(iteration);
-    w.bytes(payload);
-  }
-  static TaskData deserialize(serial::Reader& r) {
-    TaskData m;
-    m.app_id = r.u32();
-    m.from_task = r.u32();
-    m.to_task = r.u32();
-    m.tag = r.u32();
-    m.iteration = r.u64();
-    m.payload = r.bytes();
-    return m;
-  }
+  JACEPP_WIRE_FIELDS(app_id, from_task, to_task, tag, iteration, payload)
 };
 
 // ---------------------------------------------------------------------------
@@ -240,20 +166,7 @@ struct SaveBackup {
   std::uint64_t iteration = 0;
   serial::Bytes state;
 
-  void serialize(serial::Writer& w) const {
-    w.u32(app_id);
-    w.u32(task_id);
-    w.u64(iteration);
-    w.bytes(state);
-  }
-  static SaveBackup deserialize(serial::Reader& r) {
-    SaveBackup m;
-    m.app_id = r.u32();
-    m.task_id = r.u32();
-    m.iteration = r.u64();
-    m.state = r.bytes();
-    return m;
-  }
+  JACEPP_WIRE_FIELDS(app_id, task_id, iteration, state)
 };
 
 /// Backup-peer → saving Daemon: frame ingest result. `needs_full` asks the
@@ -266,20 +179,7 @@ struct BackupAck {
   bool ok = false;
   bool needs_full = false;
 
-  void serialize(serial::Writer& w) const {
-    w.u32(app_id);
-    w.u32(task_id);
-    w.boolean(ok);
-    w.boolean(needs_full);
-  }
-  static BackupAck deserialize(serial::Reader& r) {
-    BackupAck m;
-    m.app_id = r.u32();
-    m.task_id = r.u32();
-    m.ok = r.boolean();
-    m.needs_full = r.boolean();
-    return m;
-  }
+  JACEPP_WIRE_FIELDS(app_id, task_id, ok, needs_full)
 };
 
 /// Replacement Daemon → potential backup-peer: which iteration (if any) do
@@ -289,16 +189,7 @@ struct QueryBackup {
   AppId app_id = 0;
   TaskId task_id = 0;
 
-  void serialize(serial::Writer& w) const {
-    w.u32(app_id);
-    w.u32(task_id);
-  }
-  static QueryBackup deserialize(serial::Reader& r) {
-    QueryBackup m;
-    m.app_id = r.u32();
-    m.task_id = r.u32();
-    return m;
-  }
+  JACEPP_WIRE_FIELDS(app_id, task_id)
 };
 
 /// Backup-peer → replacement Daemon: checkpoint availability.
@@ -309,20 +200,7 @@ struct BackupInfo {
   bool available = false;
   std::uint64_t iteration = 0;
 
-  void serialize(serial::Writer& w) const {
-    w.u32(app_id);
-    w.u32(task_id);
-    w.boolean(available);
-    w.u64(iteration);
-  }
-  static BackupInfo deserialize(serial::Reader& r) {
-    BackupInfo m;
-    m.app_id = r.u32();
-    m.task_id = r.u32();
-    m.available = r.boolean();
-    m.iteration = r.u64();
-    return m;
-  }
+  JACEPP_WIRE_FIELDS(app_id, task_id, available, iteration)
 };
 
 /// Replacement Daemon → chosen backup-peer: send me the checkpoint bytes.
@@ -331,16 +209,7 @@ struct FetchBackup {
   AppId app_id = 0;
   TaskId task_id = 0;
 
-  void serialize(serial::Writer& w) const {
-    w.u32(app_id);
-    w.u32(task_id);
-  }
-  static FetchBackup deserialize(serial::Reader& r) {
-    FetchBackup m;
-    m.app_id = r.u32();
-    m.task_id = r.u32();
-    return m;
-  }
+  JACEPP_WIRE_FIELDS(app_id, task_id)
 };
 
 /// Backup-peer → replacement Daemon: the checkpoint itself.
@@ -351,20 +220,7 @@ struct BackupData {
   std::uint64_t iteration = 0;
   serial::Bytes state;
 
-  void serialize(serial::Writer& w) const {
-    w.u32(app_id);
-    w.u32(task_id);
-    w.u64(iteration);
-    w.bytes(state);
-  }
-  static BackupData deserialize(serial::Reader& r) {
-    BackupData m;
-    m.app_id = r.u32();
-    m.task_id = r.u32();
-    m.iteration = r.u64();
-    m.state = r.bytes();
-    return m;
-  }
+  JACEPP_WIRE_FIELDS(app_id, task_id, iteration, state)
 };
 
 // ---------------------------------------------------------------------------
@@ -379,20 +235,7 @@ struct LocalStateReport {
   bool stable = false;
   std::uint64_t iteration = 0;
 
-  void serialize(serial::Writer& w) const {
-    w.u32(app_id);
-    w.u32(task_id);
-    w.boolean(stable);
-    w.u64(iteration);
-  }
-  static LocalStateReport deserialize(serial::Reader& r) {
-    LocalStateReport m;
-    m.app_id = r.u32();
-    m.task_id = r.u32();
-    m.stable = r.boolean();
-    m.iteration = r.u64();
-    return m;
-  }
+  JACEPP_WIRE_FIELDS(app_id, task_id, stable, iteration)
 };
 
 /// Spawner → all Daemons: global convergence reached; stop computing.
@@ -400,10 +243,7 @@ struct GlobalHalt {
   static constexpr net::MessageType kType = 18;
   AppId app_id = 0;
 
-  void serialize(serial::Writer& w) const { w.u32(app_id); }
-  static GlobalHalt deserialize(serial::Reader& r) {
-    return GlobalHalt{r.u32()};
-  }
+  JACEPP_WIRE_FIELDS(app_id)
 };
 
 /// Daemon → Spawner: final task state after halt (lets the user's harness
@@ -416,22 +256,8 @@ struct FinalState {
   std::uint64_t informative_iterations = 0;  ///< iterations with fresh data
   serial::Bytes payload;
 
-  void serialize(serial::Writer& w) const {
-    w.u32(app_id);
-    w.u32(task_id);
-    w.u64(iteration);
-    w.u64(informative_iterations);
-    w.bytes(payload);
-  }
-  static FinalState deserialize(serial::Reader& r) {
-    FinalState m;
-    m.app_id = r.u32();
-    m.task_id = r.u32();
-    m.iteration = r.u64();
-    m.informative_iterations = r.u64();
-    m.payload = r.bytes();
-    return m;
-  }
+  JACEPP_WIRE_FIELDS(app_id, task_id, iteration, informative_iterations,
+                     payload)
 };
 
 // ---------------------------------------------------------------------------
@@ -446,10 +272,7 @@ struct AppRegisterReplica {
   static constexpr net::MessageType kType = 21;
   AppRegister reg;
 
-  void serialize(serial::Writer& w) const { reg.serialize(w); }
-  static AppRegisterReplica deserialize(serial::Reader& r) {
-    return AppRegisterReplica{AppRegister::deserialize(r)};
-  }
+  JACEPP_WIRE_FIELDS(reg)
 };
 
 /// Standby Spawner → Super-Peer: send me your replica of this app's register.
@@ -457,10 +280,7 @@ struct FetchAppRegister {
   static constexpr net::MessageType kType = 22;
   AppId app_id = 0;
 
-  void serialize(serial::Writer& w) const { w.u32(app_id); }
-  static FetchAppRegister deserialize(serial::Reader& r) {
-    return FetchAppRegister{r.u32()};
-  }
+  JACEPP_WIRE_FIELDS(app_id)
 };
 
 /// Super-Peer → standby Spawner: the replica (or "none held").
@@ -469,16 +289,7 @@ struct AppRegisterSnapshot {
   bool available = false;
   AppRegister reg;
 
-  void serialize(serial::Writer& w) const {
-    w.boolean(available);
-    reg.serialize(w);
-  }
-  static AppRegisterSnapshot deserialize(serial::Reader& r) {
-    AppRegisterSnapshot m;
-    m.available = r.boolean();
-    m.reg = AppRegister::deserialize(r);
-    return m;
-  }
+  JACEPP_WIRE_FIELDS(available, reg)
 };
 
 /// Daemon → Daemon: diffusion-wave convergence token (DESIGN.md §13). The
@@ -494,22 +305,7 @@ struct WaveToken {
   TaskId to_task = 0;
   bool dirty = false;
 
-  void serialize(serial::Writer& w) const {
-    w.u32(app_id);
-    w.u32(wave_id);
-    w.u32(initiator);
-    w.u32(to_task);
-    w.boolean(dirty);
-  }
-  static WaveToken deserialize(serial::Reader& r) {
-    WaveToken m;
-    m.app_id = r.u32();
-    m.wave_id = r.u32();
-    m.initiator = r.u32();
-    m.to_task = r.u32();
-    m.dirty = r.boolean();
-    return m;
-  }
+  JACEPP_WIRE_FIELDS(app_id, wave_id, initiator, to_task, dirty)
 };
 
 /// Initiator Daemon → Spawner: the diffusion protocol certified global
@@ -521,18 +317,7 @@ struct ConvergedVerdict {
   std::uint32_t wave_id = 0;   ///< wave that completed the second clean round
   std::uint32_t waves_run = 0; ///< total waves the initiator launched
 
-  void serialize(serial::Writer& w) const {
-    w.u32(app_id);
-    w.u32(wave_id);
-    w.u32(waves_run);
-  }
-  static ConvergedVerdict deserialize(serial::Reader& r) {
-    ConvergedVerdict m;
-    m.app_id = r.u32();
-    m.wave_id = r.u32();
-    m.waves_run = r.u32();
-    return m;
-  }
+  JACEPP_WIRE_FIELDS(app_id, wave_id, waves_run)
 };
 
 /// Spawner → Daemon: re-report your current local stability (sent by a
@@ -542,10 +327,7 @@ struct StateProbe {
   static constexpr net::MessageType kType = 26;
   AppId app_id = 0;
 
-  void serialize(serial::Writer& w) const { w.u32(app_id); }
-  static StateProbe deserialize(serial::Reader& r) {
-    return StateProbe{r.u32()};
-  }
+  JACEPP_WIRE_FIELDS(app_id)
 };
 
 // ---------------------------------------------------------------------------
@@ -565,22 +347,7 @@ struct AuditChallenge {
   std::uint64_t nonce = 0;   ///< echoed in the reply; stale replies are dropped
   std::uint32_t iterations = 0;
 
-  void serialize(serial::Writer& w) const {
-    app.serialize(w);
-    w.u32(task_id);
-    w.u32(round);
-    w.u64(nonce);
-    w.u32(iterations);
-  }
-  static AuditChallenge deserialize(serial::Reader& r) {
-    AuditChallenge m;
-    m.app = AppDescriptor::deserialize(r);
-    m.task_id = r.u32();
-    m.round = r.u32();
-    m.nonce = r.u64();
-    m.iterations = r.u32();
-    return m;
-  }
+  JACEPP_WIRE_FIELDS(app, task_id, round, nonce, iterations)
 };
 
 /// Daemon → Spawner: digest of the audited re-run (the replica's vote).
@@ -592,22 +359,7 @@ struct AuditReply {
   std::uint64_t nonce = 0;
   std::uint64_t digest = 0;  ///< FNV-1a over the post-run checkpoint bytes
 
-  void serialize(serial::Writer& w) const {
-    w.u32(app_id);
-    w.u32(task_id);
-    w.u32(round);
-    w.u64(nonce);
-    w.u64(digest);
-  }
-  static AuditReply deserialize(serial::Reader& r) {
-    AuditReply m;
-    m.app_id = r.u32();
-    m.task_id = r.u32();
-    m.round = r.u32();
-    m.nonce = r.u64();
-    m.digest = r.u64();
-    return m;
-  }
+  JACEPP_WIRE_FIELDS(app_id, task_id, round, nonce, digest)
 };
 
 /// Spawner → Super-Peers (only with `rep.enabled`): one reputation
@@ -621,18 +373,7 @@ struct ReputationReport {
   std::uint8_t kind = Success;
   double value = 0.0;      ///< Speed: normalized latency score in [0, 1]
 
-  void serialize(serial::Writer& w) const {
-    w.u64(node);
-    w.u8(kind);
-    w.f64(value);
-  }
-  static ReputationReport deserialize(serial::Reader& r) {
-    ReputationReport m;
-    m.node = r.u64();
-    m.kind = r.u8();
-    m.value = r.f64();
-    return m;
-  }
+  JACEPP_WIRE_FIELDS(node, kind, value)
 };
 
 /// Spawner → computing Daemons (only with `rep.backup_placement`): tasks
@@ -645,18 +386,7 @@ struct BackupPlacement {
   std::uint64_t version = 0;  ///< stale rankings (older broadcasts) are ignored
   std::vector<TaskId> ranking;
 
-  void serialize(serial::Writer& w) const {
-    w.u32(app_id);
-    w.u64(version);
-    w.u32_vector(ranking);
-  }
-  static BackupPlacement deserialize(serial::Reader& r) {
-    BackupPlacement m;
-    m.app_id = r.u32();
-    m.version = r.u64();
-    m.ranking = r.u32_vector();
-    return m;
-  }
+  JACEPP_WIRE_FIELDS(app_id, version, ranking)
 };
 
 // ---------------------------------------------------------------------------

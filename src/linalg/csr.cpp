@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "linalg/simd.hpp"
 #include "support/assert.hpp"
 #include "support/thread_pool.hpp"
 
@@ -43,13 +42,8 @@ void CsrMatrix::multiply_add(const Vector& x, Vector& y) const {
   const double* values = values_.data();
   const double* xs = x.data();
   double* ys = y.data();
-  const bool vec = simd::active();
   compute_pool().parallel_for(
       0, rows_, spmv_row_grain(), [=](std::size_t lo, std::size_t hi) {
-        if (vec) {
-          simd::spmv_add(row_ptr, col_idx, values, xs, ys, lo, hi);
-          return;
-        }
         for (std::size_t r = lo; r < hi; ++r) {
           double acc = 0.0;
           for (std::uint32_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {

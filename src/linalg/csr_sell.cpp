@@ -121,8 +121,9 @@ __attribute__((target("avx2"))) inline double hsum256_sell(__m256d v) {
 
 /// Lock-step row sums of one full slice: lane i accumulates row kH*s + i.
 /// The masked gather with a zeroed merge source breaks the false dependency
-/// vgatherdpd carries on its destination register (see row_dot_avx2 in
-/// simd.cpp), keeping consecutive k-steps and slices independent.
+/// vgatherdpd carries on its destination register (the plain intrinsic lets
+/// the compiler chain consecutive gathers), keeping consecutive k-steps and
+/// slices independent.
 __attribute__((target("avx2"))) inline __m256d slice_acc_avx2(
     const SellView& m, const double* x, std::size_t s) {
   const std::uint32_t off = m.slice_ptr[s];

@@ -20,14 +20,9 @@ double spmv_residual_norm2(const CsrMatrix& a, const Vector& x, const Vector& b,
   const double* xs = x.data();
   const double* bs = b.data();
   double* rs = r.data();
-  const bool vec = simd::active();
   const double acc = compute_pool().parallel_reduce(
       0, a.rows(), spmv_row_grain(), 0.0,
       [=](std::size_t lo, std::size_t hi) {
-        if (vec) {
-          return simd::spmv_residual(row_ptr, col_idx, values, xs, bs, rs, lo,
-                                     hi);
-        }
         double partial = 0.0;
         for (std::size_t row = lo; row < hi; ++row) {
           // Same FP sequence as multiply(): ax = 0.0 + row accumulator.
@@ -54,11 +49,9 @@ double spmv_dot(const CsrMatrix& a, const Vector& x, Vector& y) {
   const double* values = a.values().data();
   const double* xs = x.data();
   double* ys = y.data();
-  const bool vec = simd::active();
   return compute_pool().parallel_reduce(
       0, a.rows(), spmv_row_grain(), 0.0,
       [=](std::size_t lo, std::size_t hi) {
-        if (vec) return simd::spmv_dot(row_ptr, col_idx, values, xs, ys, lo, hi);
         double partial = 0.0;
         for (std::size_t row = lo; row < hi; ++row) {
           double ax = 0.0;
@@ -109,15 +102,9 @@ SweepStats relax_sweep_fused(const CsrMatrix& a, const Vector& inv_diag,
   const double* bs = b.data();
   const double* xin = x_in.data();
   double* xout = x_out.data();
-  const bool vec = simd::active();
   return compute_pool().parallel_reduce(
       row_lo, row_hi, spmv_row_grain(), SweepStats{},
       [=](std::size_t lo, std::size_t hi) {
-        if (vec) {
-          const simd::SweepPartial p = simd::relax_sweep(
-              row_ptr, col_idx, values, inv_d, bs, xin, xout, omega, lo, hi);
-          return SweepStats{p.diff2, p.norm2};
-        }
         SweepStats partial;
         for (std::size_t row = lo; row < hi; ++row) {
           double ax = 0.0;

@@ -20,9 +20,9 @@ namespace {
 std::atomic<bool> g_enabled{false};
 
 // --- scalar table ------------------------------------------------------------
-// Byte-for-byte the loops the call sites in vector_ops.cpp / fused.cpp /
-// csr.cpp run when the layer is off; also the portable fallback for CPUs
-// below SSE2 (non-x86 builds).
+// Byte-for-byte the loops the call sites in vector_ops.cpp / fused.cpp run
+// when the layer is off; also the portable fallback for CPUs below SSE2
+// (non-x86 builds).
 
 double dot_scalar(const double* x, const double* y, std::size_t n) {
   double acc = 0.0;
@@ -62,77 +62,10 @@ double axpy_norm2sq_scalar(double alpha, const double* x, double* y,
   return acc;
 }
 
-void spmv_add_scalar(const std::uint32_t* row_ptr, const std::uint32_t* col_idx,
-                     const double* values, const double* x, double* y,
-                     std::size_t row_lo, std::size_t row_hi) {
-  for (std::size_t r = row_lo; r < row_hi; ++r) {
-    double acc = 0.0;
-    for (std::uint32_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-      acc += values[k] * x[col_idx[k]];
-    }
-    y[r] += acc;
-  }
-}
-
-double spmv_residual_scalar(const std::uint32_t* row_ptr,
-                            const std::uint32_t* col_idx, const double* values,
-                            const double* x, const double* b, double* r,
-                            std::size_t row_lo, std::size_t row_hi) {
-  double partial = 0.0;
-  for (std::size_t row = row_lo; row < row_hi; ++row) {
-    double ax = 0.0;
-    for (std::uint32_t k = row_ptr[row]; k < row_ptr[row + 1]; ++k) {
-      ax += values[k] * x[col_idx[k]];
-    }
-    const double d = b[row] - ax;
-    r[row] = d;
-    partial += d * d;
-  }
-  return partial;
-}
-
-double spmv_dot_scalar(const std::uint32_t* row_ptr,
-                       const std::uint32_t* col_idx, const double* values,
-                       const double* x, double* y, std::size_t row_lo,
-                       std::size_t row_hi) {
-  double partial = 0.0;
-  for (std::size_t row = row_lo; row < row_hi; ++row) {
-    double ax = 0.0;
-    for (std::uint32_t k = row_ptr[row]; k < row_ptr[row + 1]; ++k) {
-      ax += values[k] * x[col_idx[k]];
-    }
-    y[row] = ax;
-    partial += x[row] * ax;
-  }
-  return partial;
-}
-
-SweepPartial relax_sweep_scalar(const std::uint32_t* row_ptr,
-                                const std::uint32_t* col_idx,
-                                const double* values, const double* inv_diag,
-                                const double* b, const double* x_in,
-                                double* x_out, double omega, std::size_t row_lo,
-                                std::size_t row_hi) {
-  SweepPartial partial;
-  for (std::size_t row = row_lo; row < row_hi; ++row) {
-    double ax = 0.0;
-    for (std::uint32_t k = row_ptr[row]; k < row_ptr[row + 1]; ++k) {
-      ax += values[k] * x_in[col_idx[k]];
-    }
-    const double update = omega * inv_diag[row] * (b[row] - ax);
-    const double v = x_in[row] + update;
-    x_out[row] = v;
-    partial.diff2 += update * update;
-    partial.norm2 += v * v;
-  }
-  return partial;
-}
-
 #if defined(JACEPP_SIMD_X86)
 
 // --- SSE2 table --------------------------------------------------------------
-// 2-lane BLAS-1 kernels. SSE2 has no gather, so the CSR row kernels reuse the
-// scalar bodies (the dispatcher fills those slots with the scalar pointers).
+// 2-lane BLAS-1 kernels.
 
 __attribute__((target("sse2"))) inline double hsum128(__m128d v) {
   // Fixed lane order: low + high.
@@ -345,136 +278,6 @@ __attribute__((target("avx2"))) double axpy_norm2sq_avx2(double alpha,
   return partial;
 }
 
-/// One CSR row: Σ_k values[k] * x[cols[k]] with 4-wide 32-bit gathers over
-/// the nnz loop; the lane sum is hsum256's fixed order, then the scalar tail.
-///
-/// The gather uses the MASKED form with a freshly zeroed merge source on
-/// purpose: vgatherdpd merges unmasked lanes from its destination register,
-/// so the plain _mm256_i32gather_pd intrinsic lets the compiler create a
-/// false dependency on whatever the register last held — which can chain
-/// consecutive rows' gathers behind each other's multiplies and serialize the
-/// row loop (observed 2x slowdown in the residual kernel). A zeroed source is
-/// a dependency-breaking idiom, so rows stay independent for the OoO core.
-__attribute__((target("avx2"))) inline double row_dot_avx2(
-    const std::uint32_t* cols, const double* vals, std::uint32_t nnz,
-    const double* x) {
-  double acc = 0.0;
-  std::uint32_t k = 0;
-  if (nnz >= 4) {
-    const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-    __m256d vacc = _mm256_setzero_pd();
-    for (; k + 4 <= nnz; k += 4) {
-      const __m128i idx =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(cols + k));
-      const __m256d xv =
-          _mm256_mask_i32gather_pd(_mm256_setzero_pd(), x, idx, all, 8);
-      vacc = _mm256_add_pd(vacc, _mm256_mul_pd(_mm256_loadu_pd(vals + k), xv));
-    }
-    acc = hsum256(vacc);
-  }
-  for (; k < nnz; ++k) acc += vals[k] * x[cols[k]];
-  return acc;
-}
-
-__attribute__((target("avx2"))) void spmv_add_avx2(
-    const std::uint32_t* row_ptr, const std::uint32_t* col_idx,
-    const double* values, const double* x, double* y, std::size_t row_lo,
-    std::size_t row_hi) {
-  for (std::size_t r = row_lo; r < row_hi; ++r) {
-    const std::uint32_t begin = row_ptr[r];
-    y[r] += row_dot_avx2(col_idx + begin, values + begin, row_ptr[r + 1] - begin, x);
-  }
-}
-
-/// Two passes on purpose: interleaving the scalar b[] stream and its
-/// dependent subtract/square chain with the gather loop stalls the gathers
-/// (measured ~2x slower than scalar on 5-nnz stencil rows; the dot-shaped
-/// kernel below is immune because its scalar load x[row] hits the line the
-/// gather just touched). Pass 1 stores the raw row dots into r, pass 2 is a
-/// 4-lane streaming fixup with the usual fixed-order hsum + scalar tail —
-/// deterministic per ISA like every other on-path reduction. Requires r to
-/// alias neither x nor b, which the fused.cpp wrappers guarantee.
-__attribute__((target("avx2"))) double spmv_residual_avx2(
-    const std::uint32_t* row_ptr, const std::uint32_t* col_idx,
-    const double* values, const double* x, const double* b, double* r,
-    std::size_t row_lo, std::size_t row_hi) {
-  for (std::size_t row = row_lo; row < row_hi; ++row) {
-    const std::uint32_t begin = row_ptr[row];
-    r[row] =
-        row_dot_avx2(col_idx + begin, values + begin, row_ptr[row + 1] - begin, x);
-  }
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t row = row_lo;
-  for (; row + 4 <= row_hi; row += 4) {
-    const __m256d d =
-        _mm256_sub_pd(_mm256_loadu_pd(b + row), _mm256_loadu_pd(r + row));
-    _mm256_storeu_pd(r + row, d);
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
-  }
-  double partial = hsum256(acc);
-  for (; row < row_hi; ++row) {
-    const double d = b[row] - r[row];
-    r[row] = d;
-    partial += d * d;
-  }
-  return partial;
-}
-
-__attribute__((target("avx2"))) double spmv_dot_avx2(
-    const std::uint32_t* row_ptr, const std::uint32_t* col_idx,
-    const double* values, const double* x, double* y, std::size_t row_lo,
-    std::size_t row_hi) {
-  double partial = 0.0;
-  for (std::size_t row = row_lo; row < row_hi; ++row) {
-    const std::uint32_t begin = row_ptr[row];
-    const double ax =
-        row_dot_avx2(col_idx + begin, values + begin, row_ptr[row + 1] - begin, x);
-    y[row] = ax;
-    partial += x[row] * ax;
-  }
-  return partial;
-}
-
-/// Same two-pass split as spmv_residual_avx2 (see comment there): pass 1
-/// parks the raw row dots in x_out, pass 2 streams the Jacobi update over
-/// them with 4-lane accumulators and the fixed-order hsum. Requires x_out
-/// to alias none of the inputs, which a Jacobi sweep needs anyway.
-__attribute__((target("avx2"))) SweepPartial relax_sweep_avx2(
-    const std::uint32_t* row_ptr, const std::uint32_t* col_idx,
-    const double* values, const double* inv_diag, const double* b,
-    const double* x_in, double* x_out, double omega, std::size_t row_lo,
-    std::size_t row_hi) {
-  for (std::size_t row = row_lo; row < row_hi; ++row) {
-    const std::uint32_t begin = row_ptr[row];
-    x_out[row] = row_dot_avx2(col_idx + begin, values + begin,
-                              row_ptr[row + 1] - begin, x_in);
-  }
-  const __m256d om = _mm256_set1_pd(omega);
-  __m256d diff_acc = _mm256_setzero_pd();
-  __m256d norm_acc = _mm256_setzero_pd();
-  std::size_t row = row_lo;
-  for (; row + 4 <= row_hi; row += 4) {
-    const __m256d upd = _mm256_mul_pd(
-        _mm256_mul_pd(om, _mm256_loadu_pd(inv_diag + row)),
-        _mm256_sub_pd(_mm256_loadu_pd(b + row), _mm256_loadu_pd(x_out + row)));
-    const __m256d v = _mm256_add_pd(_mm256_loadu_pd(x_in + row), upd);
-    _mm256_storeu_pd(x_out + row, v);
-    diff_acc = _mm256_add_pd(diff_acc, _mm256_mul_pd(upd, upd));
-    norm_acc = _mm256_add_pd(norm_acc, _mm256_mul_pd(v, v));
-  }
-  SweepPartial partial;
-  partial.diff2 = hsum256(diff_acc);
-  partial.norm2 = hsum256(norm_acc);
-  for (; row < row_hi; ++row) {
-    const double update = omega * inv_diag[row] * (b[row] - x_out[row]);
-    const double v = x_in[row] + update;
-    x_out[row] = v;
-    partial.diff2 += update * update;
-    partial.norm2 += v * v;
-  }
-  return partial;
-}
-
 #endif  // JACEPP_SIMD_X86
 
 // --- dispatch ---------------------------------------------------------------
@@ -487,37 +290,22 @@ struct Ops {
   void (*hadamard)(const double*, const double*, double*, std::size_t);
   void (*sub)(const double*, const double*, double*, std::size_t);
   double (*axpy_norm2sq)(double, const double*, double*, std::size_t);
-  void (*spmv_add)(const std::uint32_t*, const std::uint32_t*, const double*,
-                   const double*, double*, std::size_t, std::size_t);
-  double (*spmv_residual)(const std::uint32_t*, const std::uint32_t*,
-                          const double*, const double*, const double*, double*,
-                          std::size_t, std::size_t);
-  double (*spmv_dot)(const std::uint32_t*, const std::uint32_t*, const double*,
-                     const double*, double*, std::size_t, std::size_t);
-  SweepPartial (*relax_sweep)(const std::uint32_t*, const std::uint32_t*,
-                              const double*, const double*, const double*,
-                              const double*, double*, double, std::size_t,
-                              std::size_t);
 };
 
 constexpr Ops kScalarOps = {
-    dot_scalar,      axpy_scalar,        axpby_scalar,    scale_scalar,
-    hadamard_scalar, sub_scalar,         axpy_norm2sq_scalar,
-    spmv_add_scalar, spmv_residual_scalar, spmv_dot_scalar, relax_sweep_scalar,
+    dot_scalar,      axpy_scalar, axpby_scalar,       scale_scalar,
+    hadamard_scalar, sub_scalar,  axpy_norm2sq_scalar,
 };
 
 #if defined(JACEPP_SIMD_X86)
 constexpr Ops kSse2Ops = {
-    dot_sse2,        axpy_sse2,          axpby_sse2,      scale_sse2,
-    hadamard_sse2,   sub_sse2,           axpy_norm2sq_sse2,
-    // No gather below AVX2: the CSR row kernels stay scalar at this level.
-    spmv_add_scalar, spmv_residual_scalar, spmv_dot_scalar, relax_sweep_scalar,
+    dot_sse2,      axpy_sse2, axpby_sse2,        scale_sse2,
+    hadamard_sse2, sub_sse2,  axpy_norm2sq_sse2,
 };
 
 constexpr Ops kAvx2Ops = {
-    dot_avx2,        axpy_avx2,          axpby_avx2,      scale_avx2,
-    hadamard_avx2,   sub_avx2,           axpy_norm2sq_avx2,
-    spmv_add_avx2,   spmv_residual_avx2, spmv_dot_avx2,   relax_sweep_avx2,
+    dot_avx2,      axpy_avx2, axpby_avx2,        scale_avx2,
+    hadamard_avx2, sub_avx2,  axpy_norm2sq_avx2,
 };
 #endif
 
@@ -617,34 +405,6 @@ void sub(const double* a, const double* b, double* out, std::size_t n) {
 
 double axpy_norm2sq(double alpha, const double* x, double* y, std::size_t n) {
   return active_ops().axpy_norm2sq(alpha, x, y, n);
-}
-
-void spmv_add(const std::uint32_t* row_ptr, const std::uint32_t* col_idx,
-              const double* values, const double* x, double* y,
-              std::size_t row_lo, std::size_t row_hi) {
-  active_ops().spmv_add(row_ptr, col_idx, values, x, y, row_lo, row_hi);
-}
-
-double spmv_residual(const std::uint32_t* row_ptr, const std::uint32_t* col_idx,
-                     const double* values, const double* x, const double* b,
-                     double* r, std::size_t row_lo, std::size_t row_hi) {
-  return active_ops().spmv_residual(row_ptr, col_idx, values, x, b, r, row_lo,
-                                    row_hi);
-}
-
-double spmv_dot(const std::uint32_t* row_ptr, const std::uint32_t* col_idx,
-                const double* values, const double* x, double* y,
-                std::size_t row_lo, std::size_t row_hi) {
-  return active_ops().spmv_dot(row_ptr, col_idx, values, x, y, row_lo, row_hi);
-}
-
-SweepPartial relax_sweep(const std::uint32_t* row_ptr,
-                         const std::uint32_t* col_idx, const double* values,
-                         const double* inv_diag, const double* b,
-                         const double* x_in, double* x_out, double omega,
-                         std::size_t row_lo, std::size_t row_hi) {
-  return active_ops().relax_sweep(row_ptr, col_idx, values, inv_diag, b, x_in,
-                                  x_out, omega, row_lo, row_hi);
 }
 
 }  // namespace jacepp::linalg::simd

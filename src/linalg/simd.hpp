@@ -1,11 +1,14 @@
 // Portable-intrinsics SIMD layer for the iteration hot path (DESIGN.md §10).
 //
-// One binary carries three implementations of every kernel — AVX2, SSE2 and
-// scalar — and picks the widest one the executing CPU supports, once, via
-// CPUID (detected_level()). The whole layer sits behind the `perf.simd` knob:
-// with set_enabled(false) (the default) active_level() is scalar and every
-// wrapped call site in vector_ops.cpp / fused.cpp / csr.cpp runs its original
-// scalar loop untouched, bit-identical to the pre-SIMD code.
+// One binary carries three implementations of every BLAS-1 kernel — AVX2,
+// SSE2 and scalar — and picks the widest one the executing CPU supports, once,
+// via CPUID (detected_level()). The whole layer sits behind the `perf.simd`
+// knob: with set_enabled(false) (the default) active_level() is scalar and
+// every wrapped call site in vector_ops.cpp / fused.cpp runs its original
+// scalar loop untouched, bit-identical to the pre-SIMD code. The CSR kernels
+// (csr.cpp, fused.cpp) stay scalar at every level: gathered AVX2 row dots
+// measured 0.95-1.03x on 3-5 nnz stencil rows; SELL (csr_sell.hpp) is the
+// vectorized SpMV layout.
 //
 // Determinism contract (mirrors the fused-kernel contract in fused.hpp):
 //   * enabled: each kernel uses FIXED-width lane accumulators and reduces the
@@ -23,7 +26,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 namespace jacepp::linalg::simd {
 
@@ -80,46 +82,5 @@ void sub(const double* a, const double* b, double* out, std::size_t n);
 /// residual-update kernel of fused.cpp.
 [[nodiscard]] double axpy_norm2sq(double alpha, const double* x, double* y,
                                   std::size_t n);
-
-// --- CSR row-block chunk kernels -------------------------------------------
-// All operate on rows [row_lo, row_hi) of a CsrMatrix's raw arrays. The AVX2
-// variants vectorize the per-row nnz loop with 32-bit gathers; SSE2 has no
-// gather, so these fall back to scalar below AVX2 (BLAS-1 is where SSE2
-// pays).
-
-/// y[r] += Σ_k values[k] * x[col_idx[k]].
-void spmv_add(const std::uint32_t* row_ptr, const std::uint32_t* col_idx,
-              const double* values, const double* x, double* y,
-              std::size_t row_lo, std::size_t row_hi);
-
-/// r[row] = b[row] - (A x)[row]; returns Σ r[row]² over the range.
-[[nodiscard]] double spmv_residual(const std::uint32_t* row_ptr,
-                                   const std::uint32_t* col_idx,
-                                   const double* values, const double* x,
-                                   const double* b, double* r,
-                                   std::size_t row_lo, std::size_t row_hi);
-
-/// y[row] = (A x)[row]; returns Σ x[row] * y[row] over the range (square
-/// sweep).
-[[nodiscard]] double spmv_dot(const std::uint32_t* row_ptr,
-                              const std::uint32_t* col_idx,
-                              const double* values, const double* x, double* y,
-                              std::size_t row_lo, std::size_t row_hi);
-
-/// Partial sums of one fused weighted-Jacobi sweep (fused.hpp SweepStats).
-struct SweepPartial {
-  double diff2 = 0.0;
-  double norm2 = 0.0;
-};
-
-/// x_out[row] = x_in[row] + omega * inv_diag[row] * (b[row] - (A x_in)[row]);
-/// accumulates diff2 / norm2 over the range.
-[[nodiscard]] SweepPartial relax_sweep(const std::uint32_t* row_ptr,
-                                       const std::uint32_t* col_idx,
-                                       const double* values,
-                                       const double* inv_diag, const double* b,
-                                       const double* x_in, double* x_out,
-                                       double omega, std::size_t row_lo,
-                                       std::size_t row_hi);
 
 }  // namespace jacepp::linalg::simd

@@ -74,7 +74,7 @@ struct Message {
 };
 
 /// Build a message from a typed payload: T must expose
-/// `static constexpr MessageType kType` and `serialize(Writer&)`.
+/// `static constexpr MessageType kType` and be a wire struct (serial.hpp).
 /// The body is encoded into a pool-recycled buffer and returns to the pool
 /// when the message's last copy dies — the per-message steady-state send path
 /// performs no body allocation (beyond the shared_ptr control block).
@@ -83,7 +83,7 @@ Message make_message(const T& payload) {
   Message m;
   m.type = T::kType;
   serial::Writer writer(serial::BufferPool::instance().acquire());
-  payload.serialize(writer);
+  writer.object(payload);
   m.body = Payload::pooled(writer.take());
   return m;
 }

@@ -54,19 +54,7 @@ struct Stub {
     return a.node != b.node ? a.node < b.node : a.incarnation < b.incarnation;
   }
 
-  void serialize(serial::Writer& w) const {
-    w.u64(node);
-    w.u32(incarnation);
-    w.u8(static_cast<std::uint8_t>(kind));
-  }
-
-  static Stub deserialize(serial::Reader& r) {
-    Stub s;
-    s.node = r.u64();
-    s.incarnation = r.u32();
-    s.kind = static_cast<EntityKind>(r.u8());
-    return s;
-  }
+  JACEPP_WIRE_FIELDS(node, incarnation, kind)
 
   [[nodiscard]] std::string to_debug_string() const;
 };

@@ -52,7 +52,7 @@ serial::Bytes encode_config(const PoissonConfig& config) {
 
 void PoissonTask::init(const core::AppDescriptor& app, core::TaskId task_id) {
   serial::Reader reader(app.config);
-  config_ = PoissonConfig::deserialize(reader);
+  config_ = reader.object<PoissonConfig>();
   JACEPP_CHECK(reader.ok(), "PoissonTask: malformed config");
   JACEPP_CHECK(config_.n >= 2, "PoissonTask: grid side must be >= 2");
 

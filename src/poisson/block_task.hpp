@@ -19,6 +19,7 @@
 #include "linalg/csr.hpp"
 #include "linalg/csr_sell.hpp"
 #include "linalg/partition.hpp"
+#include "serial/serial.hpp"
 
 namespace jacepp::poisson {
 
@@ -36,26 +37,8 @@ struct PoissonConfig {
   /// paper-scale per-iteration cost while computing a tractable grid.
   double work_scale = 1.0;
 
-  void serialize(serial::Writer& w) const {
-    w.u32(n);
-    w.u32(overlap_lines);
-    w.f64(inner_tolerance);
-    w.u32(inner_max_iterations);
-    w.u32(rhs_kind);
-    w.u64(rhs_seed);
-    w.f64(work_scale);
-  }
-  static PoissonConfig deserialize(serial::Reader& r) {
-    PoissonConfig c;
-    c.n = r.u32();
-    c.overlap_lines = r.u32();
-    c.inner_tolerance = r.f64();
-    c.inner_max_iterations = r.u32();
-    c.rhs_kind = r.u32();
-    c.rhs_seed = r.u64();
-    c.work_scale = r.f64();
-    return c;
-  }
+  JACEPP_WIRE_FIELDS(n, overlap_lines, inner_tolerance, inner_max_iterations,
+                     rhs_kind, rhs_seed, work_scale)
 };
 
 /// Assemble rows [row_lo, row_hi) of the n-grid Laplacian over the SAME

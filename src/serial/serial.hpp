@@ -8,9 +8,34 @@
 //   * fixed-width integers little-endian;
 //   * unsigned varint (LEB128) for lengths and u64 varints;
 //   * doubles as IEEE-754 bit patterns;
-//   * containers as varint length + elements;
-//   * user structs provide `void serialize(Writer&) const` and
-//     `static T deserialize(Reader&)`.
+//   * containers as varint length + elements.
+//
+// Field lists. A wire struct names its members once, in wire order:
+//
+//   struct FetchBackup {
+//     AppId app_id = 0;
+//     TaskId task_id = 0;
+//     JACEPP_WIRE_FIELDS(app_id, task_id)
+//   };
+//
+// and Writer::object / Reader::object<T> walk that list, giving each member
+// the encoding of its C++ type:
+//   std::uint8_t, std::uint8_t-backed enums -> u8
+//   std::uint32_t -> u32            std::uint64_t -> u64
+//   bool -> boolean                 double -> f64
+//   std::string -> str              Bytes -> bytes
+//   std::vector<std::uint32_t> -> u32_vector
+//   std::vector<double, A> -> f64_vector (any allocator)
+//   std::vector<T> of wire structs -> object_vector
+//   a nested wire struct -> its own fields, inline.
+// Only this file maps a C++ type to its wire encoding, so no struct states its
+// field order twice. A type outside the rule must hand-write
+// `void serialize(Writer&) const` and `static T deserialize(Reader&)`;
+// linalg::CsrMatrix is the one struct that does (varint dimensions, and its
+// constructor validates the shape). Three codecs call Writer/Reader directly
+// because they are not field lists: the checkpoint frame codec (CRCs, chunk
+// loops), the link Batch envelope (CRC over packed sub-messages) and task
+// checkpoint()/restore() (state layouts with shape checks).
 //
 // Reader never reads out of bounds: all failures surface via ok()/error() and
 // reads after failure return zero values (monadic poisoning), so decoding
@@ -22,14 +47,36 @@
 #include <cstring>
 #include <initializer_list>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
 #include "support/assert.hpp"
 
+/// Declares a wire struct's members, in wire order (see the header comment).
+#define JACEPP_WIRE_FIELDS(...)                         \
+  auto fields() const { return std::tie(__VA_ARGS__); } \
+  auto fields() { return std::tie(__VA_ARGS__); }
+
 namespace jacepp::serial {
 
 using Bytes = std::vector<std::uint8_t>;
+
+/// A struct declared with JACEPP_WIRE_FIELDS.
+template <typename T>
+concept FieldList = requires(const T& value) { value.fields(); };
+
+namespace detail {
+template <typename T>
+inline constexpr bool kIsVector = false;
+template <typename T>
+inline constexpr bool kIsVector<std::vector<T>> = true;
+
+template <typename T>
+inline constexpr bool kIsF64Vector = false;
+template <typename A>
+inline constexpr bool kIsF64Vector<std::vector<double, A>> = true;
+}  // namespace detail
 
 /// Encoded byte length of varint(v) — for computing field offsets inside an
 /// encoding without writing it (delta-checkpoint dirty-range layout math).
@@ -121,16 +168,46 @@ class Writer {
     append_le(v.data(), v.size());
   }
 
-  /// Serialize any struct exposing serialize(Writer&).
+  /// Encode any wire value by the type -> encoding rule (header comment).
   template <typename T>
   void object(const T& value) {
-    value.serialize(*this);
+    if constexpr (FieldList<T>) {
+      std::apply([this](const auto&... field) { (object(field), ...); },
+                 value.fields());
+    } else if constexpr (std::is_enum_v<T>) {
+      static_assert(std::is_same_v<std::underlying_type_t<T>, std::uint8_t>);
+      u8(static_cast<std::uint8_t>(value));
+    } else if constexpr (std::is_same_v<T, bool>) {
+      boolean(value);
+    } else if constexpr (std::is_same_v<T, std::uint8_t>) {
+      u8(value);
+    } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+      u32(value);
+    } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+      u64(value);
+    } else if constexpr (std::is_same_v<T, double>) {
+      f64(value);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      str(value);
+    } else if constexpr (std::is_same_v<T, Bytes>) {
+      bytes(value);
+    } else if constexpr (std::is_same_v<T, std::vector<std::uint32_t>>) {
+      u32_vector(value);
+    } else if constexpr (detail::kIsF64Vector<T>) {
+      f64_vector(value);
+    } else if constexpr (detail::kIsVector<T>) {
+      object_vector(value);
+    } else {
+      static_assert(requires(Writer& w) { value.serialize(w); },
+                    "no wire encoding: declare JACEPP_WIRE_FIELDS");
+      value.serialize(*this);
+    }
   }
 
   template <typename T>
   void object_vector(const std::vector<T>& values) {
     varint(values.size());
-    for (const auto& v : values) v.serialize(*this);
+    for (const auto& v : values) object(v);
   }
 
   [[nodiscard]] const Bytes& data() const { return buffer_; }
@@ -281,9 +358,45 @@ class Reader {
     return vector_le<std::vector<std::uint64_t>>();
   }
 
+  /// Decode any wire value by the type -> encoding rule (header comment).
   template <typename T>
   T object() {
-    return T::deserialize(*this);
+    if constexpr (FieldList<T>) {
+      T value{};
+      std::apply(
+          [this](auto&... field) {
+            ((field = object<std::remove_reference_t<decltype(field)>>()), ...);
+          },
+          value.fields());
+      return value;
+    } else if constexpr (std::is_enum_v<T>) {
+      static_assert(std::is_same_v<std::underlying_type_t<T>, std::uint8_t>);
+      return static_cast<T>(u8());
+    } else if constexpr (std::is_same_v<T, bool>) {
+      return boolean();
+    } else if constexpr (std::is_same_v<T, std::uint8_t>) {
+      return u8();
+    } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+      return u32();
+    } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+      return u64();
+    } else if constexpr (std::is_same_v<T, double>) {
+      return f64();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      return str();
+    } else if constexpr (std::is_same_v<T, Bytes>) {
+      return bytes();
+    } else if constexpr (std::is_same_v<T, std::vector<std::uint32_t>>) {
+      return u32_vector();
+    } else if constexpr (detail::kIsF64Vector<T>) {
+      return f64_vector<T>();
+    } else if constexpr (detail::kIsVector<T>) {
+      return object_vector<typename T::value_type>();
+    } else {
+      static_assert(requires { T::deserialize(*this); },
+                    "no wire encoding: declare JACEPP_WIRE_FIELDS");
+      return T::deserialize(*this);
+    }
   }
 
   template <typename T>
@@ -297,7 +410,7 @@ class Reader {
     }
     std::vector<T> v;
     v.reserve(len);
-    for (std::uint64_t i = 0; i < len && ok_; ++i) v.push_back(T::deserialize(*this));
+    for (std::uint64_t i = 0; i < len && ok_; ++i) v.push_back(object<T>());
     return v;
   }
 
@@ -354,20 +467,20 @@ class Reader {
   std::string error_;
 };
 
-/// Encode a serializable object into a fresh byte buffer.
+/// Encode a wire value into a fresh byte buffer.
 template <typename T>
 Bytes encode(const T& value) {
   Writer writer;
-  value.serialize(writer);
+  writer.object(value);
   return writer.take();
 }
 
-/// Decode a serializable object; aborts on malformed input (internal use:
-/// payloads produced by encode()). For untrusted input use Reader directly.
+/// Decode a wire value; aborts on malformed input (internal use: payloads
+/// produced by encode()). For untrusted input use Reader::object directly.
 template <typename T>
 T decode(const Bytes& data) {
   Reader reader(data);
-  T value = T::deserialize(reader);
+  T value = reader.object<T>();
   JACEPP_CHECK(reader.ok(), "decode: malformed payload");
   return value;
 }

@@ -194,7 +194,6 @@ net::Stub SimWorld::add_node(std::unique_ptr<net::Actor> actor,
   node.env = std::make_unique<NodeEnv>(this, id, shards_[node.shard].get());
   // A new node can only LOWER a minimum, so min(cached, spec) is exact even
   // while wire_cost_dirty_ is pending — no need to force a rescan here.
-  min_wire_cost_ = std::min(min_wire_cost_, spec.min_wire_cost());
   shard_wire_min_[node.shard] =
       std::min(shard_wire_min_[node.shard], spec.min_wire_cost());
   auto [it, inserted] = nodes_.emplace(id, std::move(node));
@@ -265,9 +264,9 @@ void SimWorld::throttle(net::NodeId node, double factor, double wire_factor) {
   n.spec.flops_per_sec /= factor;
   n.spec.bandwidth_bps /= factor;
   if (wire_factor > 1.0) {
-    // Raising a node's wire cost may raise the global minimum; the cached
-    // value stays a valid (conservative) lower bound meanwhile, so only the
-    // horizon width is at stake — rescan lazily at the next lookahead().
+    // Raising a node's wire cost may raise the cached minima; they stay valid
+    // (conservative) lower bounds meanwhile, so only the horizon width is at
+    // stake — rescan lazily at the next round.
     n.spec.latency_s *= wire_factor;
     n.spec.message_overhead_s *= wire_factor;
     wire_cost_dirty_ = true;
@@ -339,34 +338,33 @@ std::uint64_t SimWorld::events_executed() const {
 
 void SimWorld::refresh_wire_cost() const {
   if (!wire_cost_dirty_) return;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  double min_cost = kInf;
-  std::fill(shard_wire_min_.begin(), shard_wire_min_.end(), kInf);
+  std::fill(shard_wire_min_.begin(), shard_wire_min_.end(),
+            std::numeric_limits<double>::infinity());
   // Down nodes stay in the scan: a revived incarnation keeps its spec, so
   // excluding it here could briefly overstate the minimum. The per-shard
   // minima are grouped by CURRENT ownership (node.shard), which is why a
   // migration must set the dirty flag: a cheap-wire node moving INTO a shard
   // would otherwise leave that shard's cached minimum stale-large — and a
-  // too-large minimum widens adaptive horizons, the unsafe direction.
+  // too-large minimum widens round horizons, the unsafe direction.
   for (const auto& [id, node] : nodes_) {
-    const double cost = node.spec.min_wire_cost();
-    min_cost = std::min(min_cost, cost);
-    shard_wire_min_[node.shard] = std::min(shard_wire_min_[node.shard], cost);
+    shard_wire_min_[node.shard] =
+        std::min(shard_wire_min_[node.shard], node.spec.min_wire_cost());
   }
-  min_wire_cost_ = min_cost;
   wire_cost_dirty_ = false;
 }
 
 double SimWorld::lookahead() const {
   refresh_wire_cost();
-  if (!std::isfinite(min_wire_cost_)) return 0.0;
+  const double min_cost =
+      *std::min_element(shard_wire_min_.begin(), shard_wire_min_.end());
+  if (!std::isfinite(min_cost)) return 0.0;
   // Any wire transfer costs at least (1 - jitter) times the two endpoints'
-  // latency + per-message overhead, each bounded below by min_wire_cost_.
-  // The 0.999 shave absorbs floating-point rounding in transfer_delay's
-  // sum/multiply so a frame can never arrive strictly inside the horizon
-  // that was open when it was sent.
+  // latency + per-message overhead, each bounded below by the fleet-wide
+  // minimum. The 0.999 shave absorbs floating-point rounding in
+  // transfer_delay's sum/multiply so a frame can never arrive strictly inside
+  // the horizon that was open when it was sent.
   const double j = std::min(config_.message_jitter, 1.0);
-  const double la = 0.999 * (1.0 - j) * 2.0 * min_wire_cost_;
+  const double la = 0.999 * (1.0 - j) * 2.0 * min_cost;
   return la > 0.0 ? la : 0.0;
 }
 
@@ -674,31 +672,19 @@ void SimWorld::run_rounds(double until) {
 
 void SimWorld::set_round_horizons(double t_min, double limit) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  if (!config_.adaptive_lookahead) {
-    // Uniform conservative horizon — computation kept byte-identical to the
-    // pre-adaptive scheduler: every cross-shard frame sent at time t arrives
-    // no earlier than t + lookahead >= t_min + lookahead, so events strictly
-    // below the horizon cannot be affected by frames still unsent on other
-    // shards. Zero lookahead (no nodes / degenerate specs / jitter >= 1)
-    // degrades to lock-step rounds of the earliest timestamp only.
-    const double la = lookahead();
-    const double horizon = std::min(
-        la > 0.0 ? t_min + la : std::nextafter(t_min, kInf), limit);
-    for (auto& shard : shards_) shard->round_horizon = horizon;
-    return;
-  }
-
-  // Adaptive per-shard horizons. A frame into shard d was sent by some shard
-  // s != d at a time u >= t_min, and costs at least (1 - j) * (m_s + m_d)
-  // where m_x is shard x's own wire-cost minimum — the sender's and the
+  // Per-shard conservative horizons. A frame into shard d was sent by some
+  // shard s != d at a time u >= t_min, and costs at least (1 - j) * (m_s +
+  // m_d) where m_x is shard x's own wire-cost minimum — the sender's and the
   // receiver's endpoint each contribute their latency + per-message overhead
   // to transfer_delay. So no frame can land in d before
   //   t_min + (1 - j) * (m_d + min over s != d of m_s),
   // and shard d may run events strictly below that, even while a slow link
-  // pinned inside some OTHER pair of shards would throttle the uniform
-  // horizon. The 0.999 shave absorbs floating-point rounding exactly as in
-  // lookahead(). min-over-others needs only the global min and second-min of
-  // the per-shard minima (the min itself for every shard except the argmin).
+  // pinned inside some OTHER pair of shards would throttle a uniform
+  // 2 * global-min horizon. The 0.999 shave absorbs floating-point rounding
+  // in transfer_delay's sum/multiply, so a frame can never arrive strictly
+  // inside the horizon that was open when it was sent. min-over-others needs
+  // only the global min and second-min of the per-shard minima (the min
+  // itself for every shard except the argmin).
   refresh_wire_cost();
   const double f = 0.999 * (1.0 - std::min(config_.message_jitter, 1.0));
   double m1 = kInf, m2 = kInf;
@@ -935,7 +921,7 @@ bool SimWorld::migrate_node(net::NodeId id, std::uint32_t to_shard) {
   node.env->rebind(&to);
   // Ownership moved between shards: both shards' cached wire-cost minima are
   // stale now (the destination's possibly stale-LARGE, the unsafe direction
-  // for adaptive horizons — see refresh_wire_cost).
+  // for round horizons — see refresh_wire_cost).
   wire_cost_dirty_ = true;
   JACEPP_LOG(Debug, "sim", "node %llu migrated shard %u -> %u at round %llu",
              static_cast<unsigned long long>(id), from_shard, to_shard,

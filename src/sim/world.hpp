@@ -19,12 +19,12 @@
 // outbound link queues. shards == 1 (the default) runs the classic
 // single-queue scheduler and is bit-identical to the pre-shard implementation.
 // shards >= 2 runs a conservative parallel protocol: every round the
-// coordinator computes the global earliest event time and a lookahead (the
-// lower bound on any cross-shard frame's flight time, derived from the
-// MachineSpecs and the jitter config), shards execute their events below
-// `t_min + lookahead` concurrently on a worker pool, and cross-shard frames
-// are exchanged through per-shard outboxes merged in deterministic
-// (time, shard, seq) order at the round barrier.
+// coordinator computes the global earliest event time and, per shard, a
+// lookahead (the lower bound on any frame's flight time into that shard,
+// derived from the MachineSpecs and the jitter config), shards execute their
+// events below `t_min + lookahead` concurrently on a worker pool, and
+// cross-shard frames are exchanged through per-shard outboxes merged in
+// deterministic (time, shard, seq) order at the round barrier.
 //
 // Determinism: one seed drives every random draw, and simultaneous events fire
 // in insertion order, so a (seed, scenario, shards) triple replays
@@ -94,14 +94,6 @@ struct SimConfig {
   /// lanes even on fewer cores (determinism tests exercise thread-count
   /// independence this way). Never affects results — only wall time.
   std::size_t worker_threads = 0;
-  /// Per-shard conservative horizons (`sim.adaptive_lookahead`). Off (the
-  /// default), every shard uses the global 2 * min-wire-cost lookahead — the
-  /// pre-adaptive behavior, bit for bit. On, shard d's lookahead is
-  /// 0.999 * (1 - jitter) * (m_d + min over OTHER shards of m_s), where m_s
-  /// is shard s's own wire-cost minimum: a slow link pinned inside one shard
-  /// stops throttling every other shard's rounds. Results are unchanged —
-  /// only how many rounds it takes to produce them (DESIGN.md §12).
-  bool adaptive_lookahead = false;
   /// Deterministic shard load balancing (`sim.rebalance`). Off (the
   /// default), node placement is the static SplitMix64 hash — bit-identical
   /// to the pre-rebalance scheduler. On, per-node event counters accumulate
@@ -190,12 +182,12 @@ class SimWorld {
   /// flop rate and NIC bandwidth by `factor` (>= 1), and multiply its
   /// latency_s + message_overhead_s by `wire_factor` (>= 1, default 1 =
   /// unchanged). Both directions only LENGTHEN delays, so the cached
-  /// wire-cost minimum feeding lookahead() stays conservative even before
-  /// the invalidation below is observed — a stale (smaller) cached minimum
-  /// can only shrink horizons, never admit an unsafe frame. A wire_factor
-  /// > 1 marks the cache dirty so the next lookahead() rescans and recovers
-  /// the larger (faster) horizon. Call from a schedule_global event (round
-  /// barrier) only.
+  /// wire-cost minima feeding the round horizons stay conservative even
+  /// before the invalidation below is observed — a stale (smaller) cached
+  /// minimum can only shrink horizons, never admit an unsafe frame. A
+  /// wire_factor > 1 marks the cache dirty so the next round rescans and
+  /// recovers the larger (faster) horizons. Call from a schedule_global
+  /// event (round barrier) only.
   void throttle(net::NodeId node, double factor, double wire_factor = 1.0);
 
   /// Run until stop is requested, the event queue drains, or max_time passes.
@@ -246,9 +238,9 @@ class SimWorld {
                ? 0u
                : static_cast<std::uint32_t>(mix64(id) % shard_count);
   }
-  /// Current conservative lookahead (seconds): the lower bound on any
-  /// cross-shard frame's flight time. 0 when no node has been added yet (the
-  /// round loop then degrades to lock-step rounds).
+  /// Global conservative lookahead (seconds): the lower bound on any
+  /// frame's flight time, 2 * the smallest wire cost. 0 when no node has been
+  /// added yet. Each shard's round horizon is at least this wide.
   [[nodiscard]] double lookahead() const;
   /// Events executed so far, summed over shards (and the classic loop).
   [[nodiscard]] std::uint64_t events_executed() const;
@@ -317,7 +309,7 @@ class SimWorld {
     std::uint64_t executed = 0;
     bool stop_round = false;    ///< set by request_stop() on this shard
     /// This round's conservative horizon, written by the coordinator before
-    /// the crew is released (uniform, or per-shard with adaptive_lookahead).
+    /// the crew is released.
     double round_horizon = 0.0;
     /// Per-node events executed this load window (sim.rebalance only).
     /// Bumped only by the owning shard's lane, reset at every window check.
@@ -365,10 +357,9 @@ class SimWorld {
 
   // --- conservative round loop (shards >= 2) ---
   void run_rounds(double until);
-  /// Write each Shard::round_horizon for a round starting at t_min: the
-  /// uniform global-lookahead horizon, or per-shard horizons with
-  /// adaptive_lookahead. Every horizon is additionally capped at `limit`
-  /// (the next global event / the run cap, whichever is earlier).
+  /// Write each Shard::round_horizon for a round starting at t_min from the
+  /// per-shard wire-cost minima. Every horizon is additionally capped at
+  /// `limit` (the next global event / the run cap, whichever is earlier).
   void set_round_horizons(double t_min, double limit);
   void run_round();
   void merge_outboxes();
@@ -384,7 +375,7 @@ class SimWorld {
   /// it there would deliver into that shard's past).
   bool migrate_node(net::NodeId id, std::uint32_t to_shard);
   RoundWorkerPool& round_crew();
-  /// Rescan nodes_ for the wire-cost minimum iff wire_cost_dirty_. O(nodes),
+  /// Rescan nodes_ for the wire-cost minima iff wire_cost_dirty_. O(nodes),
   /// but runs only after an invalidating op — never once per round.
   void refresh_wire_cost() const;
   /// Fold per-shard counters into stats_ (no-op with shards == 1).
@@ -420,18 +411,15 @@ class SimWorld {
   std::vector<TakenEvent> migrate_scratch_;
   std::uint64_t rounds_ = 0;
   std::uint64_t migrations_ = 0;
-  /// Cached min over nodes of MachineSpec::min_wire_cost() — the lookahead
-  /// input. Maintained incrementally by add_node (a new node can only lower
-  /// the min, so `min(cached, spec)` is exact); every operation that can
-  /// RAISE a node's wire cost (throttle with wire_factor > 1) must set
-  /// wire_cost_dirty_ instead, and lookahead() rescans on demand. A stale
-  /// cached value is always <= the true minimum, so horizons computed from
-  /// it remain conservative — the dirty flag buys back horizon width, it is
-  /// never needed for safety.
-  mutable double min_wire_cost_ = std::numeric_limits<double>::infinity();
-  /// Per-shard wire-cost minima (adaptive_lookahead input), cached under the
-  /// same dirty flag: add_node updates both incrementally, throttle and
-  /// migration invalidate.
+  /// Cached per-shard min over owned nodes of MachineSpec::min_wire_cost() —
+  /// the round-horizon input. Maintained incrementally by add_node (a new
+  /// node can only lower a min, so `min(cached, spec)` is exact); every
+  /// operation that can RAISE a node's wire cost (throttle with wire_factor
+  /// > 1) must set wire_cost_dirty_ instead, and the next round rescans. A
+  /// stale value from a raise is always <= the true minimum, so horizons
+  /// computed from it remain conservative — the dirty flag buys back horizon
+  /// width. Migration also sets the flag, and there it IS needed for safety
+  /// (see refresh_wire_cost).
   mutable std::vector<double> shard_wire_min_;
   mutable bool wire_cost_dirty_ = false;
   mutable NetStats stats_;  ///< classic: the live counters; sharded: aggregate

@@ -133,7 +133,7 @@ TEST(GenericTask, EndToEndOnP2PNetworkWithFailure) {
   // Stretch the run so the failure lands mid-computation.
   {
     serial::Reader r(config.app.config);
-    auto gc = GenericConfig::deserialize(r);
+    auto gc = r.object<GenericConfig>();
     gc.work_scale = 20000.0;
     config.app.config = serial::encode(gc);
   }

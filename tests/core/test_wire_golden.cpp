@@ -1,0 +1,399 @@
+// Golden wire vectors: one sample per wire struct, with every field set to a
+// non-default value, pinned to the exact bytes it encodes to. Any change to a
+// field's order or encoding fails here. Each vector must also decode back to
+// the sample (compared through its re-encoding, which covers every member)
+// with the reader exhausted, and every strict prefix must poison the reader.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <string_view>
+
+#include "core/app.hpp"
+#include "core/checkpoint.hpp"
+#include "core/generic_task.hpp"
+#include "core/messages.hpp"
+#include "linalg/csr.hpp"
+#include "net/stub.hpp"
+#include "poisson/block_task.hpp"
+#include "serial/serial.hpp"
+
+namespace jacepp::core {
+namespace {
+
+std::string to_hex(const serial::Bytes& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xf];
+  }
+  return out;
+}
+
+serial::Bytes from_hex(std::string_view hex) {
+  const auto nibble = [](char c) {
+    return static_cast<std::uint8_t>(c <= '9' ? c - '0' : c - 'a' + 10);
+  };
+  serial::Bytes out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(
+        static_cast<std::uint8_t>(nibble(hex[i]) << 4 | nibble(hex[i + 1])));
+  }
+  return out;
+}
+
+template <typename T>
+void expect_golden(const T& sample, std::string_view hex) {
+  EXPECT_EQ(to_hex(serial::encode(sample)), hex);
+
+  const serial::Bytes golden = from_hex(hex);
+  serial::Reader reader(golden);
+  const T decoded = reader.object<T>();
+  EXPECT_TRUE(reader.ok()) << reader.error();
+  EXPECT_TRUE(reader.exhausted()) << reader.remaining() << " bytes left";
+  EXPECT_EQ(to_hex(serial::encode(decoded)), hex);
+
+  for (std::size_t len = 0; len < golden.size(); ++len) {
+    serial::Reader prefix(golden.data(), len);
+    (void)prefix.object<T>();
+    EXPECT_FALSE(prefix.ok()) << "prefix of " << len << " bytes decoded";
+  }
+}
+
+net::Stub daemon_stub(std::uint64_t node) {
+  return net::Stub{node, 0x11223344, net::EntityKind::Daemon};
+}
+net::Stub super_peer_stub() {
+  return net::Stub{0x0102030405060708, 7, net::EntityKind::SuperPeer};
+}
+net::Stub spawner_stub() {
+  return net::Stub{0x0a0b0c0d, 3, net::EntityKind::Spawner};
+}
+
+checkpoint::CheckpointPolicy sample_policy() {
+  checkpoint::CheckpointPolicy p;
+  p.chunk_size = 512;
+  p.rebase_every = 7;
+  p.chain_byte_budget = (std::uint64_t{1} << 40) + 3;
+  p.adaptive_interval = true;
+  p.min_interval = 2;
+  p.max_interval = 33;
+  p.target_overhead = 0.125;
+  p.net_bandwidth = 2.5e7;
+  p.net_latency = 3.5e-3;
+  return p;
+}
+
+AppDescriptor sample_app() {
+  AppDescriptor app;
+  app.app_id = 42;
+  app.program = "poisson";
+  app.config = {1, 2, 3, 0xff};
+  app.task_count = 8;
+  app.checkpoint_every = 6;
+  app.backup_peer_count = 3;
+  app.ckpt = sample_policy();
+  app.convergence_threshold = 1e-7;
+  app.stable_iterations_required = 4;
+  return app;
+}
+
+AppRegister sample_register() {
+  AppRegister reg;
+  reg.app_id = 42;
+  reg.version = 9;
+  reg.spawner = spawner_stub();
+  reg.tasks = {{5, daemon_stub(100)}, {6, daemon_stub(101)}};
+  return reg;
+}
+
+// --- Wire structs nested in messages ---------------------------------------
+
+TEST(WireGolden, Stub) {
+  expect_golden(super_peer_stub(),
+      "08070605040302010700000002");
+}
+
+TEST(WireGolden, CheckpointPolicy) {
+  expect_golden(sample_policy(),
+      "00020000070000000300000000010000010200000021000000000000000000c0"
+      "3f0000000084d7774179e9263108ac6c3f");
+}
+
+TEST(WireGolden, AppDescriptor) {
+  expect_golden(sample_app(),
+      "2a00000007706f6973736f6e04010203ff080000000600000003000000000200"
+      "00070000000300000000010000010200000021000000000000000000c03f0000"
+      "000084d7774179e9263108ac6c3f48afbc9af2d77a3e04000000");
+}
+
+TEST(WireGolden, TaskEntry) {
+  expect_golden(TaskEntry{5, daemon_stub(100)},
+      "0500000064000000000000004433221101");
+}
+
+TEST(WireGolden, AppRegister) {
+  expect_golden(sample_register(),
+      "2a00000009000000000000000d0c0b0a00000000030000000302050000006400"
+      "00000000000044332211010600000065000000000000004433221101");
+}
+
+// --- Program configs carried in AppDescriptor::config ----------------------
+
+TEST(WireGolden, PoissonConfig) {
+  poisson::PoissonConfig c;
+  c.n = 48;
+  c.overlap_lines = 1;
+  c.inner_tolerance = 1e-9;
+  c.inner_max_iterations = 321;
+  c.rhs_kind = 1;
+  c.rhs_seed = 0xdeadbeefcafef00d;
+  c.work_scale = 2.5;
+  expect_golden(c,
+      "300000000100000095d626e80b2e113e41010000010000000df0fecaefbeadde"
+      "0000000000000440");
+}
+
+TEST(WireGolden, GenericConfig) {
+  linalg::CsrBuilder builder(2, 2);
+  builder.add(0, 0, 4.0);
+  builder.add(0, 1, -1.0);
+  builder.add(1, 0, -1.0);
+  builder.add(1, 1, 4.0);
+  GenericConfig c;
+  c.a = builder.build();
+  c.b = {1.0, 2.0};
+  c.inner_tolerance = 1e-10;
+  c.inner_max_iterations = 77;
+  c.work_scale = 3.0;
+  expect_golden(c,
+      "0202030000000002000000040000000400000000010000000000000001000000"
+      "040000000000001040000000000000f0bf000000000000f0bf00000000000010"
+      "4002000000000000f03f0000000000000040bbbdd7d9df7cdb3d4d0000000000"
+      "000000000840");
+}
+
+// --- Protocol messages (core/messages.hpp) ---------------------------------
+
+TEST(WireGolden, RegisterDaemon) {
+  expect_golden(msg::RegisterDaemon{daemon_stub(100)},
+      "64000000000000004433221101");
+}
+
+TEST(WireGolden, RegisterAck) {
+  expect_golden(msg::RegisterAck{super_peer_stub()},
+      "08070605040302010700000002");
+}
+
+TEST(WireGolden, LinkSuperPeers) {
+  expect_golden(msg::LinkSuperPeers{{super_peer_stub(), daemon_stub(102)}},
+      "020807060504030201070000000266000000000000004433221101");
+}
+
+TEST(WireGolden, Heartbeat) { expect_golden(msg::Heartbeat{}, ""); }
+
+TEST(WireGolden, HeartbeatAck) { expect_golden(msg::HeartbeatAck{}, ""); }
+
+TEST(WireGolden, ReserveRequest) {
+  msg::ReserveRequest m;
+  m.request_id = 0x01020304;
+  m.count = 4;
+  m.requester = spawner_stub();
+  m.visited = {super_peer_stub(), daemon_stub(103)};
+  expect_golden(m,
+      "04030201040000000d0c0b0a0000000003000000030208070605040302010700"
+      "00000267000000000000004433221101");
+}
+
+TEST(WireGolden, ReserveReply) {
+  msg::ReserveReply m;
+  m.request_id = 0x01020304;
+  m.daemons = {daemon_stub(100), daemon_stub(101)};
+  m.exhausted = true;
+  expect_golden(m,
+      "0403020102640000000000000044332211016500000000000000443322110101");
+}
+
+TEST(WireGolden, Reserved) {
+  expect_golden(msg::Reserved{spawner_stub()},
+      "0d0c0b0a000000000300000003");
+}
+
+TEST(WireGolden, TaskAssignment) {
+  msg::TaskAssignment m;
+  m.app = sample_app();
+  m.task_id = 5;
+  m.reg = sample_register();
+  m.restart = true;
+  m.finalize_only = true;
+  expect_golden(m,
+      "2a00000007706f6973736f6e04010203ff080000000600000003000000000200"
+      "00070000000300000000010000010200000021000000000000000000c03f0000"
+      "000084d7774179e9263108ac6c3f48afbc9af2d77a3e04000000050000002a00"
+      "000009000000000000000d0c0b0a000000000300000003020500000064000000"
+      "00000000443322110106000000650000000000000044332211010101");
+}
+
+TEST(WireGolden, RegisterUpdate) {
+  expect_golden(msg::RegisterUpdate{sample_register()},
+      "2a00000009000000000000000d0c0b0a00000000030000000302050000006400"
+      "00000000000044332211010600000065000000000000004433221101");
+}
+
+TEST(WireGolden, TaskData) {
+  msg::TaskData m;
+  m.app_id = 42;
+  m.from_task = 5;
+  m.to_task = 6;
+  m.tag = 1;
+  m.iteration = 0x0102030405;
+  m.payload = {9, 8, 7};
+  expect_golden(m, "2a000000050000000600000001000000050403020100000003090807");
+}
+
+TEST(WireGolden, SaveBackup) {
+  msg::SaveBackup m;
+  m.app_id = 42;
+  m.task_id = 5;
+  m.iteration = 77;
+  m.state = {0xaa, 0xbb, 0xcc};
+  expect_golden(m, "2a000000050000004d0000000000000003aabbcc");
+}
+
+TEST(WireGolden, BackupAck) {
+  msg::BackupAck m;
+  m.app_id = 42;
+  m.task_id = 5;
+  m.ok = true;
+  m.needs_full = true;
+  expect_golden(m, "2a000000050000000101");
+}
+
+TEST(WireGolden, QueryBackup) {
+  expect_golden(msg::QueryBackup{42, 5},
+      "2a00000005000000");
+}
+
+TEST(WireGolden, BackupInfo) {
+  msg::BackupInfo m;
+  m.app_id = 42;
+  m.task_id = 5;
+  m.available = true;
+  m.iteration = 77;
+  expect_golden(m, "2a00000005000000014d00000000000000");
+}
+
+TEST(WireGolden, FetchBackup) {
+  expect_golden(msg::FetchBackup{42, 5},
+      "2a00000005000000");
+}
+
+TEST(WireGolden, BackupData) {
+  msg::BackupData m;
+  m.app_id = 42;
+  m.task_id = 5;
+  m.iteration = 77;
+  m.state = {0xaa, 0xbb, 0xcc};
+  expect_golden(m, "2a000000050000004d0000000000000003aabbcc");
+}
+
+TEST(WireGolden, LocalStateReport) {
+  msg::LocalStateReport m;
+  m.app_id = 42;
+  m.task_id = 5;
+  m.stable = true;
+  m.iteration = 77;
+  expect_golden(m, "2a00000005000000014d00000000000000");
+}
+
+TEST(WireGolden, GlobalHalt) { expect_golden(msg::GlobalHalt{42}, "2a000000"); }
+
+TEST(WireGolden, FinalState) {
+  msg::FinalState m;
+  m.app_id = 42;
+  m.task_id = 5;
+  m.iteration = 77;
+  m.informative_iterations = 70;
+  m.payload = {1, 2, 3, 4, 5};
+  expect_golden(m,
+      "2a000000050000004d000000000000004600000000000000050102030405");
+}
+
+TEST(WireGolden, AppRegisterReplica) {
+  expect_golden(msg::AppRegisterReplica{sample_register()},
+      "2a00000009000000000000000d0c0b0a00000000030000000302050000006400"
+      "00000000000044332211010600000065000000000000004433221101");
+}
+
+TEST(WireGolden, FetchAppRegister) {
+  expect_golden(msg::FetchAppRegister{42}, "2a000000");
+}
+
+TEST(WireGolden, AppRegisterSnapshot) {
+  msg::AppRegisterSnapshot m;
+  m.available = true;
+  m.reg = sample_register();
+  expect_golden(m,
+      "012a00000009000000000000000d0c0b0a000000000300000003020500000064"
+      "0000000000000044332211010600000065000000000000004433221101");
+}
+
+TEST(WireGolden, WaveToken) {
+  msg::WaveToken m;
+  m.app_id = 42;
+  m.wave_id = 3;
+  m.initiator = 5;
+  m.to_task = 6;
+  m.dirty = true;
+  expect_golden(m, "2a00000003000000050000000600000001");
+}
+
+TEST(WireGolden, ConvergedVerdict) {
+  expect_golden(msg::ConvergedVerdict{42, 3, 4}, "2a0000000300000004000000");
+}
+
+TEST(WireGolden, StateProbe) { expect_golden(msg::StateProbe{42}, "2a000000"); }
+
+TEST(WireGolden, AuditChallenge) {
+  msg::AuditChallenge m;
+  m.app = sample_app();
+  m.task_id = 5;
+  m.round = 2;
+  m.nonce = 0x0102030405060708;
+  m.iterations = 12;
+  expect_golden(m,
+      "2a00000007706f6973736f6e04010203ff080000000600000003000000000200"
+      "00070000000300000000010000010200000021000000000000000000c03f0000"
+      "000084d7774179e9263108ac6c3f48afbc9af2d77a3e04000000050000000200"
+      "000008070605040302010c000000");
+}
+
+TEST(WireGolden, AuditReply) {
+  msg::AuditReply m;
+  m.app_id = 42;
+  m.task_id = 5;
+  m.round = 2;
+  m.nonce = 0x0102030405060708;
+  m.digest = 0xfedcba9876543210;
+  expect_golden(m, "2a000000050000000200000008070605040302011032547698badcfe");
+}
+
+TEST(WireGolden, ReputationReport) {
+  msg::ReputationReport m;
+  m.node = 0x0102030405060708;
+  m.kind = msg::ReputationReport::Liar;
+  m.value = 0.75;
+  expect_golden(m, "080706050403020102000000000000e83f");
+}
+
+TEST(WireGolden, BackupPlacement) {
+  msg::BackupPlacement m;
+  m.app_id = 42;
+  m.version = 9;
+  m.ranking = {6, 5, 7};
+  expect_golden(m, "2a000000090000000000000003060000000500000007000000");
+}
+
+}  // namespace
+}  // namespace jacepp::core

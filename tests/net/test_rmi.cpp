@@ -10,15 +10,13 @@ namespace {
 struct Alpha {
   static constexpr net::MessageType kType = 100;
   std::uint32_t value = 0;
-  void serialize(serial::Writer& w) const { w.u32(value); }
-  static Alpha deserialize(serial::Reader& r) { return Alpha{r.u32()}; }
+  JACEPP_WIRE_FIELDS(value)
 };
 
 struct Beta {
   static constexpr net::MessageType kType = 101;
   std::string text;
-  void serialize(serial::Writer& w) const { w.str(text); }
-  static Beta deserialize(serial::Reader& r) { return Beta{r.str()}; }
+  JACEPP_WIRE_FIELDS(text)
 };
 
 /// Env stub capturing sends.

@@ -63,8 +63,7 @@ TEST(Stub, DebugStringMentionsKindAndIds) {
 struct Sample {
   static constexpr MessageType kType = 777;
   std::uint64_t value = 0;
-  void serialize(serial::Writer& w) const { w.u64(value); }
-  static Sample deserialize(serial::Reader& r) { return Sample{r.u64()}; }
+  JACEPP_WIRE_FIELDS(value)
 };
 
 TEST(Message, MakeAndDecode) {

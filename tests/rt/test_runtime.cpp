@@ -13,8 +13,7 @@ namespace {
 struct Ping {
   static constexpr net::MessageType kType = 9100;
   std::uint32_t value = 0;
-  void serialize(serial::Writer& w) const { w.u32(value); }
-  static Ping deserialize(serial::Reader& r) { return Ping{r.u32()}; }
+  JACEPP_WIRE_FIELDS(value)
 };
 
 class Echo : public net::Actor {

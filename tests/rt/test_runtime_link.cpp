@@ -20,8 +20,7 @@ using core::msg::TaskData;
 struct Ping {
   static constexpr net::MessageType kType = 9401;
   std::uint32_t value = 0;
-  void serialize(serial::Writer& w) const { w.u32(value); }
-  static Ping deserialize(serial::Reader& r) { return Ping{r.u32()}; }
+  JACEPP_WIRE_FIELDS(value)
 };
 
 /// Thread-safe recorder: the worker thread appends, the test thread reads

@@ -22,16 +22,7 @@ struct Ping {
   std::uint64_t value = 0;
   std::vector<double> body;
 
-  void serialize(Writer& w) const {
-    w.u64(value);
-    w.f64_vector(body);
-  }
-  static Ping deserialize(Reader& r) {
-    Ping p;
-    p.value = r.u64();
-    p.body = r.f64_vector();
-    return p;
-  }
+  JACEPP_WIRE_FIELDS(value, body)
 };
 
 /// Every test runs against the process-wide singleton; start it clean and

@@ -227,11 +227,8 @@ TEST(Serial, ObjectVectorLengthSanityCheck) {
   Writer w;
   w.varint(1ULL << 40);
   struct Dummy {
-    void serialize(Writer& wr) const { wr.u8(0); }
-    static Dummy deserialize(Reader& rd) {
-      (void)rd.u8();
-      return {};
-    }
+    std::uint8_t b = 0;
+    JACEPP_WIRE_FIELDS(b)
   };
   Reader r(w.data());
   const auto v = r.object_vector<Dummy>();
@@ -242,16 +239,7 @@ TEST(Serial, ObjectVectorLengthSanityCheck) {
 struct Point {
   double x = 0;
   double y = 0;
-  void serialize(Writer& w) const {
-    w.f64(x);
-    w.f64(y);
-  }
-  static Point deserialize(Reader& r) {
-    Point p;
-    p.x = r.f64();
-    p.y = r.f64();
-    return p;
-  }
+  JACEPP_WIRE_FIELDS(x, y)
   bool operator==(const Point&) const = default;
 };
 

@@ -15,8 +15,7 @@ namespace {
 struct Ping {
   static constexpr net::MessageType kType = 9001;
   std::uint32_t value = 0;
-  void serialize(serial::Writer& w) const { w.u32(value); }
-  static Ping deserialize(serial::Reader& r) { return Ping{r.u32()}; }
+  JACEPP_WIRE_FIELDS(value)
 };
 
 /// Actor recording everything it sees.

@@ -14,8 +14,7 @@ using core::msg::TaskData;
 struct Ping {
   static constexpr net::MessageType kType = 9301;
   std::uint32_t value = 0;
-  void serialize(serial::Writer& w) const { w.u32(value); }
-  static Ping deserialize(serial::Reader& r) { return Ping{r.u32()}; }
+  JACEPP_WIRE_FIELDS(value)
 };
 
 /// Records every delivered message plus the Payload handles, so tests can

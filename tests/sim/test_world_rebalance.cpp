@@ -1,12 +1,12 @@
 // Round-engine regression suite (DESIGN.md §12): pins the protocol digest of
-// a skewed star + flash-crowd churn scenario across every engine toggle the
-// PR introduced — adaptive per-shard horizons, the deterministic rebalancer,
-// worker-thread counts and shard counts — against the digest committed by the
-// pre-overhaul engine. The scenario uses commutative per-node tallies (sums,
-// not sequences) so the digest is invariant to the arrival order of
-// same-timestamp messages, which legitimately differs across shard counts;
-// everything else (counters, end time, per-message arrival-time bit patterns)
-// must be bit-identical.
+// a skewed star + flash-crowd churn scenario across every engine toggle — the
+// deterministic rebalancer, worker-thread counts and shard counts — against
+// the digest committed by the pre-overhaul engine, and pins the round count
+// the per-shard horizons take to drain it. The scenario uses commutative
+// per-node tallies (sums, not sequences) so the digest is invariant to the
+// arrival order of same-timestamp messages, which legitimately differs across
+// shard counts; everything else (counters, end time, per-message arrival-time
+// bit patterns) must be bit-identical.
 //
 // This binary carries the `chaos` ctest label: CI runs it as a dedicated
 // fault-injection leg under TSan (`ctest -L chaos`), which exercises the
@@ -47,27 +47,13 @@ struct BeaconMsg {
   static constexpr net::MessageType kType = 9300;
   std::uint32_t value = 0;
   serial::Bytes pad;
-  void serialize(serial::Writer& w) const {
-    w.u32(value);
-    w.bytes(pad);
-  }
-  static BeaconMsg deserialize(serial::Reader& r) {
-    BeaconMsg m;
-    m.value = r.u32();
-    m.pad = r.bytes();
-    return m;
-  }
+  JACEPP_WIRE_FIELDS(value, pad)
 };
 
 struct AckMsg {
   static constexpr net::MessageType kType = 9301;
   std::uint32_t value = 0;
-  void serialize(serial::Writer& w) const { w.u32(value); }
-  static AckMsg deserialize(serial::Reader& r) {
-    AckMsg m;
-    m.value = r.u32();
-    return m;
-  }
+  JACEPP_WIRE_FIELDS(value)
 };
 
 // Commutative per-node tallies: sums, not sequences, so the digest cannot
@@ -306,13 +292,12 @@ StarResult run_star_scenario(SimConfig config) {
   return r;
 }
 
-SimConfig star_config(std::size_t shards, std::size_t threads, bool adaptive,
+SimConfig star_config(std::size_t shards, std::size_t threads,
                       bool rebalance) {
   SimConfig c;
   c.seed = 4242;
   c.shards = shards;
   c.worker_threads = threads;
-  c.adaptive_lookahead = adaptive;
   c.rebalance = rebalance;
   // Aggressive window/threshold so the small scenario actually triggers
   // migrations inside its 20 s run.
@@ -330,7 +315,7 @@ TEST(WorldRebalance, DefaultsOffMatchesCommittedDigest) {
   // shards=1 is the classic single-queue engine; every defaults-off sharded
   // run must agree with it AND with the committed pre-overhaul digest.
   for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    const StarResult r = run_star_scenario(star_config(shards, 1, false, false));
+    const StarResult r = run_star_scenario(star_config(shards, 1, false));
     EXPECT_EQ(r.digest, kCommittedDigest) << "shards=" << shards;
     expect_conserved(r);
   }
@@ -338,19 +323,16 @@ TEST(WorldRebalance, DefaultsOffMatchesCommittedDigest) {
 
 TEST(WorldRebalance, DigestInvariantAcrossEngineMatrix) {
   // Every engine toggle combination must replay the identical scenario:
-  // adaptive horizons only widen the safe bound, migrations preserve event
-  // keys, and the lane count never orders anything.
-  for (const bool adaptive : {false, true}) {
-    for (const bool rebalance : {false, true}) {
-      for (const std::size_t threads : {1u, 2u, 4u}) {
-        for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-          const StarResult r = run_star_scenario(
-              star_config(shards, threads, adaptive, rebalance));
-          EXPECT_EQ(r.digest, kCommittedDigest)
-              << "adaptive=" << adaptive << " rebalance=" << rebalance
-              << " threads=" << threads << " shards=" << shards;
-          expect_conserved(r);
-        }
+  // migrations preserve event keys, and the lane count never orders anything.
+  for (const bool rebalance : {false, true}) {
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
+        const StarResult r =
+            run_star_scenario(star_config(shards, threads, rebalance));
+        EXPECT_EQ(r.digest, kCommittedDigest)
+            << "rebalance=" << rebalance << " threads=" << threads
+            << " shards=" << shards;
+        expect_conserved(r);
       }
     }
   }
@@ -361,24 +343,23 @@ TEST(WorldRebalance, RebalancerMigratesOnSkewedLoad) {
   // the rebalancer must actually move nodes — this guards against a silently
   // disabled balancer making the matrix test vacuous. The migration count is
   // itself deterministic: the 2-thread rerun must reproduce it exactly.
-  const StarResult t1 = run_star_scenario(star_config(4, 1, false, true));
-  const StarResult t2 = run_star_scenario(star_config(4, 2, false, true));
+  const StarResult t1 = run_star_scenario(star_config(4, 1, true));
+  const StarResult t2 = run_star_scenario(star_config(4, 2, true));
   EXPECT_GT(t1.migrations, 0u);
   EXPECT_EQ(t1.migrations, t2.migrations);
   EXPECT_EQ(t1.digest, kCommittedDigest);
   EXPECT_EQ(t2.digest, kCommittedDigest);
 }
 
-TEST(WorldRebalance, AdaptiveHorizonsNeverIncreaseRounds) {
-  // Per-shard horizons are always at least as wide as the uniform global
-  // horizon, so the same drain can only take fewer (or equal) barrier rounds.
+TEST(WorldRebalance, RoundCountPinned) {
+  // Committed barrier-round count of the star drain at every shard count. A
+  // horizon that narrows shows up as more rounds even while the digest still
+  // matches; one that admits an unsafe frame changes the digest.
+  constexpr std::uint64_t kCommittedRounds = 1166;
   for (const std::size_t shards : {2u, 4u, 8u}) {
-    const StarResult uniform =
-        run_star_scenario(star_config(shards, 1, false, false));
-    const StarResult adaptive =
-        run_star_scenario(star_config(shards, 1, true, false));
-    EXPECT_LE(adaptive.rounds, uniform.rounds) << "shards=" << shards;
-    EXPECT_EQ(adaptive.digest, uniform.digest) << "shards=" << shards;
+    const StarResult r = run_star_scenario(star_config(shards, 1, false));
+    EXPECT_EQ(r.rounds, kCommittedRounds) << "shards=" << shards;
+    EXPECT_EQ(r.digest, kCommittedDigest) << "shards=" << shards;
   }
 }
 

@@ -51,16 +51,7 @@ struct Echo {
   static constexpr net::MessageType kType = 9100;
   std::uint32_t value = 0;
   serial::Bytes pad;
-  void serialize(serial::Writer& w) const {
-    w.u32(value);
-    w.bytes(pad);
-  }
-  static Echo deserialize(serial::Reader& r) {
-    Echo e;
-    e.value = r.u32();
-    e.pad = r.bytes();
-    return e;
-  }
+  JACEPP_WIRE_FIELDS(value, pad)
 };
 
 class EchoActor : public net::Actor {
