@@ -1,7 +1,9 @@
 // Checkpoint-path microbenchmarks (google-benchmark): full-baseline vs delta
 // frame encoding at controlled dirty fractions, decode+apply on the holder
 // side, and the CRC-32 primitive itself. Byte counters accompany the timings
-// so run_bench.sh can report the delta/full size ratio directly.
+// so run_bench.sh can report the delta/full size ratio directly. The /3072
+// rows and BM_EmitSubChunkState are the deployments' save: a state of about
+// 3 KiB, under one 4096-byte chunk, rewritten between saves.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -52,7 +54,7 @@ void BM_Crc32(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(data.size()));
 }
-BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(256 << 10);
+BENCHMARK(BM_Crc32)->Arg(3 << 10)->Arg(4 << 10)->Arg(256 << 10);
 
 void BM_EncodeFullFrame(benchmark::State& state) {
   const auto size = static_cast<std::size_t>(state.range(0));
@@ -68,6 +70,45 @@ void BM_EncodeFullFrame(benchmark::State& state) {
                           static_cast<std::int64_t>(size));
 }
 BENCHMARK(BM_EncodeFullFrame)->Arg(64 << 10)->Arg(1 << 20);
+
+/// Holder-side ingest of one full frame: both CRC checks and the state copy.
+void BM_DecodeFullFrame(benchmark::State& state) {
+  const auto size = static_cast<std::size_t>(state.range(0));
+  const Bytes frame =
+      core::checkpoint::encode_full_frame(1, 4096, random_state(size, 5));
+  for (auto _ : state) {
+    auto decoded = core::checkpoint::decode_frame(frame);
+    benchmark::DoNotOptimize(decoded->full_state.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(size));
+}
+BENCHMARK(BM_DecodeFullFrame)->Arg(3 << 10);
+
+/// The fig7-churn save: a 3200-byte state (one short chunk of 4096) fully
+/// rewritten before each save, round-robin over 20 backup peers. Every save
+/// goes out as a full frame.
+void BM_EmitSubChunkState(benchmark::State& state) {
+  constexpr std::size_t kSize = 3200;
+  constexpr std::size_t kHolders = 20;
+  CheckpointPolicy policy;
+  policy.chunk_size = 4096;
+  DeltaEncoder encoder(policy, kHolders);
+  Bytes st = random_state(kSize, 6);
+  std::size_t bytes = 0;
+  std::uint64_t salt = 0;
+  for (auto _ : state) {
+    const auto hints = dirty_fraction(st, policy.chunk_size, 100, ++salt);
+    const auto emitted = encoder.emit(salt % kHolders, st, hints);
+    bytes = emitted.frame.size();
+    benchmark::DoNotOptimize(emitted.frame.data());
+  }
+  state.counters["frame_bytes"] = static_cast<double>(bytes);
+  state.counters["deltas"] = static_cast<double>(encoder.deltas_emitted());
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kSize));
+}
+BENCHMARK(BM_EmitSubChunkState);
 
 /// Steady-state delta emission: each iteration re-dirties `range(1)`% of the
 /// chunks and emits through a warm DeltaEncoder (memcmp sweep + encode).

@@ -10,22 +10,93 @@ namespace jacepp::core::checkpoint {
 
 namespace {
 
+/// Byte length of chunk `index` of a `state_size`-byte state (the last chunk
+/// may be short).
+std::size_t chunk_length(std::uint32_t index, std::uint32_t chunk_size,
+                         std::size_t state_size) {
+  const std::size_t lo = static_cast<std::size_t>(index) * chunk_size;
+  JACEPP_ASSERT(lo < state_size);
+  return std::min<std::size_t>(state_size - lo, chunk_size);
+}
+
+/// Encoded size of the shared frame prologue (write_header).
+std::size_t header_size(std::uint64_t baseline_id, std::uint64_t delta_seq,
+                        std::uint32_t chunk_size, std::size_t state_size) {
+  return 1 + serial::varint_size(baseline_id) + serial::varint_size(delta_seq) +
+         serial::varint_size(chunk_size) + serial::varint_size(state_size) + 4;
+}
+
+/// Exact encoded size of a delta frame carrying `chunk_indices`.
+std::size_t delta_frame_size(std::uint64_t baseline_id, std::uint64_t delta_seq,
+                             std::uint32_t chunk_size, std::size_t state_size,
+                             const std::vector<std::uint32_t>& chunk_indices) {
+  std::size_t size = header_size(baseline_id, delta_seq, chunk_size,
+                                 state_size) +
+                     serial::varint_size(chunk_indices.size()) + 4;
+  for (const std::uint32_t index : chunk_indices) {
+    const std::size_t len = chunk_length(index, chunk_size, state_size);
+    size += serial::varint_size(index) + serial::varint_size(len) + len;
+  }
+  return size;
+}
+
+/// A Writer whose buffer already has room for exactly `size` bytes.
+serial::Writer reserved_writer(std::size_t size) {
+  serial::Bytes buffer;
+  buffer.reserve(size);
+  return serial::Writer(std::move(buffer));
+}
+
 /// Shared frame prologue: everything up to (not including) the payload.
 void write_header(serial::Writer& w, FrameKind kind, std::uint64_t baseline_id,
                   std::uint64_t delta_seq, std::uint32_t chunk_size,
-                  const serial::Bytes& state) {
+                  std::size_t state_size, std::uint32_t state_crc) {
   w.u8(static_cast<std::uint8_t>(kind));
   w.varint(baseline_id);
   w.varint(delta_seq);
   w.varint(chunk_size);
-  w.varint(state.size());
-  w.u32(serial::crc32(state));
+  w.varint(state_size);
+  w.u32(state_crc);
 }
 
-/// Append the trailing frame CRC over everything written so far.
-serial::Bytes seal(serial::Writer&& w) {
-  const std::uint32_t crc = serial::crc32(w.data());
-  w.u32(crc);
+/// Full frame given the state's CRC. The frame CRC covers prologue || state;
+/// it is combined from the prologue's CRC and `state_crc`, so it costs no
+/// second pass over the state.
+serial::Bytes full_frame(std::uint64_t baseline_id, std::uint32_t chunk_size,
+                         const serial::Bytes& state, std::uint32_t state_crc) {
+  JACEPP_ASSERT(chunk_size > 0);
+  const std::size_t size = header_size(baseline_id, 0, chunk_size,
+                                       state.size()) +
+                           serial::varint_size(state.size()) + state.size() + 4;
+  serial::Writer w = reserved_writer(size);
+  write_header(w, FrameKind::Full, baseline_id, /*delta_seq=*/0, chunk_size,
+               state.size(), state_crc);
+  w.bytes(state);
+  const std::size_t prologue = w.size() - state.size();
+  w.u32(serial::crc32_combine(serial::crc32(w.data().data(), prologue),
+                              state_crc, state.size()));
+  JACEPP_ASSERT(w.size() == size);
+  return w.take();
+}
+
+/// Delta frame given the state's CRC and the frame's delta_frame_size.
+serial::Bytes delta_frame(std::uint64_t baseline_id, std::uint64_t delta_seq,
+                          std::uint32_t chunk_size, const serial::Bytes& state,
+                          std::uint32_t state_crc,
+                          const std::vector<std::uint32_t>& chunk_indices,
+                          std::size_t size) {
+  JACEPP_ASSERT(chunk_size > 0 && delta_seq > 0);
+  serial::Writer w = reserved_writer(size);
+  write_header(w, FrameKind::Delta, baseline_id, delta_seq, chunk_size,
+               state.size(), state_crc);
+  w.varint(chunk_indices.size());
+  for (const std::uint32_t index : chunk_indices) {
+    w.varint(index);
+    w.bytes(state.data() + static_cast<std::size_t>(index) * chunk_size,
+            chunk_length(index, chunk_size, state.size()));
+  }
+  w.u32(serial::crc32(w.data()));
+  JACEPP_ASSERT(w.size() == size);
   return w.take();
 }
 
@@ -34,41 +105,27 @@ serial::Bytes seal(serial::Writer&& w) {
 serial::Bytes encode_full_frame(std::uint64_t baseline_id,
                                 std::uint32_t chunk_size,
                                 const serial::Bytes& state) {
-  JACEPP_ASSERT(chunk_size > 0);
-  serial::Writer w;
-  write_header(w, FrameKind::Full, baseline_id, /*delta_seq=*/0, chunk_size,
-               state);
-  w.bytes(state);
-  return seal(std::move(w));
+  return full_frame(baseline_id, chunk_size, state, serial::crc32(state));
 }
 
 serial::Bytes encode_delta_frame(
     std::uint64_t baseline_id, std::uint64_t delta_seq,
     std::uint32_t chunk_size, const serial::Bytes& state,
     const std::vector<std::uint32_t>& chunk_indices) {
-  JACEPP_ASSERT(chunk_size > 0 && delta_seq > 0);
-  serial::Writer w;
-  write_header(w, FrameKind::Delta, baseline_id, delta_seq, chunk_size, state);
-  w.varint(chunk_indices.size());
-  for (const std::uint32_t index : chunk_indices) {
-    const std::size_t lo = static_cast<std::size_t>(index) * chunk_size;
-    JACEPP_ASSERT(lo < state.size());
-    const std::size_t hi = std::min(state.size(), lo + chunk_size);
-    w.varint(index);
-    w.bytes(serial::Bytes(state.begin() + static_cast<std::ptrdiff_t>(lo),
-                          state.begin() + static_cast<std::ptrdiff_t>(hi)));
-  }
-  return seal(std::move(w));
+  return delta_frame(baseline_id, delta_seq, chunk_size, state,
+                     serial::crc32(state), chunk_indices,
+                     delta_frame_size(baseline_id, delta_seq, chunk_size,
+                                      state.size(), chunk_indices));
 }
 
 std::optional<DecodedFrame> decode_frame(const serial::Bytes& frame) {
-  // Trailing CRC first: a flipped bit anywhere (header, payload, CRC itself)
-  // fails here before any field is trusted.
   if (frame.size() < 4) return std::nullopt;
   const std::size_t body = frame.size() - 4;
   serial::Reader tail(frame.data() + body, 4);
-  if (serial::crc32(frame.data(), body) != tail.u32()) return std::nullopt;
+  const std::uint32_t frame_crc = tail.u32();
 
+  // The prologue is parsed before the frame CRC is checked, but every field
+  // is bounds-checked and nothing is allocated or returned until it is.
   serial::Reader r(frame.data(), body);
   DecodedFrame f;
   const std::uint8_t kind = r.u8();
@@ -86,14 +143,28 @@ std::optional<DecodedFrame> decode_frame(const serial::Bytes& frame) {
 
   if (f.kind == FrameKind::Full) {
     if (f.delta_seq != 0) return std::nullopt;
-    f.full_state = r.bytes();
-    if (!r.ok() || !r.exhausted() || f.full_state.size() != f.total_size) {
+    const std::uint64_t len = r.varint();
+    if (!r.ok() || len != r.remaining() || len != f.total_size) {
       return std::nullopt;
     }
-    if (serial::crc32(f.full_state) != f.state_checksum) return std::nullopt;
+    // One pass over the payload yields the state CRC; the frame CRC over
+    // prologue || payload is combined from it, which is exact, so this
+    // accepts precisely the frames a full-body CRC check would.
+    const std::size_t prologue = body - static_cast<std::size_t>(len);
+    const std::uint8_t* payload = frame.data() + prologue;
+    const std::uint32_t state_crc =
+        serial::crc32(payload, static_cast<std::size_t>(len));
+    if (serial::crc32_combine(serial::crc32(frame.data(), prologue), state_crc,
+                              len) != frame_crc ||
+        state_crc != f.state_checksum) {
+      return std::nullopt;
+    }
+    f.full_state.assign(payload, payload + len);
     return f;
   }
 
+  // Delta: the frame CRC comes first, before any chunk length is trusted.
+  if (serial::crc32(frame.data(), body) != frame_crc) return std::nullopt;
   if (f.delta_seq == 0) return std::nullopt;
   const std::uint64_t chunk_total =
       (f.total_size + f.chunk_size - 1) / f.chunk_size;
@@ -188,6 +259,9 @@ DeltaEncoder::Emitted DeltaEncoder::emit(
   JACEPP_CHECK(holder < holders_.size(), "DeltaEncoder: holder out of range");
   refresh_changed_chunks(state, hints);
   Holder& h = holders_[holder];
+  // Both frame kinds carry the state CRC, and a full frame's own CRC is
+  // combined from it: this is the save's one CRC pass over the state.
+  const std::uint32_t state_crc = serial::crc32(state);
 
   const std::uint64_t budget = policy_.chain_byte_budget != 0
                                    ? policy_.chain_byte_budget
@@ -205,14 +279,19 @@ DeltaEncoder::Emitted DeltaEncoder::emit(
         scratch_chunks_.push_back(static_cast<std::uint32_t>(c));
       }
     }
-    out.frame = encode_delta_frame(h.baseline_id, h.delta_seq + 1,
-                                   policy_.chunk_size, state, scratch_chunks_);
-    // A delta carrying nearly every chunk is no cheaper than a baseline and
-    // would only lengthen the chain a rollback must replay.
-    if (out.frame.size() >= state.size()) {
+    // A delta no smaller than the state is no cheaper than a baseline and
+    // would only lengthen the chain a rollback must replay. The exact size
+    // decides before anything is encoded: a state of one chunk that changed
+    // always lands here, since its delta is the whole state plus framing.
+    const std::size_t size =
+        delta_frame_size(h.baseline_id, h.delta_seq + 1, policy_.chunk_size,
+                         state.size(), scratch_chunks_);
+    if (size >= state.size()) {
       full = true;
     } else {
       ++h.delta_seq;
+      out.frame = delta_frame(h.baseline_id, h.delta_seq, policy_.chunk_size,
+                              state, state_crc, scratch_chunks_, size);
       h.chain_bytes += out.frame.size();
       std::fill(h.dirty.begin(), h.dirty.end(), 0);
       out.kind = FrameKind::Delta;
@@ -226,7 +305,7 @@ DeltaEncoder::Emitted DeltaEncoder::emit(
 
   if (full) {
     const std::uint64_t id = next_baseline_id_++;
-    out.frame = encode_full_frame(id, policy_.chunk_size, state);
+    out.frame = full_frame(id, policy_.chunk_size, state, state_crc);
     out.kind = FrameKind::Full;
     out.baseline_id = id;
     out.delta_seq = 0;

@@ -541,22 +541,22 @@ void Daemon::do_checkpoint() {
   if (!holder.valid() || holder == env_->self()) return;
 
   const serial::Bytes state = task_->checkpoint();
-  const auto emitted =
+  auto emitted =
       encoder_->emit(target_index, state, task_->take_dirty_ranges());
+  const std::size_t frame_bytes = emitted.frame.size();
   if (emitted.kind == checkpoint::FrameKind::Full) {
     ++ckpt_fulls_;
-    ckpt_full_bytes_ += emitted.frame.size();
+    ckpt_full_bytes_ += frame_bytes;
   } else {
     ++ckpt_deltas_;
-    ckpt_delta_bytes_ += emitted.frame.size();
+    ckpt_delta_bytes_ += frame_bytes;
   }
 
   msg::SaveBackup save;
   save.app_id = app_.app_id;
   save.task_id = task_id_;
   save.iteration = iteration_;
-  save.state = emitted.frame;
-  const std::size_t frame_bytes = emitted.frame.size();
+  save.state = std::move(emitted.frame);
   rmi::invoke(*env_, holder, save);
 
   // Adaptive interval: size k so the modelled serialize+send cost stays near

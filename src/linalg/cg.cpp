@@ -27,7 +27,16 @@ CgResult conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
     }
   }
 
-  Vector r(n), z(n), p(n), ap(n);
+  // The work vectors persist across calls on this thread (every kernel below
+  // writes its output in full before it is read). Allocated per call, they
+  // would sit wherever the heap's free lists put them, and the solve's speed
+  // would move by several percent whenever unrelated allocations, such as
+  // checkpoint frames, change size.
+  thread_local Vector r, z, p, ap;
+  r.resize(n);
+  z.resize(n);
+  p.resize(n);
+  ap.resize(n);
   double r_norm;
   if (options.fused) {
     // The SELL twin (when provided) covers exactly the SpMV-shaped fused

@@ -137,9 +137,12 @@ class Writer {
     buffer_.insert(buffer_.end(), s.begin(), s.end());
   }
 
-  void bytes(const Bytes& b) {
-    varint(b.size());
-    buffer_.insert(buffer_.end(), b.begin(), b.end());
+  void bytes(const Bytes& b) { bytes(b.data(), b.size()); }
+
+  /// Same encoding as bytes(Bytes) for a range inside a larger buffer.
+  void bytes(const std::uint8_t* data, std::size_t size) {
+    varint(size);
+    buffer_.insert(buffer_.end(), data, data + size);
   }
 
   /// Vector of doubles: varint length + raw IEEE-754 payload. Templated over

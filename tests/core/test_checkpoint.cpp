@@ -111,6 +111,82 @@ TEST(CheckpointCodec, EverySingleByteFlipIsRejected) {
   }
 }
 
+/// A full frame written field by field, sealed with a valid frame CRC, so a
+/// test can make one field lie while the frame check still passes.
+Bytes sealed_full_frame(std::uint64_t total_size, std::uint32_t state_crc,
+                        std::uint64_t payload_len, const Bytes& payload) {
+  serial::Writer w;
+  w.u8(static_cast<std::uint8_t>(FrameKind::Full));
+  w.varint(1);    // baseline_id
+  w.varint(0);    // delta_seq
+  w.varint(64);   // chunk_size
+  w.varint(total_size);
+  w.u32(state_crc);
+  w.varint(payload_len);
+  for (const std::uint8_t b : payload) w.u8(b);
+  w.u32(serial::crc32(w.data()));
+  return w.take();
+}
+
+TEST(CheckpointCodec, HandSealedFullFrameMatchesEncoder) {
+  std::mt19937_64 rng(5);
+  const Bytes state = random_state(rng, 300);
+  EXPECT_EQ(sealed_full_frame(state.size(), serial::crc32(state), state.size(),
+                              state),
+            checkpoint::encode_full_frame(1, 64, state));
+}
+
+TEST(CheckpointCodec, FullFrameWithWrongStateCrcIsRejected) {
+  std::mt19937_64 rng(6);
+  const Bytes state = random_state(rng, 300);
+  const Bytes frame = sealed_full_frame(state.size(), serial::crc32(state) ^ 1,
+                                        state.size(), state);
+  EXPECT_FALSE(checkpoint::decode_frame(frame).has_value());
+}
+
+TEST(CheckpointCodec, FullFramePayloadLengthMustMatchRemainingBytes) {
+  // The prologue agrees with itself (total_size equals the declared payload
+  // length) and the state CRC is that of the first or of the last `len`
+  // bytes, so only the count of bytes left can reject these frames.
+  std::mt19937_64 rng(7);
+  const Bytes state = random_state(rng, 300);
+  for (const std::uint64_t len :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{299},
+        std::uint64_t{301}, std::uint64_t{1} << 40}) {
+    const std::size_t n = std::min<std::size_t>(len, state.size());
+    for (const std::uint32_t crc :
+         {serial::crc32(state.data(), n),
+          serial::crc32(state.data() + state.size() - n, n)}) {
+      EXPECT_FALSE(
+          checkpoint::decode_frame(sealed_full_frame(len, crc, len, state))
+              .has_value())
+          << "declared payload length " << len;
+    }
+  }
+}
+
+TEST(CheckpointCodec, SubChunkStateAlwaysEmitsFullFrames) {
+  // The deployments' shape: a state under one 4096-byte chunk that changes
+  // on every save. Its only possible delta carries the whole state plus
+  // framing, so the encoder must send a baseline every time, byte-equal to
+  // encode_full_frame, and never a delta.
+  std::mt19937_64 rng(8);
+  CheckpointPolicy policy;
+  policy.chunk_size = 4096;
+  DeltaEncoder encoder(policy, /*holder_count=*/2);
+  Bytes state = random_state(rng, 3 << 10);
+  for (int save = 0; save < 20; ++save) {
+    const auto hints = mutate(rng, state, 1);
+    const auto emitted = encoder.emit(save % 2, state, hints);
+    EXPECT_EQ(emitted.kind, FrameKind::Full) << "save " << save;
+    EXPECT_EQ(emitted.frame, checkpoint::encode_full_frame(
+                                 emitted.baseline_id, 4096, state))
+        << "save " << save;
+  }
+  EXPECT_EQ(encoder.deltas_emitted(), 0u);
+  EXPECT_EQ(encoder.fulls_emitted(), 20u);
+}
+
 // --- Encoder → store round trips ------------------------------------------
 
 TEST(CheckpointRoundTrip, RandomDirtyPatternsReconstructBitIdentically) {

@@ -3,17 +3,24 @@
 // field's order or encoding fails here. Each vector must also decode back to
 // the sample (compared through its re-encoding, which covers every member)
 // with the reader exhausted, and every strict prefix must poison the reader.
+// The hand-written codecs (checkpoint frames, the link Batch envelope) are
+// pinned at the end: their bytes, decode of the golden, and rejection of
+// every strict prefix.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/app.hpp"
 #include "core/checkpoint.hpp"
 #include "core/generic_task.hpp"
 #include "core/messages.hpp"
 #include "linalg/csr.hpp"
+#include "net/link.hpp"
+#include "net/message.hpp"
 #include "net/stub.hpp"
 #include "poisson/block_task.hpp"
 #include "serial/serial.hpp"
@@ -393,6 +400,116 @@ TEST(WireGolden, BackupPlacement) {
   m.version = 9;
   m.ranking = {6, 5, 7};
   expect_golden(m, "2a000000090000000000000003060000000500000007000000");
+}
+
+// --- Hand-written codecs (checkpoint frames, link Batch envelope) -----------
+
+/// 40 bytes, no two alike: three 16-byte chunks, the last an 8-byte tail.
+serial::Bytes sample_state() {
+  serial::Bytes state(40);
+  for (std::size_t i = 0; i < state.size(); ++i) {
+    state[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  }
+  return state;
+}
+
+/// Pins a checkpoint frame's bytes, and checks that decode_frame accepts the
+/// golden and rejects every strict prefix of it.
+void expect_frame_golden(const serial::Bytes& frame, std::string_view hex) {
+  EXPECT_EQ(to_hex(frame), hex);
+  const serial::Bytes golden = from_hex(hex);
+  EXPECT_TRUE(checkpoint::decode_frame(golden).has_value());
+  for (std::size_t len = 0; len < golden.size(); ++len) {
+    const serial::Bytes prefix(
+        golden.begin(), golden.begin() + static_cast<std::ptrdiff_t>(len));
+    EXPECT_FALSE(checkpoint::decode_frame(prefix).has_value())
+        << "prefix of " << len << " bytes decoded";
+  }
+}
+
+TEST(WireGolden, FullCheckpointFrame) {
+  const serial::Bytes state = sample_state();
+  const serial::Bytes frame =
+      checkpoint::encode_full_frame(0x0102030405, 16, state);
+  expect_frame_golden(frame,
+      "0085888c9010001028787e7e83280b30557a9fc4e90e33587da2c7ec11365b80"
+      "a5caef14395e83a8cdf2173c6186abd0f51a3f6489ae3433b1f0");
+  const auto decoded = checkpoint::decode_frame(frame);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->baseline_id, 0x0102030405u);
+  EXPECT_EQ(decoded->full_state, state);
+}
+
+TEST(WireGolden, DeltaCheckpointFrame) {
+  const serial::Bytes state = sample_state();
+  const serial::Bytes frame =
+      checkpoint::encode_delta_frame(3, 200, 16, state, {0, 2});
+  expect_frame_golden(frame,
+      "0103c8011028787e7e830200100b30557a9fc4e90e33587da2c7ec11360208ab"
+      "d0f51a3f6489ae14273541");
+  const auto decoded = checkpoint::decode_frame(frame);
+  ASSERT_TRUE(decoded.has_value());
+  ASSERT_EQ(decoded->chunks.size(), 2u);
+  EXPECT_EQ(decoded->chunks[1].first, 2u);
+  EXPECT_EQ(decoded->chunks[1].second,
+            serial::Bytes(state.begin() + 32, state.end()));
+}
+
+TEST(WireGolden, LinkBatchEnvelope) {
+  std::vector<net::Message> parts(3);
+  parts[0].type = 7;
+  parts[0].body = serial::Bytes{1, 2, 3};
+  parts[1].type = 300;  // two-byte varint type
+  parts[2].type = 0xB47C0001u;  // five-byte varint type
+  parts[2].body = serial::Bytes{0xff};
+  const net::Message envelope = net::pack_batch(parts);
+  EXPECT_EQ(envelope.type, net::kBatchMessageType);
+  EXPECT_EQ(to_hex(envelope.body.bytes()),
+            "03e1e8191a0f0703010203ac02008180f0a30b01ff");
+
+  std::vector<net::Message> unpacked;
+  ASSERT_TRUE(net::unpack_batch(envelope, unpacked));
+  ASSERT_EQ(unpacked.size(), parts.size());
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    EXPECT_EQ(unpacked[i].type, parts[i].type);
+    EXPECT_EQ(unpacked[i].body.bytes(), parts[i].body.bytes());
+  }
+  const serial::Bytes golden = envelope.body.bytes();
+  for (std::size_t len = 0; len < golden.size(); ++len) {
+    net::Message prefix;
+    prefix.type = net::kBatchMessageType;
+    prefix.body = serial::Bytes(
+        golden.begin(), golden.begin() + static_cast<std::ptrdiff_t>(len));
+    EXPECT_FALSE(net::unpack_batch(prefix, unpacked))
+        << "prefix of " << len << " bytes unpacked";
+  }
+}
+
+/// The sender's frame choice over a few saves of one holder: the baseline,
+/// a one-chunk delta, an empty delta, and a delta carrying every chunk, which
+/// is no smaller than the state and so goes out as a fresh baseline.
+TEST(WireGolden, DeltaEncoderFrameSequence) {
+  checkpoint::CheckpointPolicy policy;
+  policy.chunk_size = 16;
+  checkpoint::DeltaEncoder encoder(policy, /*holder_count=*/1);
+  serial::Bytes state = sample_state();
+  std::vector<std::string> frames;
+  frames.push_back(to_hex(encoder.emit(0, state, std::nullopt).frame));
+  state[20] ^= 0x5a;
+  frames.push_back(to_hex(encoder.emit(0, state, std::nullopt).frame));
+  frames.push_back(to_hex(encoder.emit(0, state, std::nullopt).frame));
+  for (auto& b : state) b ^= 0x33;
+  frames.push_back(to_hex(encoder.emit(0, state, std::nullopt).frame));
+  const std::vector<std::string> golden = {
+      "0001001028787e7e83280b30557a9fc4e90e33587da2c7ec11365b80a5caef14"
+      "395e83a8cdf2173c6186abd0f51a3f6489aea7250668",
+      "010101102875d555010101105b80a5cab514395e83a8cdf2173c61865a157abd",
+      "010102102875d5550100edf0e386",
+      "00020010283599c6c42838036649acf7da3d006b4e91f4df220568b396f98627"
+      "0a6db09bfec1240f52b598e3c6290c57ba9d83dbeab4"};
+  EXPECT_EQ(frames, golden);
+  EXPECT_EQ(encoder.fulls_emitted(), 2u);
+  EXPECT_EQ(encoder.deltas_emitted(), 2u);
 }
 
 }  // namespace
