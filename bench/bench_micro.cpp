@@ -14,7 +14,7 @@
 #include "linalg/csr_sell.hpp"
 #include "linalg/fused.hpp"
 #include "linalg/simd.hpp"
-#include "core/deadline_heap.hpp"
+#include "core/last_heard.hpp"
 #include "core/messages.hpp"
 #include "net/message.hpp"
 #include "poisson/block_task.hpp"
@@ -506,71 +506,94 @@ void BM_BlockingQueueThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockingQueueThroughput);
 
-// Super-peer failure detection (DESIGN.md §13 satellite): the old per-sweep
-// linear scan over the whole register vs the indexed deadline min-heap
-// (core/deadline_heap.hpp). Timed region = the sweep alone; heartbeat
-// bookkeeping runs untimed between sweeps for both variants (that cost lives
-// on the heartbeat-handler path, where both structures pay an O(log n)-class
-// map update). Workload per sweep: fleet of `n`, 10 crashed daemons to
-// collect — the realistic regime where almost everyone heartbeated in time.
+// Super-peer heartbeat handling over one whole period (DESIGN.md §13): every
+// live daemon refreshes once, then one sweep collects the daemons that
+// crashed. Arrivals come in the order cp-100k's super-peers see them: each
+// heartbeat crosses the 4-shard round merge, so a period is four ascending
+// runs of ids, one per simulator shard. Each period a different
+// kSweepCrashed daemons miss their heartbeat; the sweep collects them and
+// they re-register, keeping the fleet at n.
+//   Linear: the reference, the super-peer before §13 — a std::map Register
+//           whose entry each heartbeat refreshes, swept by a full walk.
+//   Index:  core::LastHeardIndex — one hash lookup per heartbeat, and a sweep
+//           that pops only the expired.
 constexpr std::size_t kSweepCrashed = 10;
+constexpr std::size_t kArrivalShards = 4;
 
-void BM_HeartbeatScanLinear(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::map<std::uint64_t, double> last;
-  for (std::size_t i = 0; i < n; ++i) last[i] = 0.0;
-  double now = 0.0;
-  const double timeout = 2.5;
-  std::size_t swept = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    now += 0.5;
-    // Daemons [0, kSweepCrashed) are dead and stop heartbeating; everyone
-    // else refreshed since the last sweep.
-    for (auto& [id, t] : last) {
-      if (id < kSweepCrashed && now > timeout) continue;
-      t = now;
-    }
-    state.ResumeTiming();
-    // The pre-§13 sweep: walk the whole register.
-    for (auto& [id, t] : last) {
-      if (t < now - timeout) {
-        ++swept;
-        t = now;  // re-registers, keeping the fleet at n
+/// One period's heartbeat arrivals for a fleet of `n` daemons.
+std::vector<net::Stub> heartbeat_arrivals(std::size_t n) {
+  std::vector<net::Stub> order;
+  order.reserve(n);
+  for (std::uint32_t s = 0; s < kArrivalShards; ++s) {
+    for (net::NodeId id = 1; id <= n; ++id) {
+      if (sim::SimWorld::shard_of(id, kArrivalShards) == s) {
+        order.push_back(net::Stub{id, 1, net::EntityKind::Daemon});
       }
     }
   }
-  benchmark::DoNotOptimize(swept);
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) * static_cast<std::int64_t>(n));
+  return order;
 }
-BENCHMARK(BM_HeartbeatScanLinear)->Arg(1000)->Arg(10000)->Arg(100000)->Iterations(200);
 
-void BM_HeartbeatScanHeap(benchmark::State& state) {
+/// True when the daemon at arrival position `i` misses period `period`.
+bool misses_period(std::size_t i, std::size_t period, std::size_t n) {
+  return i - (period * kSweepCrashed) % n < kSweepCrashed;
+}
+
+void BM_HeartbeatPeriodLinear(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  core::DeadlineHeap<std::uint64_t> heap;
-  for (std::size_t i = 0; i < n; ++i) heap.bump(i, 0.0);
-  double now = 0.0;
-  const double timeout = 2.5;
-  std::size_t swept = 0;
+  const std::vector<net::Stub> arrivals = heartbeat_arrivals(n);
+  std::map<net::Stub, double> last_heard;
+  for (const net::Stub& stub : arrivals) last_heard.emplace(stub, 0.0);
+  std::vector<net::Stub> expired;
+  std::size_t period = 0;
   for (auto _ : state) {
-    state.PauseTiming();
-    now += 0.5;
+    const auto now = static_cast<double>(++period);
     for (std::size_t i = 0; i < n; ++i) {
-      if (i < kSweepCrashed && now > timeout) continue;  // dead, no heartbeat
-      heap.bump(i, now);
+      if (misses_period(i, period, n)) continue;
+      last_heard.find(arrivals[i])->second = now;
     }
-    state.ResumeTiming();
-    heap.expire(now - timeout, [&](std::uint64_t id) {
-      ++swept;
-      heap.bump(id, now);  // re-registers, keeping the fleet at n
-    });
+    expired.clear();
+    for (auto it = last_heard.begin(); it != last_heard.end();) {
+      if (it->second < now - 0.5) {
+        expired.push_back(it->first);
+        it = last_heard.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    for (const net::Stub& stub : expired) last_heard.emplace(stub, now);
+    benchmark::DoNotOptimize(expired.data());
   }
-  benchmark::DoNotOptimize(swept);
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) * static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_HeartbeatScanHeap)->Arg(1000)->Arg(10000)->Arg(100000)->Iterations(200);
+BENCHMARK(BM_HeartbeatPeriodLinear)
+    ->Arg(1000)->Arg(10000)->Arg(100000)->Unit(benchmark::kMicrosecond);
+
+void BM_HeartbeatPeriodIndex(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::vector<net::Stub> arrivals = heartbeat_arrivals(n);
+  core::LastHeardIndex<net::Stub> last_heard;
+  for (const net::Stub& stub : arrivals) last_heard.touch(stub, 0.0);
+  std::vector<net::Stub> expired;
+  std::size_t period = 0;
+  for (auto _ : state) {
+    const auto now = static_cast<double>(++period);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (misses_period(i, period, n)) continue;
+      last_heard.refresh(arrivals[i], now);
+    }
+    expired.clear();
+    last_heard.expire(now - 0.5,
+                      [&](const net::Stub& stub) { expired.push_back(stub); });
+    for (const net::Stub& stub : expired) last_heard.touch(stub, now);
+    benchmark::DoNotOptimize(expired.data());
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations()) * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_HeartbeatPeriodIndex)
+    ->Arg(1000)->Arg(10000)->Arg(100000)->Unit(benchmark::kMicrosecond);
 
 void BM_RngU64(benchmark::State& state) {
   Rng rng(1);

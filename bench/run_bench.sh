@@ -99,12 +99,13 @@ jq -n \
   '{threads: $threads, serial: $serial[0], parallel: $parallel[0]}' > "${OUT}"
 
 stamp "${OUT}" "1,${THREADS}"
-# Label the round-engine ablation pairs so BENCH_micro.json is readable
+# Label the ablation pairs so BENCH_micro.json is readable
 # without the source: each entry is (optimized row, baseline row).
 tmp="$(mktemp)"
 jq '.meta.ablation_pairs = {
       lookahead: ["BM_LookaheadCached", "BM_LookaheadRescan"],
-      outbox_merge: ["BM_OutboxKWayMerge", "BM_ShardOutboxMerge"]
+      outbox_merge: ["BM_OutboxKWayMerge", "BM_ShardOutboxMerge"],
+      heartbeat_period: ["BM_HeartbeatPeriodIndex", "BM_HeartbeatPeriodLinear"]
     }' "${OUT}" > "${tmp}" && mv "${tmp}" "${OUT}"
 echo "wrote ${OUT}"
 jq -r '

@@ -53,6 +53,13 @@
 #     The per-case rounds counts also feed the baseline comparison as cliff
 #     detectors: a lookahead regression shows up as a rounds blow-up long
 #     before it shows up in 1-core wall time.
+#  7. Heartbeat per-period floor (DESIGN.md §13) — inside a bench_micro JSON
+#     (BENCH_micro.json, or a plain google-benchmark document named so):
+#     at every fleet size, BM_HeartbeatPeriodIndex must take less time per
+#     heartbeat period than BM_HeartbeatPeriodLinear, the full-scan reference
+#     it replaced. Both rows come from one run on one machine, so the ratio
+#     is machine-portable like the SIMD floors; no tolerance knob. A file
+#     with no such rows fails the check.
 #
 # Usage: scripts/bench_guard.sh BENCH_micro.json [BENCH_hotpath.json ...]
 #        BENCH_GUARD_STRICT=1 BENCH_GUARD_SKIP_BASELINE=1 scripts/bench_guard.sh BENCH_hotpath.json
@@ -171,6 +178,26 @@ round_engine_floor_checks() {
   ' "${file}" 2>/dev/null
 }
 
+# Heartbeat per-period floor (see header, check 7). Reads the plain
+# google-benchmark layout and run_bench.sh's serial/parallel one.
+heartbeat_floor_checks() {
+  local file="$1"
+  jq -r '
+    [(.benchmarks // []), (.serial.benchmarks // []), (.parallel.benchmarks // [])]
+    | map(map(select(.name | startswith("BM_HeartbeatPeriod"))
+              | {key: (.name | sub("^BM_HeartbeatPeriod"; "")), value: .real_time})
+          | from_entries)
+    | if all(.[]; length == 0) then
+        "bench-guard: FLOOR heartbeat/period: no BM_HeartbeatPeriod rows"
+      else
+        .[] as $t
+        | $t | keys[] | select(startswith("Index/")) | sub("^Index/"; "") as $n
+        | select($t["Linear/" + $n] == null or $t["Index/" + $n] >= $t["Linear/" + $n])
+        | "bench-guard: FLOOR heartbeat/period@\($n): index \($t["Index/" + $n]) not below linear \($t["Linear/" + $n])"
+      end
+  ' "${file}" 2>/dev/null
+}
+
 # Sharded-scheduler floor (see header, check 3). Within-run ratio, so it is
 # machine-portable; tolerance-adjusted because the 1k tier sits at parity.
 scale_floor_checks() {
@@ -198,6 +225,16 @@ for file in "$@"; do
       total_warnings=$((total_warnings + $(echo "${floor_violations}" | wc -l)))
     else
       echo "bench-guard: ${name}: simd speedup floors hold"
+    fi
+  fi
+
+  if [[ "${name}" == "BENCH_micro.json" ]]; then
+    heartbeat_violations="$(heartbeat_floor_checks "${file}")"
+    if [[ -n "${heartbeat_violations}" ]]; then
+      echo "${heartbeat_violations}"
+      total_warnings=$((total_warnings + $(echo "${heartbeat_violations}" | wc -l)))
+    else
+      echo "bench-guard: ${name}: heartbeat per-period floor holds"
     fi
   fi
 

@@ -85,8 +85,8 @@ std::uint64_t SuperPeer::replica_version(AppId app_id) const {
 }
 
 void SuperPeer::handle_register(const msg::RegisterDaemon& m, net::Env& env) {
-  register_[m.daemon] = env.now();
-  deadlines_.bump(m.daemon, env.now());
+  register_.insert(m.daemon);
+  last_heard_.touch(m.daemon, env.now());
   rmi::invoke(env, m.daemon, msg::RegisterAck{env.self()});
   JACEPP_LOG(Debug, "super-peer", "%s registered %s",
              env.self().to_debug_string().c_str(),
@@ -94,13 +94,10 @@ void SuperPeer::handle_register(const msg::RegisterDaemon& m, net::Env& env) {
 }
 
 void SuperPeer::handle_heartbeat(const net::Message& raw, net::Env& env) {
-  // Only refresh daemons that are actually in the register; a reserved or
-  // unknown daemon gets no ack, steering it to re-register if it believes it
-  // is still indexed here.
-  const auto it = register_.find(raw.from);
-  if (it == register_.end()) return;
-  it->second = env.now();
-  deadlines_.bump(raw.from, env.now());
+  // Only refresh daemons that are actually in the register (the index holds
+  // the same keys); a reserved or unknown daemon gets no ack, steering it to
+  // re-register if it believes it is still indexed here.
+  if (!last_heard_.refresh(raw.from, env.now())) return;
   if (rep_.enabled) rep_store_.observe_success(raw.from.node);
   rmi::invoke(env, raw.from, msg::HeartbeatAck{});
 }
@@ -113,13 +110,11 @@ void SuperPeer::handle_link(const msg::LinkSuperPeers& m, net::Env& env) {
 }
 
 std::vector<net::Stub> SuperPeer::grant_order() const {
-  std::vector<net::Stub> order;
-  order.reserve(register_.size());
-  for (const auto& [stub, last] : register_) order.push_back(stub);
+  std::vector<net::Stub> order(register_.begin(), register_.end());
   if (rep_.enabled) {
     // Reputation-aware placement (DESIGN.md §14): best-scored daemons go
-    // out first. Stable sort over the map's stub order makes ties — notably
-    // the all-neutral cold start — identical to the FIFO behaviour.
+    // out first. Stable sort over the Register's stub order makes ties —
+    // notably the all-neutral cold start — identical to the FIFO behaviour.
     std::stable_sort(order.begin(), order.end(),
                      [this](const net::Stub& a, const net::Stub& b) {
                        return rep_store_.score_of(a.node) >
@@ -137,15 +132,15 @@ void SuperPeer::handle_reserve(const msg::ReserveRequest& m, net::Env& env) {
   if (!rep_.enabled) {
     while (granted.size() < m.count && !register_.empty()) {
       const auto it = register_.begin();
-      granted.push_back(it->first);
-      deadlines_.erase(it->first);
+      granted.push_back(*it);
+      last_heard_.erase(*it);
       register_.erase(it);
     }
   } else {
     for (const net::Stub& daemon : grant_order()) {
       if (granted.size() >= m.count) break;
       granted.push_back(daemon);
-      deadlines_.erase(daemon);
+      last_heard_.erase(daemon);
       register_.erase(daemon);
     }
   }
@@ -218,10 +213,10 @@ void SuperPeer::handle_fetch(const msg::FetchAppRegister& m,
 }
 
 void SuperPeer::sweep(net::Env& env) {
-  // Heap keys are last-heartbeat times, so the cutoff mirrors the original
-  // linear scan's `last < now - timeout` test bit-for-bit.
-  const double deadline = env.now() - timing_.daemon_timeout;
-  daemons_swept_ += deadlines_.expire(deadline, [&](const net::Stub& daemon) {
+  // The cutoff mirrors the original linear scan's `last < now - timeout`
+  // test bit-for-bit.
+  const double cutoff = env.now() - timing_.daemon_timeout;
+  daemons_swept_ += last_heard_.expire(cutoff, [&](const net::Stub& daemon) {
     JACEPP_LOG(Debug, "super-peer", "sweeping dead daemon %s",
                daemon.to_debug_string().c_str());
     register_.erase(daemon);

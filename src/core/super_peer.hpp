@@ -3,8 +3,8 @@
 // requests (filling locally, forwarding the shortfall across the super-peer
 // overlay), and sweeps out daemons whose heartbeats stop.
 //
-// Decentralized control plane (DESIGN.md §13): the sweep runs off an indexed
-// deadline min-heap (O(expired·log n) instead of an O(n) walk),
+// Decentralized control plane (DESIGN.md §13): heartbeats refresh a
+// last-heard index in O(1) and the sweep pops only expired daemons,
 // reservation forwarding can be depth-bounded (`cp.max_forward_depth`), and
 // the super-peer stores Application Register replicas pushed by the spawner
 // so a standby spawner can adopt a running application.
@@ -12,11 +12,12 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "core/app.hpp"
 #include "core/config.hpp"
-#include "core/deadline_heap.hpp"
+#include "core/last_heard.hpp"
 #include "core/messages.hpp"
 #include "core/reputation.hpp"
 #include "net/env.hpp"
@@ -58,7 +59,7 @@ class SuperPeer : public net::Actor {
   void handle_fetch(const msg::FetchAppRegister& m, const net::Message& raw,
                     net::Env& env);
   void sweep(net::Env& env);
-  /// Register keys in reservation-grant order: FIFO (map order) by default,
+  /// Register keys in reservation-grant order: FIFO (stub order) by default,
   /// descending reputation score with stub-order tie-break when rep.enabled.
   [[nodiscard]] std::vector<net::Stub> grant_order() const;
 
@@ -68,11 +69,12 @@ class SuperPeer : public net::Actor {
   rmi::Dispatcher dispatcher_;
   net::Env* env_ = nullptr;
 
-  /// The Register (paper Figure 1): daemon stub → last heartbeat time. The
-  /// map stays the source of truth (FIFO grant order is its iteration order);
-  /// the heap only indexes expiry deadlines for the sweep.
-  std::map<net::Stub, double> register_;
-  DeadlineHeap<net::Stub> deadlines_;
+  /// The Register (paper Figure 1): the available daemons, in stub order,
+  /// which is the FIFO grant order. When each was last heard from lives in
+  /// `last_heard_`, whose keys are always exactly the Register's: register,
+  /// grant and sweep update both.
+  std::set<net::Stub> register_;
+  LastHeardIndex<net::Stub> last_heard_;
   std::vector<net::Stub> peers_;  ///< linked super-peers (overlay)
 
   /// Application Register replicas (spawner failover; DESIGN.md §13).

@@ -61,9 +61,15 @@ struct Stub {
 
 }  // namespace jacepp::net
 
+/// The node id itself, with the incarnation in the top bits (node ids are
+/// dense counters, far below 2^40). Like std::hash<std::uint64_t>, this
+/// keeps dense ids in distinct, ordered buckets: a super-peer's last-heard
+/// index receives each period's heartbeats in runs of ascending ids, and
+/// those runs then walk its hash table in memory order (DESIGN.md §13).
 template <>
 struct std::hash<jacepp::net::Stub> {
   std::size_t operator()(const jacepp::net::Stub& s) const noexcept {
-    return std::hash<std::uint64_t>()(s.node * 0x9e3779b97f4a7c15ULL ^ s.incarnation);
+    return std::hash<std::uint64_t>()(
+        s.node ^ (static_cast<std::uint64_t>(s.incarnation) << 40));
   }
 };

@@ -164,21 +164,20 @@ SimWorld::SimWorld(SimConfig config) : config_(config), rng_(config.seed) {
 SimWorld::~SimWorld() = default;
 
 SimWorld::Node& SimWorld::node_ref(net::NodeId id) {
-  auto it = nodes_.find(id);
-  JACEPP_CHECK(it != nodes_.end(), "unknown node id");
-  return it->second;
+  Node* node = find_node(id);
+  JACEPP_CHECK(node != nullptr, "unknown node id");
+  return *node;
 }
 
 const SimWorld::Node& SimWorld::node_ref(net::NodeId id) const {
-  auto it = nodes_.find(id);
-  JACEPP_CHECK(it != nodes_.end(), "unknown node id");
-  return it->second;
+  const Node* node = find_node(id);
+  JACEPP_CHECK(node != nullptr, "unknown node id");
+  return *node;
 }
 
 bool SimWorld::alive_at(net::NodeId id, net::Incarnation inc) const {
-  auto it = nodes_.find(id);
-  if (it == nodes_.end()) return false;
-  return it->second.up && it->second.stub.incarnation == inc;
+  const Node* node = find_node(id);
+  return node != nullptr && node->up && node->stub.incarnation == inc;
 }
 
 net::Stub SimWorld::add_node(std::unique_ptr<net::Actor> actor,
@@ -196,9 +195,9 @@ net::Stub SimWorld::add_node(std::unique_ptr<net::Actor> actor,
   // while wire_cost_dirty_ is pending — no need to force a rescan here.
   shard_wire_min_[node.shard] =
       std::min(shard_wire_min_[node.shard], spec.min_wire_cost());
-  auto [it, inserted] = nodes_.emplace(id, std::move(node));
-  JACEPP_ASSERT(inserted);
-  Node& ref = it->second;
+  nodes_.push_back(std::make_unique<Node>(std::move(node)));
+  JACEPP_ASSERT(nodes_.size() == id);
+  const Node& ref = *nodes_.back();
   schedule_guarded(id, ref.stub.incarnation, now_, [this, id] {
     Node& n = node_ref(id);
     n.actor->on_start(*n.env);
@@ -207,12 +206,12 @@ net::Stub SimWorld::add_node(std::unique_ptr<net::Actor> actor,
 }
 
 void SimWorld::disconnect(net::NodeId node_id) {
-  auto it = nodes_.find(node_id);
-  if (it == nodes_.end() || !it->second.up) return;
-  it->second.up = false;
+  Node* node = find_node(node_id);
+  if (node == nullptr || !node->up) return;
+  node->up = false;
   // Outbound link queues die with the sender: a crashed node emits nothing,
   // and a revived incarnation starts with empty queues.
-  auto& links = shards_[it->second.shard]->links;
+  auto& links = shards_[node->shard]->links;
   for (auto link_it = links.begin(); link_it != links.end();) {
     link_it = link_it->first.from == node_id ? links.erase(link_it)
                                              : std::next(link_it);
@@ -236,20 +235,17 @@ net::Stub SimWorld::revive(net::NodeId node_id, std::unique_ptr<net::Actor> acto
 }
 
 bool SimWorld::is_up(net::NodeId node_id) const {
-  auto it = nodes_.find(node_id);
-  return it != nodes_.end() && it->second.up;
+  const Node* node = find_node(node_id);
+  return node != nullptr && node->up;
 }
 
 bool SimWorld::is_current(const net::Stub& stub) const {
-  auto it = nodes_.find(stub.node);
-  return it != nodes_.end() && it->second.up &&
-         it->second.stub.incarnation == stub.incarnation;
+  return alive_at(stub.node, stub.incarnation);
 }
 
 net::Actor* SimWorld::actor(net::NodeId node_id) {
-  auto it = nodes_.find(node_id);
-  if (it == nodes_.end()) return nullptr;
-  return it->second.actor.get();
+  Node* node = find_node(node_id);
+  return node != nullptr ? node->actor.get() : nullptr;
 }
 
 const MachineSpec& SimWorld::spec_of(net::NodeId node_id) const {
@@ -275,8 +271,8 @@ void SimWorld::throttle(net::NodeId node, double factor, double wire_factor) {
 
 std::size_t SimWorld::live_node_count() const {
   std::size_t count = 0;
-  for (const auto& [id, node] : nodes_) {
-    if (node.up) ++count;
+  for (const auto& node : nodes_) {
+    if (node->up) ++count;
   }
   return count;
 }
@@ -346,9 +342,9 @@ void SimWorld::refresh_wire_cost() const {
   // migration must set the dirty flag: a cheap-wire node moving INTO a shard
   // would otherwise leave that shard's cached minimum stale-large — and a
   // too-large minimum widens round horizons, the unsafe direction.
-  for (const auto& [id, node] : nodes_) {
-    shard_wire_min_[node.shard] =
-        std::min(shard_wire_min_[node.shard], node.spec.min_wire_cost());
+  for (const auto& node : nodes_) {
+    shard_wire_min_[node->shard] =
+        std::min(shard_wire_min_[node->shard], node->spec.min_wire_cost());
   }
   wire_cost_dirty_ = false;
 }
@@ -404,10 +400,9 @@ void SimWorld::pump_link(net::NodeId from_id, net::NodeId to_node) {
   auto it = sh.links.find(LinkKey{from_id, to_node});
   if (it == sh.links.end()) return;
   LinkState& ls = it->second;
-  auto from_it = nodes_.find(from_id);
   // A crashed sender's queues die with it (disconnect() erases them; this
   // also guards flush/occupancy events that were already in flight).
-  if (from_it == nodes_.end() || !from_it->second.up) return;
+  if (!is_up(from_id)) return;
 
   while (!(config_.serialize_links && ls.busy)) {
     if (ls.link.empty()) break;
@@ -455,12 +450,12 @@ void SimWorld::transmit_wire(net::NodeId from_id, const net::Stub& to,
   sh.stats->bytes_sent += message.wire_size();
   ++sh.stats->frames_on_wire;
 
-  auto dest_it = nodes_.find(to.node);
-  if (dest_it == nodes_.end()) {
+  Node* dest_node = find_node(to.node);
+  if (dest_node == nullptr) {
     ++sh.stats->lost_down;
     return;
   }
-  Node& dest = dest_it->second;
+  Node& dest = *dest_node;
 
   if (dest.shard != from.shard) {
     // Cross-shard: the sender may only read the destination's immutable
@@ -534,9 +529,7 @@ void SimWorld::transmit_wire(net::NodeId from_id, const net::Stub& to,
 
 void SimWorld::deliver_wire(net::NodeId dest_id, net::Incarnation dest_inc,
                             net::Message msg) {
-  auto it = nodes_.find(dest_id);
-  if (it == nodes_.end()) return;  // unreachable: nodes are never erased
-  Node& dest = it->second;
+  Node& dest = node_ref(dest_id);  // only ever scheduled for a known node
   Shard& sh = *shards_[dest.shard];
   if (!dest.up || dest.stub.incarnation != dest_inc) {
     ++sh.stats->lost_down;  // lost in flight, same as the classic alive_at drop

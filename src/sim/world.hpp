@@ -287,7 +287,7 @@ class SimWorld {
     double arrival = 0.0;
     net::Stub to;
     net::Message message;
-    Node* dest = nullptr;  ///< stable: nodes_ never erases
+    Node* dest = nullptr;  ///< stable: each node is its own allocation
     std::uint32_t dest_shard = 0;
     /// Send order within the owning outbox: the per-shard sort key is
     /// (arrival, seq), so equal-arrival frames keep send order and the k-way
@@ -320,6 +320,13 @@ class SimWorld {
     std::vector<std::uint32_t> released_slots;
   };
 
+  /// The node with id `id`, or nullptr for an id never allocated.
+  Node* find_node(net::NodeId id) {
+    return id - 1 < nodes_.size() ? nodes_[id - 1].get() : nullptr;
+  }
+  const Node* find_node(net::NodeId id) const {
+    return id - 1 < nodes_.size() ? nodes_[id - 1].get() : nullptr;
+  }
   Node& node_ref(net::NodeId id);
   const Node& node_ref(net::NodeId id) const;
   [[nodiscard]] bool alive_at(net::NodeId id, net::Incarnation inc) const;
@@ -386,7 +393,11 @@ class SimWorld {
   double now_ = 0.0;
   std::atomic<bool> stopped_{false};
   net::NodeId next_node_ = 1;
-  std::unordered_map<net::NodeId, Node> nodes_;
+  /// The node table, indexed by id - 1: ids are allocated densely from 1
+  /// and nodes are never erased. Each node is its own allocation, so its
+  /// address survives the table growing (CrossFrame::dest holds one across
+  /// rounds). DESIGN.md §12 says why this is not a std::deque<Node>.
+  std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Shard>> shards_;
   /// Harness events (shards >= 2 only; classic mode keeps them in shard 0's
   /// queue so event-id tie-breaks stay bit-identical to the old scheduler).

@@ -1,7 +1,7 @@
 // Churn & adversarial-worker harness (DESIGN.md §14): churn-trace generation
 // and replay determinism, the §12 conservation gate under fault injection,
 // reputation-store scoring, reputation-aware reservation, redundant-execution
-// voting against lying workers, and DeadlineHeap edge cases.
+// voting against lying workers, and LastHeardIndex edge cases.
 //
 // Defaults-off bit-identity with the pre-§14 tree is enforced by the golden
 // pin in test_control_plane.cpp: that scenario now runs through every edited
@@ -11,15 +11,14 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <map>
 #include <memory>
 #include <set>
 #include <vector>
 
 #include "core/adversary.hpp"
-#include "core/deadline_heap.hpp"
 #include "core/deployment.hpp"
+#include "core/last_heard.hpp"
 #include "core/messages.hpp"
 #include "core/reputation.hpp"
 #include "core/spawner.hpp"
@@ -257,87 +256,90 @@ TEST(ReputationStore, LiarIsPinnedToFloorPermanently) {
 }
 
 // ---------------------------------------------------------------------------
-// DeadlineHeap edge cases (satellite)
+// LastHeardIndex edge cases
 // ---------------------------------------------------------------------------
 
-TEST(DeadlineHeapEdge, BumpToSameDeadlineIsANoOpThatKeepsOrder) {
-  DeadlineHeap<int> heap;
-  heap.bump(1, 10.0);
-  heap.bump(2, 20.0);
-  heap.bump(3, 30.0);
-  heap.bump(2, 20.0);  // neither sift branch taken
-  heap.bump(1, 10.0);
-  EXPECT_EQ(heap.size(), 3u);
+TEST(LastHeardIndexEdge, SameTimeTouchesExpireInTouchOrder) {
+  LastHeardIndex<int> index;
+  index.touch(3, 10.0);
+  index.touch(1, 10.0);
+  index.touch(2, 10.0);
+  index.touch(3, 10.0);  // same time again: moves 3 behind 1 and 2
+  EXPECT_EQ(index.size(), 3u);
   std::vector<int> popped;
-  heap.expire(100.0, [&](int key) { popped.push_back(key); });
+  EXPECT_EQ(index.expire(10.0, [&](int key) { popped.push_back(key); }), 0u);
+  EXPECT_EQ(index.expire(100.0, [&](int key) { popped.push_back(key); }), 3u);
   EXPECT_EQ(popped, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(DeadlineHeapEdge, EraseLastAndOnlyElements) {
-  DeadlineHeap<int> heap;
-  heap.bump(5, 1.0);
-  heap.erase(5);  // erase the only element (remove_at on the last slot)
-  EXPECT_EQ(heap.size(), 0u);
-  EXPECT_FALSE(heap.contains(5));
-  EXPECT_EQ(heap.expire(100.0, [](int) {}), 0u);
+TEST(LastHeardIndexEdge, EraseLastOnlyAndAbsentKeys) {
+  LastHeardIndex<int> index;
+  index.touch(5, 1.0);
+  index.erase(5);  // the only entry
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_FALSE(index.contains(5));
+  EXPECT_EQ(index.expire(100.0, [](int) {}), 0u);
 
-  heap.bump(1, 1.0);
-  heap.bump(2, 2.0);
-  heap.bump(3, 3.0);
-  heap.erase(3);  // key 3 sits in the last heap slot
-  heap.erase(9);  // absent key: no-op
-  EXPECT_EQ(heap.size(), 2u);
+  index.touch(1, 1.0);
+  index.touch(2, 2.0);
+  index.touch(3, 3.0);
+  index.touch(4, 4.0);
+  index.erase(4);  // the last (most recently touched) entry
+  index.erase(1);  // the first (oldest) entry
+  index.erase(9);  // absent key: no-op
+  EXPECT_EQ(index.size(), 2u);
+  EXPECT_FALSE(index.contains(4));
+  EXPECT_FALSE(index.contains(1));
   std::vector<int> popped;
-  heap.expire(100.0, [&](int key) { popped.push_back(key); });
-  EXPECT_EQ(popped, (std::vector<int>{1, 2}));
+  index.expire(100.0, [&](int key) { popped.push_back(key); });
+  EXPECT_EQ(popped, (std::vector<int>{2, 3}));
 }
 
-TEST(DeadlineHeapEdge, InterleavedBumpPopStormMatchesMultimapReference) {
-  // Reference model: key → deadline map; expiration pops every key with
-  // deadline < now in (deadline, key) order, exactly like the heap contract.
-  DeadlineHeap<int> heap;
-  std::map<int, double> model;
+TEST(LastHeardIndexEdge, InterleavedTouchExpireStormMatchesReference) {
+  // Reference model: key -> (last-heard time, touch sequence number), driven
+  // by a clock that never goes back. Expiration pops every key heard before
+  // the cutoff in (time, touch sequence) order: ties go in touch order.
+  LastHeardIndex<int> index;
+  std::map<int, std::pair<double, std::uint64_t>> model;
+  std::uint64_t seq = 0;
+  double now = 0.0;
   Rng rng(0xd34d11ull);
   constexpr int kKeys = 24;
   for (int step = 0; step < 4000; ++step) {
+    // Quantized clock steps force plenty of same-time touches.
+    if (rng.next_double() < 0.3) now += static_cast<double>(rng.index(3));
     const double roll = rng.next_double();
-    if (roll < 0.55) {
-      const int key = static_cast<int>(rng.index(kKeys));
-      // Quantized deadlines force plenty of ties and same-deadline re-bumps.
-      const double deadline = static_cast<double>(rng.index(16));
-      heap.bump(key, deadline);
-      model[key] = deadline;
-    } else if (roll < 0.75) {
-      const int key = static_cast<int>(rng.index(kKeys));
-      heap.erase(key);
+    const int key = static_cast<int>(rng.index(kKeys));
+    if (roll < 0.45) {
+      index.touch(key, now);
+      model[key] = {now, seq++};
+    } else if (roll < 0.60) {
+      const bool present = model.count(key) != 0;
+      ASSERT_EQ(index.refresh(key, now), present);
+      if (present) model[key] = {now, seq++};
+    } else if (roll < 0.78) {
+      index.erase(key);
       model.erase(key);
     } else {
-      const double now = static_cast<double>(rng.index(18));
-      std::vector<std::pair<double, int>> expected;
-      for (const auto& [key, deadline] : model) {
-        if (deadline < now) expected.emplace_back(deadline, key);
+      const double cutoff = now - static_cast<double>(rng.index(4));
+      std::vector<std::pair<std::pair<double, std::uint64_t>, int>> expected;
+      for (const auto& [k, heard] : model) {
+        if (heard.first < cutoff) expected.push_back({heard, k});
       }
       std::sort(expected.begin(), expected.end());
-      for (const auto& [deadline, key] : expected) model.erase(key);
+      for (const auto& entry : expected) model.erase(entry.second);
       std::vector<int> popped;
-      heap.expire(now, [&](int key) { popped.push_back(key); });
+      ASSERT_EQ(index.expire(cutoff, [&](int k) { popped.push_back(k); }),
+                expected.size());
       ASSERT_EQ(popped.size(), expected.size());
       for (std::size_t i = 0; i < popped.size(); ++i) {
-        ASSERT_EQ(popped[i], expected[i].second);
+        ASSERT_EQ(popped[i], expected[i].second) << "step " << step;
       }
     }
-    ASSERT_EQ(heap.size(), model.size());
-    ASSERT_DOUBLE_EQ(heap.next_deadline(),
-                     model.empty()
-                         ? std::numeric_limits<double>::infinity()
-                         : [&] {
-                             double best =
-                                 std::numeric_limits<double>::infinity();
-                             for (const auto& [key, dl] : model) {
-                               best = std::min(best, dl);
-                             }
-                             return best;
-                           }());
+    ASSERT_EQ(index.size(), model.size());
+    for (int k = 0; k < kKeys; ++k) {
+      ASSERT_EQ(index.contains(k), model.count(k) != 0) << "step " << step;
+    }
   }
 }
 

@@ -1,16 +1,19 @@
 // Decentralized control plane (DESIGN.md §13): golden pin of the default
-// centralized path, deadline-heap failure detection, register sharding edges,
+// centralized path, a golden pin of the sharded Register at a few thousand
+// daemons, last-heard-index failure detection, register sharding edges,
 // Application Register replication + standby failover, diffusion-wave
 // convergence detection, and the reservation-staleness fixes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <vector>
 
 #include "core/daemon.hpp"
-#include "core/deadline_heap.hpp"
 #include "core/deployment.hpp"
+#include "core/last_heard.hpp"
 #include "core/messages.hpp"
 #include "core/shard.hpp"
 #include "core/spawner.hpp"
@@ -150,54 +153,89 @@ TEST(ControlPlaneGolden, DefaultPathBitIdenticalToPrePlaneScheduler) {
 }
 
 // ---------------------------------------------------------------------------
-// DeadlineHeap (satellite: O(log n) heartbeat failure detection)
+// LastHeardIndex (O(1) heartbeat failure detection)
 // ---------------------------------------------------------------------------
 
-TEST(DeadlineHeap, ExpiresOnlyPastDeadlinesInOrder) {
-  DeadlineHeap<int> heap;
-  heap.bump(1, 1.0);
-  heap.bump(2, 3.0);
-  heap.bump(3, 2.0);
-  EXPECT_EQ(heap.size(), 3u);
+TEST(LastHeardIndex, ExpiresOnlyKeysHeardStrictlyBeforeTheCutoff) {
+  LastHeardIndex<int> index;
+  index.touch(3, 1.0);
+  index.touch(1, 2.0);
+  index.touch(2, 3.0);
+  EXPECT_EQ(index.size(), 3u);
 
   std::vector<int> expired;
-  EXPECT_EQ(heap.expire(2.5, [&](int k) { expired.push_back(k); }), 2u);
-  EXPECT_EQ(expired, (std::vector<int>{1, 3}));
-  EXPECT_EQ(heap.size(), 1u);
-  EXPECT_TRUE(heap.contains(2));
+  // Key 1 was heard exactly at the cutoff: not expired.
+  EXPECT_EQ(index.expire(2.0, [&](int k) { expired.push_back(k); }), 1u);
+  EXPECT_EQ(expired, (std::vector<int>{3}));
+  EXPECT_EQ(index.expire(2.5, [&](int k) { expired.push_back(k); }), 1u);
+  EXPECT_EQ(expired, (std::vector<int>{3, 1}));
+  EXPECT_EQ(index.size(), 1u);
+  EXPECT_TRUE(index.contains(2));
+  EXPECT_FALSE(index.contains(1));
+  EXPECT_FALSE(index.contains(3));
 }
 
-TEST(DeadlineHeap, BumpSupersedesOlderEntries) {
-  DeadlineHeap<int> heap;
-  heap.bump(7, 1.0);
-  heap.bump(7, 5.0);  // heartbeat arrived: old entry must be ignored
+TEST(LastHeardIndex, TouchSupersedesOlderTime) {
+  LastHeardIndex<int> index;
+  index.touch(7, 1.0);
+  index.touch(8, 2.0);
+  index.touch(7, 5.0);  // heartbeat arrived: the old time no longer counts
+  EXPECT_EQ(index.size(), 2u);
   std::vector<int> expired;
-  EXPECT_EQ(heap.expire(2.0, [&](int k) { expired.push_back(k); }), 0u);
-  EXPECT_TRUE(expired.empty());
-  EXPECT_TRUE(heap.contains(7));
-  EXPECT_EQ(heap.expire(6.0, [&](int k) { expired.push_back(k); }), 1u);
-  EXPECT_EQ(expired, (std::vector<int>{7}));
-  EXPECT_EQ(heap.size(), 0u);
+  EXPECT_EQ(index.expire(2.0, [&](int k) { expired.push_back(k); }), 0u);
+  EXPECT_EQ(index.expire(3.0, [&](int k) { expired.push_back(k); }), 1u);
+  EXPECT_EQ(expired, (std::vector<int>{8}));
+  EXPECT_TRUE(index.contains(7));
+  EXPECT_EQ(index.expire(6.0, [&](int k) { expired.push_back(k); }), 1u);
+  EXPECT_EQ(expired, (std::vector<int>{8, 7}));
+  EXPECT_EQ(index.size(), 0u);
 }
 
-TEST(DeadlineHeap, EraseInvalidatesPendingEntries) {
-  DeadlineHeap<int> heap;
-  heap.bump(1, 1.0);
-  heap.bump(2, 1.0);
-  heap.erase(1);
+TEST(LastHeardIndex, RefreshMovesOnlyPresentKeys) {
+  LastHeardIndex<int> index;
+  index.touch(1, 1.0);
+  index.touch(2, 1.0);
+  EXPECT_FALSE(index.refresh(3, 2.0));  // absent: not inserted
+  EXPECT_FALSE(index.contains(3));
+  EXPECT_TRUE(index.refresh(1, 2.0));
   std::vector<int> expired;
-  EXPECT_EQ(heap.expire(2.0, [&](int k) { expired.push_back(k); }), 1u);
+  EXPECT_EQ(index.expire(1.5, [&](int k) { expired.push_back(k); }), 1u);
+  EXPECT_EQ(expired, (std::vector<int>{2}));
+  EXPECT_FALSE(index.refresh(2, 2.0));  // expired keys are gone
+  EXPECT_EQ(index.size(), 1u);
+}
+
+TEST(LastHeardIndex, EraseDropsThePendingEntry) {
+  LastHeardIndex<int> index;
+  index.touch(1, 1.0);
+  index.touch(2, 1.0);
+  index.erase(1);
+  EXPECT_FALSE(index.contains(1));
+  std::vector<int> expired;
+  EXPECT_EQ(index.expire(2.0, [&](int k) { expired.push_back(k); }), 1u);
   EXPECT_EQ(expired, (std::vector<int>{2}));
 }
 
-TEST(DeadlineHeap, ReBumpInsideExpireCallback) {
-  DeadlineHeap<int> heap;
-  heap.bump(1, 1.0);
-  heap.expire(2.0, [&](int k) { heap.bump(k, 10.0); });
-  EXPECT_TRUE(heap.contains(1));
+TEST(LastHeardIndex, ReTouchInsideExpireCallback) {
+  LastHeardIndex<int> index;
+  index.touch(1, 1.0);
+  EXPECT_EQ(index.expire(2.0, [&](int k) { index.touch(k, 10.0); }), 1u);
+  EXPECT_TRUE(index.contains(1));
   std::vector<int> expired;
-  EXPECT_EQ(heap.expire(5.0, [&](int k) { expired.push_back(k); }), 0u);
-  EXPECT_EQ(heap.expire(11.0, [&](int k) { expired.push_back(k); }), 1u);
+  EXPECT_EQ(index.expire(5.0, [&](int k) { expired.push_back(k); }), 0u);
+  EXPECT_EQ(index.expire(11.0, [&](int k) { expired.push_back(k); }), 1u);
+  EXPECT_EQ(expired, (std::vector<int>{1}));
+}
+
+TEST(LastHeardIndex, TouchEarlierThanThePreviousTouchAborts) {
+  // Touch order is time order only while touch times never decrease. The
+  // precondition is on touches, so it outlives an erased entry.
+  LastHeardIndex<int> index;
+  index.touch(1, 2.0);
+  index.touch(2, 3.0);
+  index.erase(2);
+  EXPECT_DEATH(index.touch(3, 2.5), "precedes the previous touch");
+  EXPECT_DEATH(index.refresh(1, 2.5), "precedes the previous touch");
 }
 
 // ---------------------------------------------------------------------------
@@ -249,7 +287,7 @@ struct ShardScenario {
   }
 };
 
-// The super-peer's heap-based sweep must behave exactly like the old linear
+// The super-peer's indexed sweep must behave exactly like the old linear
 // scan: same daemons dropped at the same sweep ticks, survivors untouched.
 TEST(ControlPlane, HeapSweepMatchesLinearScanSemantics) {
   ShardScenario s(1, ControlPlaneConfig{}, /*seed=*/17);
@@ -732,6 +770,180 @@ TEST(ControlPlane, ShardedDiffusionDeterministicAcrossShardsAndThreads) {
   const std::uint64_t base = run_decentralized(1, 0);
   EXPECT_EQ(run_decentralized(4, 0), base);
   EXPECT_EQ(run_decentralized(4, 2), base);
+}
+
+// ---------------------------------------------------------------------------
+// Golden pin: the sharded Register at a few thousand daemons
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kScaleSuperPeers = 4;
+constexpr std::size_t kScaleDaemons = 4800;
+constexpr std::uint32_t kScaleRequests = 40;
+constexpr std::uint32_t kScaleBatch = 4;
+
+/// A spawner's reservation burst: `total` requests for kScaleBatch daemons,
+/// one every 0.05 sim s from t = 1, each sent to the super-peer the register
+/// hash picks for its request id. Records when each batch was filled.
+class BatchReserveProbe : public net::Actor {
+ public:
+  BatchReserveProbe(std::vector<net::Stub> sps, std::uint32_t total)
+      : sps_(std::move(sps)), total_(total) {}
+
+  void on_start(net::Env& env) override {
+    env_ = &env;
+    env.schedule(1.0, [this] { issue(); });
+  }
+
+  void on_message(const net::Message& m, net::Env& env) override {
+    if (m.type != msg::ReserveReply::kType) return;
+    const auto reply = net::payload_of<msg::ReserveReply>(m);
+    Request& request = requests_[reply.request_id];
+    request.granted += static_cast<std::uint32_t>(reply.daemons.size());
+    if (request.granted >= kScaleBatch && request.filled_at < 0.0) {
+      request.filled_at = env.now();
+      ++filled_;
+    }
+  }
+
+  [[nodiscard]] std::uint32_t filled() const { return filled_; }
+
+  [[nodiscard]] std::uint64_t digest(std::uint64_t h) const {
+    for (const auto& [id, request] : requests_) {
+      h = fnv(h, id);
+      h = fnv(h, request.granted);
+      h = fnv(h, bits_of(request.filled_at));
+    }
+    return h;
+  }
+
+ private:
+  struct Request {
+    std::uint32_t granted = 0;
+    double filled_at = -1.0;
+  };
+
+  void issue() {
+    msg::ReserveRequest req;
+    req.request_id = ++issued_;
+    req.count = kScaleBatch;
+    req.requester = env_->self();
+    requests_[req.request_id];
+    rmi::invoke(*env_, sps_[shard_of(req.request_id, sps_.size())], req);
+    if (issued_ < total_) env_->schedule(0.05, [this] { issue(); });
+  }
+
+  std::vector<net::Stub> sps_;
+  std::uint32_t total_;
+  net::Env* env_ = nullptr;
+  std::uint32_t issued_ = 0;
+  std::uint32_t filled_ = 0;
+  std::map<std::uint32_t, Request> requests_;
+};
+
+struct ScaleRun {
+  std::uint64_t digest = 0;
+  std::size_t min_registered_at_burst = 0;
+  std::size_t disconnected = 0;
+  std::uint64_t swept = 0;
+  std::uint32_t filled = 0;
+};
+
+ScaleRun run_register_at_scale(std::size_t worker_threads) {
+  sim::SimConfig config;
+  config.seed = 2006;
+  config.max_time = 1e6;
+  config.message_jitter = 0.0;
+  config.compute_jitter = 0.0;
+  config.shards = 4;
+  config.worker_threads = worker_threads;
+  sim::SimWorld world(config);
+
+  ControlPlaneConfig cp;
+  cp.shard_register = true;
+  std::vector<SuperPeer*> sps;
+  std::vector<net::Stub> sp_stubs;
+  std::vector<net::Stub> sp_addresses;
+  for (std::size_t i = 0; i < kScaleSuperPeers; ++i) {
+    auto sp = std::make_unique<SuperPeer>(TimingConfig{}, cp);
+    sps.push_back(sp.get());
+    sp_stubs.push_back(world.add_node(std::move(sp),
+                                      sim::MachineSpec::super_peer_class(),
+                                      net::EntityKind::SuperPeer));
+    sp_addresses.push_back(sp_stubs.back().address());
+  }
+  for (auto* sp : sps) sp->set_linked_peers(sp_stubs);
+
+  std::vector<Daemon*> daemons;
+  std::vector<net::Stub> daemon_stubs;
+  for (std::size_t i = 0; i < kScaleDaemons; ++i) {
+    auto daemon = std::make_unique<Daemon>(sp_addresses, TimingConfig{},
+                                           PerfConfig{}, cp);
+    daemons.push_back(daemon.get());
+    daemon_stubs.push_back(world.add_node(std::move(daemon), sim::MachineSpec{},
+                                          net::EntityKind::Daemon));
+  }
+  auto probe = std::make_unique<BatchReserveProbe>(sp_stubs, kScaleRequests);
+  const BatchReserveProbe* p = probe.get();
+  world.add_node(std::move(probe), sim::MachineSpec::spawner_class(),
+                 net::EntityKind::Spawner);
+
+  // With zero jitter every daemon heartbeats at the same instants. At t = 2
+  // every fourth daemon still idle in a Register crashes, so each super-peer
+  // later sweeps out hundreds of entries last heard at one and the same time.
+  ScaleRun run;
+  world.schedule_global(2.0, [&] {
+    run.min_registered_at_burst = sps[0]->registered_count();
+    for (const SuperPeer* sp : sps) {
+      run.min_registered_at_burst =
+          std::min(run.min_registered_at_burst, sp->registered_count());
+    }
+    for (std::size_t i = 0; i < daemons.size(); i += 4) {
+      if (daemons[i]->state() != Daemon::State::Registered) continue;
+      world.disconnect(daemon_stubs[i].node);
+      ++run.disconnected;
+    }
+  });
+  world.run_until(6.0);
+
+  std::uint64_t h = p->digest(0xcbf29ce484222325ull);
+  h = fnv(h, world.events_executed());
+  h = fnv(h, world.rounds_executed());
+  const sim::NetStats& net = world.stats();
+  h = fnv(h, net.sent);
+  h = fnv(h, net.delivered);
+  h = fnv(h, net.lost_down);
+  h = fnv(h, net.lost_stale);
+  h = fnv(h, net.bytes_sent);
+  h = fnv(h, net.frames_on_wire);
+  h = fnv(h, net.cross_shard_frames);
+  for (const SuperPeer* sp : sps) {
+    h = fnv(h, sp->reservations_served());
+    h = fnv(h, sp->requests_forwarded());
+    h = fnv(h, sp->daemons_swept());
+    h = fnv(h, sp->registered_count());
+    run.swept += sp->daemons_swept();
+  }
+  h = fnv(h, run.disconnected);
+  run.digest = h;
+  run.filled = p->filled();
+  return run;
+}
+
+// Recorded on the tree whose super-peer swept off a deadline heap (ties
+// broken by stub). The last-heard index expires equal-time entries in touch
+// order instead; expiring emits no message, so nothing here may move.
+constexpr std::uint64_t kGoldenRegisterAtScaleDigest = 6060195150038440345ull;
+
+TEST(ControlPlaneGolden, ShardedRegisterAtScaleBitIdenticalAcrossThreads) {
+  const ScaleRun one = run_register_at_scale(1);
+  EXPECT_GE(one.min_registered_at_burst, 1000u);
+  EXPECT_GT(one.disconnected, 1000u);
+  // Every crashed daemon still in a Register is swept; none alive is.
+  EXPECT_GT(one.swept, 1000u);
+  EXPECT_LE(one.swept, one.disconnected);
+  EXPECT_EQ(one.filled, kScaleRequests);
+  EXPECT_EQ(one.digest, kGoldenRegisterAtScaleDigest);
+  EXPECT_EQ(run_register_at_scale(2).digest, one.digest);
 }
 
 }  // namespace

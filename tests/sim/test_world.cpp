@@ -357,6 +357,47 @@ TEST(SimWorld, ReviveWhileMessageInFlightDropsOldIncarnationFrame) {
   EXPECT_EQ(world.stats().lost_stale, 1u);
 }
 
+// --- ids the node table never allocated (it is indexed by id - 1) ----------
+
+TEST(SimWorld, UnknownIdsAreNeitherUpNorCurrent) {
+  SimWorld world;
+  world.add_node(std::make_unique<Recorder>(), MachineSpec{},
+                 net::EntityKind::Daemon);
+  const auto last = world.add_node(std::make_unique<Recorder>(), MachineSpec{},
+                                   net::EntityKind::Daemon);
+  for (const net::NodeId id : {net::kInvalidNode, last.node + 1}) {
+    EXPECT_FALSE(world.is_up(id)) << "id " << id;
+    EXPECT_FALSE(world.is_current(net::Stub{id, 1, net::EntityKind::Daemon}))
+        << "id " << id;
+    EXPECT_EQ(world.actor(id), nullptr) << "id " << id;
+  }
+  EXPECT_TRUE(world.is_up(last.node));
+  EXPECT_NE(world.actor(last.node), nullptr);
+}
+
+TEST(SimWorld, SendToNeverAllocatedIdIsLostDown) {
+  for (const std::size_t shards : {1u, 4u}) {
+    SimConfig config;
+    config.shards = shards;
+    SimWorld world(config);
+    auto a = std::make_unique<Recorder>();
+    auto b = std::make_unique<Recorder>();
+    Recorder* ra = a.get();
+    Recorder* rb = b.get();
+    world.add_node(std::move(a), MachineSpec{}, net::EntityKind::Daemon);
+    const auto stub_b =
+        world.add_node(std::move(b), MachineSpec{}, net::EntityKind::Daemon);
+    // After on_start: with shards >= 2 a global event at t = 0 runs first.
+    world.schedule_global(0.5, [&] {
+      ra->send_ping(net::Stub{stub_b.node + 1, 1, net::EntityKind::Daemon}, 1);
+    });
+    world.run();
+    EXPECT_EQ(world.stats().lost_down, 1u) << "shards " << shards;
+    EXPECT_EQ(world.stats().delivered, 0u) << "shards " << shards;
+    EXPECT_TRUE(rb->received.empty()) << "shards " << shards;
+  }
+}
+
 // --- LinkKeyHash collision distribution (see the combine in world.hpp) ------
 
 TEST(LinkKeyHash, StructuredIdsDoNotCollapseBuckets) {
