@@ -1,7 +1,8 @@
 // Iteration hot-path ablation: one layer at a time —
-//   fused      : single-pass SpMV+reduction kernels vs the unfused sequences
-//                (micro timings + CG end-to-end), with the pool-size-1
-//                bit-identity gate (memcmp over doubles);
+//   fused      : single-pass SpMV+reduction kernels (banded row sums on the
+//                Poisson matrix) and the one-pass CG update vs the unfused
+//                CSR sequences (micro timings + CG end-to-end), with the
+//                pool-size-1 bit-identity gate (memcmp over doubles);
 //   simd       : the runtime-dispatched vector kernels (linalg/simd.hpp) off
 //                vs on — the fused BLAS-1 reduction, dot, the SELL padded
 //                layout — with hard gates: element-wise off-vs-on
@@ -105,6 +106,7 @@ struct FusedReport {
   KernelRow residual;
   KernelRow dot;
   KernelRow axpy;
+  KernelRow update;
   double cg_fused_ms = 0.0;
   double cg_unfused_ms = 0.0;
   std::size_t cg_iterations = 0;
@@ -186,6 +188,38 @@ FusedReport run_fused(std::size_t side, std::size_t repeats) {
     rep.axpy.bit_identical = bitwise_equal(cf, cu) && one_f == one_u;
   }
 
+  // The CG update x += alpha p, r -= alpha Ap and its Σ r²: fused vs
+  // axpy + axpy + dot (same accumulating discipline as above).
+  {
+    const linalg::Vector p = random_vector(n, 1003);
+    const linalg::Vector ap = random_vector(n, 1004);
+    linalg::Vector x_f = x;
+    linalg::Vector r_f = b;
+    linalg::Vector x_u = x;
+    linalg::Vector r_u = b;
+    double sf = 0.0;
+    double su = 0.0;
+    rep.update.fused_ns = time_ns(
+        repeats, [&] { sf = linalg::cg_update(1e-6, p, ap, x_f, r_f); });
+    rep.update.unfused_ns = time_ns(repeats, [&] {
+      linalg::axpy(1e-6, p, x_u);
+      linalg::axpy(-1e-6, ap, r_u);
+      su = linalg::dot(r_u, r_u);
+    });
+    (void)sf;
+    (void)su;
+    x_f = x_u = x;
+    r_f = r_u = b;
+    const double one_f = linalg::cg_update(0.5, p, ap, x_f, r_f);
+    linalg::axpy(0.5, p, x_u);
+    linalg::axpy(-0.5, ap, r_u);
+    const double one_u = linalg::dot(r_u, r_u);
+    rep.update.passes_fused = 1;
+    rep.update.passes_unfused = 3;
+    rep.update.bit_identical = bitwise_equal(x_f, x_u) &&
+                               bitwise_equal(r_f, r_u) && one_f == one_u;
+  }
+
   // CG end-to-end: same matrix, zero start, fixed tolerance.
   {
     linalg::CgOptions opt;
@@ -214,7 +248,8 @@ FusedReport run_fused(std::size_t side, std::size_t repeats) {
   }
 
   rep.ok = rep.residual.bit_identical && rep.dot.bit_identical &&
-           rep.axpy.bit_identical && rep.cg_bit_identical;
+           rep.axpy.bit_identical && rep.update.bit_identical &&
+           rep.cg_bit_identical;
   return rep;
 }
 
@@ -515,7 +550,8 @@ int main(int argc, char** argv) {
   std::printf("    \"kernels\": {\n");
   print_kernel_row("spmv_residual_norm2", fused.residual, false);
   print_kernel_row("spmv_dot", fused.dot, false);
-  print_kernel_row("axpy_norm2", fused.axpy, true);
+  print_kernel_row("axpy_norm2", fused.axpy, false);
+  print_kernel_row("cg_update", fused.update, true);
   std::printf("    },\n");
   std::printf("    \"cg\": {\"fused_ms\": %.3f, \"unfused_ms\": %.3f, "
               "\"speedup\": %.3f, \"iterations\": %zu, "
@@ -590,10 +626,12 @@ int main(int argc, char** argv) {
 
   std::fprintf(stderr,
                "\nfused      : residual %.0f->%.0f ns, dot %.0f->%.0f ns, "
-               "axpy %.0f->%.0f ns, cg %.2f->%.2f ms, bit-identical %s\n",
+               "axpy %.0f->%.0f ns, update %.0f->%.0f ns, cg %.2f->%.2f ms, "
+               "bit-identical %s\n",
                fused.residual.unfused_ns, fused.residual.fused_ns,
                fused.dot.unfused_ns, fused.dot.fused_ns, fused.axpy.unfused_ns,
-               fused.axpy.fused_ns, fused.cg_unfused_ms, fused.cg_fused_ms,
+               fused.axpy.fused_ns, fused.update.unfused_ns,
+               fused.update.fused_ns, fused.cg_unfused_ms, fused.cg_fused_ms,
                fused.ok ? "yes" : "NO");
   std::fprintf(stderr,
                "simd       : %s; axpy_norm2 %.0f->%.0f ns, dot %.0f->%.0f ns, "

@@ -206,6 +206,48 @@ void BM_ConjugateGradientUnfused(benchmark::State& state) {
 }
 BENCHMARK(BM_ConjugateGradientUnfused)->Arg(16)->Arg(32)->Arg(64);
 
+// One inner solve on a task's local Poisson block, as the deployments run
+// it: range(0) is the grid side n, range(1) the block's grid lines, and the
+// solve starts cold and stops at 1e-8 or 400 iterations. Fused runs the
+// banded three-pass iteration; unfused the CSR multiply and one BLAS-1 pass
+// per step, its bit-identical oracle.
+void cg_poisson_block(benchmark::State& state, bool fused) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto lines = static_cast<std::size_t>(state.range(1));
+  const auto a = poisson::assemble_local_laplacian(n, 0, lines * n);
+  linalg::Vector b(a.rows());
+  Rng rng(11);
+  for (double& v : b) v = rng.uniform(-1.0, 1.0);
+  linalg::CgOptions options;
+  options.tolerance = 1e-8;
+  options.max_iterations = 400;
+  options.fused = fused;
+  linalg::Vector x;
+  std::size_t iterations = 0;
+  for (auto _ : state) {
+    x.assign(a.rows(), 0.0);
+    const auto result = linalg::conjugate_gradient(a, b, x, options);
+    iterations += result.iterations;
+    benchmark::DoNotOptimize(result.residual_norm);
+  }
+  state.counters["ns_per_row_iter"] = benchmark::Counter(
+      static_cast<double>(iterations) * static_cast<double>(a.rows()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+void BM_CgPoissonBlock(benchmark::State& state) {
+  cg_poisson_block(state, true);
+}
+BENCHMARK(BM_CgPoissonBlock)->Args({96, 1})->Args({96, 2})->Args({160, 20});
+
+void BM_CgPoissonBlockUnfused(benchmark::State& state) {
+  cg_poisson_block(state, false);
+}
+BENCHMARK(BM_CgPoissonBlockUnfused)
+    ->Args({96, 1})
+    ->Args({96, 2})
+    ->Args({160, 20});
+
 void BM_SerializeBoundaryLine(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   linalg::Vector line(n, 1.25);

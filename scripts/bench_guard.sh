@@ -60,6 +60,14 @@
 #     it replaced. Both rows come from one run on one machine, so the ratio
 #     is machine-portable like the SIMD floors; no tolerance knob. A file
 #     with no such rows fails the check.
+#  8. Fused CG floor (DESIGN.md §9) — inside BENCH_hotpath.json: the fused
+#     CG solve (banded row sums, three passes per iteration) must run at
+#     least 1.8x faster than the unfused CSR oracle. Both
+#     solves run in one process on one matrix, so the ratio is
+#     machine-portable. Measured at 2.5-3.8x on a 4-vCPU Xeon VM (160² and
+#     64² grids; RelWithDebInfo, Release and -march=native builds); before
+#     the banded row sums it read 1.35x. A file without the row fails the
+#     check.
 #
 # Usage: scripts/bench_guard.sh BENCH_micro.json [BENCH_hotpath.json ...]
 #        BENCH_GUARD_STRICT=1 BENCH_GUARD_SKIP_BASELINE=1 scripts/bench_guard.sh BENCH_hotpath.json
@@ -178,6 +186,19 @@ round_engine_floor_checks() {
   ' "${file}" 2>/dev/null
 }
 
+# Fused CG floor (see header, check 8). Within-run ratio, no tolerance knob.
+fused_cg_floor_checks() {
+  local file="$1"
+  jq -r --argjson floor 1.8 '
+    if (.fused.cg.speedup // null) == null then
+      "bench-guard: FLOOR fused/cg: no fused.cg.speedup row"
+    else
+      .fused.cg | select(.speedup < $floor)
+      | "bench-guard: FLOOR fused/cg: \(.speedup)x below floor \($floor)x (fused \(.fused_ms) ms, unfused \(.unfused_ms) ms)"
+    end
+  ' "${file}" 2>/dev/null
+}
+
 # Heartbeat per-period floor (see header, check 7). Reads the plain
 # google-benchmark layout and run_bench.sh's serial/parallel one.
 heartbeat_floor_checks() {
@@ -225,6 +246,13 @@ for file in "$@"; do
       total_warnings=$((total_warnings + $(echo "${floor_violations}" | wc -l)))
     else
       echo "bench-guard: ${name}: simd speedup floors hold"
+    fi
+    fused_violations="$(fused_cg_floor_checks "${file}")"
+    if [[ -n "${fused_violations}" ]]; then
+      echo "${fused_violations}"
+      total_warnings=$((total_warnings + $(echo "${fused_violations}" | wc -l)))
+    else
+      echo "bench-guard: ${name}: fused CG floor holds"
     fi
   fi
 

@@ -18,29 +18,19 @@ CgResult conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
   const double nnz_work = 2.0 * static_cast<double>(a.nnz());
   const double vec_work = static_cast<double>(n);
 
-  Vector inv_diag;
-  if (options.jacobi_preconditioner) {
-    inv_diag = a.diagonal();
-    for (double& d : inv_diag) {
-      JACEPP_CHECK(d != 0.0, "Jacobi preconditioner: zero diagonal entry");
-      d = 1.0 / d;
-    }
-  }
-
   // The work vectors persist across calls on this thread (every kernel below
   // writes its output in full before it is read). Allocated per call, they
   // would sit wherever the heap's free lists put them, and the solve's speed
   // would move by several percent whenever unrelated allocations, such as
   // checkpoint frames, change size.
-  thread_local Vector r, z, p, ap;
+  thread_local Vector r, p, ap;
   r.resize(n);
-  z.resize(n);
   p.resize(n);
   ap.resize(n);
   double r_norm;
   if (options.fused) {
     // The SELL twin (when provided) covers exactly the SpMV-shaped fused
-    // kernels; the BLAS-1 fused kernels below are layout-independent.
+    // kernels; the BLAS-1 fused kernel below is layout-independent.
     r_norm = options.sell ? options.sell->spmv_residual_norm2(x, b, r)
                           : spmv_residual_norm2(a, x, b, r);
     result.flops += nnz_work;
@@ -51,15 +41,6 @@ CgResult conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
     r_norm = norm2(r);
   }
 
-  auto apply_precond = [&](const Vector& rin, Vector& zout) {
-    if (options.jacobi_preconditioner) {
-      hadamard(inv_diag, rin, zout);
-      result.flops += vec_work;
-    } else {
-      zout = rin;
-    }
-  };
-
   const double b_norm = norm2(b);
   const double threshold = options.tolerance * (b_norm > 0.0 ? b_norm : 1.0);
 
@@ -69,9 +50,9 @@ CgResult conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
     return result;
   }
 
-  apply_precond(r, z);
-  p = z;
-  double rz = dot(r, z);
+  // The preconditioner is the identity, so z = r and r·z = r·r.
+  p = r;
+  double rr = dot(r, r);
   result.flops += 2.0 * vec_work;
 
   for (std::size_t it = 0; it < options.max_iterations; ++it) {
@@ -88,28 +69,27 @@ CgResult conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
       // so callers (the async runtime) can react.
       break;
     }
-    const double alpha = rz / p_ap;
-    axpy(alpha, p, x);
+    const double alpha = rr / p_ap;
+    double rr_next;
     if (options.fused) {
-      r_norm = axpy_norm2(-alpha, ap, r);
+      rr_next = cg_update(alpha, p, ap, x, r);
     } else {
+      axpy(alpha, p, x);
       axpy(-alpha, ap, r);
+      rr_next = dot(r, r);
     }
-    result.flops += 4.0 * vec_work;
+    r_norm = std::sqrt(rr_next);
+    result.flops += 4.0 * vec_work;  // x and r updates
+    result.flops += 2.0 * vec_work;  // ||r||
     ++result.iterations;
-
-    if (!options.fused) r_norm = norm2(r);
-    result.flops += 2.0 * vec_work;
     if (r_norm <= threshold) {
       result.converged = true;
       break;
     }
 
-    apply_precond(r, z);
-    const double rz_next = dot(r, z);
-    const double beta = rz_next / rz;
-    rz = rz_next;
-    axpby(1.0, z, beta, p);  // p = z + beta * p (1.0 * z is exact)
+    const double beta = rr_next / rr;
+    rr = rr_next;
+    axpby(1.0, r, beta, p);  // p = r + beta * p (1.0 * r is exact)
     result.flops += 4.0 * vec_work;
   }
 

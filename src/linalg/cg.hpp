@@ -1,6 +1,6 @@
 // Sparse Conjugate Gradient — the inner solver of the paper's block-Jacobi
 // multisplitting (paper §6: "we have chosen the sparse Conjugate Gradient
-// algorithm"). Plain CG and a Jacobi (diagonal) preconditioned variant.
+// algorithm"), unpreconditioned.
 #pragma once
 
 #include <cstddef>
@@ -15,12 +15,13 @@ class SellMatrix;
 struct CgOptions {
   double tolerance = 1e-10;      ///< stop when ||r|| <= tolerance * ||b||
   std::size_t max_iterations = 1000;
-  bool jacobi_preconditioner = false;
-  /// Use the single-pass fused kernels (linalg/fused.hpp) for the SpMV+dot,
-  /// residual-update+norm and initial-residual steps. Bit-identical to the
-  /// unfused path with a pool of size 1; with pool size >= 2 the fused
-  /// reductions chunk by rows instead of elements, so results may differ by
-  /// FP reassociation only. flops accounting is identical either way.
+  /// Run each iteration as three passes over memory with the fused kernels
+  /// (linalg/fused.hpp): SpMV+dot, the x/r update with its norm, and the
+  /// p update. Off runs the CSR multiply and one BLAS-1 pass per step, the
+  /// tests' oracle. Bit-identical to it with a pool of size 1; with pool
+  /// size >= 2 the fused SpMV reductions chunk by rows instead of elements,
+  /// so results may differ by FP reassociation only. flops accounting is
+  /// identical either way.
   bool fused = true;
   /// Optional SELL-slice twin of the CSR matrix (linalg/csr_sell.hpp, the
   /// `perf.sell` knob). When set (and fused), the two SpMV-shaped kernels per

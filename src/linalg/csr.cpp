@@ -7,6 +7,27 @@
 
 namespace jacepp::linalg {
 
+namespace {
+
+/// True when the arrays form a CSR structure: rows + 1 row pointers that
+/// start at 0, never decrease and end at nnz, and nnz columns, each below
+/// `cols`.
+bool valid_structure(std::size_t rows, std::size_t cols,
+                     const std::vector<std::uint32_t>& row_ptr,
+                     const std::vector<std::uint32_t>& col_idx,
+                     std::size_t nnz) {
+  if (row_ptr.empty() || row_ptr.size() - 1 != rows) return false;
+  if (row_ptr.front() != 0 || row_ptr.back() != nnz) return false;
+  if (col_idx.size() != nnz) return false;
+  for (std::size_t r = 0; r < rows; ++r) {
+    if (row_ptr[r] > row_ptr[r + 1]) return false;
+  }
+  return std::all_of(col_idx.begin(), col_idx.end(),
+                     [cols](std::uint32_t c) { return c < cols; });
+}
+
+}  // namespace
+
 CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols,
                      std::vector<std::uint32_t> row_ptr,
                      std::vector<std::uint32_t> col_idx, std::vector<double> values)
@@ -15,9 +36,64 @@ CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols,
       row_ptr_(std::move(row_ptr)),
       col_idx_(std::move(col_idx)),
       values_(std::move(values)) {
-  JACEPP_ASSERT(row_ptr_.size() == rows_ + 1);
-  JACEPP_ASSERT(col_idx_.size() == values_.size());
-  JACEPP_ASSERT(row_ptr_.back() == values_.size());
+  JACEPP_ASSERT(
+      valid_structure(rows_, cols_, row_ptr_, col_idx_, values_.size()));
+  build_band();
+}
+
+void CsrMatrix::build_band() {
+  if (rows_ == 0 || rows_ != cols_) return;
+  Band band;
+  const auto offset_of = [](std::size_t r, std::uint32_t c) {
+    return static_cast<std::ptrdiff_t>(c) - static_cast<std::ptrdiff_t>(r);
+  };
+  for (std::size_t r = 0; r < rows_; ++r) {
+    for (std::uint32_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+      if (k > row_ptr_[r] && col_idx_[k] <= col_idx_[k - 1]) return;
+      const std::ptrdiff_t off = offset_of(r, col_idx_[k]);
+      const auto stored = band.offsets.begin() + band.count;
+      if (std::find(band.offsets.begin(), stored, off) != stored) continue;
+      if (band.count == kMaxBandDiagonals) return;
+      band.offsets[band.count++] = off;
+    }
+  }
+  if (band.count == 0) return;
+
+  const auto first = band.offsets.begin();
+  const auto last = first + band.count;
+  std::sort(first, last);
+  band.values.assign(band.count * rows_, 0.0);
+  for (std::size_t r = 0; r < rows_; ++r) {
+    for (std::uint32_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+      const auto d = static_cast<std::size_t>(
+          std::find(first, last, offset_of(r, col_idx_[k])) - first);
+      band.values[d * rows_ + r] = values_[k];
+    }
+  }
+  // Diagonal d has its column in range on rows [lo_d, hi_d), never empty
+  // since |offset| < rows; segments break wherever such a range starts or
+  // ends.
+  const auto n = static_cast<std::ptrdiff_t>(rows_);
+  std::vector<std::ptrdiff_t> breaks = {0, n};
+  for (auto off = first; off != last; ++off) {
+    breaks.push_back(std::max<std::ptrdiff_t>(0, -*off));
+    breaks.push_back(std::min(n, n - *off));
+  }
+  std::sort(breaks.begin(), breaks.end());
+  breaks.erase(std::unique(breaks.begin(), breaks.end()), breaks.end());
+  for (std::size_t i = 0; i + 1 < breaks.size(); ++i) {
+    Band::Segment seg;
+    seg.begin = static_cast<std::size_t>(breaks[i]);
+    seg.end = static_cast<std::size_t>(breaks[i + 1]);
+    for (std::size_t d = 0; d < band.count; ++d) {
+      const std::ptrdiff_t off = band.offsets[d];
+      if (breaks[i] >= -off && breaks[i + 1] <= n - off) {
+        seg.diagonals[seg.count++] = d;
+      }
+    }
+    band.segments.push_back(seg);
+  }
+  band_ = std::move(band);
 }
 
 double CsrMatrix::at(std::size_t r, std::size_t c) const {
@@ -126,6 +202,10 @@ CsrMatrix CsrMatrix::deserialize(serial::Reader& r) {
   auto col_idx = r.u32_vector();
   auto values = r.f64_vector();
   if (!r.ok()) return {};
+  if (!valid_structure(rows, cols, row_ptr, col_idx, values.size())) {
+    r.poison("malformed CSR structure");
+    return {};
+  }
   return CsrMatrix(rows, cols, std::move(row_ptr), std::move(col_idx),
                    std::move(values));
 }

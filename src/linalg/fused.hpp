@@ -11,6 +11,12 @@
 // order — stable across pool sizes >= 2 like every other kernel, though the
 // chunk boundaries (and so the reassociation) may differ from the unfused
 // two-pass sequence.
+//
+// On a matrix with a banded copy (CsrMatrix::band(), every Poisson block)
+// spmv_residual_norm2 and spmv_dot build their row sums from that copy in a
+// loop that vectorizes across rows and folds the reduction in row order.
+// Every output and every chunk partial equals the CSR loop's bit for bit when
+// the operands are finite (DESIGN.md §9 "Banded row sums").
 #pragma once
 
 #include <cstddef>
@@ -35,6 +41,15 @@ double spmv_dot(const CsrMatrix& a, const Vector& x, Vector& y);
 /// vector_op_grain() exactly like the unfused pair, so the result matches it
 /// bit-for-bit at EVERY pool size, not just 1.
 double axpy_norm2(double alpha, const Vector& x, Vector& y);
+
+/// The CG update x += alpha p, r += (-alpha) ap in one pass over four
+/// distinct vectors; returns Σ r² afterwards. Replaces axpy() +
+/// axpy_norm2() + dot(r, r): with the identity
+/// preconditioner that sum is both ||r||² and the next r·z. Chunks by
+/// vector_op_grain() like the sequence it replaces, so it matches it bit for
+/// bit at every pool size (perf.simd off).
+double cg_update(double alpha, const Vector& p, const Vector& ap, Vector& x,
+                 Vector& r);
 
 /// Partial sums produced by one fused relaxation sweep.
 struct SweepStats {

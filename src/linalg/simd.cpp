@@ -43,11 +43,6 @@ void scale_scalar(double* x, double alpha, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) x[i] *= alpha;
 }
 
-void hadamard_scalar(const double* x, const double* y, double* out,
-                     std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = x[i] * y[i];
-}
-
 void sub_scalar(const double* a, const double* b, double* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = a[i] - b[i];
 }
@@ -127,16 +122,6 @@ __attribute__((target("sse2"))) void scale_sse2(double* x, double alpha,
     _mm_storeu_pd(x + i, _mm_mul_pd(_mm_loadu_pd(x + i), a));
   }
   for (; i < n; ++i) x[i] *= alpha;
-}
-
-__attribute__((target("sse2"))) void hadamard_sse2(const double* x,
-                                                   const double* y, double* out,
-                                                   std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(out + i, _mm_mul_pd(_mm_loadu_pd(x + i), _mm_loadu_pd(y + i)));
-  }
-  for (; i < n; ++i) out[i] = x[i] * y[i];
 }
 
 __attribute__((target("sse2"))) void sub_sse2(const double* a, const double* b,
@@ -236,17 +221,6 @@ __attribute__((target("avx2"))) void scale_avx2(double* x, double alpha,
   for (; i < n; ++i) x[i] *= alpha;
 }
 
-__attribute__((target("avx2"))) void hadamard_avx2(const double* x,
-                                                   const double* y, double* out,
-                                                   std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(
-        out + i, _mm256_mul_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i)));
-  }
-  for (; i < n; ++i) out[i] = x[i] * y[i];
-}
-
 __attribute__((target("avx2"))) void sub_avx2(const double* a, const double* b,
                                               double* out, std::size_t n) {
   std::size_t i = 0;
@@ -287,25 +261,24 @@ struct Ops {
   void (*axpy)(double, const double*, double*, std::size_t);
   void (*axpby)(double, const double*, double, double*, std::size_t);
   void (*scale)(double*, double, std::size_t);
-  void (*hadamard)(const double*, const double*, double*, std::size_t);
   void (*sub)(const double*, const double*, double*, std::size_t);
   double (*axpy_norm2sq)(double, const double*, double*, std::size_t);
 };
 
 constexpr Ops kScalarOps = {
-    dot_scalar,      axpy_scalar, axpby_scalar,       scale_scalar,
-    hadamard_scalar, sub_scalar,  axpy_norm2sq_scalar,
+    dot_scalar, axpy_scalar, axpby_scalar,
+    scale_scalar, sub_scalar, axpy_norm2sq_scalar,
 };
 
 #if defined(JACEPP_SIMD_X86)
 constexpr Ops kSse2Ops = {
-    dot_sse2,      axpy_sse2, axpby_sse2,        scale_sse2,
-    hadamard_sse2, sub_sse2,  axpy_norm2sq_sse2,
+    dot_sse2, axpy_sse2, axpby_sse2,
+    scale_sse2, sub_sse2, axpy_norm2sq_sse2,
 };
 
 constexpr Ops kAvx2Ops = {
-    dot_avx2,      axpy_avx2, axpby_avx2,        scale_avx2,
-    hadamard_avx2, sub_avx2,  axpy_norm2sq_avx2,
+    dot_avx2, axpy_avx2, axpby_avx2,
+    scale_avx2, sub_avx2, axpy_norm2sq_avx2,
 };
 #endif
 
@@ -393,10 +366,6 @@ void axpby(double alpha, const double* x, double beta, double* y,
 
 void scale(double* x, double alpha, std::size_t n) {
   active_ops().scale(x, alpha, n);
-}
-
-void hadamard(const double* x, const double* y, double* out, std::size_t n) {
-  active_ops().hadamard(x, y, out, n);
 }
 
 void sub(const double* a, const double* b, double* out, std::size_t n) {

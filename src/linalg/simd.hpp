@@ -16,7 +16,7 @@
 //     result is bitwise reproducible run to run. Results may differ from the
 //     scalar path only by floating-point reassociation across lanes; solvers
 //     see off-vs-on agreement at solver precision (tested).
-//   * element-wise kernels (axpy, axpby, scale, hadamard, sub) perform the
+//   * element-wise kernels (axpy, axpby, scale, sub) perform the
 //     exact per-element operations of the scalar loop — no reassociation is
 //     possible, so they stay bit-identical to scalar at every level.
 //
@@ -71,9 +71,6 @@ void axpby(double alpha, const double* x, double beta, double* y,
 
 /// x[i] *= alpha.
 void scale(double* x, double alpha, std::size_t n);
-
-/// out[i] = x[i] * y[i].
-void hadamard(const double* x, const double* y, double* out, std::size_t n);
 
 /// out[i] = a[i] - b[i].
 void sub(const double* a, const double* b, double* out, std::size_t n);

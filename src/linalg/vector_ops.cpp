@@ -151,26 +151,6 @@ double distance_inf(const Vector& x, const Vector& y) {
       [](double a, double b) { return std::max(a, b); });
 }
 
-void hadamard(const Vector& x, const Vector& y, Vector& out) {
-  JACEPP_ASSERT(x.size() == y.size());
-  out.resize(x.size());
-  const double* xs = x.data();
-  const double* ys = y.data();
-  double* os = out.data();
-  const bool vec = simd::active();
-  compute_pool().parallel_for(0, x.size(), vector_op_grain(),
-                              [=](std::size_t lo, std::size_t hi) {
-                                if (vec) {
-                                  simd::hadamard(xs + lo, ys + lo, os + lo,
-                                                 hi - lo);
-                                  return;
-                                }
-                                for (std::size_t i = lo; i < hi; ++i) {
-                                  os[i] = xs[i] * ys[i];
-                                }
-                              });
-}
-
 void scale(Vector& x, double alpha) {
   double* xs = x.data();
   const bool vec = simd::active();

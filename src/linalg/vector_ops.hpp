@@ -71,9 +71,6 @@ double distance2(const Vector& x, const Vector& y);
 /// ||x - y||_inf.
 double distance_inf(const Vector& x, const Vector& y);
 
-/// out[i] = x[i] * y[i] (sizes must match; out is resized).
-void hadamard(const Vector& x, const Vector& y, Vector& out);
-
 /// x *= alpha.
 void scale(Vector& x, double alpha);
 

@@ -223,6 +223,8 @@ class Writer {
   template <typename T>
   void append_le(const T* values, std::size_t count) {
     static_assert(std::is_trivially_copyable_v<T>);
+    // An empty vector's data() may be null, which memcpy must not receive.
+    if (count == 0) return;
     if constexpr (std::endian::native == std::endian::little) {
       const std::size_t old = buffer_.size();
       buffer_.resize(old + count * sizeof(T));
@@ -254,6 +256,14 @@ class Reader {
   [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
   [[nodiscard]] bool exhausted() const { return pos_ == size_; }
   [[nodiscard]] const std::string& error() const { return error_; }
+
+  /// Marks the input malformed: ok() turns false and every later read
+  /// returns a zero value. Hand-written deserializers call it when the
+  /// fields decode but do not fit together.
+  void poison(const char* why) {
+    ok_ = false;
+    error_ = why;
+  }
 
   std::uint8_t u8() {
     if (!require(1)) return 0;
@@ -431,6 +441,7 @@ class Reader {
       poison("vector length exceeds payload");
       return {};
     }
+    if (len == 0) return {};  // memcpy must not receive an empty data()
     Vec v(static_cast<std::size_t>(len));
     if constexpr (std::endian::native == std::endian::little) {
       std::memcpy(v.data(), data_ + pos_, v.size() * sizeof(T));
@@ -456,11 +467,6 @@ class Reader {
       return false;
     }
     return true;
-  }
-
-  void poison(const char* why) {
-    ok_ = false;
-    error_ = why;
   }
 
   const std::uint8_t* data_;

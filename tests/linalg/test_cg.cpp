@@ -75,27 +75,6 @@ TEST(Cg, RespectsIterationCap) {
   EXPECT_EQ(result.iterations, 3u);
 }
 
-TEST(Cg, JacobiPreconditionerConvergesToSameSolution) {
-  const std::size_t n = 64;
-  const auto a = poisson::assemble_laplacian(8);
-  Rng rng(3);
-  Vector exact(n);
-  for (auto& v : exact) v = rng.uniform(-1, 1);
-  Vector b;
-  a.multiply(exact, b);
-
-  Vector plain;
-  Vector precond;
-  CgOptions opt;
-  opt.tolerance = 1e-12;
-  opt.max_iterations = 500;
-  EXPECT_TRUE(conjugate_gradient(a, b, plain, opt).converged);
-  opt.jacobi_preconditioner = true;
-  EXPECT_TRUE(conjugate_gradient(a, b, precond, opt).converged);
-  EXPECT_LT(distance_inf(plain, exact), 1e-7);
-  EXPECT_LT(distance_inf(precond, exact), 1e-7);
-}
-
 TEST(Cg, ResidualNormMatchesActualResidual) {
   const auto a = tridiag_spd(40);
   Vector b(40, 1.0);

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "serial/serial.hpp"
 #include "support/rng.hpp"
 
 namespace jacepp::linalg {
@@ -141,6 +146,70 @@ TEST(Csr, SerializationRoundTrip) {
   EXPECT_EQ(b.row_ptr(), a.row_ptr());
   EXPECT_EQ(b.col_idx(), a.col_idx());
   EXPECT_EQ(b.values(), a.values());
+}
+
+/// The wire fields of a CSR matrix, encoded as given, valid or not.
+serial::Bytes encode_fields(std::uint64_t rows, std::uint64_t cols,
+                            const std::vector<std::uint32_t>& row_ptr,
+                            const std::vector<std::uint32_t>& col_idx,
+                            const std::vector<double>& values) {
+  serial::Writer w;
+  w.varint(rows);
+  w.varint(cols);
+  w.u32_vector(row_ptr);
+  w.u32_vector(col_idx);
+  w.f64_vector(values);
+  return w.take();
+}
+
+/// Whether the reader accepts the bytes as a matrix; a rejected matrix must
+/// fail the reader, never abort or read out of bounds.
+bool decodes(const serial::Bytes& bytes) {
+  serial::Reader reader(bytes);
+  const auto a = reader.object<CsrMatrix>();
+  if (!reader.ok()) {
+    EXPECT_EQ(a.rows(), 0u);
+  }
+  return reader.ok();
+}
+
+TEST(Csr, DeserializeRejectsMalformedStructure) {
+  // small_matrix()'s arrays.
+  const std::vector<std::uint32_t> row_ptr = {0, 2, 5, 7};
+  const std::vector<std::uint32_t> cols = {0, 1, 0, 1, 2, 1, 2};
+  const std::vector<double> vals = {2, -1, -1, 2, -1, -1, 2};
+  ASSERT_TRUE(decodes(encode_fields(3, 3, row_ptr, cols, vals)));
+
+  // Truncated: every strict prefix of a valid encoding.
+  const serial::Bytes valid = serial::encode(small_matrix());
+  for (std::size_t len = 0; len < valid.size(); ++len) {
+    EXPECT_FALSE(decodes(serial::Bytes(valid.begin(), valid.begin() + len)))
+        << "prefix " << len;
+  }
+
+  // Row pointers: one per row plus one, from 0, never decreasing, to nnz.
+  EXPECT_FALSE(decodes(encode_fields(2, 3, row_ptr, cols, vals)));
+  EXPECT_FALSE(decodes(encode_fields(3, 3, {0, 2, 7}, cols, vals)));
+  EXPECT_FALSE(decodes(encode_fields(std::numeric_limits<std::uint64_t>::max(),
+                                     3, {}, {}, {})));
+  EXPECT_FALSE(decodes(encode_fields(3, 3, {1, 2, 5, 7}, cols, vals)));
+  EXPECT_FALSE(decodes(encode_fields(3, 3, {0, 5, 2, 7}, cols, vals)));
+  EXPECT_FALSE(decodes(encode_fields(3, 3, {0, 9, 5, 7}, cols, vals)));
+  EXPECT_FALSE(decodes(encode_fields(3, 3, {0, 2, 5, 6}, cols, vals)));
+  EXPECT_FALSE(decodes(encode_fields(3, 3, {0, 2, 5, 9}, cols, vals)));
+
+  // Columns: one per value, each below cols.
+  EXPECT_FALSE(decodes(encode_fields(3, 3, row_ptr, {0, 1, 0, 1, 2, 1}, vals)));
+  for (const std::uint32_t bad : {3u, 0xffffffffu}) {
+    std::vector<std::uint32_t> out_of_range = cols;
+    out_of_range[4] = bad;
+    EXPECT_FALSE(decodes(encode_fields(3, 3, row_ptr, out_of_range, vals)))
+        << "column " << bad;
+  }
+  // The same columns fit a wider matrix.
+  std::vector<std::uint32_t> wide = cols;
+  wide[4] = 3;
+  EXPECT_TRUE(decodes(encode_fields(3, 4, row_ptr, wide, vals)));
 }
 
 TEST(Csr, EmptyRowsHandled) {

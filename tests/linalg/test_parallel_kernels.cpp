@@ -77,7 +77,7 @@ TEST_P(ParallelKernelParity, VectorReductionsMatchSerial) {
 }
 
 TEST_P(ParallelKernelParity, ElementwiseKernelsAreExact) {
-  // axpy/axpby/hadamard/scale/fill touch disjoint elements — parallel runs
+  // axpy/axpby/scale/fill touch disjoint elements — parallel runs
   // must be bit-identical to serial at any pool size.
   ThreadPool pool(GetParam());
   ScopedComputePool scoped(pool);
@@ -96,11 +96,6 @@ TEST_P(ParallelKernelParity, ElementwiseKernelsAreExact) {
     }
     axpby(-1.5, x, 0.25, y);
     EXPECT_EQ(y, expected) << "axpby n=" << n;
-
-    Vector prod;
-    hadamard(x, y, prod);
-    ASSERT_EQ(prod.size(), n);
-    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(prod[i], x[i] * y[i]);
   }
 }
 

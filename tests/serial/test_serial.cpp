@@ -101,9 +101,12 @@ TEST(Serial, F64VectorRoundTrip) {
   std::vector<double> v{1.0, -2.5, 3.14159, 0.0, 1e-300};
   Writer w;
   w.f64_vector(v);
+  w.f64_vector(std::vector<double>{});  // empty: data() may be null
   Reader r(w.data());
   EXPECT_EQ(r.f64_vector(), v);
+  EXPECT_TRUE(r.f64_vector().empty());
   EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(r.exhausted());
 }
 
 TEST(Serial, IntegerVectorsRoundTrip) {
@@ -112,10 +115,15 @@ TEST(Serial, IntegerVectorsRoundTrip) {
   Writer w;
   w.u32_vector(v32);
   w.u64_vector(v64);
+  w.u32_vector({});
+  w.u64_vector({});
   Reader r(w.data());
   EXPECT_EQ(r.u32_vector(), v32);
   EXPECT_EQ(r.u64_vector(), v64);
+  EXPECT_TRUE(r.u32_vector().empty());
+  EXPECT_TRUE(r.u64_vector().empty());
   EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(r.exhausted());
 }
 
 TEST(Serial, ReadPastEndPoisons) {
