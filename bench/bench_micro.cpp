@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <utility>
@@ -14,8 +15,10 @@
 #include "linalg/csr_sell.hpp"
 #include "linalg/fused.hpp"
 #include "linalg/simd.hpp"
+#include "core/daemon.hpp"
 #include "core/last_heard.hpp"
 #include "core/messages.hpp"
+#include "net/env.hpp"
 #include "net/message.hpp"
 #include "poisson/block_task.hpp"
 #include "poisson/poisson.hpp"
@@ -535,6 +538,47 @@ void BM_MessageEncodeDecode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MessageEncodeDecode);
+
+/// Env that drops everything an actor asks of it.
+class NullEnv : public net::Env {
+ public:
+  [[nodiscard]] double now() const override { return 0.0; }
+  [[nodiscard]] net::Stub self() const override {
+    return net::Stub{2, 1, net::EntityKind::Daemon};
+  }
+  void send(const net::Stub&, net::Message) override {}
+  net::TimerId schedule(double, std::function<void()>) override { return 0; }
+  void cancel(net::TimerId) override {}
+  void compute(std::function<double()>, std::function<void()>) override {}
+  Rng& rng() override { return rng_; }
+  void shutdown_self() override {}
+
+ private:
+  Rng rng_{1};
+};
+
+// One message's whole trip into an actor: make it, copy it (the transport's
+// capture), and dispatch the copy through the receiving class's table. Arg 0
+// is a HeartbeatAck, whose body is empty; 768 is a TaskData carrying one
+// n = 96 halo line (96 doubles), decoded into the handler's payload.
+void BM_MessageRoundTrip(benchmark::State& state) {
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  NullEnv env;
+  core::Daemon daemon({net::Stub{1, 0, net::EntityKind::SuperPeer}});
+  daemon.on_start(env);
+  core::msg::TaskData data;
+  data.payload.assign(bytes, 0x5a);
+  for (auto _ : state) {
+    const net::Message m = bytes == 0
+                               ? net::make_message(core::msg::HeartbeatAck{})
+                               : net::make_message(data);
+    const net::Message capture = m;
+    benchmark::DoNotOptimize(
+        core::Daemon::table().dispatch(daemon, capture, env));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_MessageRoundTrip)->Arg(0)->Arg(768);
 
 void BM_BlockingQueueThroughput(benchmark::State& state) {
   for (auto _ : state) {

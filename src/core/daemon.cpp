@@ -18,188 +18,31 @@ Daemon::Daemon(std::vector<net::Stub> bootstrap_addresses, TimingConfig timing,
   JACEPP_CHECK(!bootstrap_addresses_.empty(),
                "Daemon needs at least one super-peer bootstrap address");
   backup_store_.set_byte_budget(timing_.backup_byte_budget);
+}
 
-  dispatcher_.on<msg::RegisterAck>(
-      [this](const msg::RegisterAck& m, const net::Message&, net::Env&) {
-        if (state_ == State::Bootstrapping) enter_registered(m.super_peer);
-      });
-  dispatcher_.on<msg::HeartbeatAck>(
-      [this](const msg::HeartbeatAck&, const net::Message& raw, net::Env& env) {
-        if (state_ == State::Registered && raw.from == super_peer_) {
-          last_sp_ack_ = env.now();
-        }
-      });
-  dispatcher_.on<msg::Reserved>(
-      [this](const msg::Reserved& m, const net::Message&, net::Env&) {
-        // Accept from Registered (normal) and Bootstrapping (the ack that
-        // would have moved us to Registered may have been lost).
-        if (state_ == State::Registered || state_ == State::Bootstrapping) {
-          set_state(State::Reserved);
-          reserving_spawner_ = m.spawner;
-          bump_epoch();
-          // Fallback: a reservation that never turns into a task means the
-          // spawner died or moved on; rejoin the available pool.
-          const std::uint64_t epoch = epoch_;
-          env_->schedule(timing_.reserved_timeout, [this, epoch] {
-            if (epoch == epoch_ && state_ == State::Reserved) begin_bootstrap();
-          });
-        }
-      });
-  dispatcher_.on<msg::TaskAssignment>(
-      [this](const msg::TaskAssignment& m, const net::Message&, net::Env&) {
-        handle_assignment(m);
-      });
-  dispatcher_.on<msg::RegisterUpdate>(
-      [this](const msg::RegisterUpdate& m, const net::Message&, net::Env&) {
-        if (state_ == State::Computing && m.reg.app_id == app_.app_id &&
-            m.reg.version > reg_.version) {
-          // A backup peer whose daemon was replaced lost its chain; its next
-          // frame must be a fresh baseline, not a delta it cannot apply.
-          if (encoder_.has_value()) {
-            for (std::size_t i = 0; i < backup_peers_.size(); ++i) {
-              if (m.reg.daemon_of(backup_peers_[i]) !=
-                  reg_.daemon_of(backup_peers_[i])) {
-                encoder_->mark_needs_full(i);
-              }
-            }
-          }
-          reg_ = m.reg;
-        }
-      });
-  dispatcher_.on<msg::TaskData>(
-      [this](const msg::TaskData& m, const net::Message&, net::Env&) {
-        // Dependency data is accepted whenever the task object exists (also
-        // during restore, so a replacement starts with fresh neighbour data).
-        if (task_ != nullptr && m.app_id == app_.app_id && m.to_task == task_id_) {
-          task_->on_data(m.from_task, m.iteration, m.payload);
-        }
-      });
-  dispatcher_.on<msg::SaveBackup>(
-      [this](const msg::SaveBackup& m, const net::Message& raw, net::Env& env) {
-        if (finished_apps_.count(m.app_id) != 0) return;  // app already halted
-        const auto result =
-            backup_store_.store_frame(m.app_id, m.task_id, m.iteration, m.state);
-        // NACK-only: frames that extend the chain are absorbed silently (the
-        // common case stays one message per save, like the paper's jaceSave);
-        // only an unusable frame — gap, unknown baseline, corruption — makes
-        // the holder ask for a rebase.
-        if (result.needs_full) {
-          msg::BackupAck ack;
-          ack.app_id = m.app_id;
-          ack.task_id = m.task_id;
-          ack.ok = result.accepted;
-          ack.needs_full = true;
-          rmi::invoke(env, raw.from, ack);
-        }
-      });
-  dispatcher_.on<msg::BackupAck>(
-      [this](const msg::BackupAck& m, const net::Message& raw, net::Env&) {
-        if (state_ != State::Computing || !encoder_.has_value() ||
-            m.app_id != app_.app_id || m.task_id != task_id_ || !m.needs_full) {
-          return;
-        }
-        for (std::size_t i = 0; i < backup_peers_.size(); ++i) {
-          if (reg_.daemon_of(backup_peers_[i]) == raw.from) {
-            encoder_->mark_needs_full(i);
-          }
-        }
-      });
-  dispatcher_.on<msg::QueryBackup>(
-      [this](const msg::QueryBackup& m, const net::Message& raw, net::Env& env) {
-        const BackupStore::Entry* entry = backup_store_.find(m.app_id, m.task_id);
-        msg::BackupInfo info;
-        info.app_id = m.app_id;
-        info.task_id = m.task_id;
-        info.available = entry != nullptr;
-        info.iteration = entry != nullptr ? entry->iteration : 0;
-        rmi::invoke(env, raw.from, info);
-      });
-  dispatcher_.on<msg::FetchBackup>(
-      [this](const msg::FetchBackup& m, const net::Message& raw, net::Env& env) {
-        const BackupStore::Entry* entry = backup_store_.find(m.app_id, m.task_id);
-        const std::uint64_t iteration = entry != nullptr ? entry->iteration : 0;
-        // Rollback reconstruction: replay baseline + delta chain into the
-        // newest full state. A broken/corrupt chain drops the entry and the
-        // restarter is told to fall back (it re-queries the other holders).
-        auto state = entry != nullptr
-                         ? backup_store_.materialize(m.app_id, m.task_id)
-                         : std::nullopt;
-        if (state.has_value()) {
-          msg::BackupData data;
-          data.app_id = m.app_id;
-          data.task_id = m.task_id;
-          data.iteration = iteration;
-          data.state = std::move(*state);
-          rmi::invoke(env, raw.from, data);
-        } else {
-          // The checkpoint vanished between query and fetch (holder restart,
-          // eviction, broken chain); tell the restarter so it can fall back.
-          msg::BackupInfo info;
-          info.app_id = m.app_id;
-          info.task_id = m.task_id;
-          info.available = false;
-          rmi::invoke(env, raw.from, info);
-        }
-      });
-  dispatcher_.on<msg::BackupInfo>(
-      [this](const msg::BackupInfo& m, const net::Message& raw, net::Env&) {
-        if (m.app_id != app_.app_id || m.task_id != task_id_) return;
-        if (restore_phase_ == RestorePhase::Querying && m.available &&
-            (!best_backup_available_ || m.iteration > best_backup_iteration_)) {
-          best_backup_available_ = true;
-          best_backup_iteration_ = m.iteration;
-          best_backup_holder_ = raw.from;
-        } else if (restore_phase_ == RestorePhase::Fetching && !m.available &&
-                   raw.from == best_backup_holder_) {
-          // The chosen holder's chain turned out broken (or it lost the
-          // checkpoint since the query); fall back instead of waiting for
-          // the fetch timeout.
-          fetch_failed();
-        }
-      });
-  dispatcher_.on<msg::BackupData>(
-      [this](const msg::BackupData& m, const net::Message&, net::Env&) {
-        if (restore_phase_ == RestorePhase::Fetching && m.app_id == app_.app_id &&
-            m.task_id == task_id_) {
-          restore_phase_ = RestorePhase::None;
-          task_->restore(m.state);
-          iteration_ = m.iteration;
-          tracker_->reset();
-          ++restores_from_backup_;
-          JACEPP_LOG(Info, "daemon", "task %u restored from backup at iteration %llu",
-                     task_id_, static_cast<unsigned long long>(m.iteration));
-          start_iterating();
-        }
-      });
-  dispatcher_.on<msg::GlobalHalt>(
-      [this](const msg::GlobalHalt& m, const net::Message&, net::Env&) {
-        handle_halt(m);
-      });
-  dispatcher_.on<msg::WaveToken>(
-      [this](const msg::WaveToken& m, const net::Message&, net::Env&) {
-        handle_wave_token(m);
-      });
-  dispatcher_.on<msg::AuditChallenge>(
-      [this](const msg::AuditChallenge& m, const net::Message& raw,
-             net::Env& env) { handle_audit_challenge(m, raw, env); });
-  dispatcher_.on<msg::BackupPlacement>(
-      [this](const msg::BackupPlacement& m, const net::Message&, net::Env&) {
-        apply_backup_placement(m);
-      });
-  dispatcher_.on<msg::StateProbe>(
-      [this](const msg::StateProbe& m, const net::Message& raw, net::Env& env) {
-        // A standby spawner rebuilding its convergence board after adopting
-        // the application (DESIGN.md §13) asks for an absolute state report.
-        if (state_ != State::Computing || halted_ || m.app_id != app_.app_id) {
-          return;
-        }
-        msg::LocalStateReport report;
-        report.app_id = app_.app_id;
-        report.task_id = task_id_;
-        report.stable = tracker_.has_value() && tracker_->stable();
-        report.iteration = iteration_;
-        rmi::invoke(env, raw.from, report);
-      });
+const rmi::Table<Daemon>& Daemon::table() {
+  static const rmi::Table<Daemon> table = [] {
+    rmi::Table<Daemon> t;
+    t.on<msg::RegisterAck, &Daemon::handle_register_ack>();
+    t.on<msg::HeartbeatAck, &Daemon::handle_heartbeat_ack>();
+    t.on<msg::Reserved, &Daemon::handle_reserved>();
+    t.on<msg::TaskAssignment, &Daemon::handle_assignment>();
+    t.on<msg::RegisterUpdate, &Daemon::handle_register_update>();
+    t.on<msg::TaskData, &Daemon::handle_task_data>();
+    t.on<msg::SaveBackup, &Daemon::handle_save_backup>();
+    t.on<msg::BackupAck, &Daemon::handle_backup_ack>();
+    t.on<msg::QueryBackup, &Daemon::handle_query_backup>();
+    t.on<msg::FetchBackup, &Daemon::handle_fetch_backup>();
+    t.on<msg::BackupInfo, &Daemon::handle_backup_info>();
+    t.on<msg::BackupData, &Daemon::handle_backup_data>();
+    t.on<msg::GlobalHalt, &Daemon::handle_halt>();
+    t.on<msg::WaveToken, &Daemon::handle_wave_token>();
+    t.on<msg::AuditChallenge, &Daemon::handle_audit_challenge>();
+    t.on<msg::BackupPlacement, &Daemon::handle_backup_placement>();
+    t.on<msg::StateProbe, &Daemon::handle_state_probe>();
+    return t;
+  }();
+  return table;
 }
 
 std::uint32_t Daemon::waves_launched() const {
@@ -212,7 +55,7 @@ void Daemon::on_start(net::Env& env) {
 }
 
 void Daemon::on_message(const net::Message& message, net::Env& env) {
-  dispatcher_.dispatch(message, env);
+  table().dispatch(*this, message, env);
 }
 
 void Daemon::on_stop(net::Env& /*env*/) {}
@@ -270,12 +113,55 @@ void Daemon::enter_registered(const net::Stub& super_peer) {
   });
 }
 
+void Daemon::handle_register_ack(const msg::RegisterAck& m, const net::Message&,
+                                 net::Env&) {
+  if (state_ == State::Bootstrapping) enter_registered(m.super_peer);
+}
+
+void Daemon::handle_heartbeat_ack(const msg::HeartbeatAck&,
+                                  const net::Message& raw, net::Env& env) {
+  if (state_ == State::Registered && raw.from == super_peer_) {
+    last_sp_ack_ = env.now();
+  }
+}
+
+void Daemon::handle_reserved(const msg::Reserved& m, const net::Message&,
+                             net::Env&) {
+  // Accept from Registered (normal) and Bootstrapping (the ack that would
+  // have moved us to Registered may have been lost).
+  if (state_ == State::Registered || state_ == State::Bootstrapping) {
+    set_state(State::Reserved);
+    reserving_spawner_ = m.spawner;
+    bump_epoch();
+    // Fallback: a reservation that never turns into a task means the spawner
+    // died or moved on (or sent a program this daemon cannot run); rejoin
+    // the available pool.
+    const std::uint64_t epoch = epoch_;
+    env_->schedule(timing_.reserved_timeout, [this, epoch] {
+      if (epoch == epoch_ && state_ == State::Reserved) begin_bootstrap();
+    });
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Computing
 // ---------------------------------------------------------------------------
 
-void Daemon::handle_assignment(const msg::TaskAssignment& m) {
+void Daemon::handle_assignment(const msg::TaskAssignment& m,
+                               const net::Message&, net::Env&) {
   if (state_ == State::Computing) return;  // duplicate assignment
+  // The program name comes from a peer: refuse one this daemon cannot run
+  // before touching any state, so a Reserved daemon's reserved_timeout still
+  // returns it to the pool.
+  std::unique_ptr<Task> task =
+      TaskProgramRegistry::instance().create(m.app.program);
+  if (task == nullptr) {
+    JACEPP_LOG(Warn, "daemon",
+               "%s refused task %u of app %u: unknown program '%s'",
+               env_->self().to_debug_string().c_str(), m.task_id,
+               m.app.app_id, m.app.program.c_str());
+    return;
+  }
   set_state(State::Computing);
   bump_epoch();
 
@@ -307,8 +193,7 @@ void Daemon::handle_assignment(const msg::TaskAssignment& m) {
   iterations_since_checkpoint_ = 0;
   iter_cost_ewma_ = 0.0;
 
-  task_ = TaskProgramRegistry::instance().create(app_.program);
-  JACEPP_CHECK(task_ != nullptr, "unknown task program in assignment");
+  task_ = std::move(task);
   task_->init(app_, task_id_);
 
   // Compute–comm overlap (`perf.early_send`): data the task publishes from
@@ -359,6 +244,33 @@ void Daemon::handle_assignment(const msg::TaskAssignment& m) {
     begin_restore();
   } else {
     start_iterating();
+  }
+}
+
+void Daemon::handle_register_update(const msg::RegisterUpdate& m,
+                                    const net::Message&, net::Env&) {
+  if (state_ == State::Computing && m.reg.app_id == app_.app_id &&
+      m.reg.version > reg_.version) {
+    // A backup peer whose daemon was replaced lost its chain; its next frame
+    // must be a fresh baseline, not a delta it cannot apply.
+    if (encoder_.has_value()) {
+      for (std::size_t i = 0; i < backup_peers_.size(); ++i) {
+        if (m.reg.daemon_of(backup_peers_[i]) !=
+            reg_.daemon_of(backup_peers_[i])) {
+          encoder_->mark_needs_full(i);
+        }
+      }
+    }
+    reg_ = m.reg;
+  }
+}
+
+void Daemon::handle_task_data(const msg::TaskData& m, const net::Message&,
+                              net::Env&) {
+  // Dependency data is accepted whenever the task object exists (also during
+  // restore, so a replacement starts with fresh neighbour data).
+  if (task_ != nullptr && m.app_id == app_.app_id && m.to_task == task_id_) {
+    task_->on_data(m.from_task, m.iteration, m.payload);
   }
 }
 
@@ -578,10 +490,117 @@ void Daemon::do_checkpoint() {
 }
 
 // ---------------------------------------------------------------------------
+// Backups (§5.4): holding neighbours' checkpoints, and the restore replies
+// ---------------------------------------------------------------------------
+
+void Daemon::handle_save_backup(const msg::SaveBackup& m,
+                                const net::Message& raw, net::Env& env) {
+  if (finished_apps_.count(m.app_id) != 0) return;  // app already halted
+  const auto result =
+      backup_store_.store_frame(m.app_id, m.task_id, m.iteration, m.state);
+  // NACK-only: frames that extend the chain are absorbed silently (the common
+  // case stays one message per save, like the paper's jaceSave); only an
+  // unusable frame — gap, unknown baseline, corruption — makes the holder ask
+  // for a rebase.
+  if (result.needs_full) {
+    msg::BackupAck ack;
+    ack.app_id = m.app_id;
+    ack.task_id = m.task_id;
+    ack.ok = result.accepted;
+    ack.needs_full = true;
+    rmi::invoke(env, raw.from, ack);
+  }
+}
+
+void Daemon::handle_backup_ack(const msg::BackupAck& m, const net::Message& raw,
+                               net::Env&) {
+  if (state_ != State::Computing || !encoder_.has_value() ||
+      m.app_id != app_.app_id || m.task_id != task_id_ || !m.needs_full) {
+    return;
+  }
+  for (std::size_t i = 0; i < backup_peers_.size(); ++i) {
+    if (reg_.daemon_of(backup_peers_[i]) == raw.from) {
+      encoder_->mark_needs_full(i);
+    }
+  }
+}
+
+void Daemon::handle_query_backup(const msg::QueryBackup& m,
+                                 const net::Message& raw, net::Env& env) {
+  const BackupStore::Entry* entry = backup_store_.find(m.app_id, m.task_id);
+  msg::BackupInfo info;
+  info.app_id = m.app_id;
+  info.task_id = m.task_id;
+  info.available = entry != nullptr;
+  info.iteration = entry != nullptr ? entry->iteration : 0;
+  rmi::invoke(env, raw.from, info);
+}
+
+void Daemon::handle_fetch_backup(const msg::FetchBackup& m,
+                                 const net::Message& raw, net::Env& env) {
+  const BackupStore::Entry* entry = backup_store_.find(m.app_id, m.task_id);
+  const std::uint64_t iteration = entry != nullptr ? entry->iteration : 0;
+  // Rollback reconstruction: replay baseline + delta chain into the newest
+  // full state. A broken/corrupt chain drops the entry and the restarter is
+  // told to fall back (it re-queries the other holders).
+  auto state = entry != nullptr
+                   ? backup_store_.materialize(m.app_id, m.task_id)
+                   : std::nullopt;
+  if (state.has_value()) {
+    msg::BackupData data;
+    data.app_id = m.app_id;
+    data.task_id = m.task_id;
+    data.iteration = iteration;
+    data.state = std::move(*state);
+    rmi::invoke(env, raw.from, data);
+  } else {
+    // The checkpoint vanished between query and fetch (holder restart,
+    // eviction, broken chain); tell the restarter so it can fall back.
+    msg::BackupInfo info;
+    info.app_id = m.app_id;
+    info.task_id = m.task_id;
+    info.available = false;
+    rmi::invoke(env, raw.from, info);
+  }
+}
+
+void Daemon::handle_backup_info(const msg::BackupInfo& m,
+                                const net::Message& raw, net::Env&) {
+  if (m.app_id != app_.app_id || m.task_id != task_id_) return;
+  if (restore_phase_ == RestorePhase::Querying && m.available &&
+      (!best_backup_available_ || m.iteration > best_backup_iteration_)) {
+    best_backup_available_ = true;
+    best_backup_iteration_ = m.iteration;
+    best_backup_holder_ = raw.from;
+  } else if (restore_phase_ == RestorePhase::Fetching && !m.available &&
+             raw.from == best_backup_holder_) {
+    // The chosen holder's chain turned out broken (or it lost the checkpoint
+    // since the query); fall back instead of waiting for the fetch timeout.
+    fetch_failed();
+  }
+}
+
+void Daemon::handle_backup_data(const msg::BackupData& m, const net::Message&,
+                                net::Env&) {
+  if (restore_phase_ == RestorePhase::Fetching && m.app_id == app_.app_id &&
+      m.task_id == task_id_) {
+    restore_phase_ = RestorePhase::None;
+    task_->restore(m.state);
+    iteration_ = m.iteration;
+    tracker_->reset();
+    ++restores_from_backup_;
+    JACEPP_LOG(Info, "daemon", "task %u restored from backup at iteration %llu",
+               task_id_, static_cast<unsigned long long>(m.iteration));
+    start_iterating();
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Diffusion-wave convergence detection (cp.diffusion; DESIGN.md §13)
 // ---------------------------------------------------------------------------
 
-void Daemon::handle_wave_token(const msg::WaveToken& m) {
+void Daemon::handle_wave_token(const msg::WaveToken& m, const net::Message&,
+                               net::Env&) {
   if (!cp_.diffusion || state_ != State::Computing || halted_ ||
       finalize_only_ || m.app_id != app_.app_id || m.to_task != task_id_) {
     return;
@@ -667,7 +686,23 @@ void Daemon::send_verdict() {
   rmi::invoke(*env_, reg_.spawner, verdict);
 }
 
-void Daemon::handle_halt(const msg::GlobalHalt& m) {
+void Daemon::handle_state_probe(const msg::StateProbe& m,
+                                const net::Message& raw, net::Env& env) {
+  // A standby spawner rebuilding its convergence board after adopting the
+  // application (DESIGN.md §13) asks for an absolute state report.
+  if (state_ != State::Computing || halted_ || m.app_id != app_.app_id) {
+    return;
+  }
+  msg::LocalStateReport report;
+  report.app_id = app_.app_id;
+  report.task_id = task_id_;
+  report.stable = tracker_.has_value() && tracker_->stable();
+  report.iteration = iteration_;
+  rmi::invoke(env, raw.from, report);
+}
+
+void Daemon::handle_halt(const msg::GlobalHalt& m, const net::Message&,
+                         net::Env&) {
   // finalize_only daemons answer with FinalState on their own schedule; a
   // re-broadcast halt must not interrupt their restore.
   if (state_ != State::Computing || m.app_id != app_.app_id || halted_ ||
@@ -735,7 +770,8 @@ void Daemon::handle_audit_challenge(const msg::AuditChallenge& m,
       });
 }
 
-void Daemon::apply_backup_placement(const msg::BackupPlacement& m) {
+void Daemon::handle_backup_placement(const msg::BackupPlacement& m,
+                                     const net::Message&, net::Env&) {
   if (state_ != State::Computing || m.app_id != app_.app_id || finalize_only_) {
     return;
   }

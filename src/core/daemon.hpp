@@ -53,6 +53,9 @@ class Daemon : public net::Actor {
   void on_message(const net::Message& message, net::Env& env) override;
   void on_stop(net::Env& env) override;
 
+  /// The message handlers every Daemon dispatches through (built once).
+  static const rmi::Table<Daemon>& table();
+
   // --- Introspection (sim harness / post-shutdown) ---
   [[nodiscard]] State state() const { return state_; }
 
@@ -94,8 +97,44 @@ class Daemon : public net::Actor {
   // Registered-state heartbeating and SP failure detection (§5.3).
   void enter_registered(const net::Stub& super_peer);
 
+  // Message handlers (table()); each takes the decoded payload, the raw
+  // envelope and the Env it arrived on.
+  void handle_register_ack(const msg::RegisterAck& m, const net::Message& raw,
+                           net::Env& env);
+  void handle_heartbeat_ack(const msg::HeartbeatAck& m,
+                            const net::Message& raw, net::Env& env);
+  void handle_reserved(const msg::Reserved& m, const net::Message& raw,
+                       net::Env& env);
+  void handle_assignment(const msg::TaskAssignment& m, const net::Message& raw,
+                         net::Env& env);
+  void handle_register_update(const msg::RegisterUpdate& m,
+                              const net::Message& raw, net::Env& env);
+  void handle_task_data(const msg::TaskData& m, const net::Message& raw,
+                        net::Env& env);
+  void handle_save_backup(const msg::SaveBackup& m, const net::Message& raw,
+                          net::Env& env);
+  void handle_backup_ack(const msg::BackupAck& m, const net::Message& raw,
+                         net::Env& env);
+  void handle_query_backup(const msg::QueryBackup& m, const net::Message& raw,
+                           net::Env& env);
+  void handle_fetch_backup(const msg::FetchBackup& m, const net::Message& raw,
+                           net::Env& env);
+  void handle_backup_info(const msg::BackupInfo& m, const net::Message& raw,
+                          net::Env& env);
+  void handle_backup_data(const msg::BackupData& m, const net::Message& raw,
+                          net::Env& env);
+  void handle_halt(const msg::GlobalHalt& m, const net::Message& raw,
+                   net::Env& env);
+  void handle_wave_token(const msg::WaveToken& m, const net::Message& raw,
+                         net::Env& env);
+  void handle_audit_challenge(const msg::AuditChallenge& m,
+                              const net::Message& raw, net::Env& env);
+  void handle_backup_placement(const msg::BackupPlacement& m,
+                               const net::Message& raw, net::Env& env);
+  void handle_state_probe(const msg::StateProbe& m, const net::Message& raw,
+                          net::Env& env);
+
   // Computing.
-  void handle_assignment(const msg::TaskAssignment& m);
   void begin_restore();
   void decide_restore();
   void fetch_failed();
@@ -104,17 +143,10 @@ class Daemon : public net::Actor {
   void run_iteration();
   void finish_iteration();
   void do_checkpoint();
-  void handle_halt(const msg::GlobalHalt& m);
   void teardown_task();
-
-  // Fault-model defenses (DESIGN.md §14).
-  void handle_audit_challenge(const msg::AuditChallenge& m,
-                              const net::Message& raw, net::Env& env);
-  void apply_backup_placement(const msg::BackupPlacement& m);
 
   // Diffusion-wave convergence detection (DESIGN.md §13; only with
   // cp_.diffusion).
-  void handle_wave_token(const msg::WaveToken& m);
   void maybe_forward_wave();
   void forward_wave(msg::WaveToken token);
   void launch_wave();
@@ -127,7 +159,6 @@ class Daemon : public net::Actor {
   PerfConfig perf_;
   ControlPlaneConfig cp_;
   std::vector<net::Stub> bootstrap_addresses_;
-  rmi::Dispatcher dispatcher_;
   net::Env* env_ = nullptr;
 
   void set_state(State s) {

@@ -26,75 +26,21 @@ Spawner::Spawner(AppDescriptor app, std::vector<net::Stub> bootstrap_addresses,
   report_.final_iterations.assign(app_.task_count, 0);
   report_.final_informative_iterations.assign(app_.task_count, 0);
   report_.final_payloads.assign(app_.task_count, {});
+}
 
-  dispatcher_.on<msg::ReserveReply>(
-      [this](const msg::ReserveReply& m, const net::Message&, net::Env&) {
-        handle_reserve_reply(m);
-      });
-  dispatcher_.on<msg::Heartbeat>(
-      [this](const msg::Heartbeat&, const net::Message& raw, net::Env& env) {
-        const auto it = task_of_daemon_.find(raw.from);
-        if (it != task_of_daemon_.end()) {
-          if (rep_.enabled) {
-            // First heartbeat after an assignment doubles as a speed probe:
-            // its latency reflects queueing + wire + the daemon's own load.
-            const auto ack = awaiting_first_heartbeat_.find(it->second);
-            if (ack != awaiting_first_heartbeat_.end()) {
-              const double norm = 1.0 / (1.0 + (env.now() - ack->second));
-              local_rep_.observe_speed(raw.from.node, norm);
-              report_reputation(raw.from.node, msg::ReputationReport::Speed,
-                                norm);
-            }
-          }
-          last_heartbeat_[it->second] = env.now();
-          awaiting_first_heartbeat_.erase(it->second);
-        }
-      });
-  dispatcher_.on<msg::AuditReply>(
-      [this](const msg::AuditReply& m, const net::Message& raw, net::Env&) {
-        handle_audit_reply(m, raw);
-      });
-  dispatcher_.on<msg::LocalStateReport>(
-      [this](const msg::LocalStateReport& m, const net::Message& raw, net::Env&) {
-        handle_local_state(m, raw);
-      });
-  dispatcher_.on<msg::FinalState>(
-      [this](const msg::FinalState& m, const net::Message&, net::Env&) {
-        handle_final_state(m);
-      });
-  dispatcher_.on<msg::ConvergedVerdict>(
-      [this](const msg::ConvergedVerdict& m, const net::Message& raw,
-             net::Env&) {
-        // Diffusion mode (DESIGN.md §13): the wave initiator certified global
-        // convergence. Accept only from the current owner of task 0, and only
-        // while the task ring is whole — a verdict racing a failure is stale.
-        if (!cp_.diffusion || m.app_id != app_.app_id || !launched_ ||
-            halt_broadcast_ || reg_.daemon_of(0) != raw.from ||
-            !awaiting_replacement_.empty()) {
-          return;
-        }
-        ++verdicts_received_;
-        if (audit_pending()) {
-          // Redundant-execution gate (DESIGN.md §14): verify results before
-          // trusting the verdict enough to halt the application.
-          halt_after_audit_ = true;
-          start_audit();
-          return;
-        }
-        broadcast_halt();
-      });
-  dispatcher_.on<msg::AppRegisterSnapshot>(
-      [this](const msg::AppRegisterSnapshot& m, const net::Message&,
-             net::Env&) {
-        if (!standby_ || adopted_ || !m.available ||
-            m.reg.app_id != app_.app_id) {
-          return;
-        }
-        if (!have_snapshot_ || m.reg.version > snapshot_.version) {
-          snapshot_ = m.reg;
-          have_snapshot_ = true;
-        }
-      });
+const rmi::Table<Spawner>& Spawner::table() {
+  static const rmi::Table<Spawner> table = [] {
+    rmi::Table<Spawner> t;
+    t.on<msg::ReserveReply, &Spawner::handle_reserve_reply>();
+    t.on<msg::Heartbeat, &Spawner::handle_heartbeat>();
+    t.on<msg::AuditReply, &Spawner::handle_audit_reply>();
+    t.on<msg::LocalStateReport, &Spawner::handle_local_state>();
+    t.on<msg::FinalState, &Spawner::handle_final_state>();
+    t.on<msg::ConvergedVerdict, &Spawner::handle_verdict>();
+    t.on<msg::AppRegisterSnapshot, &Spawner::handle_snapshot>();
+    return t;
+  }();
+  return table;
 }
 
 void Spawner::on_start(net::Env& env) {
@@ -152,7 +98,7 @@ void Spawner::arm_watchdogs() {
 }
 
 void Spawner::on_message(const net::Message& message, net::Env& env) {
-  dispatcher_.dispatch(message, env);
+  table().dispatch(*this, message, env);
 }
 
 std::vector<net::Stub> Spawner::computing_daemons() const {
@@ -211,7 +157,8 @@ void Spawner::expire_stale_requests() {
   }
 }
 
-void Spawner::handle_reserve_reply(const msg::ReserveReply& m) {
+void Spawner::handle_reserve_reply(const msg::ReserveReply& m,
+                                   const net::Message&, net::Env&) {
   const auto granted = static_cast<std::uint32_t>(m.daemons.size());
   const auto pending = pending_requests_.find(m.request_id);
   if (pending != pending_requests_.end()) {
@@ -365,6 +312,17 @@ void Spawner::begin_recover() {
   });
 }
 
+void Spawner::handle_snapshot(const msg::AppRegisterSnapshot& m,
+                              const net::Message&, net::Env&) {
+  if (!standby_ || adopted_ || !m.available || m.reg.app_id != app_.app_id) {
+    return;
+  }
+  if (!have_snapshot_ || m.reg.version > snapshot_.version) {
+    snapshot_ = m.reg;
+    have_snapshot_ = true;
+  }
+}
+
 void Spawner::adopt() {
   adopted_ = true;
   launched_ = true;
@@ -397,6 +355,24 @@ void Spawner::adopt() {
              "standby adopted application %u at version %llu (%.3f)",
              app_.app_id, static_cast<unsigned long long>(reg_.version),
              env_->now());
+}
+
+void Spawner::handle_heartbeat(const msg::Heartbeat&, const net::Message& raw,
+                               net::Env& env) {
+  const auto it = task_of_daemon_.find(raw.from);
+  if (it == task_of_daemon_.end()) return;
+  if (rep_.enabled) {
+    // First heartbeat after an assignment doubles as a speed probe: its
+    // latency reflects queueing + wire + the daemon's own load.
+    const auto ack = awaiting_first_heartbeat_.find(it->second);
+    if (ack != awaiting_first_heartbeat_.end()) {
+      const double norm = 1.0 / (1.0 + (env.now() - ack->second));
+      local_rep_.observe_speed(raw.from.node, norm);
+      report_reputation(raw.from.node, msg::ReputationReport::Speed, norm);
+    }
+  }
+  last_heartbeat_[it->second] = env.now();
+  awaiting_first_heartbeat_.erase(it->second);
 }
 
 void Spawner::sweep_heartbeats() {
@@ -457,13 +433,34 @@ void Spawner::sweep_heartbeats() {
 }
 
 void Spawner::handle_local_state(const msg::LocalStateReport& m,
-                                 const net::Message& raw) {
+                                 const net::Message& raw, net::Env&) {
   if (halt_broadcast_ || m.app_id != app_.app_id) return;
   // Ignore reports from daemons that are no longer the owner of the task
   // (e.g. a zombie that we already declared dead).
   if (reg_.daemon_of(m.task_id) != raw.from) return;
   board_.set(m.task_id, m.stable);
   maybe_halt();
+}
+
+void Spawner::handle_verdict(const msg::ConvergedVerdict& m,
+                             const net::Message& raw, net::Env&) {
+  // Diffusion mode (DESIGN.md §13): the wave initiator certified global
+  // convergence. Accept only from the current owner of task 0, and only while
+  // the task ring is whole — a verdict racing a failure is stale.
+  if (!cp_.diffusion || m.app_id != app_.app_id || !launched_ ||
+      halt_broadcast_ || reg_.daemon_of(0) != raw.from ||
+      !awaiting_replacement_.empty()) {
+    return;
+  }
+  ++verdicts_received_;
+  if (audit_pending()) {
+    // Redundant-execution gate (DESIGN.md §14): verify results before
+    // trusting the verdict enough to halt the application.
+    halt_after_audit_ = true;
+    start_audit();
+    return;
+  }
+  broadcast_halt();
 }
 
 void Spawner::maybe_halt() {
@@ -569,7 +566,8 @@ void Spawner::serve_final_recovery() {
   }
 }
 
-void Spawner::handle_final_state(const msg::FinalState& m) {
+void Spawner::handle_final_state(const msg::FinalState& m, const net::Message&,
+                                 net::Env&) {
   if (m.app_id != app_.app_id || m.task_id >= app_.task_count) return;
   if (report_.final_payloads[m.task_id].empty()) ++final_states_received_;
   report_.final_iterations[m.task_id] = m.iteration;
@@ -694,7 +692,7 @@ void Spawner::start_audit() {
 }
 
 void Spawner::handle_audit_reply(const msg::AuditReply& m,
-                                 const net::Message& raw) {
+                                 const net::Message& raw, net::Env&) {
   if (!audit_in_progress_ || m.app_id != app_.app_id ||
       m.round != audit_round_ || m.nonce != audit_nonce(m.task_id)) {
     return;

@@ -76,6 +76,9 @@ class Spawner : public net::Actor {
   void on_start(net::Env& env) override;
   void on_message(const net::Message& message, net::Env& env) override;
 
+  /// The message handlers every Spawner dispatches through (built once).
+  static const rmi::Table<Spawner>& table();
+
   /// Standby mode (DESIGN.md §13; requires `cp.replicate_register` on the
   /// primary): instead of reserving daemons and launching, this spawner
   /// fetches the replicated Application Register from the super-peers, adopts
@@ -102,9 +105,25 @@ class Spawner : public net::Actor {
   [[nodiscard]] std::vector<net::Stub> computing_daemons() const;
 
  private:
+  // Message handlers (table()); each takes the decoded payload, the raw
+  // envelope and the Env it arrived on.
+  void handle_reserve_reply(const msg::ReserveReply& m, const net::Message& raw,
+                            net::Env& env);
+  void handle_heartbeat(const msg::Heartbeat& m, const net::Message& raw,
+                        net::Env& env);
+  void handle_audit_reply(const msg::AuditReply& m, const net::Message& raw,
+                          net::Env& env);
+  void handle_local_state(const msg::LocalStateReport& m,
+                          const net::Message& raw, net::Env& env);
+  void handle_final_state(const msg::FinalState& m, const net::Message& raw,
+                          net::Env& env);
+  void handle_verdict(const msg::ConvergedVerdict& m, const net::Message& raw,
+                      net::Env& env);
+  void handle_snapshot(const msg::AppRegisterSnapshot& m,
+                       const net::Message& raw, net::Env& env);
+
   void arm_watchdogs();
   void request_daemons(std::uint32_t count);
-  void handle_reserve_reply(const msg::ReserveReply& m);
   void expire_pool(double now);
   void try_launch();
   void assign_task(TaskId task, const net::Stub& daemon, bool restart);
@@ -113,12 +132,10 @@ class Spawner : public net::Actor {
   void begin_recover();
   void adopt();
   void sweep_heartbeats();
-  void handle_local_state(const msg::LocalStateReport& m, const net::Message& raw);
   void maybe_halt();
   void broadcast_halt();
   void retry_final_states();
   void serve_final_recovery();
-  void handle_final_state(const msg::FinalState& m);
   void finish();
 
   // Reputation & redundant execution (DESIGN.md §14).
@@ -130,7 +147,6 @@ class Spawner : public net::Actor {
   }
   [[nodiscard]] std::uint64_t audit_nonce(TaskId task) const;
   void start_audit();
-  void handle_audit_reply(const msg::AuditReply& m, const net::Message& raw);
   void finish_audit();
 
   AppDescriptor app_;
@@ -139,7 +155,6 @@ class Spawner : public net::Actor {
   ReputationConfig rep_;
   std::vector<net::Stub> bootstrap_addresses_;
   CompletionCallback on_complete_;
-  rmi::Dispatcher dispatcher_;
   net::Env* env_ = nullptr;
 
   // Reservation state. Requests are tracked individually and expire after a

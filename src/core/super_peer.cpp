@@ -8,52 +8,21 @@ namespace jacepp::core {
 
 SuperPeer::SuperPeer(TimingConfig timing, ControlPlaneConfig cp,
                      ReputationConfig rep)
-    : timing_(timing), cp_(cp), rep_(rep), rep_store_(rep) {
-  dispatcher_.on<msg::RegisterDaemon>(
-      [this](const msg::RegisterDaemon& m, const net::Message&, net::Env& env) {
-        handle_register(m, env);
-      });
-  dispatcher_.on<msg::Heartbeat>(
-      [this](const msg::Heartbeat&, const net::Message& raw, net::Env& env) {
-        handle_heartbeat(raw, env);
-      });
-  dispatcher_.on<msg::LinkSuperPeers>(
-      [this](const msg::LinkSuperPeers& m, const net::Message&, net::Env& env) {
-        handle_link(m, env);
-      });
-  dispatcher_.on<msg::ReserveRequest>(
-      [this](const msg::ReserveRequest& m, const net::Message&, net::Env& env) {
-        handle_reserve(m, env);
-      });
-  dispatcher_.on<msg::AppRegisterReplica>(
-      [this](const msg::AppRegisterReplica& m, const net::Message&,
-             net::Env& env) { handle_replica(m, env); });
-  dispatcher_.on<msg::FetchAppRegister>(
-      [this](const msg::FetchAppRegister& m, const net::Message& raw,
-             net::Env& env) { handle_fetch(m, raw, env); });
-  dispatcher_.on<msg::ReputationReport>(
-      [this](const msg::ReputationReport& m, const net::Message&, net::Env&) {
-        // Spawner-side evidence (DESIGN.md §14). Never sent unless the
-        // spawner runs with rep.enabled; ignore it anyway if this super-peer
-        // does not keep scores.
-        if (!rep_.enabled) return;
-        switch (m.kind) {
-          case msg::ReputationReport::Success:
-            rep_store_.observe_success(m.node);
-            break;
-          case msg::ReputationReport::Failure:
-            rep_store_.observe_failure(m.node);
-            break;
-          case msg::ReputationReport::Liar:
-            rep_store_.observe_liar(m.node);
-            break;
-          case msg::ReputationReport::Speed:
-            rep_store_.observe_speed(m.node, m.value);
-            break;
-          default:
-            break;
-        }
-      });
+    : timing_(timing), cp_(cp), rep_(rep), rep_store_(rep) {}
+
+const rmi::Table<SuperPeer>& SuperPeer::table() {
+  static const rmi::Table<SuperPeer> table = [] {
+    rmi::Table<SuperPeer> t;
+    t.on<msg::RegisterDaemon, &SuperPeer::handle_register>();
+    t.on<msg::Heartbeat, &SuperPeer::handle_heartbeat>();
+    t.on<msg::LinkSuperPeers, &SuperPeer::handle_link>();
+    t.on<msg::ReserveRequest, &SuperPeer::handle_reserve>();
+    t.on<msg::AppRegisterReplica, &SuperPeer::handle_replica>();
+    t.on<msg::FetchAppRegister, &SuperPeer::handle_fetch>();
+    t.on<msg::ReputationReport, &SuperPeer::handle_reputation>();
+    return t;
+  }();
+  return table;
 }
 
 void SuperPeer::on_start(net::Env& env) {
@@ -72,7 +41,7 @@ void SuperPeer::on_start(net::Env& env) {
 }
 
 void SuperPeer::on_message(const net::Message& message, net::Env& env) {
-  dispatcher_.dispatch(message, env);
+  table().dispatch(*this, message, env);
 }
 
 bool SuperPeer::has_registered(const net::Stub& daemon) const {
@@ -84,7 +53,8 @@ std::uint64_t SuperPeer::replica_version(AppId app_id) const {
   return it == replicas_.end() ? 0 : it->second.version;
 }
 
-void SuperPeer::handle_register(const msg::RegisterDaemon& m, net::Env& env) {
+void SuperPeer::handle_register(const msg::RegisterDaemon& m,
+                                const net::Message&, net::Env& env) {
   register_.insert(m.daemon);
   last_heard_.touch(m.daemon, env.now());
   rmi::invoke(env, m.daemon, msg::RegisterAck{env.self()});
@@ -93,7 +63,8 @@ void SuperPeer::handle_register(const msg::RegisterDaemon& m, net::Env& env) {
              m.daemon.to_debug_string().c_str());
 }
 
-void SuperPeer::handle_heartbeat(const net::Message& raw, net::Env& env) {
+void SuperPeer::handle_heartbeat(const msg::Heartbeat&, const net::Message& raw,
+                                 net::Env& env) {
   // Only refresh daemons that are actually in the register (the index holds
   // the same keys); a reserved or unknown daemon gets no ack, steering it to
   // re-register if it believes it is still indexed here.
@@ -102,7 +73,8 @@ void SuperPeer::handle_heartbeat(const net::Message& raw, net::Env& env) {
   rmi::invoke(env, raw.from, msg::HeartbeatAck{});
 }
 
-void SuperPeer::handle_link(const msg::LinkSuperPeers& m, net::Env& env) {
+void SuperPeer::handle_link(const msg::LinkSuperPeers& m, const net::Message&,
+                            net::Env& env) {
   peers_.clear();
   for (const net::Stub& peer : m.peers) {
     if (peer.node != env.self().node) peers_.push_back(peer);
@@ -124,7 +96,8 @@ std::vector<net::Stub> SuperPeer::grant_order() const {
   return order;
 }
 
-void SuperPeer::handle_reserve(const msg::ReserveRequest& m, net::Env& env) {
+void SuperPeer::handle_reserve(const msg::ReserveRequest& m,
+                               const net::Message&, net::Env& env) {
   // Fill as much as possible from the local register — FIFO by stub order
   // (O(count), the 100k-register hot path), or by descending reputation
   // score when rep.enabled (O(n log n), bounded by the register size).
@@ -196,7 +169,8 @@ void SuperPeer::handle_reserve(const msg::ReserveRequest& m, net::Env& env) {
   }
 }
 
-void SuperPeer::handle_replica(const msg::AppRegisterReplica& m, net::Env&) {
+void SuperPeer::handle_replica(const msg::AppRegisterReplica& m,
+                               const net::Message&, net::Env&) {
   auto [it, inserted] = replicas_.try_emplace(m.reg.app_id, m.reg);
   if (!inserted && m.reg.version > it->second.version) it->second = m.reg;
 }
@@ -210,6 +184,30 @@ void SuperPeer::handle_fetch(const msg::FetchAppRegister& m,
     reply.reg = it->second;
   }
   rmi::invoke(env, raw.from, reply);
+}
+
+void SuperPeer::handle_reputation(const msg::ReputationReport& m,
+                                  const net::Message&, net::Env&) {
+  // Spawner-side evidence (DESIGN.md §14). Never sent unless the spawner runs
+  // with rep.enabled; ignore it anyway if this super-peer does not keep
+  // scores.
+  if (!rep_.enabled) return;
+  switch (m.kind) {
+    case msg::ReputationReport::Success:
+      rep_store_.observe_success(m.node);
+      break;
+    case msg::ReputationReport::Failure:
+      rep_store_.observe_failure(m.node);
+      break;
+    case msg::ReputationReport::Liar:
+      rep_store_.observe_liar(m.node);
+      break;
+    case msg::ReputationReport::Speed:
+      rep_store_.observe_speed(m.node, m.value);
+      break;
+    default:
+      break;
+  }
 }
 
 void SuperPeer::sweep(net::Env& env) {

@@ -33,6 +33,9 @@ class SuperPeer : public net::Actor {
   void on_start(net::Env& env) override;
   void on_message(const net::Message& message, net::Env& env) override;
 
+  /// The message handlers every SuperPeer dispatches through (built once).
+  static const rmi::Table<SuperPeer>& table();
+
   /// Configure the super-peer overlay before the entity starts (harness-side
   /// alternative to the LinkSuperPeers message; self is filtered out later).
   void set_linked_peers(std::vector<net::Stub> peers) { peers_ = std::move(peers); }
@@ -51,13 +54,22 @@ class SuperPeer : public net::Actor {
   [[nodiscard]] const ReputationStore& reputation() const { return rep_store_; }
 
  private:
-  void handle_register(const msg::RegisterDaemon& m, net::Env& env);
-  void handle_heartbeat(const net::Message& raw, net::Env& env);
-  void handle_link(const msg::LinkSuperPeers& m, net::Env& env);
-  void handle_reserve(const msg::ReserveRequest& m, net::Env& env);
-  void handle_replica(const msg::AppRegisterReplica& m, net::Env& env);
+  // Message handlers (table()); each takes the decoded payload, the raw
+  // envelope and the Env it arrived on.
+  void handle_register(const msg::RegisterDaemon& m, const net::Message& raw,
+                       net::Env& env);
+  void handle_heartbeat(const msg::Heartbeat& m, const net::Message& raw,
+                        net::Env& env);
+  void handle_link(const msg::LinkSuperPeers& m, const net::Message& raw,
+                   net::Env& env);
+  void handle_reserve(const msg::ReserveRequest& m, const net::Message& raw,
+                      net::Env& env);
+  void handle_replica(const msg::AppRegisterReplica& m, const net::Message& raw,
+                      net::Env& env);
   void handle_fetch(const msg::FetchAppRegister& m, const net::Message& raw,
                     net::Env& env);
+  void handle_reputation(const msg::ReputationReport& m,
+                         const net::Message& raw, net::Env& env);
   void sweep(net::Env& env);
   /// Register keys in reservation-grant order: FIFO (stub order) by default,
   /// descending reputation score with stub-order tie-break when rep.enabled.
@@ -66,7 +78,6 @@ class SuperPeer : public net::Actor {
   TimingConfig timing_;
   ControlPlaneConfig cp_;
   ReputationConfig rep_;
-  rmi::Dispatcher dispatcher_;
   net::Env* env_ = nullptr;
 
   /// The Register (paper Figure 1): the available daemons, in stub order,

@@ -49,6 +49,7 @@
 #include <string>
 #include <tuple>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "support/assert.hpp"
@@ -65,6 +66,12 @@ using Bytes = std::vector<std::uint8_t>;
 /// A struct declared with JACEPP_WIRE_FIELDS.
 template <typename T>
 concept FieldList = requires(const T& value) { value.fields(); };
+
+/// A field list with no members, such as `Heartbeat`: it encodes to no bytes.
+template <typename T>
+concept EmptyFieldList =
+    FieldList<T> &&
+    std::tuple_size_v<decltype(std::declval<const T&>().fields())> == 0;
 
 namespace detail {
 template <typename T>

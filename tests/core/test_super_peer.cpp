@@ -1,6 +1,8 @@
 // Protocol-level Super-Peer scenarios in the simulator.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/daemon.hpp"
 #include "core/messages.hpp"
 #include "core/super_peer.hpp"
@@ -20,6 +22,8 @@ class ReserveProbe : public net::Actor {
       for (const auto& d : reply.daemons) granted.push_back(d);
       if (reply.exhausted) exhausted = true;
       ++replies;
+    } else if (m.type == msg::Heartbeat::kType) {
+      ++heartbeats;  // a computing daemon heartbeats its spawner
     }
   }
   void request(const net::Stub& sp, std::uint32_t count) {
@@ -29,10 +33,22 @@ class ReserveProbe : public net::Actor {
     req.requester = env_->self();
     rmi::invoke(*env_, sp, req);
   }
+  /// Assign task 0 of a one-task application running `program`.
+  void assign(const net::Stub& daemon, const std::string& program) {
+    msg::TaskAssignment assignment;
+    assignment.app.app_id = 1;
+    assignment.app.program = program;
+    assignment.app.task_count = 1;
+    assignment.reg.app_id = 1;
+    assignment.reg.spawner = env_->self();
+    assignment.reg.tasks = {TaskEntry{0, daemon}};
+    rmi::invoke(*env_, daemon, assignment);
+  }
 
   net::Env* env_ = nullptr;
   std::vector<net::Stub> granted;
   int replies = 0;
+  int heartbeats = 0;
   bool exhausted = false;
 };
 
@@ -174,6 +190,38 @@ TEST(SuperPeer, ReservedDaemonFallsBackToRegistered) {
   s.world.run_until(15.0);
   EXPECT_EQ(d->state(), Daemon::State::Registered);
   EXPECT_EQ(s.sps[0]->registered_count(), 1u);
+}
+
+TEST(SuperPeer, UnknownTaskProgramIsRefusedAndDaemonRejoinsPool) {
+  // The program name comes from the spawner's message: a name this daemon
+  // cannot run is refused without touching its state, so the reservation
+  // lapses like one that never turned into a task.
+  Scenario s(1, 7);
+  auto* d = s.add_daemon();
+  auto probe = std::make_unique<ReserveProbe>();
+  ReserveProbe* p = probe.get();
+  s.world.add_node(std::move(probe), sim::MachineSpec{}, net::EntityKind::Spawner);
+  s.world.run_until(2.0);
+  s.world.schedule_global(0.0, [&] { p->request(s.sp_stubs[0], 1); });
+  s.world.run_until(4.0);
+  ASSERT_EQ(p->granted.size(), 1u);
+  ASSERT_EQ(d->state(), Daemon::State::Reserved);
+  const std::uint64_t attempts = d->bootstrap_attempts();
+
+  s.world.schedule_global(0.0,
+                          [&] { p->assign(p->granted[0], "no-such-program"); });
+  s.world.run_until(5.0);
+  EXPECT_EQ(d->state(), Daemon::State::Reserved);
+  EXPECT_EQ(d->task(), nullptr);
+
+  // Default reserved_timeout is 6 s; after it, the daemon re-registers.
+  s.world.run_until(15.0);
+  EXPECT_EQ(d->state(), Daemon::State::Registered);
+  EXPECT_GT(d->bootstrap_attempts(), attempts);
+  EXPECT_TRUE(s.sps[0]->has_registered(s.daemon_stubs[0]));
+  EXPECT_EQ(d->task(), nullptr);
+  EXPECT_EQ(d->iteration(), 0u);
+  EXPECT_EQ(p->heartbeats, 0);
 }
 
 TEST(SuperPeer, DaemonReRegistersWhenSuperPeerDies) {

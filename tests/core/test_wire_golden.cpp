@@ -3,9 +3,11 @@
 // field's order or encoding fails here. Each vector must also decode back to
 // the sample (compared through its re-encoding, which covers every member)
 // with the reader exhausted, and every strict prefix must poison the reader.
-// The hand-written codecs (checkpoint frames, the link Batch envelope) are
-// pinned at the end: their bytes, decode of the golden, and rejection of
-// every strict prefix.
+// A protocol message's strict prefixes are also delivered to every actor class
+// that handles its type: each must be dropped at dispatch, running no handler
+// and not aborting, since a peer can send any bytes. The hand-written codecs
+// (checkpoint frames, the link Batch envelope) are pinned at the end: their
+// bytes, decode of the golden, and rejection of every strict prefix.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,14 +18,20 @@
 
 #include "core/app.hpp"
 #include "core/checkpoint.hpp"
+#include "core/daemon.hpp"
 #include "core/generic_task.hpp"
 #include "core/messages.hpp"
+#include "core/spawner.hpp"
+#include "core/super_peer.hpp"
 #include "linalg/csr.hpp"
+#include "net/env.hpp"
 #include "net/link.hpp"
 #include "net/message.hpp"
 #include "net/stub.hpp"
 #include "poisson/block_task.hpp"
+#include "rmi/rmi.hpp"
 #include "serial/serial.hpp"
+#include "support/logging.hpp"
 
 namespace jacepp::core {
 namespace {
@@ -51,6 +59,9 @@ serial::Bytes from_hex(std::string_view hex) {
 }
 
 template <typename T>
+void expect_truncations_dropped(const serial::Bytes& golden);
+
+template <typename T>
 void expect_golden(const T& sample, std::string_view hex) {
   EXPECT_EQ(to_hex(serial::encode(sample)), hex);
 
@@ -66,6 +77,7 @@ void expect_golden(const T& sample, std::string_view hex) {
     (void)prefix.object<T>();
     EXPECT_FALSE(prefix.ok()) << "prefix of " << len << " bytes decoded";
   }
+  if constexpr (requires { T::kType; }) expect_truncations_dropped<T>(golden);
 }
 
 net::Stub daemon_stub(std::uint64_t node) {
@@ -113,6 +125,72 @@ AppRegister sample_register() {
   reg.spawner = spawner_stub();
   reg.tasks = {{5, daemon_stub(100)}, {6, daemon_stub(101)}};
   return reg;
+}
+
+// --- Truncated messages at the actors ---------------------------------------
+
+/// Env that counts every request an actor makes of it.
+class CountingEnv : public net::Env {
+ public:
+  [[nodiscard]] double now() const override { return 1.0; }
+  [[nodiscard]] net::Stub self() const override { return daemon_stub(1); }
+  void send(const net::Stub&, net::Message) override { ++requests; }
+  net::TimerId schedule(double, std::function<void()>) override {
+    ++requests;
+    return 1;
+  }
+  void cancel(net::TimerId) override { ++requests; }
+  void compute(std::function<double()>, std::function<void()>) override {
+    ++requests;
+  }
+  Rng& rng() override { return rng_; }
+  void shutdown_self() override { ++requests; }
+
+  std::size_t requests = 0;
+  Rng rng_{1};
+};
+
+/// Delivers every strict prefix of `golden`, as the body of a `type` message,
+/// to a started `actor` through on_message. Each must run no handler: the
+/// actor asks nothing of its Env, and its class's table reports the body
+/// Malformed. Returns whether the class handles `type` at all.
+template <typename A>
+bool expect_prefixes_dropped(A& actor, CountingEnv& env, net::MessageType type,
+                             const serial::Bytes& golden) {
+  if (!A::table().handles(type)) return false;
+  for (std::size_t len = 0; len < golden.size(); ++len) {
+    net::Message m;
+    m.type = type;
+    m.from = daemon_stub(9);
+    m.body = serial::Bytes(golden.begin(),
+                           golden.begin() + static_cast<std::ptrdiff_t>(len));
+    const std::size_t requests = env.requests;
+    actor.on_message(m, env);
+    EXPECT_EQ(env.requests, requests)
+        << "prefix of " << len << " bytes reached a handler";
+    EXPECT_EQ(A::table().dispatch(actor, m, env), rmi::Dispatch::Malformed)
+        << "prefix of " << len << " bytes";
+  }
+  return true;
+}
+
+template <typename T>
+void expect_truncations_dropped(const serial::Bytes& golden) {
+  const LogLevel saved = log_level();
+  set_log_level(LogLevel::Error);  // each dropped prefix logs a warning
+  CountingEnv env;
+  Daemon daemon({super_peer_stub()});
+  SuperPeer super_peer;
+  Spawner spawner(sample_app(), {super_peer_stub()}, nullptr);
+  daemon.on_start(env);
+  super_peer.on_start(env);
+  spawner.on_start(env);
+  int classes = 0;
+  classes += expect_prefixes_dropped(daemon, env, T::kType, golden) ? 1 : 0;
+  classes += expect_prefixes_dropped(super_peer, env, T::kType, golden) ? 1 : 0;
+  classes += expect_prefixes_dropped(spawner, env, T::kType, golden) ? 1 : 0;
+  EXPECT_GT(classes, 0) << "no actor class handles message type " << T::kType;
+  set_log_level(saved);
 }
 
 // --- Wire structs nested in messages ---------------------------------------

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/messages.hpp"
 #include "net/message.hpp"
 #include "serial/buffer_pool.hpp"
 #include "serial/serial.hpp"
@@ -164,6 +165,42 @@ TEST_F(BufferPoolTest, ResetClearsRetentionAndCounters) {
   EXPECT_EQ(pool.free_count(), 0u);
   const auto stats = pool.stats();
   EXPECT_EQ(stats.reuses + stats.misses + stats.returns + stats.dropped, 0u);
+}
+
+TEST_F(BufferPoolTest, EmptyBodyTakesNoBuffer) {
+  // A Heartbeat has no wire fields: its body holds no buffer, so building,
+  // copying and dropping it never reaches the pool.
+  auto& pool = BufferPool::instance();
+  const auto before = pool.stats();
+  {
+    const net::Message heartbeat = net::make_message(core::msg::Heartbeat{});
+    const net::Message copy = heartbeat;
+    EXPECT_EQ(heartbeat.type, core::msg::Heartbeat::kType);
+    EXPECT_TRUE(heartbeat.body.empty());
+    EXPECT_EQ(&heartbeat.body.bytes(), &net::Payload{}.bytes())
+        << "the body is the shared empty buffer, not an allocated one";
+    EXPECT_EQ(heartbeat.wire_size(), 48u);
+    EXPECT_FALSE(copy.body.shares_buffer_with(heartbeat.body));
+  }
+  const auto after = pool.stats();
+  EXPECT_EQ(after.reuses, before.reuses);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.returns, before.returns);
+  EXPECT_EQ(after.dropped, before.dropped);
+  EXPECT_EQ(pool.free_count(), 0u);
+}
+
+TEST_F(BufferPoolTest, EmptyPooledBufferReturnsAtOnce) {
+  // An empty encoding keeps no Payload block, but its capacity still goes
+  // back to the pool.
+  auto& pool = BufferPool::instance();
+  Bytes b;
+  b.reserve(64);
+  const net::Payload p = net::Payload::pooled(std::move(b));
+  EXPECT_TRUE(p.empty());
+  EXPECT_EQ(&p.bytes(), &net::Payload{}.bytes());
+  EXPECT_EQ(pool.free_count(), 1u);
+  EXPECT_EQ(pool.stats().returns, 1u);
 }
 
 TEST_F(BufferPoolTest, ConcurrentAcquireReleaseIsRaceFree) {
