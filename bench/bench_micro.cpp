@@ -12,9 +12,7 @@
 
 #include "linalg/cg.hpp"
 #include "linalg/csr.hpp"
-#include "linalg/csr_sell.hpp"
 #include "linalg/fused.hpp"
-#include "linalg/simd.hpp"
 #include "core/daemon.hpp"
 #include "core/last_heard.hpp"
 #include "core/messages.hpp"
@@ -46,31 +44,6 @@ void BM_SpMV(benchmark::State& state) {
 }
 BENCHMARK(BM_SpMV)->Arg(32)->Arg(64)->Arg(128);
 
-/// Flips `perf.simd` on for one benchmark body; restores the default (off) so
-/// row order never leaks dispatch state into the scalar rows above.
-struct ScopedSimdOn {
-  ScopedSimdOn() { linalg::simd::set_enabled(true); }
-  ~ScopedSimdOn() { linalg::simd::set_enabled(false); }
-};
-
-/// SELL padded layout with the vector unit on — compare against BM_SpMV
-/// (same matrix, CSR layout, always scalar) for the layout's contribution.
-void BM_SpMVSellSimd(benchmark::State& state) {
-  ScopedSimdOn simd;
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const linalg::SellMatrix a(poisson::assemble_laplacian(n));
-  linalg::Vector x(n * n, 1.0);
-  linalg::Vector y(n * n);
-  for (auto _ : state) {
-    a.multiply(x, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(a.nnz()));
-  state.SetLabel(linalg::simd::level_name(linalg::simd::detected_level()));
-}
-BENCHMARK(BM_SpMVSellSimd)->Arg(32)->Arg(64)->Arg(128);
-
 void BM_Dot(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   linalg::Vector x(n, 0.5);
@@ -83,21 +56,6 @@ void BM_Dot(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_Dot)->Arg(4096)->Arg(65536);
-
-void BM_DotSimd(benchmark::State& state) {
-  ScopedSimdOn simd;
-  const auto n = static_cast<std::size_t>(state.range(0));
-  linalg::Vector x(n, 0.5);
-  linalg::Vector y(n, 2.0);
-  for (auto _ : state) {
-    const double d = linalg::dot(x, y);
-    benchmark::DoNotOptimize(d);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-  state.SetLabel(linalg::simd::level_name(linalg::simd::detected_level()));
-}
-BENCHMARK(BM_DotSimd)->Arg(4096)->Arg(65536);
 
 // Unfused residual evaluation: r = b - Ax then ||r|| — three passes over the
 // vectors. Pairs with BM_SpmvResidualFused below (one pass).
@@ -133,48 +91,6 @@ void BM_SpmvResidualFused(benchmark::State& state) {
                           static_cast<std::int64_t>(a.nnz()));
 }
 BENCHMARK(BM_SpmvResidualFused)->Arg(32)->Arg(64)->Arg(128);
-
-void BM_AxpyNorm2Unfused(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  linalg::Vector x(n, 1.0 / static_cast<double>(n));
-  linalg::Vector y(n, 1.0);
-  for (auto _ : state) {
-    linalg::axpy(1e-9, x, y);
-    const double norm = linalg::norm2(y);
-    benchmark::DoNotOptimize(norm);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_AxpyNorm2Unfused)->Arg(4096)->Arg(65536);
-
-void BM_AxpyNorm2Fused(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  linalg::Vector x(n, 1.0 / static_cast<double>(n));
-  linalg::Vector y(n, 1.0);
-  for (auto _ : state) {
-    const double norm = linalg::axpy_norm2(1e-9, x, y);
-    benchmark::DoNotOptimize(norm);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_AxpyNorm2Fused)->Arg(4096)->Arg(65536);
-
-void BM_AxpyNorm2FusedSimd(benchmark::State& state) {
-  ScopedSimdOn simd;
-  const auto n = static_cast<std::size_t>(state.range(0));
-  linalg::Vector x(n, 1.0 / static_cast<double>(n));
-  linalg::Vector y(n, 1.0);
-  for (auto _ : state) {
-    const double norm = linalg::axpy_norm2(1e-9, x, y);
-    benchmark::DoNotOptimize(norm);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-  state.SetLabel(linalg::simd::level_name(linalg::simd::detected_level()));
-}
-BENCHMARK(BM_AxpyNorm2FusedSimd)->Arg(4096)->Arg(65536);
 
 void BM_ConjugateGradient(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

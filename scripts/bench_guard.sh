@@ -8,18 +8,13 @@
 # BENCH_GUARD_STRICT=1 makes violations FAIL (non-zero exit) — used by the CI
 # release job.
 #
-# Two kinds of checks:
+# Kinds of checks:
 #  1. Baseline timings — fresh lower-is-better numbers vs the committed
 #     BENCH_*.json at git HEAD. Only meaningful when the fresh run used the
 #     same machine class and bench scale as the committed one, so strict CI
 #     runs (different runner, --smoke scale) skip them via
 #     BENCH_GUARD_SKIP_BASELINE=1.
-#  2. SIMD speedup floors — the off-vs-on ratios inside BENCH_hotpath.json
-#     are measured within one run on one machine, so they are portable across
-#     machines. On an AVX2 machine the BLAS-1 reductions must clear 1.5x and
-#     the SELL SpMV 1.2x. Floors only apply when the runtime dispatcher
-#     actually selected avx2.
-#  3. Sharded-scheduler floor — inside BENCH_scale.json, best sharded
+#  2. Sharded-scheduler floor — inside BENCH_scale.json, best sharded
 #     events/sec at the 1k-daemon tier vs single-queue, measured within one
 #     run. The floor is 1.0x with the guard tolerance applied (passes while
 #     ratio >= 1 - BENCH_GUARD_TOL): on a 1-core runner sharding is
@@ -27,7 +22,7 @@
 #     hovers around 1.0 with scheduler noise, so this is a cliff detector for
 #     bugs like an accidentally serializing round barrier, not a speedup
 #     target. The real speedup lives at the 10k tier (see EXPERIMENTS.md).
-#  4. Control-plane floors — also inside BENCH_scale.json and also within-run
+#  3. Control-plane floors — also inside BENCH_scale.json and also within-run
 #     counters, so machine-portable. Three hard gates from DESIGN.md §13:
 #     (a) with N super-peers no single one may serve more than
 #         share_bound (1/N + tolerance) of reservation traffic,
@@ -35,7 +30,7 @@
 #         traffic at O(1) per application (spawner_conv_msgs <= bound),
 #     (c) the decentralized plane must replay bit-identically across
 #         scheduler shard counts (cp_determinism.ok).
-#  5. Churn / voting floors (DESIGN.md §14) — also inside BENCH_scale.json.
+#  4. Churn / voting floors (DESIGN.md §14) — also inside BENCH_scale.json.
 #     All sim-time counters on a pinned seed, so deterministic and
 #     machine-portable:
 #     (a) reputation-aware placement must not increase the replacement count
@@ -43,7 +38,7 @@
 #         increase sim execution time beyond the recorded tolerance,
 #     (b) redundant-execution voting (rep.redundancy=3) must flag exactly the
 #         injected liars — every liar caught, zero false positives.
-#  6. Round-engine floor (DESIGN.md §12) — also inside BENCH_scale.json,
+#  5. Round-engine floor (DESIGN.md §12) — also inside BENCH_scale.json,
 #     all within-run sim counters, so strict on any machine: on the
 #     hub-pinned skew case the deterministic rebalancer must cut max/mean
 #     shard occupancy by at least the recorded bound (1.3x) while performing
@@ -53,14 +48,14 @@
 #     The per-case rounds counts also feed the baseline comparison as cliff
 #     detectors: a lookahead regression shows up as a rounds blow-up long
 #     before it shows up in 1-core wall time.
-#  7. Heartbeat per-period floor (DESIGN.md §13) — inside a bench_micro JSON
-#     (BENCH_micro.json, or a plain google-benchmark document named so):
-#     at every fleet size, BM_HeartbeatPeriodIndex must take less time per
-#     heartbeat period than BM_HeartbeatPeriodLinear, the full-scan reference
-#     it replaced. Both rows come from one run on one machine, so the ratio
-#     is machine-portable like the SIMD floors; no tolerance knob. A file
+#  6. Heartbeat per-period floor (DESIGN.md §13) — inside a bench_micro JSON
+#     (BENCH_micro.json, a google-benchmark document): at every fleet size,
+#     BM_HeartbeatPeriodIndex must take less time per heartbeat period than
+#     BM_HeartbeatPeriodLinear, the full-scan reference it replaced. Both
+#     rows come from one run on one machine, so the ratio is
+#     machine-portable; no tolerance knob. A file
 #     with no such rows fails the check.
-#  8. Fused CG floor (DESIGN.md §9) — inside BENCH_hotpath.json: the fused
+#  7. Fused CG floor (DESIGN.md §9) — inside BENCH_hotpath.json: the fused
 #     CG solve (banded row sums, three passes per iteration) must run at
 #     least 1.8x faster than the unfused CSR oracle. Both
 #     solves run in one process on one matrix, so the ratio is
@@ -82,12 +77,7 @@ SKIP_BASELINE="${BENCH_GUARD_SKIP_BASELINE:-0}"
 metrics_for() {
   local file="$1"
   case "$(basename "${file}")" in
-    BENCH_micro.json)
-      jq -r '
-        ((.serial.benchmarks // [])[] | "serial/\(.name) \(.real_time)"),
-        ((.parallel.benchmarks // [])[] | "parallel/\(.name) \(.real_time)")
-      ' "${file}" ;;
-    BENCH_checkpoint.json)
+    BENCH_micro.json|BENCH_checkpoint.json)
       jq -r '(.benchmarks // [])[] | "\(.name) \(.real_time)"' "${file}" ;;
     BENCH_comm.json)
       jq -r '
@@ -100,10 +90,7 @@ metrics_for() {
       jq -r '
         ((.fused.kernels // {}) | to_entries[]
           | "fused/\(.key)_ns \(.value.fused_ns)"),
-        "fused/cg_ms \(.fused.cg.fused_ms)",
-        ((.early_send.runs // {}) | to_entries[]
-          | "early/\(.key)/exec_s \(.value.execution_time_s)"),
-        "pool/encode_ns \(.pool.encode.pooled_ns)"
+        "fused/cg_ms \(.fused.cg.fused_ms)"
       ' "${file}" ;;
     BENCH_scale.json)
       jq -r '
@@ -116,23 +103,7 @@ metrics_for() {
   esac
 }
 
-# SIMD speedup floors (see header). Emits one "FLOOR ..." line per violation.
-simd_floor_checks() {
-  local file="$1"
-  jq -r '
-    (.simd // empty) |
-    select(.level_detected == "avx2") |
-    [
-      {metric: "simd/dot",                 value: (.kernels.dot.off_ns / .kernels.dot.on_ns),                                 floor: 1.5},
-      {metric: "simd/axpy_norm2",          value: (.kernels.axpy_norm2.off_ns / .kernels.axpy_norm2.on_ns),                   floor: 1.5},
-      {metric: "simd/sell_spmv",           value: .sell.speedup,                                                              floor: 1.2}
-    ][] |
-    select(.value < .floor) |
-    "bench-guard: FLOOR \(.metric): \(.value * 1000 | floor / 1000)x below floor \(.floor)x"
-  ' "${file}" 2>/dev/null
-}
-
-# Control-plane floors (see header, check 4). All within-run counters, no
+# Control-plane floors (see header, check 3). All within-run counters, no
 # tolerance knob: the bounds are already baked into the bench output.
 cp_floor_checks() {
   local file="$1"
@@ -149,7 +120,7 @@ cp_floor_checks() {
   ' "${file}" 2>/dev/null
 }
 
-# Churn / voting floors (see header, check 5). Pinned-seed sim-time counters,
+# Churn / voting floors (see header, check 4). Pinned-seed sim-time counters,
 # so deterministic across machines; no tolerance knob beyond the recorded one.
 churn_floor_checks() {
   local file="$1"
@@ -166,7 +137,7 @@ churn_floor_checks() {
   ' "${file}" 2>/dev/null
 }
 
-# Round-engine floor (see header, check 6). Pure sim counters measured
+# Round-engine floor (see header, check 5). Pure sim counters measured
 # within one run — no tolerance knob, the bounds come from the bench output.
 round_engine_floor_checks() {
   local file="$1"
@@ -186,7 +157,7 @@ round_engine_floor_checks() {
   ' "${file}" 2>/dev/null
 }
 
-# Fused CG floor (see header, check 8). Within-run ratio, no tolerance knob.
+# Fused CG floor (see header, check 7). Within-run ratio, no tolerance knob.
 fused_cg_floor_checks() {
   local file="$1"
   jq -r --argjson floor 1.8 '
@@ -199,27 +170,25 @@ fused_cg_floor_checks() {
   ' "${file}" 2>/dev/null
 }
 
-# Heartbeat per-period floor (see header, check 7). Reads the plain
-# google-benchmark layout and run_bench.sh's serial/parallel one.
+# Heartbeat per-period floor (see header, check 6).
 heartbeat_floor_checks() {
   local file="$1"
   jq -r '
-    [(.benchmarks // []), (.serial.benchmarks // []), (.parallel.benchmarks // [])]
-    | map(map(select(.name | startswith("BM_HeartbeatPeriod"))
-              | {key: (.name | sub("^BM_HeartbeatPeriod"; "")), value: .real_time})
-          | from_entries)
-    | if all(.[]; length == 0) then
+    (.benchmarks // [])
+    | map(select(.name | startswith("BM_HeartbeatPeriod"))
+          | {key: (.name | sub("^BM_HeartbeatPeriod"; "")), value: .real_time})
+    | from_entries as $t
+    | if ($t | length) == 0 then
         "bench-guard: FLOOR heartbeat/period: no BM_HeartbeatPeriod rows"
       else
-        .[] as $t
-        | $t | keys[] | select(startswith("Index/")) | sub("^Index/"; "") as $n
+        $t | keys[] | select(startswith("Index/")) | sub("^Index/"; "") as $n
         | select($t["Linear/" + $n] == null or $t["Index/" + $n] >= $t["Linear/" + $n])
         | "bench-guard: FLOOR heartbeat/period@\($n): index \($t["Index/" + $n]) not below linear \($t["Linear/" + $n])"
       end
   ' "${file}" 2>/dev/null
 }
 
-# Sharded-scheduler floor (see header, check 3). Within-run ratio, so it is
+# Sharded-scheduler floor (see header, check 2). Within-run ratio, so it is
 # machine-portable; tolerance-adjusted because the 1k tier sits at parity.
 scale_floor_checks() {
   local file="$1"
@@ -240,13 +209,6 @@ for file in "$@"; do
   fi
 
   if [[ "${name}" == "BENCH_hotpath.json" ]]; then
-    floor_violations="$(simd_floor_checks "${file}")"
-    if [[ -n "${floor_violations}" ]]; then
-      echo "${floor_violations}"
-      total_warnings=$((total_warnings + $(echo "${floor_violations}" | wc -l)))
-    else
-      echo "bench-guard: ${name}: simd speedup floors hold"
-    fi
     fused_violations="$(fused_cg_floor_checks "${file}")"
     if [[ -n "${fused_violations}" ]]; then
       echo "${fused_violations}"

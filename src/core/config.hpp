@@ -3,10 +3,10 @@
 // detection fast relative to iteration times); the threaded runtime uses the
 // same knobs with smaller values in tests.
 //
-// Simulator-only scale knobs — `shards` / `worker_threads`, env fallback
-// JACEPP_SIM_SHARDS — live in sim::SimConfig (sim/world.hpp; DESIGN.md §12)
-// and reach experiments through SimDeploymentConfig::sim. They are listed
-// here because this header is the knob index for deployments.
+// Simulator-only scale knobs — `shards` / `worker_threads` — live in
+// sim::SimConfig (sim/world.hpp; DESIGN.md §12) and reach experiments
+// through SimDeploymentConfig::sim. They are listed here because this header
+// is the knob index for deployments.
 #pragma once
 
 #include <cstddef>
@@ -133,38 +133,17 @@ struct CommConfig {
   std::size_t max_batch_bytes = 16 * 1024;  ///< body bytes per Batch
 };
 
-/// Iteration hot-path knobs (DESIGN.md §9). Defaults preserve the previous
-/// behaviour except for the send-buffer pool, which is transparent to
-/// results (it only recycles heap storage).
+/// Inert fields that the benchmark drivers still assign; no behaviour depends
+/// on them. Kernels are serial loops, message buffers are always pooled, and
+/// a task's data leaves after its iteration (paper §4.2). The Daemon
+/// constructor aborts on any value but the ones below (ROADMAP item 2 deletes
+/// the struct).
 struct PerfConfig {
-  /// Publish boundary/halo data from INSIDE iterate() — pre-relaxed boundary
-  /// lines (Poisson) or the post-solve export values (generic) leave while
-  /// the rest of the iteration still runs, overlapping compute with
-  /// communication. Off by default: it changes WHEN (and, for Poisson, WHAT
-  /// preview) neighbours see, so trajectories differ; converged solutions
-  /// agree at solver precision (bench_hotpath checks this parity).
-  bool early_send = false;
-  /// Kernel chunk size override: elements per BLAS-1 chunk (rows-per-chunk
-  /// for SpMV is grain / 4, clamped >= 1). 0 keeps the JACEPP_GRAIN /
-  /// built-in default (linalg::kVectorOpGrain). Applied process-wide at
-  /// deployment build time via linalg::set_kernel_grain().
-  std::size_t grain = 0;
-  /// Recycle message-body buffers through serial::BufferPool instead of
-  /// freeing them on last-ref release. Bit-transparent to results.
-  bool pool_buffers = true;
-  /// Run compute kernels through the runtime-dispatched SIMD layer
-  /// (linalg/simd.hpp; DESIGN.md §10). Off — the default — is bit-identical
-  /// to the scalar kernels. On, element-wise kernels stay bit-identical and
-  /// reductions reassociate within fixed-width lanes: bitwise reproducible
-  /// run to run on a given ISA level, and off-vs-on agree at solver
-  /// precision. Applied process-wide at deployment build time via
-  /// linalg::simd::set_enabled().
-  bool simd = false;
-  /// Build a SELL-slice twin of each Poisson block matrix and route the inner
-  /// CG's SpMV-shaped kernels through it (linalg/csr_sell.hpp). Only pays off
-  /// with `simd` on and AVX2 detected; correct (padded scalar loop)
-  /// everywhere. Applied via linalg::set_sell_enabled().
-  bool sell = false;
+  bool early_send = false;   ///< must be false
+  std::size_t grain = 0;     ///< must be 0 or linalg::kVectorOpGrain
+  bool pool_buffers = true;  ///< must be true
+  bool simd = false;         ///< must be false
+  bool sell = false;         ///< must be false
 };
 
 }  // namespace jacepp::core

@@ -5,18 +5,40 @@
 
 #include "core/periodic.hpp"
 #include "core/shard.hpp"
+#include "linalg/vector_ops.hpp"
 #include "support/logging.hpp"
 
 namespace jacepp::core {
 
+namespace {
+
+/// Why a daemon cannot run `m`, or nullptr when it can. Checked before the
+/// assignment touches any state: every field comes from a peer.
+const char* assignment_defect(const msg::TaskAssignment& m) {
+  if (!TaskProgramRegistry::instance().contains(m.app.program)) {
+    return "unknown program";
+  }
+  if (m.app.task_count == 0) return "no tasks";
+  if (m.task_id >= m.app.task_count) return "task id out of range";
+  if (m.app.ckpt.chunk_size == 0) return "zero checkpoint chunk size";
+  return nullptr;
+}
+
+}  // namespace
+
 Daemon::Daemon(std::vector<net::Stub> bootstrap_addresses, TimingConfig timing,
                PerfConfig perf, ControlPlaneConfig cp)
     : timing_(timing),
-      perf_(perf),
       cp_(cp),
       bootstrap_addresses_(std::move(bootstrap_addresses)) {
   JACEPP_CHECK(!bootstrap_addresses_.empty(),
                "Daemon needs at least one super-peer bootstrap address");
+  JACEPP_CHECK(!perf.early_send &&
+                   (perf.grain == 0 || perf.grain == linalg::kVectorOpGrain) &&
+                   perf.pool_buffers && !perf.simd && !perf.sell,
+               "PerfConfig is inert: only early_send = false, grain 0 or "
+               "kVectorOpGrain, pool_buffers = true, simd = false and "
+               "sell = false are accepted (ROADMAP item 2)");
   backup_store_.set_byte_budget(timing_.backup_byte_budget);
 }
 
@@ -134,8 +156,8 @@ void Daemon::handle_reserved(const msg::Reserved& m, const net::Message&,
     reserving_spawner_ = m.spawner;
     bump_epoch();
     // Fallback: a reservation that never turns into a task means the spawner
-    // died or moved on (or sent a program this daemon cannot run); rejoin
-    // the available pool.
+    // died or moved on (or sent an assignment this daemon cannot run);
+    // rejoin the available pool.
     const std::uint64_t epoch = epoch_;
     env_->schedule(timing_.reserved_timeout, [this, epoch] {
       if (epoch == epoch_ && state_ == State::Reserved) begin_bootstrap();
@@ -150,16 +172,12 @@ void Daemon::handle_reserved(const msg::Reserved& m, const net::Message&,
 void Daemon::handle_assignment(const msg::TaskAssignment& m,
                                const net::Message&, net::Env&) {
   if (state_ == State::Computing) return;  // duplicate assignment
-  // The program name comes from a peer: refuse one this daemon cannot run
-  // before touching any state, so a Reserved daemon's reserved_timeout still
-  // returns it to the pool.
-  std::unique_ptr<Task> task =
-      TaskProgramRegistry::instance().create(m.app.program);
-  if (task == nullptr) {
-    JACEPP_LOG(Warn, "daemon",
-               "%s refused task %u of app %u: unknown program '%s'",
+  // Refuse an assignment this daemon cannot run before touching any state,
+  // so a Reserved daemon's reserved_timeout still returns it to the pool.
+  if (const char* defect = assignment_defect(m)) {
+    JACEPP_LOG(Warn, "daemon", "%s refused task %u of app %u ('%s'): %s",
                env_->self().to_debug_string().c_str(), m.task_id,
-               m.app.app_id, m.app.program.c_str());
+               m.app.app_id, m.app.program.c_str(), defect);
     return;
   }
   set_state(State::Computing);
@@ -193,32 +211,8 @@ void Daemon::handle_assignment(const msg::TaskAssignment& m,
   iterations_since_checkpoint_ = 0;
   iter_cost_ewma_ = 0.0;
 
-  task_ = std::move(task);
+  task_ = TaskProgramRegistry::instance().create(app_.program);
   task_->init(app_, task_id_);
-
-  // Compute–comm overlap (`perf.early_send`): data the task publishes from
-  // INSIDE iterate() goes out immediately — in the simulator the send departs
-  // at compute START (work() runs synchronously when the compute event
-  // fires, before the virtual duration is charged), and in the threaded
-  // runtime it leaves the worker thread while the rest of the iteration still
-  // runs. Carries the iteration number finish_iteration() will stamp.
-  if (perf_.early_send) {
-    task_->set_early_publish([this](std::vector<OutgoingData> outs) {
-      if (halted_ || state_ != State::Computing) return;
-      for (auto& out : outs) {
-        const net::Stub to = reg_.daemon_of(out.to_task);
-        if (!to.valid()) continue;
-        msg::TaskData data;
-        data.app_id = app_.app_id;
-        data.from_task = task_id_;
-        data.to_task = out.to_task;
-        data.tag = out.tag;
-        data.iteration = iteration_ + 1;
-        data.payload = std::move(out.payload);
-        rmi::invoke(*env_, to, data);
-      }
-    });
-  }
 
   // While computing, heartbeats go to the Spawner instead of a Super-Peer.
   const std::uint64_t epoch = epoch_;

@@ -45,7 +45,8 @@ class Daemon : public net::Actor {
   /// `bootstrap_addresses` is the paper's stored list of super-peer IP
   /// addresses: address stubs (incarnation 0) tried in random order — or, with
   /// `cp.shard_register`, in a deterministic ring walk from the daemon's home
-  /// shard (DESIGN.md §13).
+  /// shard (DESIGN.md §13). `perf` is inert and must hold the values
+  /// PerfConfig documents; any other value aborts.
   Daemon(std::vector<net::Stub> bootstrap_addresses, TimingConfig timing = {},
          PerfConfig perf = {}, ControlPlaneConfig cp = {});
 
@@ -156,7 +157,6 @@ class Daemon : public net::Actor {
   void bump_epoch() { ++epoch_; }
 
   TimingConfig timing_;
-  PerfConfig perf_;
   ControlPlaneConfig cp_;
   std::vector<net::Stub> bootstrap_addresses_;
   net::Env* env_ = nullptr;

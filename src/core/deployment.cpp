@@ -6,10 +6,6 @@
 #include "core/daemon.hpp"
 #include "core/messages.hpp"
 #include "core/super_peer.hpp"
-#include "linalg/csr_sell.hpp"
-#include "linalg/simd.hpp"
-#include "linalg/vector_ops.hpp"
-#include "serial/buffer_pool.hpp"
 #include "support/assert.hpp"
 #include "support/logging.hpp"
 
@@ -39,13 +35,6 @@ SimDeployment::~SimDeployment() = default;
 void SimDeployment::build() {
   JACEPP_CHECK(!built_, "SimDeployment::build called twice");
   built_ = true;
-
-  // Iteration hot-path knobs: process-wide kernel grain and send-buffer pool
-  // (see core/config.hpp); early_send travels with each Daemon below.
-  linalg::set_kernel_grain(config_.perf.grain);
-  serial::BufferPool::instance().set_enabled(config_.perf.pool_buffers);
-  linalg::simd::set_enabled(config_.perf.simd);
-  linalg::set_sell_enabled(config_.perf.sell);
 
   // --- Super-peer overlay (§5.1; count overridable via cp.super_peers) ---
   const std::size_t sp_count = config_.cp.super_peers > 0

@@ -28,7 +28,7 @@ struct SimDeploymentConfig {
   AppDescriptor app;                  ///< what the spawner launches
   TimingConfig timing;
   CommConfig comm;                    ///< staleness-aware comm path knobs
-  PerfConfig perf;                    ///< iteration hot-path knobs (§9)
+  PerfConfig perf;                    ///< inert (core/config.hpp)
   /// Decentralized control plane knobs (§13). `cp.super_peers > 0` overrides
   /// `super_peer_count`; defaults reproduce the centralized plane
   /// bit-for-bit.
@@ -41,9 +41,8 @@ struct SimDeploymentConfig {
   /// The all-zero default installs nothing.
   sim::ChurnScriptConfig churn;
   /// Simulator knobs, including the sharded-scheduler scale controls
-  /// `sim.shards` / `sim.worker_threads` (env fallback JACEPP_SIM_SHARDS;
-  /// DESIGN.md §12). The default (shards = 0 → 1) is bit-identical to the
-  /// single-queue scheduler.
+  /// `sim.shards` / `sim.worker_threads` (DESIGN.md §12). The default
+  /// (shards = 1) is the single-queue scheduler.
   sim::SimConfig sim;
   sim::FleetModel fleet;
 

@@ -5,10 +5,6 @@
 #include "core/daemon.hpp"
 #include "core/messages.hpp"
 #include "core/super_peer.hpp"
-#include "linalg/csr_sell.hpp"
-#include "linalg/simd.hpp"
-#include "linalg/vector_ops.hpp"
-#include "serial/buffer_pool.hpp"
 #include "support/assert.hpp"
 
 namespace jacepp::core {
@@ -39,12 +35,6 @@ RtDeployment::~RtDeployment() {
 }
 
 void RtDeployment::start() {
-  // Iteration hot-path knobs (mirrors SimDeployment::build).
-  linalg::set_kernel_grain(config_.perf.grain);
-  serial::BufferPool::instance().set_enabled(config_.perf.pool_buffers);
-  linalg::simd::set_enabled(config_.perf.simd);
-  linalg::set_sell_enabled(config_.perf.sell);
-
   // Super-peers first: their addresses seed every bootstrap list.
   const std::size_t sp_count = config_.cp.super_peers > 0
                                    ? config_.cp.super_peers
@@ -65,7 +55,7 @@ void RtDeployment::start() {
 
   for (std::size_t i = 0; i < config_.daemon_count; ++i) {
     auto daemon = std::make_unique<Daemon>(super_peer_addresses_, config_.timing,
-                                           config_.perf, config_.cp);
+                                           PerfConfig{}, config_.cp);
     const net::Stub stub =
         runtime_->add_node(std::move(daemon), net::EntityKind::Daemon);
     daemon_nodes_.push_back(stub.node);

@@ -2,9 +2,9 @@
 // real-time threaded runtime — every entity on its own thread, real clocks,
 // real concurrency. Used by the runnable examples and the threaded
 // integration tests; scale is smaller than the simulator's (threads, not
-// events). The simulator's sharded-scheduler knobs (sim.shards /
-// JACEPP_SIM_SHARDS; DESIGN.md §12) have no analogue here: entities are
-// already concurrent OS threads, so there is nothing to partition.
+// events). The simulator's sharded-scheduler knobs (sim.shards; DESIGN.md
+// §12) have no analogue here: entities are already concurrent OS threads, so
+// there is nothing to partition.
 #pragma once
 
 #include <condition_variable>
@@ -30,7 +30,6 @@ struct RtDeploymentConfig {
   AppDescriptor app;
   TimingConfig timing = fast_rt_timing();
   CommConfig comm;  ///< staleness-aware comm path knobs (flush_window > 0 enables)
-  PerfConfig perf;  ///< iteration hot-path knobs (§9)
   /// Decentralized control plane knobs (§13). `cp.super_peers > 0` overrides
   /// `super_peer_count`.
   ControlPlaneConfig cp;

@@ -105,20 +105,17 @@ double GenericMultisplitTask::iterate() {
       (cg.flops + 4.0 * static_cast<double>(block_.owned_size())) *
       config_.work_scale;
   last_solve_flops_ = std::max(flops, 0.5 * last_solve_flops_);
-
-  // Early halo publish (perf.early_send): the export values exist as soon as
-  // the solve does, so ship them from inside the iteration — the runtime
-  // sends them while the remainder of the compute is still charged — and let
-  // outgoing() skip the now-duplicate send.
-  if (early_publish_enabled() && task_count_ > 1) {
-    publish_early(build_exports());
-    sent_since_solve_ = true;
-    last_send_iteration_ = iterations_;
-  }
   return flops;
 }
 
-std::vector<OutgoingData> GenericMultisplitTask::build_exports() const {
+std::vector<OutgoingData> GenericMultisplitTask::outgoing() {
+  constexpr std::uint64_t kResendInterval = 8;
+  if (sent_since_solve_ && iterations_ - last_send_iteration_ < kResendInterval) {
+    return {};
+  }
+  sent_since_solve_ = true;
+  last_send_iteration_ = iterations_;
+
   std::vector<OutgoingData> out;
   out.reserve(export_indices_.size());
   for (const auto& [peer, indices] : export_indices_) {
@@ -133,16 +130,6 @@ std::vector<OutgoingData> GenericMultisplitTask::build_exports() const {
     out.push_back(OutgoingData{peer, writer.take(), 0});
   }
   return out;
-}
-
-std::vector<OutgoingData> GenericMultisplitTask::outgoing() {
-  constexpr std::uint64_t kResendInterval = 8;
-  if (sent_since_solve_ && iterations_ - last_send_iteration_ < kResendInterval) {
-    return {};
-  }
-  sent_since_solve_ = true;
-  last_send_iteration_ = iterations_;
-  return build_exports();
 }
 
 void GenericMultisplitTask::on_data(TaskId from_task, std::uint64_t /*iteration*/,

@@ -65,10 +65,6 @@ class GenericMultisplitTask : public Task {
   static void force_registration();
 
  private:
-  /// The per-peer export payloads for the current x_local_ (used by both the
-  /// normal outgoing() path and the early-publish path).
-  [[nodiscard]] std::vector<OutgoingData> build_exports() const;
-
   GenericConfig config_;
   TaskId task_id_ = 0;
   std::uint32_t task_count_ = 0;

@@ -41,16 +41,7 @@ struct OutgoingData {
 
 class Task {
  public:
-  /// Sink for data published from INSIDE iterate(), before the iteration
-  /// completes (the compute–comm overlap path, `perf.early_send`).
-  using EarlyPublishFn = std::function<void(std::vector<OutgoingData>)>;
-
   virtual ~Task() = default;
-
-  /// Install (or clear, with an empty function) the early-publish sink. The
-  /// daemon installs one only when `perf.early_send` is on; tasks treat an
-  /// absent sink as "early publish disabled" and skip the extra work.
-  void set_early_publish(EarlyPublishFn sink) { early_publish_ = std::move(sink); }
 
   /// Called once before the first iteration (or before restore() on a
   /// replacement daemon). `task_id` is this task's SPMD rank.
@@ -107,24 +98,6 @@ class Task {
   /// the paper's "iterations without update"); reported in FinalState for
   /// the Eq. (4) diagnostics. Defaults to 0 = not tracked.
   [[nodiscard]] virtual std::uint64_t informative_iterations() const { return 0; }
-
- protected:
-  /// True when a sink is installed — implementations gate their boundary
-  /// pre-relaxation / early export on this.
-  [[nodiscard]] bool early_publish_enabled() const {
-    return static_cast<bool>(early_publish_);
-  }
-
-  /// Hand data to the sink mid-iteration. No-op without a sink or with
-  /// nothing to send. Called from within iterate(), i.e. on the thread the
-  /// runtime charges the compute to; the sink must be safe to call there
-  /// (both runtimes' Env::send is).
-  void publish_early(std::vector<OutgoingData> out) {
-    if (early_publish_ && !out.empty()) early_publish_(std::move(out));
-  }
-
- private:
-  EarlyPublishFn early_publish_;
 };
 
 /// Global name → factory table for task programs.

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "linalg/csr_sell.hpp"
 #include "linalg/fused.hpp"
 #include "support/assert.hpp"
 
@@ -29,10 +28,7 @@ CgResult conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
   ap.resize(n);
   double r_norm;
   if (options.fused) {
-    // The SELL twin (when provided) covers exactly the SpMV-shaped fused
-    // kernels; the BLAS-1 fused kernel below is layout-independent.
-    r_norm = options.sell ? options.sell->spmv_residual_norm2(x, b, r)
-                          : spmv_residual_norm2(a, x, b, r);
+    r_norm = spmv_residual_norm2(a, x, b, r);
     result.flops += nnz_work;
   } else {
     a.multiply(x, ap);
@@ -58,7 +54,7 @@ CgResult conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
   for (std::size_t it = 0; it < options.max_iterations; ++it) {
     double p_ap;
     if (options.fused) {
-      p_ap = options.sell ? options.sell->spmv_dot(p, ap) : spmv_dot(a, p, ap);
+      p_ap = spmv_dot(a, p, ap);
     } else {
       a.multiply(p, ap);
       p_ap = dot(p, ap);

@@ -10,27 +10,14 @@
 
 namespace jacepp::linalg {
 
-class SellMatrix;
-
 struct CgOptions {
   double tolerance = 1e-10;      ///< stop when ||r|| <= tolerance * ||b||
   std::size_t max_iterations = 1000;
   /// Run each iteration as three passes over memory with the fused kernels
   /// (linalg/fused.hpp): SpMV+dot, the x/r update with its norm, and the
   /// p update. Off runs the CSR multiply and one BLAS-1 pass per step, the
-  /// tests' oracle. Bit-identical to it with a pool of size 1; with pool
-  /// size >= 2 the fused SpMV reductions chunk by rows instead of elements,
-  /// so results may differ by FP reassociation only. flops accounting is
-  /// identical either way.
+  /// tests' oracle; both give the same bits and charge the same flops.
   bool fused = true;
-  /// Optional SELL-slice twin of the CSR matrix (linalg/csr_sell.hpp, the
-  /// `perf.sell` knob). When set (and fused), the two SpMV-shaped kernels per
-  /// iteration — initial residual and p·Ap — run on the padded layout, which
-  /// vectorizes short stencil rows four at a time under AVX2. Must be built
-  /// from the same matrix the solve uses; agrees with the CSR path at solver
-  /// precision (lane reassociation only). flops accounting still charges the
-  /// real nnz.
-  const SellMatrix* sell = nullptr;
 };
 
 struct CgResult {

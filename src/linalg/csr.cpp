@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "support/assert.hpp"
-#include "support/thread_pool.hpp"
 
 namespace jacepp::linalg {
 
@@ -118,22 +117,13 @@ void CsrMatrix::multiply_add(const Vector& x, Vector& y) const {
   const double* values = values_.data();
   const double* xs = x.data();
   double* ys = y.data();
-  compute_pool().parallel_for(
-      0, rows_, spmv_row_grain(), [=](std::size_t lo, std::size_t hi) {
-        for (std::size_t r = lo; r < hi; ++r) {
-          double acc = 0.0;
-          for (std::uint32_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-            acc += values[k] * xs[col_idx[k]];
-          }
-          ys[r] += acc;
-        }
-      });
-}
-
-Vector CsrMatrix::diagonal() const {
-  Vector d(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_ && r < cols_; ++r) d[r] = at(r, r);
-  return d;
+  for (std::size_t r = 0; r < rows_; ++r) {
+    double acc = 0.0;
+    for (std::uint32_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+      acc += values[k] * xs[col_idx[k]];
+    }
+    ys[r] += acc;
+  }
 }
 
 CsrMatrix CsrMatrix::block(std::size_t row_lo, std::size_t row_hi,
@@ -164,17 +154,14 @@ void CsrMatrix::off_block_multiply_add(std::size_t row_lo, std::size_t row_hi,
   const double* values = values_.data();
   const double* xs = x_global.data();
   double* ys = y_local.data();
-  compute_pool().parallel_for(
-      row_lo, row_hi, spmv_row_grain(), [=](std::size_t lo, std::size_t hi) {
-        for (std::size_t r = lo; r < hi; ++r) {
-          double acc = 0.0;
-          for (std::uint32_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-            const std::uint32_t c = col_idx[k];
-            if (c < col_lo || c >= col_hi) acc += values[k] * xs[c];
-          }
-          ys[r - row_lo] += acc;
-        }
-      });
+  for (std::size_t r = row_lo; r < row_hi; ++r) {
+    double acc = 0.0;
+    for (std::uint32_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+      const std::uint32_t c = col_idx[k];
+      if (c < col_lo || c >= col_hi) acc += values[k] * xs[c];
+    }
+    ys[r - row_lo] += acc;
+  }
 }
 
 CsrMatrix CsrMatrix::transpose() const {

@@ -12,14 +12,6 @@
 
 namespace jacepp::linalg {
 
-/// Default rows per parallel SpMV chunk (see support/thread_pool.hpp for the
-/// determinism contract); matrices shorter than this always run serially.
-/// Sized so a chunk is several microseconds of work on a ~5 nnz/row stencil —
-/// below that, pool dispatch dominates the row loop. The live value is
-/// spmv_row_grain() (vector_ops.hpp), which tracks the perf.grain /
-/// JACEPP_GRAIN override at a fixed 4:1 element:row ratio.
-inline constexpr std::size_t kSpmvRowGrain = 1024;
-
 /// Most distinct diagonals a matrix may have for CsrMatrix to keep a banded
 /// copy: the five of a 5-point Poisson block.
 inline constexpr std::size_t kMaxBandDiagonals = 5;
@@ -76,9 +68,6 @@ class CsrMatrix {
 
   /// y += A * x.
   void multiply_add(const Vector& x, Vector& y) const;
-
-  /// Diagonal entries as a vector (0 where no stored diagonal).
-  [[nodiscard]] Vector diagonal() const;
 
   /// Extract the sub-matrix of rows [row_lo,row_hi) and columns [col_lo,col_hi),
   /// reindexed to local coordinates. Entries outside the column window are

@@ -1,22 +1,8 @@
 // Dense vector kernels. Vectors are std::vector<double> over a 64-byte
 // aligned allocator (support/aligned.hpp) so kernel operands start on a cache
 // line; these free functions provide the BLAS-1 level operations the solvers
-// need.
-//
-// Every kernel runs through compute_pool() (support/thread_pool.hpp): serial
-// and bit-identical to a plain loop when the pool size is 1, chunked across
-// workers in units of vector_op_grain() elements otherwise. Reductions merge
-// their chunk partials in index order, so a given pool size >= 2 always
-// reproduces the same floating-point result. Changing the grain moves chunk
-// boundaries (and so may reassociate reductions for pool sizes >= 2), but for
-// any FIXED grain the chunk-stability contract holds across all pool sizes
-// >= 2, and the pool-size-1 result never depends on the grain at all.
-//
-// With `perf.simd` on (linalg/simd.hpp) each chunk body runs the dispatched
-// vector kernel instead of the scalar loop: element-wise kernels stay
-// bit-identical, reductions reassociate within fixed-width lanes (still
-// bitwise reproducible run to run on a given ISA). simd off — the default —
-// leaves every loop exactly as before the SIMD layer existed.
+// need. Every kernel is one serial loop in index order, so its result is the
+// same bits on every run and every machine (DESIGN.md §10).
 #pragma once
 
 #include <cstddef>
@@ -31,24 +17,9 @@ namespace jacepp::linalg {
 /// type itself (the serializer templates over the allocator).
 using Vector = support::AlignedVector<double>;
 
-/// Default elements per parallel chunk: ranges shorter than this always run
-/// serially. The live value is vector_op_grain().
+/// The one nonzero value `PerfConfig::grain` accepts (core/config.hpp); the
+/// benchmark drivers assign it. No kernel reads it.
 inline constexpr std::size_t kVectorOpGrain = 4096;
-
-/// Current elements-per-chunk for BLAS-1 kernels: the `perf.grain` override if
-/// set_kernel_grain() installed one, else JACEPP_GRAIN from the environment,
-/// else kVectorOpGrain.
-[[nodiscard]] std::size_t vector_op_grain();
-
-/// Current rows-per-chunk for CSR row-loop kernels: vector_op_grain() / 4
-/// (clamped to >= 1), preserving the stock 4096:1024 ratio — a row of the
-/// ~5 nnz stencils we sweep costs a few elements' worth of work.
-[[nodiscard]] std::size_t spmv_row_grain();
-
-/// Install a process-wide grain override (`perf.grain`); 0 restores the
-/// JACEPP_GRAIN / built-in default. Not synchronized against kernels already
-/// in flight — set it at deployment build time, like ScopedComputePool.
-void set_kernel_grain(std::size_t grain);
 
 /// y += alpha * x  (sizes must match).
 void axpy(double alpha, const Vector& x, Vector& y);

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "linalg/fused.hpp"
 #include "poisson/poisson.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 
 namespace jacepp::poisson {
 
@@ -80,14 +78,7 @@ void PoissonTask::init(const core::AppDescriptor& app, core::TaskId task_id) {
   b_ext_.assign(full_rhs.begin() + static_cast<std::ptrdiff_t>(block_.ext_lo),
                 full_rhs.begin() + static_cast<std::ptrdiff_t>(block_.ext_hi));
 
-  inv_diag_ = a_local_.diagonal();
-  for (double& d : inv_diag_) d = 1.0 / d;  // 4/h² on every row, never zero
-
-  sell_.reset();
-  if (linalg::sell_enabled()) sell_.emplace(a_local_);
-
   x_ext_.assign(block_.ext_size(), 0.0);
-  early_x_.clear();
   owned_prev_.assign(block_.owned_size(), 0.0);
   lower_boundary_.assign(n, 0.0);
   upper_boundary_.assign(n, 0.0);
@@ -132,54 +123,27 @@ double PoissonTask::iterate() {
   linalg::Vector rhs;
   build_rhs(rhs);
 
-  // Early halo publish (perf.early_send): pre-relax the two outgoing boundary
-  // lines with one fused weighted-Jacobi sweep against the FRESH rhs and ship
-  // those preview lines now, so neighbours receive a better boundary estimate
-  // while the full inner solve below still runs. The final lines still go out
-  // through outgoing() after the solve (previews never mark anything as sent).
-  double preview_flops = 0.0;
-  if (early_publish_enabled() && task_count_ > 1) {
-    preview_flops = publish_boundary_preview(rhs);
-  }
-
   linalg::CgOptions options;
   options.tolerance = config_.inner_tolerance;
   options.max_iterations = config_.inner_max_iterations;
-  if (sell_) options.sell = &*sell_;
   const auto cg = linalg::conjugate_gradient(a_local_, rhs, x_ext_, options);
   last_solve_converged_ = cg.converged;
   sent_since_last_solve_ = false;
   ckpt_solve_dirty_ = true;
 
-  // Relative change of the OWNED components — the published iterate. Fused
-  // map+reduce: each chunk updates its disjoint owned_prev_ slice while
-  // accumulating both sums.
-  struct DiffNorm {
-    double diff2 = 0.0;
-    double norm2 = 0.0;
-  };
+  // Relative change of the OWNED components — the published iterate — in
+  // the same pass that records them in owned_prev_.
   const std::size_t off = block_.owned_offset();
-  const double* x_ext = x_ext_.data();
-  double* prev = owned_prev_.data();
-  const DiffNorm dn = compute_pool().parallel_reduce(
-      0, block_.owned_size(), linalg::vector_op_grain(), DiffNorm{},
-      [=](std::size_t lo, std::size_t hi) {
-        DiffNorm partial;
-        for (std::size_t i = lo; i < hi; ++i) {
-          const double v = x_ext[off + i];
-          const double d = v - prev[i];
-          partial.diff2 += d * d;
-          partial.norm2 += v * v;
-          prev[i] = v;
-        }
-        return partial;
-      },
-      [](DiffNorm a, const DiffNorm& b) {
-        a.diff2 += b.diff2;
-        a.norm2 += b.norm2;
-        return a;
-      });
-  local_error_ = std::sqrt(dn.diff2) / std::max(std::sqrt(dn.norm2), 1e-300);
+  double diff2 = 0.0;
+  double norm2 = 0.0;
+  for (std::size_t i = 0; i < block_.owned_size(); ++i) {
+    const double v = x_ext_[off + i];
+    const double d = v - owned_prev_[i];
+    diff2 += d * d;
+    norm2 += v * v;
+    owned_prev_[i] = v;
+  }
+  local_error_ = std::sqrt(diff2) / std::max(std::sqrt(norm2), 1e-300);
 
   ++iterations_done_;
   // The very first iteration is informative too: it moves x off the initial
@@ -190,52 +154,13 @@ double PoissonTask::iterate() {
   lower_fresh_ = upper_fresh_ = false;
 
   const double flops =
-      (cg.flops + preview_flops + 6.0 * static_cast<double>(block_.ext_size())) *
+      (cg.flops + 6.0 * static_cast<double>(block_.ext_size())) *
       config_.work_scale;
   // Starved iterations will charge the cost of a representative solve; use a
   // slowly-tracking maximum so early cheap warm-started solves do not
   // underprice them.
   last_solve_flops_ = std::max(flops, 0.5 * last_solve_flops_);
   total_flops_ += flops;
-  return flops;
-}
-
-double PoissonTask::publish_boundary_preview(const linalg::Vector& rhs) {
-  const std::size_t n = config_.n;
-  const std::size_t overlap_rows = config_.overlap_lines * n;
-  if (early_x_.size() != x_ext_.size()) early_x_.assign(x_ext_.size(), 0.0);
-
-  // ω = 2/3: the classic damped-Jacobi weight — the preview only needs to be
-  // closer to the post-solve line than the stale one, not converged.
-  constexpr double kOmega = 2.0 / 3.0;
-  const auto& row_ptr = a_local_.row_ptr();
-  double flops = 0.0;
-  std::vector<core::OutgoingData> out;
-
-  auto preview_line = [&](std::size_t global_start) {
-    const std::size_t lo = global_start - block_.ext_lo;
-    linalg::relax_sweep_fused(a_local_, inv_diag_, rhs, x_ext_, early_x_,
-                              kOmega, lo, lo + n);
-    flops += 2.0 * static_cast<double>(row_ptr[lo + n] - row_ptr[lo]) +
-             4.0 * static_cast<double>(n);
-    serial::Writer writer;
-    linalg::Vector line(early_x_.begin() + static_cast<std::ptrdiff_t>(lo),
-                        early_x_.begin() + static_cast<std::ptrdiff_t>(lo + n));
-    writer.f64_vector(line);
-    return writer.take();
-  };
-
-  // Same lines and stream tags as outgoing(): the preview and the final line
-  // share one latest-wins stream per (pair, direction).
-  if (task_id_ > 0) {
-    const std::size_t start = block_.owned_lo + overlap_rows;
-    out.push_back(core::OutgoingData{task_id_ - 1, preview_line(start), 1});
-  }
-  if (task_id_ + 1 < task_count_) {
-    const std::size_t start = block_.owned_hi - overlap_rows - n;
-    out.push_back(core::OutgoingData{task_id_ + 1, preview_line(start), 0});
-  }
-  publish_early(std::move(out));
   return flops;
 }
 

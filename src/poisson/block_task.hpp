@@ -17,7 +17,6 @@
 #include "core/task.hpp"
 #include "linalg/cg.hpp"
 #include "linalg/csr.hpp"
-#include "linalg/csr_sell.hpp"
 #include "linalg/partition.hpp"
 #include "serial/serial.hpp"
 
@@ -88,11 +87,6 @@ class PoissonTask : public core::Task {
  private:
   void build_rhs(linalg::Vector& rhs) const;
 
-  /// Early halo publish: one fused damped-Jacobi sweep over each outgoing
-  /// boundary line's rows (against the given fresh rhs), shipped through
-  /// publish_early(). Returns the flops spent on the previews.
-  double publish_boundary_preview(const linalg::Vector& rhs);
-
   PoissonConfig config_;
   core::TaskId task_id_ = 0;
   std::uint32_t task_count_ = 0;
@@ -100,15 +94,9 @@ class PoissonTask : public core::Task {
   linalg::RowBlock block_;
 
   linalg::CsrMatrix a_local_;
-  /// SELL-slice twin of a_local_ for the inner CG's SpMV kernels, built at
-  /// init when `perf.sell` is on (linalg::sell_enabled()). Derived from
-  /// a_local_ like the matrix itself, so checkpoints never carry it.
-  std::optional<linalg::SellMatrix> sell_;
   linalg::Vector b_ext_;
   linalg::Vector x_ext_;
   linalg::Vector owned_prev_;
-  linalg::Vector inv_diag_;  ///< 1 / diag(a_local_), for preview sweeps
-  linalg::Vector early_x_;   ///< scratch output of preview sweeps
 
   // Latest boundary lines received (last-received-wins; see DESIGN.md).
   linalg::Vector lower_boundary_;  ///< grid line just below ext_lo

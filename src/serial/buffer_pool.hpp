@@ -40,7 +40,7 @@ class BufferPool {
     std::uint64_t reuses = 0;    ///< acquire() served from the free list
     std::uint64_t misses = 0;    ///< acquire() fell through to a fresh buffer
     std::uint64_t returns = 0;   ///< release() retained the buffer
-    std::uint64_t dropped = 0;   ///< release() freed it (disabled/full/huge)
+    std::uint64_t dropped = 0;   ///< release() freed it (full/huge)
   };
 
   static BufferPool& instance() {
@@ -52,7 +52,7 @@ class BufferPool {
   [[nodiscard]] Bytes acquire() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (enabled_ && !free_.empty()) {
+      if (!free_.empty()) {
         Bytes buffer = std::move(free_.back());
         free_.pop_back();
         retained_bytes_ -= buffer.capacity();
@@ -72,7 +72,7 @@ class BufferPool {
     if (cap == 0) return;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (enabled_ && cap <= kMaxBufferBytes && free_.size() < kMaxBuffers &&
+      if (cap <= kMaxBufferBytes && free_.size() < kMaxBuffers &&
           retained_bytes_ + cap <= kMaxRetainedBytes) {
         buffer.clear();
         retained_bytes_ += cap;
@@ -83,23 +83,6 @@ class BufferPool {
       ++stats_.dropped;
     }
     Bytes discard = std::move(buffer);  // free outside the lock
-  }
-
-  /// `perf.pool_buffers` knob. Disabling drops the current free list so an
-  /// ablation run starts cold and releases stop retaining.
-  void set_enabled(bool enabled) {
-    std::vector<Bytes> discard;
-    std::lock_guard<std::mutex> lock(mutex_);
-    enabled_ = enabled;
-    if (!enabled) {
-      discard.swap(free_);
-      retained_bytes_ = 0;
-    }
-  }
-
-  [[nodiscard]] bool enabled() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return enabled_;
   }
 
   [[nodiscard]] Stats stats() const {
@@ -125,7 +108,6 @@ class BufferPool {
   BufferPool() = default;
 
   mutable std::mutex mutex_;
-  bool enabled_ = true;
   std::vector<Bytes> free_;
   std::size_t retained_bytes_ = 0;
   Stats stats_;

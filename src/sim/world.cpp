@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <thread>
 
 #include "support/assert.hpp"
@@ -12,22 +11,6 @@
 namespace jacepp::sim {
 
 namespace {
-
-/// Resolved `sim.shards`: the config value if set, else JACEPP_SIM_SHARDS,
-/// else 1 (the classic single-queue scheduler).
-std::size_t resolve_shards(std::size_t configured) {
-  constexpr std::size_t kMaxShards = 4096;
-  if (configured > 0) return std::min(configured, kMaxShards);
-  const char* env = std::getenv("JACEPP_SIM_SHARDS");
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(env, &end, 10);
-    if (end != nullptr && *end == '\0' && parsed > 0) {
-      return std::min<std::size_t>(parsed, kMaxShards);
-    }
-  }
-  return 1;
-}
 
 /// The executing shard's round-stop flag. request_stop() may be called from
 /// actor code while a round is in flight on several worker threads; the
@@ -126,7 +109,7 @@ class SimWorld::NodeEnv : public net::Env {
 };
 
 SimWorld::SimWorld(SimConfig config) : config_(config), rng_(config.seed) {
-  config_.shards = resolve_shards(config_.shards);
+  config_.shards = std::clamp<std::size_t>(config_.shards, 1, 4096);
   const std::size_t n = config_.shards;
   shards_.reserve(n);
   shard_wire_min_.assign(n, std::numeric_limits<double>::infinity());
@@ -292,11 +275,6 @@ EventId SimWorld::schedule_global(double delay, std::function<void()> fn) {
   // tie-breaking is bit-identical to the single-queue scheduler they shared.
   EventQueue& q = shards_.size() > 1 ? global_queue_ : shards_[0]->queue;
   return q.schedule(now_ + delay, std::move(fn));
-}
-
-void SimWorld::cancel_global(EventId id) {
-  EventQueue& q = shards_.size() > 1 ? global_queue_ : shards_[0]->queue;
-  q.cancel(id);
 }
 
 void SimWorld::request_stop() {
@@ -619,10 +597,6 @@ RoundWorkerPool& SimWorld::round_crew() {
       const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
       lanes = std::min(shards_.size(), hw);
     }
-    // The world owns its crew rather than sharing compute_pool(): actor
-    // numerics run through compute_pool and their chunking (JACEPP_THREADS)
-    // must stay independent of how many lanes drive shard rounds, or
-    // "bit-identical across worker-thread counts" would be false.
     crew_ = std::make_unique<RoundWorkerPool>(lanes, force);
   }
   return *crew_;

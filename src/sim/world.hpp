@@ -84,11 +84,10 @@ struct SimConfig {
   /// elapses. Makes slow-consumer backlogs — and what coalescing saves — show
   /// up in delivered-message counts instead of just queue lengths.
   bool serialize_links = false;
-  /// Logical world partitions (`sim.shards`). 0 resolves the
-  /// JACEPP_SIM_SHARDS environment variable (clamped to [1, 4096]), absent or
-  /// invalid falling back to 1. 1 is the classic single-queue scheduler,
-  /// bit-identical to the pre-shard implementation.
-  std::size_t shards = 0;
+  /// Logical world partitions (`sim.shards`), clamped to [1, 4096]. 1 is the
+  /// classic single-queue scheduler, bit-identical to the pre-shard
+  /// implementation.
+  std::size_t shards = 1;
   /// Worker threads driving shard rounds. 0 sizes the pool automatically
   /// (min(shards, hardware threads)); an explicit value forces that many
   /// lanes even on fewer cores (determinism tests exercise thread-count
@@ -211,7 +210,6 @@ class SimWorld {
   /// these run single-threaded at round barriers, before any shard event with
   /// an equal or later timestamp — they may safely touch any node.
   EventId schedule_global(double delay, std::function<void()> fn);
-  void cancel_global(EventId id);
 
   Rng& rng() { return rng_; }
   /// Aggregated network counters. With shards >= 2 this folds the per-shard

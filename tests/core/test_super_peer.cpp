@@ -1,11 +1,14 @@
 // Protocol-level Super-Peer scenarios in the simulator.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "core/daemon.hpp"
 #include "core/messages.hpp"
 #include "core/super_peer.hpp"
+#include "linalg/vector_ops.hpp"
+#include "poisson/block_task.hpp"
 #include "rmi/rmi.hpp"
 #include "sim/world.hpp"
 
@@ -33,15 +36,15 @@ class ReserveProbe : public net::Actor {
     req.requester = env_->self();
     rmi::invoke(*env_, sp, req);
   }
-  /// Assign task 0 of a one-task application running `program`.
-  void assign(const net::Stub& daemon, const std::string& program) {
+  /// Assign task `task_id` of `app` to `daemon`.
+  void assign(const net::Stub& daemon, const AppDescriptor& app,
+              TaskId task_id) {
     msg::TaskAssignment assignment;
-    assignment.app.app_id = 1;
-    assignment.app.program = program;
-    assignment.app.task_count = 1;
-    assignment.reg.app_id = 1;
+    assignment.app = app;
+    assignment.task_id = task_id;
+    assignment.reg.app_id = app.app_id;
     assignment.reg.spawner = env_->self();
-    assignment.reg.tasks = {TaskEntry{0, daemon}};
+    assignment.reg.tasks = {TaskEntry{task_id, daemon}};
     rmi::invoke(*env_, daemon, assignment);
   }
 
@@ -192,27 +195,79 @@ TEST(SuperPeer, ReservedDaemonFallsBackToRegistered) {
   EXPECT_EQ(s.sps[0]->registered_count(), 1u);
 }
 
-TEST(SuperPeer, UnknownTaskProgramIsRefusedAndDaemonRejoinsPool) {
-  // The program name comes from the spawner's message: a name this daemon
-  // cannot run is refused without touching its state, so the reservation
-  // lapses like one that never turned into a task.
-  Scenario s(1, 7);
-  auto* d = s.add_daemon();
+/// A one-task Poisson application a daemon can run.
+AppDescriptor runnable_app() {
+  poisson::force_registration();
+  poisson::PoissonConfig config;
+  config.n = 8;
+  AppDescriptor app;
+  app.app_id = 1;
+  app.program = poisson::PoissonTask::kProgramName;
+  app.config = poisson::encode_config(config);
+  app.task_count = 1;
+  return app;
+}
+
+/// One way a peer's TaskAssignment can be unrunnable: the runnable
+/// application with one field broken.
+struct BadAssignment {
+  std::string name;
+  AppDescriptor app;
+  TaskId task_id = 0;
+};
+
+void PrintTo(const BadAssignment& bad, std::ostream* os) { *os << bad.name; }
+
+/// The three fields that would abort the daemon if it accepted them. An
+/// unknown program is the fourth bad assignment; it has its own test.
+std::vector<BadAssignment> bad_assignments() {
+  std::vector<BadAssignment> out;
+  out.push_back({"NoTasks", runnable_app()});
+  out.back().app.task_count = 0;
+  out.push_back({"TaskIdOutOfRange", runnable_app(), 1});
+  out.push_back({"ZeroCheckpointChunk", runnable_app()});
+  out.back().app.ckpt.chunk_size = 0;
+  return out;
+}
+
+/// Reserves the scenario's only daemon for a probe spawner, hands it
+/// `assignment`, and runs to `until`; returns the probe.
+ReserveProbe* reserve_and_assign(Scenario& s, const AppDescriptor& app,
+                                 TaskId task_id, double until) {
   auto probe = std::make_unique<ReserveProbe>();
   ReserveProbe* p = probe.get();
   s.world.add_node(std::move(probe), sim::MachineSpec{}, net::EntityKind::Spawner);
   s.world.run_until(2.0);
-  s.world.schedule_global(0.0, [&] { p->request(s.sp_stubs[0], 1); });
+  s.world.schedule_global(0.0, [&s, p] { p->request(s.sp_stubs[0], 1); });
   s.world.run_until(4.0);
-  ASSERT_EQ(p->granted.size(), 1u);
-  ASSERT_EQ(d->state(), Daemon::State::Reserved);
-  const std::uint64_t attempts = d->bootstrap_attempts();
+  EXPECT_EQ(p->granted.size(), 1u);
+  s.world.schedule_global(0.0, [p, app, task_id] {
+    p->assign(p->granted.at(0), app, task_id);
+  });
+  s.world.run_until(until);
+  return p;
+}
 
-  s.world.schedule_global(0.0,
-                          [&] { p->assign(p->granted[0], "no-such-program"); });
-  s.world.run_until(5.0);
+TEST(SuperPeer, RunnableAssignmentComputes) {
+  // The control for the refusals below: unbroken, the same assignment runs.
+  Scenario s(1, 7);
+  auto* d = s.add_daemon();
+  const ReserveProbe* p = reserve_and_assign(s, runnable_app(), 0, 8.0);
+  EXPECT_EQ(d->state(), Daemon::State::Computing);
+  EXPECT_GT(d->iteration(), 0u);
+  EXPECT_GT(p->heartbeats, 0);
+}
+
+/// Every field of an assignment comes from a peer: one this daemon cannot
+/// run is refused without touching its state, so the reservation lapses
+/// like one that never turned into a task.
+void expect_refused_then_rejoins(const BadAssignment& bad) {
+  Scenario s(1, 7);
+  auto* d = s.add_daemon();
+  const ReserveProbe* p = reserve_and_assign(s, bad.app, bad.task_id, 5.0);
   EXPECT_EQ(d->state(), Daemon::State::Reserved);
   EXPECT_EQ(d->task(), nullptr);
+  const std::uint64_t attempts = d->bootstrap_attempts();
 
   // Default reserved_timeout is 6 s; after it, the daemon re-registers.
   s.world.run_until(15.0);
@@ -223,6 +278,24 @@ TEST(SuperPeer, UnknownTaskProgramIsRefusedAndDaemonRejoinsPool) {
   EXPECT_EQ(d->iteration(), 0u);
   EXPECT_EQ(p->heartbeats, 0);
 }
+
+TEST(SuperPeer, UnknownTaskProgramIsRefusedAndDaemonRejoinsPool) {
+  BadAssignment bad{"UnknownProgram", runnable_app()};
+  bad.app.program = "no-such-program";
+  expect_refused_then_rejoins(bad);
+}
+
+class AssignmentRefusal : public ::testing::TestWithParam<BadAssignment> {};
+
+TEST_P(AssignmentRefusal, DaemonNeverComputesAndRejoinsPool) {
+  expect_refused_then_rejoins(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BadAssignments, AssignmentRefusal, ::testing::ValuesIn(bad_assignments()),
+    [](const ::testing::TestParamInfo<BadAssignment>& info) {
+      return info.param.name;
+    });
 
 TEST(SuperPeer, DaemonReRegistersWhenSuperPeerDies) {
   Scenario s(2, 11);
@@ -250,6 +323,54 @@ TEST(SuperPeer, DaemonBootstrapsThroughDeadEntryPoints) {
   s.world.run_until(20.0);
   EXPECT_EQ(d->state(), Daemon::State::Registered);
   EXPECT_TRUE(s.sps[1]->has_registered(s.daemon_stubs[0]));
+}
+
+// --- PerfConfig is inert -----------------------------------------------------
+
+std::vector<net::Stub> one_bootstrap_address() {
+  return {net::Stub{1, 0, net::EntityKind::SuperPeer}};
+}
+
+TEST(PerfConfig, BenchmarkAssignmentsConstructADaemon) {
+  // The values the benchmark drivers assign: every field on the deployment
+  // workloads, the grain alone on the control-plane one.
+  PerfConfig deployment;
+  deployment.early_send = false;
+  deployment.grain = linalg::kVectorOpGrain;
+  deployment.pool_buffers = true;
+  deployment.simd = false;
+  deployment.sell = false;
+  PerfConfig control_plane;
+  control_plane.grain = linalg::kVectorOpGrain;
+  for (const PerfConfig& perf : {PerfConfig{}, deployment, control_plane}) {
+    const Daemon daemon(one_bootstrap_address(), TimingConfig{}, perf);
+    EXPECT_EQ(daemon.state(), Daemon::State::Bootstrapping);
+  }
+}
+
+TEST(PerfConfig, EveryOtherValueAborts) {
+  struct Case {
+    const char* name;
+    PerfConfig perf;
+  };
+  std::vector<Case> cases(6);
+  cases[0] = {"early_send", {}};
+  cases[0].perf.early_send = true;
+  cases[1] = {"grain 1", {}};
+  cases[1].perf.grain = 1;
+  cases[2] = {"grain 2 * kVectorOpGrain", {}};
+  cases[2].perf.grain = 2 * linalg::kVectorOpGrain;
+  cases[3] = {"pool_buffers", {}};
+  cases[3].perf.pool_buffers = false;
+  cases[4] = {"simd", {}};
+  cases[4].perf.simd = true;
+  cases[5] = {"sell", {}};
+  cases[5].perf.sell = true;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_DEATH(Daemon(one_bootstrap_address(), TimingConfig{}, c.perf),
+                 "ROADMAP item 2");
+  }
 }
 
 }  // namespace

@@ -1,9 +1,6 @@
-// Determinism tests for the fused hot-path kernels (linalg/fused.hpp):
-// with a pool of size 1 each fused kernel must be bit-identical to the
-// unfused sequence it replaces; with pool sizes >= 2 results must be stable
-// across pool sizes and, for a FIXED grain override, across that grain too.
-// The banded row sums must equal the CSR row loop bit for bit, chunk
-// partials included, at every pool size.
+// Determinism tests for the fused hot-path kernels (linalg/fused.hpp): each
+// fused kernel must be bit-identical to the unfused sequence it replaces, and
+// the banded row sums must equal the CSR row loop bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,7 +19,6 @@
 #include "poisson/block_task.hpp"
 #include "poisson/poisson.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 
 namespace jacepp::linalg {
 namespace {
@@ -40,17 +36,9 @@ bool bitwise_equal(const Vector& a, const Vector& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
-/// Restores the default grain when a test body returns or throws.
-struct ScopedGrain {
-  explicit ScopedGrain(std::size_t grain) { set_kernel_grain(grain); }
-  ~ScopedGrain() { set_kernel_grain(0); }
-};
+// --- Fused == unfused to the last bit --------------------------------------
 
-// --- Pool size 1: fused == unfused to the last bit ------------------------
-
-TEST(FusedKernels, SpmvResidualNorm2BitIdenticalAtPoolOne) {
-  ThreadPool pool(1);
-  ScopedComputePool scoped(pool);
+TEST(FusedKernels, SpmvResidualNorm2BitIdenticalToUnfused) {
   for (const std::size_t side :
        {std::size_t{3}, std::size_t{17}, std::size_t{40}}) {
     const auto a = poisson::assemble_laplacian(side);
@@ -70,9 +58,7 @@ TEST(FusedKernels, SpmvResidualNorm2BitIdenticalAtPoolOne) {
   }
 }
 
-TEST(FusedKernels, SpmvDotBitIdenticalAtPoolOne) {
-  ThreadPool pool(1);
-  ScopedComputePool scoped(pool);
+TEST(FusedKernels, SpmvDotBitIdenticalToUnfused) {
   for (const std::size_t side :
        {std::size_t{3}, std::size_t{17}, std::size_t{40}}) {
     const auto a = poisson::assemble_laplacian(side);
@@ -89,92 +75,24 @@ TEST(FusedKernels, SpmvDotBitIdenticalAtPoolOne) {
   }
 }
 
-TEST(FusedKernels, AxpyNorm2BitIdenticalAtEveryPoolSize) {
-  // axpy_norm2 chunks by vector_op_grain() exactly like axpy + norm2, so the
-  // match is bitwise at EVERY pool size, not just 1.
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{8}}) {
-    ThreadPool pool(threads);
-    ScopedComputePool scoped(pool);
-    const std::size_t n = 3 * kVectorOpGrain + 17;
-    const Vector x = random_vector(n, 41);
-    Vector y_ref = random_vector(n, 43);
-    Vector y = y_ref;
+TEST(FusedKernels, CgUpdateBitIdenticalToAxpyPairAndDot) {
+  const std::size_t n = 3 * kVectorOpGrain + 17;
+  const Vector p = random_vector(n, 45);
+  const Vector ap = random_vector(n, 46);
+  Vector x_ref = random_vector(n, 47);
+  Vector r_ref = random_vector(n, 48);
+  Vector x = x_ref;
+  Vector r = r_ref;
+  const double alpha = 0.8125;
 
-    axpy(-0.625, x, y_ref);
-    const double norm_ref = norm2(y_ref);
+  axpy(alpha, p, x_ref);
+  axpy(-alpha, ap, r_ref);
+  const double rr_ref = dot(r_ref, r_ref);
 
-    const double norm_fused = axpy_norm2(-0.625, x, y);
-    EXPECT_TRUE(bitwise_equal(y, y_ref)) << "threads=" << threads;
-    EXPECT_EQ(norm_fused, norm_ref) << "threads=" << threads;
-  }
-}
-
-TEST(FusedKernels, RelaxSweepMatchesReferenceLoopAtPoolOne) {
-  ThreadPool pool(1);
-  ScopedComputePool scoped(pool);
-  const auto a = poisson::assemble_laplacian(12);
-  const std::size_t n = a.rows();
-  Vector inv_diag = a.diagonal();
-  for (double& d : inv_diag) d = 1.0 / d;
-  const Vector b = random_vector(n, 51);
-  const Vector x_in = random_vector(n, 53);
-  const double omega = 2.0 / 3.0;
-  const std::size_t row_lo = 13;
-  const std::size_t row_hi = n - 7;
-
-  Vector x_ref(n, 0.0);
-  double diff2_ref = 0.0;
-  double norm2_ref = 0.0;
-  for (std::size_t row = row_lo; row < row_hi; ++row) {
-    double ax = 0.0;
-    for (std::uint32_t k = a.row_ptr()[row]; k < a.row_ptr()[row + 1]; ++k) {
-      ax += a.values()[k] * x_in[a.col_idx()[k]];
-    }
-    const double update = omega * inv_diag[row] * (b[row] - ax);
-    const double v = x_in[row] + update;
-    x_ref[row] = v;
-    diff2_ref += update * update;
-    norm2_ref += v * v;
-  }
-
-  Vector x_out(n, 0.0);
-  const SweepStats stats =
-      relax_sweep_fused(a, inv_diag, b, x_in, x_out, omega, row_lo, row_hi);
-  EXPECT_TRUE(bitwise_equal(x_out, x_ref));
-  EXPECT_EQ(stats.diff2, diff2_ref);
-  EXPECT_EQ(stats.norm2, norm2_ref);
-  // Rows outside the window stay untouched.
-  EXPECT_EQ(x_out[0], 0.0);
-  EXPECT_EQ(x_out[n - 1], 0.0);
-}
-
-TEST(FusedKernels, CgUpdateBitIdenticalToAxpyPairAndDotAtEveryPoolSize) {
-  // cg_update chunks by vector_op_grain() like axpy + axpy_norm2 + dot(r, r),
-  // so the match is bitwise at every pool size.
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{3}}) {
-    ThreadPool pool(threads);
-    ScopedComputePool scoped(pool);
-    const std::size_t n = 3 * kVectorOpGrain + 17;
-    const Vector p = random_vector(n, 45);
-    const Vector ap = random_vector(n, 46);
-    Vector x_ref = random_vector(n, 47);
-    Vector r_ref = random_vector(n, 48);
-    Vector x = x_ref;
-    Vector r = r_ref;
-    const double alpha = 0.8125;
-
-    axpy(alpha, p, x_ref);
-    const double norm_ref = axpy_norm2(-alpha, ap, r_ref);
-    const double rr_ref = dot(r_ref, r_ref);
-
-    const double rr = cg_update(alpha, p, ap, x, r);
-    EXPECT_TRUE(bitwise_equal(x, x_ref)) << "threads=" << threads;
-    EXPECT_TRUE(bitwise_equal(r, r_ref)) << "threads=" << threads;
-    EXPECT_EQ(rr, rr_ref) << "threads=" << threads;
-    EXPECT_EQ(std::sqrt(rr), norm_ref) << "threads=" << threads;
-  }
+  const double rr = cg_update(alpha, p, ap, x, r);
+  EXPECT_TRUE(bitwise_equal(x, x_ref));
+  EXPECT_TRUE(bitwise_equal(r, r_ref));
+  EXPECT_EQ(rr, rr_ref);
 }
 
 /// Rows [0, lines * n) of the n-grid Laplacian: the local block of a task
@@ -183,9 +101,7 @@ CsrMatrix poisson_block(std::size_t n, std::size_t lines) {
   return poisson::assemble_local_laplacian(n, 0, lines * n);
 }
 
-TEST(FusedKernels, CgFusedBitIdenticalToUnfusedAtPoolOne) {
-  ThreadPool pool(1);
-  ScopedComputePool scoped(pool);
+TEST(FusedKernels, CgFusedBitIdenticalToUnfused) {
   struct Case {
     const char* name;
     CsrMatrix a;
@@ -229,7 +145,7 @@ TEST(FusedKernels, CgFusedBitIdenticalToUnfusedAtPoolOne) {
 // --- CG golden on a solve-large block --------------------------------------
 // The 20-line block of the 160-grid (3,200 rows), rhs from seed 151, then a
 // warm-started solve on the rhs from seed 152. Recorded on the tree before
-// the banded row sums and the three-pass iteration; perf.simd off.
+// the banded row sums and the three-pass iteration.
 
 std::uint64_t fnv1a(const Vector& v) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -248,7 +164,11 @@ struct CgGolden {
   std::uint64_t x_fnv;
 };
 
-void expect_cg_golden(const CgGolden (&golden)[2], const std::string& where) {
+TEST(FusedKernels, CgGoldenOnPoissonBlock160x20) {
+  const CgGolden golden[2] = {
+      {160, 0x3e9547900805f1f9ULL, 11173680.0, 0x7897fe77a7ef4ebfULL},
+      {169, 0x3e9202b4a9276260ULL, 11800800.0, 0x3e16b281badb8848ULL},
+  };
   const CsrMatrix a = poisson_block(160, 20);
   CgOptions options;
   options.tolerance = 1e-8;
@@ -257,37 +177,13 @@ void expect_cg_golden(const CgGolden (&golden)[2], const std::string& where) {
   for (std::size_t solve = 0; solve < 2; ++solve) {
     const Vector b = random_vector(a.rows(), 151 + solve);
     const CgResult result = conjugate_gradient(a, b, x, options);
-    EXPECT_TRUE(result.converged) << where << " solve " << solve;
-    EXPECT_EQ(result.iterations, golden[solve].iterations)
-        << where << " solve " << solve;
+    EXPECT_TRUE(result.converged) << "solve " << solve;
+    EXPECT_EQ(result.iterations, golden[solve].iterations) << "solve " << solve;
     EXPECT_EQ(std::bit_cast<std::uint64_t>(result.residual_norm),
               golden[solve].residual_bits)
-        << where << " solve " << solve;
-    EXPECT_EQ(result.flops, golden[solve].flops) << where << " solve " << solve;
-    EXPECT_EQ(fnv1a(x), golden[solve].x_fnv) << where << " solve " << solve;
-  }
-}
-
-TEST(FusedKernels, CgGoldenOnPoissonBlock160x20) {
-  {
-    ThreadPool pool(1);
-    ScopedComputePool scoped(pool);
-    const CgGolden golden[2] = {
-        {160, 0x3e9547900805f1f9ULL, 11173680.0, 0x7897fe77a7ef4ebfULL},
-        {169, 0x3e9202b4a9276260ULL, 11800800.0, 0x3e16b281badb8848ULL},
-    };
-    expect_cg_golden(golden, "pool 1");
-  }
-  // Row grain 97: chunk edges fall inside band segments.
-  ScopedGrain grain(4 * 97);
-  const CgGolden golden[2] = {
-      {160, 0x3e9547900805f1deULL, 11173680.0, 0x172a467480a6b798ULL},
-      {169, 0x3e9202b4a9276259ULL, 11800800.0, 0x7da304ce5d16f383ULL},
-  };
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{3}}) {
-    ThreadPool pool(threads);
-    ScopedComputePool scoped(pool);
-    expect_cg_golden(golden, "pool " + std::to_string(threads));
+        << "solve " << solve;
+    EXPECT_EQ(result.flops, golden[solve].flops) << "solve " << solve;
+    EXPECT_EQ(fnv1a(x), golden[solve].x_fnv) << "solve " << solve;
   }
 }
 
@@ -375,26 +271,17 @@ std::vector<Vector> operands(std::size_t n, std::uint64_t seed) {
   return {random_vector(n, seed), zeros};
 }
 
-/// The CSR row loop's chunk partials, merged left to right as
-/// parallel_reduce merges them: one chunk when `grain` is 0.
+/// The CSR row loop's reduction: term(r) summed in row order.
 template <typename Term>
-double chunked_sum(std::size_t n, std::size_t grain, Term term) {
-  if (grain == 0) grain = std::max<std::size_t>(n, 1);
+double in_order_sum(std::size_t n, Term term) {
   double acc = 0.0;
-  for (std::size_t lo = 0; lo < n; lo += grain) {
-    double partial = 0.0;
-    for (std::size_t r = lo; r < std::min(n, lo + grain); ++r) {
-      partial += term(r);
-    }
-    acc = lo == 0 ? partial : acc + partial;
-  }
+  for (std::size_t r = 0; r < n; ++r) acc += term(r);
   return acc;
 }
 
 /// Checks spmv_dot and spmv_residual_norm2 against CsrMatrix::multiply and
-/// in-order reference loops chunked by `row_grain` rows.
-void expect_matches_csr(const Shape& shape, std::size_t row_grain,
-                        const std::string& where) {
+/// in-order reference loops.
+void expect_matches_csr(const Shape& shape) {
   const CsrMatrix& a = shape.a;
   const std::size_t n = a.rows();
   EXPECT_EQ(a.band().count, shape.diagonals) << shape.name;
@@ -406,46 +293,27 @@ void expect_matches_csr(const Shape& shape, std::size_t row_grain,
     Vector y;
     const double dot_fused = spmv_dot(a, x, y);
     const double dot_ref =
-        chunked_sum(n, row_grain, [&](std::size_t r) { return x[r] * ax[r]; });
-    EXPECT_TRUE(bitwise_equal(y, ax)) << shape.name << where;
+        in_order_sum(n, [&](std::size_t r) { return x[r] * ax[r]; });
+    EXPECT_TRUE(bitwise_equal(y, ax)) << shape.name;
     EXPECT_EQ(std::bit_cast<std::uint64_t>(dot_fused),
               std::bit_cast<std::uint64_t>(dot_ref))
-        << shape.name << where;
+        << shape.name;
 
     Vector r_ref(n);
     for (std::size_t i = 0; i < n; ++i) r_ref[i] = b[i] - ax[i];
     Vector r;
     const double norm_fused = spmv_residual_norm2(a, x, b, r);
-    const double norm_ref = std::sqrt(chunked_sum(
-        n, row_grain, [&](std::size_t i) { return r_ref[i] * r_ref[i]; }));
-    EXPECT_TRUE(bitwise_equal(r, r_ref)) << shape.name << where;
+    const double norm_ref = std::sqrt(
+        in_order_sum(n, [&](std::size_t i) { return r_ref[i] * r_ref[i]; }));
+    EXPECT_TRUE(bitwise_equal(r, r_ref)) << shape.name;
     EXPECT_EQ(std::bit_cast<std::uint64_t>(norm_fused),
               std::bit_cast<std::uint64_t>(norm_ref))
-        << shape.name << where;
+        << shape.name;
   }
 }
 
-TEST(BandedRowSums, BitIdenticalToCsrAtPoolOne) {
-  ThreadPool pool(1);
-  ScopedComputePool scoped(pool);
-  for (const Shape& shape : shapes()) expect_matches_csr(shape, 0, "");
-}
-
-TEST(BandedRowSums, ChunkPartialsBitIdenticalToCsrAtPoolsTwoAndThree) {
-  // Row grains 97 and 300 put chunk edges inside band segments, across
-  // segment edges, and (300) past the kernel's 256-row blocks.
-  for (const std::size_t row_grain : {std::size_t{97}, std::size_t{300}}) {
-    ScopedGrain grain(4 * row_grain);
-    for (const std::size_t threads : {std::size_t{2}, std::size_t{3}}) {
-      ThreadPool pool(threads);
-      ScopedComputePool scoped(pool);
-      for (const Shape& shape : shapes()) {
-        expect_matches_csr(shape, row_grain,
-                           " threads=" + std::to_string(threads) +
-                               " grain=" + std::to_string(row_grain));
-      }
-    }
-  }
+TEST(BandedRowSums, BitIdenticalToCsr) {
+  for (const Shape& shape : shapes()) expect_matches_csr(shape);
 }
 
 TEST(BandedRowSums, BandHoldsTheDiagonalsInAscendingOrder) {
@@ -489,120 +357,6 @@ TEST(BandedRowSums, BandHoldsTheDiagonalsInAscendingOrder) {
   // Rectangular and empty matrices keep no band.
   EXPECT_EQ(a.block(0, 96, 0, 192).band().count, 0u);
   EXPECT_EQ(CsrMatrix().band().count, 0u);
-}
-
-// --- Pool sizes >= 2: chunk-stability across pools and grains -------------
-
-TEST(FusedKernels, ResultsAgreeAcrossParallelPoolSizes) {
-  const auto a = poisson::assemble_laplacian(40);
-  const Vector x = random_vector(a.cols(), 71);
-  const Vector b = random_vector(a.rows(), 73);
-
-  auto run = [&](std::size_t threads, Vector& r) {
-    ThreadPool pool(threads);
-    ScopedComputePool scoped(pool);
-    return spmv_residual_norm2(a, x, b, r);
-  };
-  Vector r2;
-  Vector r8;
-  const double n2 = run(2, r2);
-  const double n8 = run(8, r8);
-  EXPECT_EQ(n2, n8);
-  EXPECT_TRUE(bitwise_equal(r2, r8));
-}
-
-TEST(FusedKernels, ParallelResultsAreCloseToSerial) {
-  // Chunked reductions reassociate; the value must still agree to ~1e-12.
-  const auto a = poisson::assemble_laplacian(40);
-  const Vector x = random_vector(a.cols(), 81);
-  const Vector b = random_vector(a.rows(), 83);
-  double serial = 0.0;
-  double parallel = 0.0;
-  Vector r;
-  {
-    ThreadPool pool(1);
-    ScopedComputePool scoped(pool);
-    serial = spmv_residual_norm2(a, x, b, r);
-  }
-  {
-    ThreadPool pool(4);
-    ScopedComputePool scoped(pool);
-    parallel = spmv_residual_norm2(a, x, b, r);
-  }
-  EXPECT_NEAR(parallel, serial, 1e-12 * (serial + 1.0));
-}
-
-// --- Grain knob (perf.grain / JACEPP_GRAIN) --------------------------------
-
-TEST(KernelGrain, OverrideIsVisibleAndRestorable) {
-  EXPECT_EQ(vector_op_grain(), kVectorOpGrain);
-  EXPECT_EQ(spmv_row_grain(), kVectorOpGrain / 4);
-  {
-    ScopedGrain grain(512);
-    EXPECT_EQ(vector_op_grain(), 512u);
-    EXPECT_EQ(spmv_row_grain(), 128u);
-  }
-  EXPECT_EQ(vector_op_grain(), kVectorOpGrain);
-  {
-    ScopedGrain grain(2);  // spmv grain clamps to >= 1
-    EXPECT_EQ(vector_op_grain(), 2u);
-    EXPECT_EQ(spmv_row_grain(), 1u);
-  }
-  EXPECT_EQ(spmv_row_grain(), kVectorOpGrain / 4);
-}
-
-TEST(KernelGrain, PoolOneResultIndependentOfGrain) {
-  // With one worker the whole range is a single chunk regardless of grain:
-  // the result must not move by a bit.
-  ThreadPool pool(1);
-  ScopedComputePool scoped(pool);
-  const std::size_t n = 2 * kVectorOpGrain + 29;
-  const Vector x = random_vector(n, 91);
-  const Vector y = random_vector(n, 93);
-  const double base = dot(x, y);
-  for (const std::size_t g : {std::size_t{1}, std::size_t{64},
-                              std::size_t{100000}}) {
-    ScopedGrain grain(g);
-    EXPECT_EQ(dot(x, y), base) << "grain=" << g;
-  }
-}
-
-TEST(KernelGrain, ChunkStabilityHoldsAcrossPoolSizesForEachGrain) {
-  // The determinism contract per FIXED grain: every pool size >= 2 chunks the
-  // range identically, so reductions agree bit-for-bit. Different grains may
-  // legitimately differ (reassociation), but each must be internally stable.
-  const std::size_t n = 5 * kVectorOpGrain + 3;
-  const Vector x = random_vector(n, 101);
-  const Vector y = random_vector(n, 102);
-  const auto a = poisson::assemble_laplacian(40);
-  const Vector xs = random_vector(a.cols(), 103);
-  const Vector bs = random_vector(a.rows(), 104);
-
-  for (const std::size_t g : {std::size_t{0}, std::size_t{257},
-                              std::size_t{1024}, std::size_t{8192}}) {
-    ScopedGrain grain(g);
-    double dot2 = 0.0;
-    double dot8 = 0.0;
-    Vector r2;
-    Vector r8;
-    double res2 = 0.0;
-    double res8 = 0.0;
-    {
-      ThreadPool pool(2);
-      ScopedComputePool scoped(pool);
-      dot2 = dot(x, y);
-      res2 = spmv_residual_norm2(a, xs, bs, r2);
-    }
-    {
-      ThreadPool pool(8);
-      ScopedComputePool scoped(pool);
-      dot8 = dot(x, y);
-      res8 = spmv_residual_norm2(a, xs, bs, r8);
-    }
-    EXPECT_EQ(dot2, dot8) << "grain=" << g;
-    EXPECT_EQ(res2, res8) << "grain=" << g;
-    EXPECT_TRUE(bitwise_equal(r2, r8)) << "grain=" << g;
-  }
 }
 
 }  // namespace

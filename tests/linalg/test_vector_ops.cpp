@@ -2,10 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+
+#include "linalg/csr.hpp"
+#include "linalg/simd.hpp"
+#include "poisson/poisson.hpp"
+#include "support/rng.hpp"
 
 namespace jacepp::linalg {
 namespace {
+
+Vector random_vector(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  Vector v(n);
+  for (double& x : v) x = rng.uniform(-1.0, 1.0);
+  return v;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 TEST(VectorOps, Axpy) {
   Vector x{1, 2, 3};
@@ -58,6 +75,93 @@ TEST(VectorOps, Residual) {
   Vector r;
   residual(b, ax, r);
   EXPECT_EQ(r, (Vector{4, 4}));
+}
+
+// Generated from the scalar kernels when the SIMD layer was introduced; every
+// later kernel must reproduce them bit for bit.
+constexpr std::uint64_t kGoldenDot = 0xc017a646dfc2a07aULL;  // -5.9123797380963143
+constexpr std::uint64_t kGoldenNorm2 = 0x40328d6df212a857ULL;  // 18.552458886675904
+
+TEST(VectorOps, Blas1MatchesCommittedGoldens) {
+  const Vector x = random_vector(1003, 42);
+  const Vector y = random_vector(1003, 43);
+  EXPECT_EQ(bits(dot(x, y)), kGoldenDot);
+  EXPECT_EQ(bits(norm2(x)), kGoldenNorm2);
+}
+
+double ref_dot(const Vector& x, const Vector& y) {
+  double acc = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) acc += x[i] * y[i];
+  return acc;
+}
+
+TEST(ParallelKernelDeterminism, SerialPoolIsBitIdenticalToReferenceLoops) {
+  // Every kernel is the in-order loop written out below, to the last bit,
+  // from the empty vector up to a few thousand elements.
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, kVectorOpGrain - 1, kVectorOpGrain + 1,
+        3 * kVectorOpGrain + 41}) {
+    const Vector x = random_vector(n, 77 + n);
+    const Vector y = random_vector(n, 78 + n);
+    EXPECT_EQ(bits(dot(x, y)), bits(ref_dot(x, y))) << "n=" << n;
+    EXPECT_EQ(bits(norm2(x)), bits(std::sqrt(ref_dot(x, x)))) << "n=" << n;
+
+    double ref_d2 = 0.0;
+    double ref_di = 0.0;
+    double ref_ni = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double d = x[i] - y[i];
+      ref_d2 += d * d;
+      ref_di = std::max(ref_di, std::fabs(d));
+      ref_ni = std::max(ref_ni, std::fabs(x[i]));
+    }
+    EXPECT_EQ(bits(distance2(x, y)), bits(std::sqrt(ref_d2))) << "n=" << n;
+    EXPECT_EQ(distance_inf(x, y), ref_di) << "n=" << n;
+    EXPECT_EQ(norm_inf(x), ref_ni) << "n=" << n;
+
+    Vector got = y;
+    Vector expected = y;
+    for (std::size_t i = 0; i < n; ++i) expected[i] += 0.75 * x[i];
+    axpy(0.75, x, got);
+    EXPECT_EQ(got, expected) << "axpy n=" << n;
+    for (std::size_t i = 0; i < n; ++i) {
+      expected[i] = -1.5 * x[i] + 0.25 * expected[i];
+    }
+    axpby(-1.5, x, 0.25, got);
+    EXPECT_EQ(got, expected) << "axpby n=" << n;
+  }
+
+  for (const std::size_t side : {std::size_t{2}, std::size_t{17}, std::size_t{40}}) {
+    const auto a = poisson::assemble_laplacian(side);
+    const Vector x = random_vector(a.cols(), 79 + side);
+    Vector ref(a.rows(), 0.0);
+    for (std::size_t r = 0; r < a.rows(); ++r) {
+      double acc = 0.0;
+      for (std::uint32_t k = a.row_ptr()[r]; k < a.row_ptr()[r + 1]; ++k) {
+        acc += a.values()[k] * x[a.col_idx()[k]];
+      }
+      ref[r] += acc;
+    }
+    Vector got;
+    a.multiply(x, got);
+    EXPECT_EQ(got, ref) << "side=" << side;
+
+    Vector got_add = random_vector(a.rows(), 57 + side);
+    Vector ref_add = got_add;
+    for (std::size_t r = 0; r < a.rows(); ++r) ref_add[r] += ref[r];
+    a.multiply_add(x, got_add);
+    EXPECT_EQ(got_add, ref_add) << "multiply_add side=" << side;
+  }
+}
+
+TEST(SimdDetection, ActiveLevelIsScalarAndLevelsAreNamed) {
+  EXPECT_EQ(simd::active_level(), simd::Level::scalar);
+  EXPECT_STREQ(simd::level_name(simd::Level::scalar), "scalar");
+  EXPECT_STREQ(simd::level_name(simd::Level::sse2), "sse2");
+  EXPECT_STREQ(simd::level_name(simd::Level::avx2), "avx2");
+  const simd::Level detected = simd::detected_level();
+  EXPECT_TRUE(detected == simd::Level::scalar ||
+              detected == simd::Level::sse2 || detected == simd::Level::avx2);
 }
 
 }  // namespace

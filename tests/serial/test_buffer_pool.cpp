@@ -1,8 +1,7 @@
 // BufferPool safety and recycling: a buffer returns to the pool only when the
 // LAST Payload reference drops (capture -> deliver -> recycle), live copies
-// keep sharing one buffer with intact content, the perf.pool_buffers knob
-// drops retention, and concurrent acquire/release is race-free (the TSan job
-// runs this file like every other test).
+// keep sharing one buffer with intact content, and concurrent acquire/release
+// is race-free (the TSan job runs this file like every other test).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,17 +26,11 @@ struct Ping {
 };
 
 /// Every test runs against the process-wide singleton; start it clean and
-/// enabled, and leave it that way (the default) for whoever runs next.
+/// leave it clean for whoever runs next.
 class BufferPoolTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    BufferPool::instance().set_enabled(true);
-    BufferPool::instance().reset();
-  }
-  void TearDown() override {
-    BufferPool::instance().set_enabled(true);
-    BufferPool::instance().reset();
-  }
+  void SetUp() override { BufferPool::instance().reset(); }
+  void TearDown() override { BufferPool::instance().reset(); }
 };
 
 TEST_F(BufferPoolTest, AcquireReusesReleasedCapacity) {
@@ -107,7 +100,6 @@ TEST_F(BufferPoolTest, CaptureDeliverRecycleRoundTrip) {
 }
 
 TEST_F(BufferPoolTest, LiveBufferNeverHandedOut) {
-  auto& pool = BufferPool::instance();
   Ping ping;
   ping.value = 7;
   ping.body.assign(64, 3.25);
@@ -125,26 +117,6 @@ TEST_F(BufferPoolTest, LiveBufferNeverHandedOut) {
   const Ping still = net::payload_of<Ping>(held);
   EXPECT_EQ(still.value, 7u);
   EXPECT_EQ(still.body, ping.body);
-}
-
-TEST_F(BufferPoolTest, DisabledPoolDropsReleases) {
-  auto& pool = BufferPool::instance();
-  Bytes warm = pool.acquire();
-  warm.assign(256, 1);
-  pool.release(std::move(warm));
-  ASSERT_EQ(pool.free_count(), 1u);
-
-  pool.set_enabled(false);  // perf.pool_buffers = false: drop the free list
-  EXPECT_FALSE(pool.enabled());
-  EXPECT_EQ(pool.free_count(), 0u);
-
-  Bytes b(128, 2);
-  pool.release(std::move(b));
-  EXPECT_EQ(pool.free_count(), 0u);
-  EXPECT_GE(pool.stats().dropped, 1u);
-
-  pool.set_enabled(true);
-  EXPECT_TRUE(pool.enabled());
 }
 
 TEST_F(BufferPoolTest, OversizedBuffersAreNeverRetained) {

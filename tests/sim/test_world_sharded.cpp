@@ -254,14 +254,14 @@ TEST(ShardedContract, ShardAssignmentStableAndReasonablyBalanced) {
   }
 }
 
-TEST(ShardedContract, EnvKnobResolvesShardCount) {
-  ASSERT_EQ(setenv("JACEPP_SIM_SHARDS", "3", 1), 0);
-  EXPECT_EQ(SimWorld{}.shard_count(), 3u);  // config 0 defers to the env
+TEST(ShardedContract, ConfigShardCountWinsAndDefaultsToOne) {
   SimConfig explicit_cfg;
   explicit_cfg.shards = 2;
   EXPECT_EQ(SimWorld{explicit_cfg}.shard_count(), 2u);  // config wins
-  ASSERT_EQ(unsetenv("JACEPP_SIM_SHARDS"), 0);
-  EXPECT_EQ(SimWorld{}.shard_count(), 1u);  // classic default
+  EXPECT_EQ(SimWorld{}.shard_count(), 1u);              // classic default
+  SimConfig zero_cfg;
+  zero_cfg.shards = 0;
+  EXPECT_EQ(SimWorld{zero_cfg}.shard_count(), 1u);  // clamped up to one
 }
 
 TEST(ShardedContract, CrossShardInFlightReviveDropsFrame) {

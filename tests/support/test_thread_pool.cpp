@@ -3,8 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
-#include <numeric>
+#include <cstddef>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -12,49 +11,26 @@
 namespace jacepp {
 namespace {
 
-TEST(ThreadPool, SizeClampsZeroToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1u);
-}
-
-TEST(ThreadPool, EmptyRangeIsANoop) {
-  ThreadPool pool(4);
-  bool called = false;
-  pool.parallel_for(5, 5, 16, [&](std::size_t, std::size_t) { called = true; });
-  pool.parallel_for(7, 3, 16, [&](std::size_t, std::size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-TEST(ThreadPool, SerialPoolRunsWholeRangeInlineOnCaller) {
-  ThreadPool pool(1);
-  const auto caller = std::this_thread::get_id();
-  std::size_t calls = 0;
-  pool.parallel_for(3, 1000, 16, [&](std::size_t lo, std::size_t hi) {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    EXPECT_EQ(lo, 3u);
-    EXPECT_EQ(hi, 1000u);
-    ++calls;
-  });
-  EXPECT_EQ(calls, 1u);  // one chunk, exactly the serial loop
-}
-
 class ThreadPoolCoverage : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ThreadPoolCoverage, EveryIndexVisitedExactlyOnce) {
-  // force_workers: exercise the real cross-thread chunk claiming even when
-  // the test host has fewer cores than the pool size.
-  ThreadPool pool(GetParam(), /*force_workers=*/true);
-  const std::size_t grain = 64;
-  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, grain - 1,
-                              grain, grain + 1, std::size_t{10 * grain + 17}}) {
-    std::vector<std::atomic<int>> visits(n);
-    pool.parallel_for(0, n, grain, [&](std::size_t lo, std::size_t hi) {
-      ASSERT_LE(lo, hi);
-      ASSERT_LE(hi, n);
-      for (std::size_t i = lo; i < hi; ++i) visits[i].fetch_add(1);
+  // Every run() calls body(lane) once per lane, lane 0 on the caller, and
+  // returns only after all lanes finish. force_workers: spawn the real
+  // workers even when the test host has fewer cores than lanes.
+  RoundWorkerPool pool(GetParam(), /*force_workers=*/true);
+  ASSERT_EQ(pool.lanes(), GetParam());
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::atomic<int>> visits(pool.lanes());
+  for (int round = 1; round <= 50; ++round) {
+    pool.run([&](std::size_t lane) {
+      ASSERT_LT(lane, visits.size());
+      if (lane == 0) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+      }
+      visits[lane].fetch_add(1);
     });
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(visits[i].load(), 1) << "index " << i << " of " << n;
+    for (std::size_t lane = 0; lane < visits.size(); ++lane) {
+      ASSERT_EQ(visits[lane].load(), round) << "lane " << lane;
     }
   }
 }
@@ -62,130 +38,17 @@ TEST_P(ThreadPoolCoverage, EveryIndexVisitedExactlyOnce) {
 INSTANTIATE_TEST_SUITE_P(PoolSizes, ThreadPoolCoverage,
                          ::testing::Values(1, 2, 3, 8));
 
-TEST(ThreadPool, ReduceMatchesSerialSum) {
-  ThreadPool pool(4, /*force_workers=*/true);
-  const std::size_t n = 100000;
-  std::vector<double> values(n);
-  std::iota(values.begin(), values.end(), 1.0);
-  const double expected = std::accumulate(values.begin(), values.end(), 0.0);
-  const double got = pool.parallel_reduce(
-      0, n, 1024, 0.0,
-      [&](std::size_t lo, std::size_t hi) {
-        double acc = 0.0;
-        for (std::size_t i = lo; i < hi; ++i) acc += values[i];
-        return acc;
-      },
-      [](double a, double b) { return a + b; });
-  EXPECT_NEAR(got, expected, 1e-6 * expected);
-}
-
-TEST(ThreadPool, ReduceIsDeterministicAcrossRunsAndPoolSizes) {
-  // Chunk boundaries depend only on (range, grain): any pool size >= 2 must
-  // produce the identical merged result, run after run.
-  const std::size_t n = 12345;
-  std::vector<double> values(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    values[i] = 1e-3 * static_cast<double>((i * 2654435761u) % 1000) - 0.5;
-  }
-  auto reduce_with = [&](ThreadPool& pool) {
-    return pool.parallel_reduce(
-        0, n, 128, 0.0,
-        [&](std::size_t lo, std::size_t hi) {
-          double acc = 0.0;
-          for (std::size_t i = lo; i < hi; ++i) acc += values[i] * values[i];
-          return acc;
-        },
-        [](double a, double b) { return a + b; });
-  };
-  ThreadPool two(2, /*force_workers=*/true);
-  ThreadPool eight(8, /*force_workers=*/true);
-  ThreadPool capped(8);  // worker lanes capped at hardware_concurrency()
-  const double reference = reduce_with(two);
-  for (int run = 0; run < 10; ++run) {
-    EXPECT_EQ(reduce_with(two), reference);
-    EXPECT_EQ(reduce_with(eight), reference);
-    EXPECT_EQ(reduce_with(capped), reference);
-  }
-}
-
-TEST(ThreadPool, ConcurrentParallelForFromManyActors) {
-  // The rt runtime shares one pool across every entity thread: hammer a
-  // single pool from several submitters at once.
-  ThreadPool pool(4, /*force_workers=*/true);
-  constexpr int kActors = 8;
-  constexpr int kRounds = 50;
-  constexpr std::size_t kN = 4096;
-  std::vector<std::thread> actors;
-  std::vector<std::uint64_t> sums(kActors, 0);
-  for (int a = 0; a < kActors; ++a) {
-    actors.emplace_back([&, a] {
-      for (int round = 0; round < kRounds; ++round) {
-        std::vector<std::uint64_t> data(kN, static_cast<std::uint64_t>(a + 1));
-        const std::uint64_t sum = pool.parallel_reduce(
-            0, kN, 256, std::uint64_t{0},
-            [&](std::size_t lo, std::size_t hi) {
-              std::uint64_t acc = 0;
-              for (std::size_t i = lo; i < hi; ++i) acc += data[i];
-              return acc;
-            },
-            [](std::uint64_t x, std::uint64_t y) { return x + y; });
-        sums[a] = sum;
-        ASSERT_EQ(sum, kN * static_cast<std::uint64_t>(a + 1));
-      }
-    });
-  }
-  for (auto& t : actors) t.join();
-  for (int a = 0; a < kActors; ++a) {
-    EXPECT_EQ(sums[a], kN * static_cast<std::uint64_t>(a + 1));
-  }
-}
-
-TEST(ThreadPool, ExceptionInChunkPropagatesToSubmitter) {
-  ThreadPool pool(4, /*force_workers=*/true);
-  EXPECT_THROW(
-      pool.parallel_for(0, 1000, 10,
-                        [](std::size_t lo, std::size_t) {
-                          if (lo == 500) throw std::runtime_error("chunk boom");
-                        }),
-      std::runtime_error);
-}
-
-TEST(ThreadPool, ScopedComputePoolOverridesAndRestores) {
-  ThreadPool& base = compute_pool();
-  ThreadPool override_pool(3);
-  {
-    ScopedComputePool scoped(override_pool);
-    EXPECT_EQ(&compute_pool(), &override_pool);
-    {
-      ThreadPool inner(2);
-      ScopedComputePool nested(inner);
-      EXPECT_EQ(&compute_pool(), &inner);
-    }
-    EXPECT_EQ(&compute_pool(), &override_pool);
-  }
-  EXPECT_EQ(&compute_pool(), &base);
-}
-
-TEST(ThreadPool, ConfiguredThreadsParsesEnvironment) {
-  const char* saved = std::getenv("JACEPP_THREADS");
-  const std::string saved_value = saved ? saved : "";
-
-  unsetenv("JACEPP_THREADS");
-  EXPECT_EQ(configured_compute_threads(), 1u);  // default: serial, sim-safe
-  setenv("JACEPP_THREADS", "4", 1);
-  EXPECT_EQ(configured_compute_threads(), 4u);
-  setenv("JACEPP_THREADS", "0", 1);
-  EXPECT_EQ(configured_compute_threads(), 1u);
-  setenv("JACEPP_THREADS", "notanumber", 1);
-  EXPECT_EQ(configured_compute_threads(), 1u);
-  setenv("JACEPP_THREADS", "999999", 1);
-  EXPECT_EQ(configured_compute_threads(), 1024u);  // clamped
-
-  if (saved != nullptr) {
-    setenv("JACEPP_THREADS", saved_value.c_str(), 1);
-  } else {
-    unsetenv("JACEPP_THREADS");
-  }
+TEST(RoundWorkerPool, LaneExceptionReachesCallerAndCrewStaysUsable) {
+  RoundWorkerPool pool(3, /*force_workers=*/true);
+  std::atomic<int> calls{0};
+  EXPECT_THROW(pool.run([&](std::size_t lane) {
+                 calls.fetch_add(1);
+                 if (lane == 2) throw std::runtime_error("lane 2");
+               }),
+               std::runtime_error);
+  EXPECT_EQ(calls.load(), 3);  // the barrier still waited for every lane
+  pool.run([&](std::size_t) { calls.fetch_add(1); });
+  EXPECT_EQ(calls.load(), 6);
 }
 
 }  // namespace
