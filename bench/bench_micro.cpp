@@ -196,7 +196,7 @@ void BM_CheckpointRoundTrip(benchmark::State& state) {
     auto snapshot = task.checkpoint();
     poisson::PoissonTask replica;
     replica.init(app, 1);
-    replica.restore(snapshot);
+    if (!replica.restore(snapshot)) state.SkipWithError("restore refused");
     benchmark::DoNotOptimize(replica.x_ext().data());
   }
 }

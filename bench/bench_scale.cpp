@@ -25,12 +25,6 @@
 // shard-count determinism gate over the decentralized path. The `cp_floor`
 // JSON block (max reservation share vs 1/N + tolerance, spawner convergence
 // messages vs an O(1) bound) is evaluated by scripts/bench_guard.sh.
-// The skewed-topology sweep (round engine; DESIGN.md §12) pins 32 sink hubs
-// to shard 0 so every delivery lands on one shard, then toggles the
-// deterministic rebalancer (`skew_floor`: occupancy improvement >= 1.3x with
-// bit-equal counters across a forced 2-thread rerun). The floor is a
-// sim-time counter — strict even on a single-core host — and bench_guard
-// check 6 enforces it.
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
@@ -169,141 +163,6 @@ CaseResult run_case(std::size_t daemons, std::size_t shards, double sim_seconds,
     if (next.wall_s < best.wall_s) best = next;
   }
   return best;
-}
-
-// ---------------------------------------------------------------------------
-// Skewed-topology sweep (round engine: rebalancer)
-// ---------------------------------------------------------------------------
-
-/// Spoke of the hub-sink workload: beacons one fixed hub every `period`
-/// (staggered by the node's own rng stream), stopping at `deadline` so the
-/// world drains. Zero jitter in the configs below means every counter —
-/// events, frames, per-shard executed — must be identical across rebalance
-/// settings and worker-thread counts; the sweep gates on that equality.
-class SpokeActor : public net::Actor {
- public:
-  SpokeActor(std::size_t index, double period, double deadline,
-             std::vector<net::Stub>* hubs)
-      : index_(index), period_(period), deadline_(deadline), hubs_(hubs) {}
-
-  void on_start(net::Env& env) override {
-    const double stagger = env.rng().uniform(0.0, period_);
-    env.schedule(stagger, [this, &env] { tick(env); });
-  }
-
-  void on_message(const net::Message&, net::Env&) override {}
-
-  void tick(net::Env& env) {
-    Beacon b;
-    b.round = rounds_++;
-    net::Message m;
-    m.type = Beacon::kType;
-    m.body = serial::encode(b);
-    env.send((*hubs_)[index_ % hubs_->size()], m);
-    if (env.now() + period_ <= deadline_) {
-      env.schedule(period_, [this, &env] { tick(env); });
-    }
-  }
-
- private:
-  std::size_t index_;
-  double period_;
-  double deadline_;
-  std::vector<net::Stub>* hubs_;
-  std::uint32_t rounds_ = 0;
-};
-
-/// Hubs are pure sinks: all of their load is inbound deliveries, which the
-/// rebalancer can move because delivery events are tagged with the receiver.
-class SinkActor : public net::Actor {
- public:
-  void on_start(net::Env&) override {}
-  void on_message(const net::Message&, net::Env&) override { ++received_; }
-
- private:
-  std::uint64_t received_ = 0;
-};
-
-struct SkewCaseResult {
-  bool rebalance = false;
-  std::size_t worker_threads = 1;
-  std::size_t daemons = 0;
-  std::uint64_t events = 0;
-  std::uint64_t frames = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t rounds = 0;
-  std::uint64_t migrations = 0;
-  std::vector<std::uint64_t> shard_events;
-  double occupancy = 0.0;  ///< max/mean of shard_events
-  double wall_s = 0.0;
-};
-
-/// Hub-pinned skew case on 4 shards: the first `hubs` node ids whose static
-/// hash lands in shard 0 become sink hubs, everyone else beacons hub
-/// (spoke_index % hubs) on a staggered 0.25 s period. With the static
-/// placement every delivery lands on shard 0 — the worst case the
-/// rebalancer exists for. Every node has the same message_overhead_s (a
-/// homogeneous wire).
-SkewCaseResult run_skew_case(std::size_t daemons, std::size_t hubs,
-                             double sim_seconds, std::uint64_t seed,
-                             bool rebalance, std::size_t worker_threads) {
-  constexpr std::size_t kShards = 4;
-  sim::SimConfig config;
-  config.seed = seed;
-  config.shards = kShards;
-  config.worker_threads = worker_threads;
-  config.message_jitter = 0.0;
-  config.compute_jitter = 0.0;
-  config.rebalance = rebalance;
-  config.rebalance_every = 32;
-  sim::SimWorld world(config);
-
-  std::vector<net::Stub> hub_stubs;
-  hub_stubs.reserve(hubs);
-  std::size_t spoke_index = 0;
-  sim::MachineSpec spec;
-  spec.message_overhead_s = 8e-3;
-  net::NodeId next_id = 1;  // add_node assigns sequential ids from 1
-  for (std::size_t i = 0; i < daemons; ++i, ++next_id) {
-    const bool is_hub = hub_stubs.size() < hubs &&
-                        sim::SimWorld::shard_of(next_id, kShards) == 0;
-    if (is_hub) {
-      hub_stubs.push_back(world.add_node(std::make_unique<SinkActor>(), spec,
-                                         net::EntityKind::SuperPeer));
-    } else {
-      world.add_node(
-          std::make_unique<SpokeActor>(spoke_index++, 0.25, sim_seconds,
-                                       &hub_stubs),
-          spec, net::EntityKind::Daemon);
-    }
-  }
-
-  const double start = now_s();
-  world.run();
-  const double wall = now_s() - start;
-
-  SkewCaseResult r;
-  r.rebalance = rebalance;
-  r.worker_threads = worker_threads;
-  r.daemons = daemons;
-  r.events = world.events_executed();
-  const sim::NetStats& stats = world.stats();
-  r.frames = stats.frames_on_wire;
-  r.delivered = stats.delivered;
-  r.rounds = world.rounds_executed();
-  r.migrations = world.migrations();
-  r.shard_events = world.shard_event_counts();
-  std::uint64_t max_events = 0;
-  std::uint64_t sum_events = 0;
-  for (const std::uint64_t e : r.shard_events) {
-    max_events = std::max(max_events, e);
-    sum_events += e;
-  }
-  const double mean =
-      static_cast<double>(sum_events) / static_cast<double>(kShards);
-  r.occupancy = mean > 0.0 ? static_cast<double>(max_events) / mean : 0.0;
-  r.wall_s = wall;
-  return r;
 }
 
 // ---------------------------------------------------------------------------
@@ -529,10 +388,13 @@ class ScaleTickerTask : public core::Task {
     w.u64(iterations_);
     return w.take();
   }
-  void restore(const serial::Bytes& state) override {
+  bool restore(const serial::Bytes& state) override {
     serial::Reader r(state);
-    iterations_ = r.u64();
+    const std::uint64_t iterations = r.u64();
+    if (!r.ok()) return false;
+    iterations_ = iterations;
     error_ = iterations_ ? 1.0 / static_cast<double>(iterations_) : 1.0;
+    return true;
   }
 
  private:
@@ -813,58 +675,6 @@ int main(int argc, char** argv) {
   const double floor_ratio =
       single_eps > 0.0 ? best_sharded_eps / single_eps : 0.0;
 
-  // --- skewed-topology sweep (round engine; DESIGN.md §12) -----------------
-
-  // Rebalance ablation: homogeneous wire, all hub deliveries pinned to
-  // shard 0 by the static hash. Occupancy (max/mean per-shard executed
-  // events) is a pure sim counter, so the >= 1.3x improvement floor is
-  // machine-portable; the threads=2 rerun forces a genuinely multi-threaded
-  // crew even on a single-core host and must match every counter bit for bit.
-  const std::size_t skew_daemons = *smoke ? 1000 : 10000;
-  const std::size_t skew_hubs = 32;
-  const double skew_sim_s = *smoke ? 2.0 : 5.0;
-  const SkewCaseResult skew_off =
-      run_skew_case(skew_daemons, skew_hubs, skew_sim_s, *seed,
-                    /*rebalance=*/false, /*worker_threads=*/1);
-  const SkewCaseResult skew_on =
-      run_skew_case(skew_daemons, skew_hubs, skew_sim_s, *seed,
-                    /*rebalance=*/true, /*worker_threads=*/1);
-  const SkewCaseResult skew_on_t2 =
-      run_skew_case(skew_daemons, skew_hubs, skew_sim_s, *seed,
-                    /*rebalance=*/true, /*worker_threads=*/2);
-  const std::vector<SkewCaseResult> skew_results{skew_off, skew_on, skew_on_t2};
-  for (const SkewCaseResult& r : skew_results) {
-    std::fprintf(stderr,
-                 "skew daemons %6zu  rebalance %-3s  threads %zu  occupancy "
-                 "%.3f  migrations %3" PRIu64 "  rounds %" PRIu64
-                 "  wall %6.3fs\n",
-                 r.daemons, r.rebalance ? "on" : "off", r.worker_threads,
-                 r.occupancy, r.migrations, r.rounds, r.wall_s);
-  }
-  const bool skew_counters_equal =
-      skew_on.events == skew_off.events && skew_on.frames == skew_off.frames &&
-      skew_on.delivered == skew_off.delivered;
-  const bool skew_thread_invariant =
-      skew_on_t2.events == skew_on.events &&
-      skew_on_t2.frames == skew_on.frames &&
-      skew_on_t2.delivered == skew_on.delivered &&
-      skew_on_t2.migrations == skew_on.migrations &&
-      skew_on_t2.shard_events == skew_on.shard_events;
-  const double kSkewBound = 1.3;
-  const double skew_improvement =
-      skew_on.occupancy > 0.0 ? skew_off.occupancy / skew_on.occupancy : 0.0;
-  const bool skew_ok = skew_counters_equal && skew_thread_invariant &&
-                       skew_on.migrations > 0 && skew_improvement >= kSkewBound;
-  if (!skew_ok) {
-    std::fprintf(stderr,
-                 "skew FLOOR FAILED: improvement %.3f (bound %.1f), "
-                 "counters_equal %d, thread_invariant %d, migrations %" PRIu64
-                 "\n",
-                 skew_improvement, kSkewBound, skew_counters_equal ? 1 : 0,
-                 skew_thread_invariant ? 1 : 0, skew_on.migrations);
-    ok = false;
-  }
-
   // --- control-plane sweep (§13) -------------------------------------------
 
   const std::vector<std::size_t> cp_tiers =
@@ -990,35 +800,6 @@ int main(int argc, char** argv) {
               "\"ratio\": %.3f},\n",
               single_eps, best_sharded_eps, best_shards, floor_ratio);
 
-  std::printf("  \"skew_cases\": [\n");
-  for (std::size_t i = 0; i < skew_results.size(); ++i) {
-    const SkewCaseResult& r = skew_results[i];
-    std::printf("    {\"daemons\": %zu, \"shards\": 4, \"rebalance\": %s, "
-                "\"worker_threads\": %zu, \"events\": %" PRIu64
-                ", \"frames_on_wire\": %" PRIu64 ", \"delivered\": %" PRIu64
-                ", \"rounds\": %" PRIu64 ", \"migrations\": %" PRIu64
-                ", \"shard_events\": [",
-                r.daemons, r.rebalance ? "true" : "false", r.worker_threads,
-                r.events, r.frames, r.delivered, r.rounds, r.migrations);
-    for (std::size_t s = 0; s < r.shard_events.size(); ++s) {
-      std::printf("%" PRIu64 "%s", r.shard_events[s],
-                  s + 1 < r.shard_events.size() ? ", " : "");
-    }
-    std::printf("], \"occupancy\": %.4f, \"wall_s\": %.6f}%s\n", r.occupancy,
-                r.wall_s, i + 1 < skew_results.size() ? "," : "");
-  }
-  std::printf("  ],\n");
-  std::printf("  \"skew_floor\": {\"daemons\": %zu, \"hubs\": %zu, "
-              "\"occupancy_off\": %.4f, \"occupancy_on\": %.4f, "
-              "\"improvement\": %.4f, \"bound\": %.2f, \"migrations\": %" PRIu64
-              ", \"counters_equal\": %s, \"thread_invariant\": %s, "
-              "\"ok\": %s},\n",
-              skew_daemons, skew_hubs, skew_off.occupancy, skew_on.occupancy,
-              skew_improvement, kSkewBound, skew_on.migrations,
-              skew_counters_equal ? "true" : "false",
-              skew_thread_invariant ? "true" : "false",
-              skew_ok ? "true" : "false");
-
   std::printf("  \"cp_cases\": [\n");
   for (std::size_t i = 0; i < cp_results.size(); ++i) {
     const CpCaseResult& r = cp_results[i];
@@ -1091,12 +872,6 @@ int main(int argc, char** argv) {
   std::printf("  \"ok\": %s\n}\n", ok ? "true" : "false");
   std::fprintf(stderr, "floor: sharded/single at 1k daemons = %.2fx (best: %zu shards)\n",
                floor_ratio, best_shards);
-  std::fprintf(stderr,
-               "skew floor: occupancy %.2f -> %.2f (%.2fx, bound %.1fx), "
-               "%" PRIu64 " migrations, thread-invariant %s\n",
-               skew_off.occupancy, skew_on.occupancy, skew_improvement,
-               kSkewBound, skew_on.migrations,
-               skew_thread_invariant ? "yes" : "NO");
   std::fprintf(stderr,
                "cp floor: max share %.1f%% (bound %.1f%%), spawner conv msgs "
                "%" PRIu64 " (bound %" PRIu64 "), deterministic %s\n",

@@ -142,13 +142,20 @@ class HeatTask : public core::Task {
     return w.take();
   }
 
-  void restore(const serial::Bytes& state) override {
+  bool restore(const serial::Bytes& state) override {
+    // The state comes from a backup peer: refuse one that does not fit.
     serial::Reader r(state);
-    u_ = r.f64_vector();
-    left_value_ = r.f64();
-    right_value_ = r.f64();
-    iterations_ = r.u64();
+    std::vector<double> u = r.f64_vector();
+    const double left_value = r.f64();
+    const double right_value = r.f64();
+    const std::uint64_t iterations = r.u64();
+    if (!r.ok() || u.size() != u_.size()) return false;
+    u_ = std::move(u);
+    left_value_ = left_value;
+    right_value_ = right_value;
+    iterations_ = iterations;
     prev_ = u_;
+    return true;
   }
 
   [[nodiscard]] serial::Bytes final_payload() const override {

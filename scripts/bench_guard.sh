@@ -13,7 +13,9 @@
 #     BENCH_*.json at git HEAD. Only meaningful when the fresh run used the
 #     same machine class and bench scale as the committed one, so strict CI
 #     runs (different runner, --smoke scale) skip them via
-#     BENCH_GUARD_SKIP_BASELINE=1.
+#     BENCH_GUARD_SKIP_BASELINE=1. BENCH_scale.json's per-case rounds counts
+#     feed this comparison as cliff detectors: a lookahead regression shows
+#     up as a rounds blow-up long before it shows up in 1-core wall time.
 #  2. Sharded-scheduler floor — inside BENCH_scale.json, best sharded
 #     events/sec at the 1k-daemon tier vs single-queue, measured within one
 #     run. The floor is 1.0x with the guard tolerance applied (passes while
@@ -38,24 +40,14 @@
 #         increase sim execution time beyond the recorded tolerance,
 #     (b) redundant-execution voting (rep.redundancy=3) must flag exactly the
 #         injected liars — every liar caught, zero false positives.
-#  5. Round-engine floor (DESIGN.md §12) — also inside BENCH_scale.json,
-#     all within-run sim counters, so strict on any machine: on the
-#     hub-pinned skew case the deterministic rebalancer must cut max/mean
-#     shard occupancy by at least the recorded bound (1.3x) while performing
-#     at least one migration, with every scenario counter bit-equal to the
-#     rebalance-off run AND to a forced 2-thread rerun
-#     (skew_floor.counters_equal / .thread_invariant).
-#     The per-case rounds counts also feed the baseline comparison as cliff
-#     detectors: a lookahead regression shows up as a rounds blow-up long
-#     before it shows up in 1-core wall time.
-#  6. Heartbeat per-period floor (DESIGN.md §13) — inside a bench_micro JSON
+#  5. Heartbeat per-period floor (DESIGN.md §13) — inside a bench_micro JSON
 #     (BENCH_micro.json, a google-benchmark document): at every fleet size,
 #     BM_HeartbeatPeriodIndex must take less time per heartbeat period than
 #     BM_HeartbeatPeriodLinear, the full-scan reference it replaced. Both
 #     rows come from one run on one machine, so the ratio is
 #     machine-portable; no tolerance knob. A file
 #     with no such rows fails the check.
-#  7. Fused CG floor (DESIGN.md §9) — inside BENCH_hotpath.json: the fused
+#  6. Fused CG floor (DESIGN.md §9) — inside BENCH_hotpath.json: the fused
 #     CG solve (banded row sums, three passes per iteration) must run at
 #     least 1.8x faster than the unfused CSR oracle. Both
 #     solves run in one process on one matrix, so the ratio is
@@ -95,9 +87,7 @@ metrics_for() {
     BENCH_scale.json)
       jq -r '
         ((.cases // [])[] | "scale/d\(.daemons)/s\(.shards)/wall_s \(.wall_s)"),
-        ((.cases // [])[] | "scale/d\(.daemons)/s\(.shards)/rounds \(.rounds)"),
-        ((.skew_cases // [])[]
-          | "skew/rebalance_\(.rebalance)/t\(.worker_threads)/rounds \(.rounds)")
+        ((.cases // [])[] | "scale/d\(.daemons)/s\(.shards)/rounds \(.rounds)")
       ' "${file}" ;;
     *) ;;
   esac
@@ -137,27 +127,7 @@ churn_floor_checks() {
   ' "${file}" 2>/dev/null
 }
 
-# Round-engine floor (see header, check 5). Pure sim counters measured
-# within one run — no tolerance knob, the bounds come from the bench output.
-round_engine_floor_checks() {
-  local file="$1"
-  jq -r '
-    ((.skew_floor // empty)
-      | select(.improvement < .bound)
-      | "bench-guard: FLOOR skew/occupancy@\(.daemons)d: \(.improvement * 1000 | floor / 1000)x below bound \(.bound)x (\(.occupancy_off) -> \(.occupancy_on))"),
-    ((.skew_floor // empty)
-      | select(.migrations == 0)
-      | "bench-guard: FLOOR skew/migrations@\(.daemons)d: rebalancer performed no migrations on the skewed case"),
-    ((.skew_floor // empty)
-      | select(.counters_equal != true)
-      | "bench-guard: FLOOR skew/counters@\(.daemons)d: rebalanced run diverged from the rebalance-off scenario counters"),
-    ((.skew_floor // empty)
-      | select(.thread_invariant != true)
-      | "bench-guard: FLOOR skew/thread_invariance@\(.daemons)d: 2-thread rerun diverged from the 1-thread rebalanced run")
-  ' "${file}" 2>/dev/null
-}
-
-# Fused CG floor (see header, check 7). Within-run ratio, no tolerance knob.
+# Fused CG floor (see header, check 6). Within-run ratio, no tolerance knob.
 fused_cg_floor_checks() {
   local file="$1"
   jq -r --argjson floor 1.8 '
@@ -170,7 +140,7 @@ fused_cg_floor_checks() {
   ' "${file}" 2>/dev/null
 }
 
-# Heartbeat per-period floor (see header, check 6).
+# Heartbeat per-period floor (see header, check 5).
 heartbeat_floor_checks() {
   local file="$1"
   jq -r '
@@ -249,13 +219,6 @@ for file in "$@"; do
       total_warnings=$((total_warnings + $(echo "${churn_violations}" | wc -l)))
     else
       echo "bench-guard: ${name}: churn placement and voting floors hold"
-    fi
-    round_violations="$(round_engine_floor_checks "${file}")"
-    if [[ -n "${round_violations}" ]]; then
-      echo "${round_violations}"
-      total_warnings=$((total_warnings + $(echo "${round_violations}" | wc -l)))
-    else
-      echo "bench-guard: ${name}: round-engine rebalance floor holds"
     fi
   fi
 

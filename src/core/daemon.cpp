@@ -578,8 +578,15 @@ void Daemon::handle_backup_data(const msg::BackupData& m, const net::Message&,
                                 net::Env&) {
   if (restore_phase_ == RestorePhase::Fetching && m.app_id == app_.app_id &&
       m.task_id == task_id_) {
+    if (!task_->restore(m.state)) {
+      // The holder served a state that does not fit the task: treat it like
+      // a failed fetch (one re-query round, then iteration 0).
+      JACEPP_LOG(Warn, "daemon", "task %u refused a backup state that does "
+                 "not fit it", task_id_);
+      fetch_failed();
+      return;
+    }
     restore_phase_ = RestorePhase::None;
-    task_->restore(m.state);
     iteration_ = m.iteration;
     tracker_->reset();
     ++restores_from_backup_;

@@ -179,22 +179,32 @@ serial::Bytes GenericMultisplitTask::checkpoint() const {
   return writer.take();
 }
 
-void GenericMultisplitTask::restore(const serial::Bytes& state) {
+bool GenericMultisplitTask::restore(const serial::Bytes& state) {
+  // Decode into locals and commit only a state whose every vector has the
+  // shape init() set.
   serial::Reader reader(state);
-  x_local_ = reader.f64_vector<Vector>();
-  owned_prev_ = reader.f64_vector<Vector>();
-  x_halo_ = reader.f64_vector<Vector>();
-  local_error_ = reader.f64();
-  iterations_ = reader.u64();
-  informative_count_ = reader.u64();
-  JACEPP_CHECK(reader.ok(), "GenericMultisplitTask: malformed checkpoint");
-  JACEPP_CHECK(x_local_.size() == block_.owned_size() &&
-                   x_halo_.size() == config_.a.rows(),
-               "GenericMultisplitTask: checkpoint shape mismatch");
+  Vector x_local = reader.f64_vector<Vector>();
+  Vector owned_prev = reader.f64_vector<Vector>();
+  Vector x_halo = reader.f64_vector<Vector>();
+  const double local_error = reader.f64();
+  const std::uint64_t iterations = reader.u64();
+  const std::uint64_t informative_count = reader.u64();
+  if (!reader.ok() || x_local.size() != block_.owned_size() ||
+      owned_prev.size() != block_.owned_size() ||
+      x_halo.size() != config_.a.rows()) {
+    return false;
+  }
+  x_local_ = std::move(x_local);
+  owned_prev_ = std::move(owned_prev);
+  x_halo_ = std::move(x_halo);
+  local_error_ = local_error;
+  iterations_ = iterations;
+  informative_count_ = informative_count;
   last_received_.clear();
   fresh_ = false;
   last_solve_converged_ = false;  // force a real solve after restore
   ckpt_solve_dirty_ = ckpt_halo_dirty_ = true;
+  return true;
 }
 
 std::optional<checkpoint::DirtyRanges>

@@ -47,7 +47,7 @@ class GenericMultisplitTask : public Task {
   void on_data(TaskId from_task, std::uint64_t iteration,
                const serial::Bytes& payload) override;
   [[nodiscard]] serial::Bytes checkpoint() const override;
-  void restore(const serial::Bytes& state) override;
+  [[nodiscard]] bool restore(const serial::Bytes& state) override;
   std::optional<checkpoint::DirtyRanges> take_dirty_ranges() override;
   [[nodiscard]] serial::Bytes final_payload() const override;
   [[nodiscard]] std::uint64_t informative_iterations() const override {

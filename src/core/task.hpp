@@ -76,8 +76,11 @@ class Task {
   /// Serialize the full task state (the Backup object's body, §5.4).
   [[nodiscard]] virtual serial::Bytes checkpoint() const = 0;
 
-  /// Restore from a checkpoint produced by checkpoint().
-  virtual void restore(const serial::Bytes& state) = 0;
+  /// Restore from a checkpoint produced by checkpoint(). The state arrives
+  /// from a backup peer, so it is untrusted: if it does not decode or does
+  /// not fit the shapes init() set, return false and leave the task as it
+  /// was.
+  [[nodiscard]] virtual bool restore(const serial::Bytes& state) = 0;
 
   /// Delta-checkpoint support: byte ranges of the checkpoint() encoding that
   /// may have changed since the PREVIOUS take_dirty_ranges() call, and clear

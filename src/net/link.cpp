@@ -34,6 +34,10 @@ bool unpack_batch(const Message& envelope, std::vector<Message>& out) {
   const serial::Bytes sub = r.bytes();
   if (!r.ok() || !r.exhausted()) return false;
   if (serial::crc32(sub) != crc) return false;
+  // The CRC does not cover the count. Every sub-message takes at least two
+  // bytes (a type varint and a length varint), so a larger count is a lie;
+  // refuse it before reserve() can throw on it.
+  if (count > sub.size() / 2) return false;
   serial::Reader sr(sub);
   std::vector<Message> parts;
   parts.reserve(static_cast<std::size_t>(count));

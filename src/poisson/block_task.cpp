@@ -253,21 +253,34 @@ serial::Bytes PoissonTask::checkpoint() const {
   return writer.take();
 }
 
-void PoissonTask::restore(const serial::Bytes& state) {
+bool PoissonTask::restore(const serial::Bytes& state) {
+  // Decode into locals and commit only a state whose every vector has the
+  // shape init() gave this block: iterate() indexes all four unchecked.
   serial::Reader reader(state);
-  x_ext_ = reader.f64_vector<linalg::Vector>();
-  owned_prev_ = reader.f64_vector<linalg::Vector>();
-  lower_boundary_ = reader.f64_vector<linalg::Vector>();
-  upper_boundary_ = reader.f64_vector<linalg::Vector>();
-  lower_tag_ = reader.u64();
-  upper_tag_ = reader.u64();
-  local_error_ = reader.f64();
-  iterations_done_ = reader.u64();
-  JACEPP_CHECK(reader.ok(), "PoissonTask: malformed checkpoint");
-  JACEPP_CHECK(x_ext_.size() == block_.ext_size(),
-               "PoissonTask: checkpoint shape mismatch");
+  linalg::Vector x_ext = reader.f64_vector<linalg::Vector>();
+  linalg::Vector owned_prev = reader.f64_vector<linalg::Vector>();
+  linalg::Vector lower = reader.f64_vector<linalg::Vector>();
+  linalg::Vector upper = reader.f64_vector<linalg::Vector>();
+  const std::uint64_t lower_tag = reader.u64();
+  const std::uint64_t upper_tag = reader.u64();
+  const double local_error = reader.f64();
+  const std::uint64_t iterations_done = reader.u64();
+  if (!reader.ok() || x_ext.size() != block_.ext_size() ||
+      owned_prev.size() != block_.owned_size() || lower.size() != config_.n ||
+      upper.size() != config_.n) {
+    return false;
+  }
+  x_ext_ = std::move(x_ext);
+  owned_prev_ = std::move(owned_prev);
+  lower_boundary_ = std::move(lower);
+  upper_boundary_ = std::move(upper);
+  lower_tag_ = lower_tag;
+  upper_tag_ = upper_tag;
+  local_error_ = local_error;
+  iterations_done_ = iterations_done;
   lower_fresh_ = upper_fresh_ = false;
   ckpt_solve_dirty_ = ckpt_lower_dirty_ = ckpt_upper_dirty_ = true;
+  return true;
 }
 
 std::optional<core::checkpoint::DirtyRanges> PoissonTask::take_dirty_ranges() {

@@ -61,7 +61,7 @@ class PoissonTask : public core::Task {
   void on_data(core::TaskId from_task, std::uint64_t iteration,
                const serial::Bytes& payload) override;
   [[nodiscard]] serial::Bytes checkpoint() const override;
-  void restore(const serial::Bytes& state) override;
+  [[nodiscard]] bool restore(const serial::Bytes& state) override;
   std::optional<core::checkpoint::DirtyRanges> take_dirty_ranges() override;
   [[nodiscard]] serial::Bytes final_payload() const override;
   [[nodiscard]] std::uint64_t informative_iterations() const override {

@@ -53,59 +53,18 @@ void EventQueue::pop_top() {
   if (!heap_.empty()) sift_down(0);
 }
 
-void EventQueue::set_id_stream(EventId start, EventId stride) {
-  JACEPP_CHECK(start != 0 && stride != 0, "id stream: start/stride must be > 0");
-  JACEPP_CHECK(heap_.empty() && live_ == 0,
-               "id stream must be configured before the first schedule");
-  next_id_ = start;
-  id_stride_ = stride;
-}
-
 EventId EventQueue::schedule(double when, std::function<void()> fn) {
   return schedule_tagged(when, 0, std::move(fn));
 }
 
 EventId EventQueue::schedule_tagged(double when, std::uint64_t tag,
                                     std::function<void()> fn) {
-  const EventId id = next_id_;
-  next_id_ += id_stride_;
+  const EventId id = next_id_++;
   heap_.push_back(Entry{when, id, tag, std::move(fn)});
   sift_up(heap_.size() - 1);
   ++live_;
   // A fresh id is never in cancelled_, so the top-live invariant holds.
   return id;
-}
-
-std::size_t EventQueue::take_tagged(std::uint64_t tag,
-                                    std::vector<TakenEvent>& out) {
-  std::size_t taken = 0;
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < heap_.size(); ++i) {
-    Entry& e = heap_[i];
-    if (e.tag != tag) {
-      if (kept != i) heap_[kept] = std::move(e);
-      ++kept;
-      continue;
-    }
-    if (cancelled_.erase(e.id) > 0) continue;  // dead: drop with its tombstone
-    out.push_back(TakenEvent{e.time, e.id, e.tag, std::move(e.fn)});
-    ++taken;
-    if (live_ > 0) --live_;
-  }
-  heap_.resize(kept);
-  rebuild();
-  // Removing entries can surface a tombstone at the top.
-  drop_cancelled();
-  return taken;
-}
-
-void EventQueue::restore(std::vector<TakenEvent>&& entries) {
-  for (TakenEvent& e : entries) {
-    heap_.push_back(Entry{e.time, e.id, e.tag, std::move(e.fn)});
-    sift_up(heap_.size() - 1);
-    ++live_;
-  }
-  entries.clear();
 }
 
 void EventQueue::cancel(EventId id) {

@@ -31,43 +31,14 @@ namespace jacepp::sim {
 
 using EventId = std::uint64_t;
 
-/// An event lifted out of a queue by take_tagged(), carried verbatim —
-/// including its id — into another queue by restore(). Id preservation keeps
-/// actor-held TimerIds cancellable across the move and keeps equal-time
-/// tie-breaks a pure function of the event set.
-struct TakenEvent {
-  double time = 0.0;
-  EventId id = 0;
-  std::uint64_t tag = 0;
-  std::function<void()> fn;
-};
-
 class EventQueue {
  public:
-  /// Configure the id allocator: ids are start, start+stride, start+2*stride…
-  /// Queues that may exchange events via take_tagged/restore must use the
-  /// same stride with distinct residues, so an id names one event world-wide
-  /// and a moved event can never collide in its destination queue. Call
-  /// before the first schedule(). Default (1, 1) is the classic allocator.
-  void set_id_stream(EventId start, EventId stride);
-
   /// Schedule `fn` at absolute time `when` (seconds). Returns a cancellable id.
   EventId schedule(double when, std::function<void()> fn);
 
-  /// schedule() with an ownership tag (a node id): take_tagged(tag) later
-  /// extracts exactly the events scheduled with that tag.
+  /// schedule() with an ownership tag (a node id), reported back by pop().
   EventId schedule_tagged(double when, std::uint64_t tag,
                           std::function<void()> fn);
-
-  /// Remove every live event carrying `tag`, appending them to `out` in
-  /// unspecified order (restore() re-heapifies; pop order depends only on
-  /// (time, id)). Cancelled tagged entries are dropped and their tombstones
-  /// reclaimed. Returns the number of events taken. O(heap).
-  std::size_t take_tagged(std::uint64_t tag, std::vector<TakenEvent>& out);
-
-  /// Re-insert events previously lifted by take_tagged() on a queue sharing
-  /// this queue's id stride (distinct residue). Ids are preserved. O(heap).
-  void restore(std::vector<TakenEvent>&& entries);
 
   /// Mark an event cancelled. The top-of-heap sweep runs eagerly, so the
   /// queue's observable front is never a cancelled event.
@@ -124,7 +95,6 @@ class EventQueue {
   std::vector<Entry> heap_;
   std::unordered_set<EventId> cancelled_;
   EventId next_id_ = 1;
-  EventId id_stride_ = 1;
   std::size_t live_ = 0;
 };
 

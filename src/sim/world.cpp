@@ -97,11 +97,6 @@ class SimWorld::NodeEnv : public net::Env {
     if (node.actor) node.actor->on_stop(*this);
   }
 
-  /// Point this env at the node's new owning shard (rebalancer migrations;
-  /// runs at round barriers only, never while the node's events are in
-  /// flight).
-  void rebind(Shard* shard) { shard_ = shard; }
-
  private:
   SimWorld* world_;
   net::NodeId id_;
@@ -113,18 +108,8 @@ SimWorld::SimWorld(SimConfig config) : config_(config), rng_(config.seed) {
   const std::size_t n = config_.shards;
   shards_.reserve(n);
   shard_wire_min_.assign(n, std::numeric_limits<double>::infinity());
-  // Disjoint id residues mod (n + 1): shard s allocates s+1, s+1+(n+1), ...
-  // and the global queue allocates multiples of n+1. An event id then names
-  // one event world-wide, so migrate_node can move tagged events between
-  // queues with their ids — and the TimerIds actors hold stay cancellable —
-  // without any renumbering. Relabeling each queue's ids from (1,2,3,...) to
-  // an arithmetic progression is monotonic per queue, so every (time, id)
-  // tie-break inside a queue is unchanged and pre-existing goldens replay
-  // bit-for-bit (including classic shards == 1, which gets stride 2).
-  global_queue_.set_id_stream(n + 1, n + 1);
   for (std::size_t s = 0; s < n; ++s) {
     auto shard = std::make_unique<Shard>();
-    shard->queue.set_id_stream(s + 1, n + 1);
     if (n == 1) {
       // Classic mode: shard 0 *is* the old scheduler — the world rng drives
       // message jitter (interleaving with harness draws exactly as before)
@@ -231,10 +216,6 @@ net::Actor* SimWorld::actor(net::NodeId node_id) {
   return node != nullptr ? node->actor.get() : nullptr;
 }
 
-const MachineSpec& SimWorld::spec_of(net::NodeId node_id) const {
-  return node_ref(node_id).spec;
-}
-
 void SimWorld::throttle(net::NodeId node, double factor, double wire_factor) {
   JACEPP_CHECK(factor >= 1.0, "throttle: factor must be >= 1 (slowdown only)");
   JACEPP_CHECK(wire_factor >= 1.0,
@@ -252,18 +233,8 @@ void SimWorld::throttle(net::NodeId node, double factor, double wire_factor) {
   }
 }
 
-std::size_t SimWorld::live_node_count() const {
-  std::size_t count = 0;
-  for (const auto& node : nodes_) {
-    if (node->up) ++count;
-  }
-  return count;
-}
-
 EventId SimWorld::schedule_guarded(net::NodeId id, net::Incarnation inc,
                                    double when, std::function<void()> fn) {
-  // Tagged with the owning node's id so the rebalancer can migrate the
-  // node's pending events (timers, compute completions, on_start) with it.
   return shard_for(id).queue.schedule_tagged(
       when, id, [this, id, inc, fn = std::move(fn)] {
         if (alive_at(id, inc)) fn();
@@ -315,11 +286,7 @@ void SimWorld::refresh_wire_cost() const {
   std::fill(shard_wire_min_.begin(), shard_wire_min_.end(),
             std::numeric_limits<double>::infinity());
   // Down nodes stay in the scan: a revived incarnation keeps its spec, so
-  // excluding it here could briefly overstate the minimum. The per-shard
-  // minima are grouped by CURRENT ownership (node.shard), which is why a
-  // migration must set the dirty flag: a cheap-wire node moving INTO a shard
-  // would otherwise leave that shard's cached minimum stale-large — and a
-  // too-large minimum widens round horizons, the unsafe direction.
+  // excluding it here could briefly overstate the minimum.
   for (const auto& node : nodes_) {
     shard_wire_min_[node->shard] =
         std::min(shard_wire_min_[node->shard], node->spec.min_wire_cost());
@@ -391,8 +358,8 @@ void SimWorld::pump_link(net::NodeId from_id, net::NodeId to_node) {
       if (!ls.flush_armed) {
         ls.flush_armed = true;
         const LinkKey key{from_id, to_node};
-        // Tagged with the sender: the link queue migrates with its owner, and
-        // the closure re-resolves the owning shard fresh at fire time.
+        // The link may be gone by then: disconnect() erases a crashed
+        // sender's queues.
         sh.queue.schedule_tagged(ls.next_flush, key.from, [this, key] {
           Shard& s2 = shard_for(key.from);
           auto it2 = s2.links.find(key);
@@ -494,10 +461,7 @@ void SimWorld::transmit_wire(net::NodeId from_id, const net::Stub& to,
   const net::NodeId dest_id = to.node;
   const net::Incarnation dest_inc = dest.stub.incarnation;
   // Deliver only if the destination is still the same live incarnation when
-  // the bits arrive; otherwise the message is lost in flight. Tagged with the
-  // DESTINATION: if the receiver migrates, its in-flight deliveries must
-  // follow it, or another shard's lane would run this closure concurrently
-  // with the receiver's own events.
+  // the bits arrive; otherwise the message is lost in flight.
   sh.queue.schedule_tagged(
       sh.now + delay, dest_id,
       [this, dest_id, dest_inc, msg = std::move(message)]() mutable {
@@ -632,7 +596,6 @@ void SimWorld::run_rounds(double until) {
     run_round();
     merge_outboxes();
     ++rounds_;
-    maybe_rebalance();
   }
   for (const auto& shard : shards_) now_ = std::max(now_, shard->now);
 }
@@ -694,14 +657,10 @@ void SimWorld::run_round() {
     for (std::size_t s = lane; s < shards_.size(); s += lanes) {
       Shard& sh = *shards_[s];
       RoundStopGuard guard(&sh.stop_round);
-      std::uint64_t tag = 0;
       while (!sh.stop_round && !sh.queue.empty() &&
              sh.queue.next_time() < sh.round_horizon) {
-        auto fn = sh.queue.pop(&sh.now, &tag);
+        auto fn = sh.queue.pop(&sh.now);
         ++sh.executed;
-        // Load accounting for the rebalancer: every event is tagged with the
-        // node it belongs to, and only this shard's lane touches this map.
-        if (config_.rebalance && tag != 0) ++sh.window_events[tag];
         fn();
       }
       // Sort this shard's outbox by (arrival, seq) here, inside the parallel
@@ -768,8 +727,6 @@ void SimWorld::merge_outboxes() {
     }
     arena_[slot] = std::move(outbox[cur.index]);
     CrossFrame& frame = arena_[slot];
-    // Tagged with the destination node so in-flight cross-shard arrivals
-    // migrate with their receiver, like same-shard deliveries.
     shards_[frame.dest_shard]->queue.schedule_tagged(
         frame.arrival, frame.to.node, [this, slot] { deliver_parked(slot); });
 
@@ -784,116 +741,11 @@ void SimWorld::merge_outboxes() {
 
 void SimWorld::deliver_parked(std::uint32_t slot) {
   CrossFrame& frame = arena_[slot];
-  // Re-read the destination's shard fresh: the node (and this very event,
-  // which shares its tag) may have migrated since the frame was parked.
   Node& dest = *frame.dest;
   deliver_cross(dest, frame.to, std::move(frame.message));
-  // Release to the EXECUTING shard's list — dest.shard, by the invariant
-  // that a node's events live in its owning shard's queue. deliver_cross
-  // cannot change it: migrations happen at barriers only.
+  // Release to the executing shard's list: the destination's, whose queue
+  // held this arrival.
   shards_[dest.shard]->released_slots.push_back(slot);
-}
-
-void SimWorld::maybe_rebalance() {
-  if (!config_.rebalance || shards_.size() <= 1) return;
-  const std::size_t every = std::max<std::size_t>(config_.rebalance_every, 1);
-  if (rounds_ % every != 0) return;
-
-  std::vector<std::uint64_t> totals(shards_.size(), 0);
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    for (const auto& [id, count] : shards_[s]->window_events) {
-      totals[s] += count;
-    }
-  }
-  std::uint64_t sum = 0;
-  std::size_t hot = 0;
-  std::size_t cold = 0;
-  for (std::size_t s = 0; s < totals.size(); ++s) {
-    sum += totals[s];
-    if (totals[s] > totals[hot]) hot = s;  // first index wins ties
-    if (totals[s] < totals[cold]) cold = s;
-  }
-  const bool skewed =
-      sum > 0 && hot != cold &&
-      static_cast<double>(totals[hot]) * static_cast<double>(shards_.size()) >
-          config_.rebalance_threshold * static_cast<double>(sum);
-  if (skewed) {
-    // Candidates: the hot shard's window entries, hottest first. The sort key
-    // (count desc, mix64(seed ^ id), id) is a total order — node ids are
-    // unique — so the outcome is independent of the unordered_map's iteration
-    // order, and the seeded hash breaks count ties without favoring low ids.
-    std::vector<std::pair<net::NodeId, std::uint64_t>> candidates(
-        shards_[hot]->window_events.begin(), shards_[hot]->window_events.end());
-    std::sort(candidates.begin(), candidates.end(),
-              [this](const auto& a, const auto& b) {
-                if (a.second != b.second) return a.second > b.second;
-                const std::uint64_t ha = mix64(config_.seed ^ a.first);
-                const std::uint64_t hb = mix64(config_.seed ^ b.first);
-                if (ha != hb) return ha < hb;
-                return a.first < b.first;
-              });
-    // Move the hottest nodes until the hot shard's window excess over the
-    // mean is covered (or the per-trigger cap is hit). Greedy by count: a
-    // single dominating node moves alone; a flat tail moves several.
-    std::uint64_t excess = totals[hot] - sum / shards_.size();
-    std::size_t moves = 0;
-    for (const auto& [id, count] : candidates) {
-      if (moves >= config_.rebalance_max_moves || excess == 0) break;
-      if (!migrate_node(id, static_cast<std::uint32_t>(cold))) continue;
-      ++moves;
-      ++migrations_;
-      excess = count >= excess ? 0 : excess - count;
-    }
-  }
-  // A fresh window either way: stale counts from a skew that resolved on its
-  // own must not trigger a late migration.
-  for (auto& shard : shards_) shard->window_events.clear();
-}
-
-bool SimWorld::migrate_node(net::NodeId id, std::uint32_t to_shard) {
-  Node& node = node_ref(id);
-  if (node.shard == to_shard) return false;
-  const std::uint32_t from_shard = node.shard;
-  Shard& from = *shards_[from_shard];
-  Shard& to = *shards_[to_shard];
-
-  migrate_scratch_.clear();
-  from.queue.take_tagged(id, migrate_scratch_);
-  // Causality check: shard clocks drift apart between barriers (each stops at
-  // its own horizon). An event of this node lying before the destination's
-  // clock would execute in that shard's past — its handler could observe a
-  // node state later than its own timestamp. Skip the migration; the node
-  // stays hot and a later window (with the destination caught up) retries.
-  for (const TakenEvent& event : migrate_scratch_) {
-    if (event.time < to.now) {
-      from.queue.restore(std::move(migrate_scratch_));
-      return false;
-    }
-  }
-  to.queue.restore(std::move(migrate_scratch_));
-
-  // Outbound link queues (and their armed flush/occupancy bookkeeping) move
-  // with the sender; the pending flush events just moved in the same batch,
-  // and their closures re-resolve the owning shard via shard_for at fire
-  // time.
-  for (auto it = from.links.begin(); it != from.links.end();) {
-    if (it->first.from == id) {
-      to.links.insert(from.links.extract(it++));
-    } else {
-      ++it;
-    }
-  }
-
-  node.shard = to_shard;
-  node.env->rebind(&to);
-  // Ownership moved between shards: both shards' cached wire-cost minima are
-  // stale now (the destination's possibly stale-LARGE, the unsafe direction
-  // for round horizons — see refresh_wire_cost).
-  wire_cost_dirty_ = true;
-  JACEPP_LOG(Debug, "sim", "node %llu migrated shard %u -> %u at round %llu",
-             static_cast<unsigned long long>(id), from_shard, to_shard,
-             static_cast<unsigned long long>(rounds_));
-  return true;
 }
 
 std::vector<std::uint64_t> SimWorld::shard_event_counts() const {

@@ -93,19 +93,6 @@ struct SimConfig {
   /// lanes even on fewer cores (determinism tests exercise thread-count
   /// independence this way). Never affects results — only wall time.
   std::size_t worker_threads = 0;
-  /// Deterministic shard load balancing (`sim.rebalance`). Off (the
-  /// default), node placement is the static SplitMix64 hash — bit-identical
-  /// to the pre-rebalance scheduler. On, per-node event counters accumulate
-  /// over a window of `rebalance_every` rounds; at those deterministic round
-  /// boundaries, if the hottest shard's window load exceeds
-  /// `rebalance_threshold` times the mean, up to `rebalance_max_moves` of
-  /// its hottest nodes migrate to the coldest shard. The decision is a pure
-  /// function of (seed, counters) — never of worker-thread timing — so a
-  /// rebalanced run still replays bit-for-bit across thread counts.
-  bool rebalance = false;
-  std::size_t rebalance_every = 64;    ///< rounds per load window (>= 1)
-  double rebalance_threshold = 1.25;   ///< trigger: max/mean window load
-  std::size_t rebalance_max_moves = 8; ///< node migrations per trigger
 };
 
 /// Directed link identity (sender, receiver), used as a hash key for the
@@ -174,9 +161,6 @@ class SimWorld {
   /// Returns nullptr for unknown/disconnected nodes.
   [[nodiscard]] net::Actor* actor(net::NodeId node);
 
-  [[nodiscard]] const MachineSpec& spec_of(net::NodeId node) const;
-  [[nodiscard]] std::size_t live_node_count() const;
-
   /// Slow-peer fault injection (DESIGN.md §14): divide the node's sustained
   /// flop rate and NIC bandwidth by `factor` (>= 1), and multiply its
   /// latency_s + message_overhead_s by `wire_factor` (>= 1, default 1 =
@@ -244,15 +228,9 @@ class SimWorld {
   [[nodiscard]] std::uint64_t events_executed() const;
   /// Parallel rounds completed (0 in classic mode).
   [[nodiscard]] std::uint64_t rounds_executed() const { return rounds_; }
-  /// Node migrations performed by the rebalancer (0 unless sim.rebalance).
-  [[nodiscard]] std::uint64_t migrations() const { return migrations_; }
-  /// Cumulative events executed per shard — the skew observability feed for
-  /// BENCH_scale.json (max/mean of this vector is the occupancy ratio).
+  /// Cumulative events executed per shard (max/mean of this vector is the
+  /// shard occupancy ratio).
   [[nodiscard]] std::vector<std::uint64_t> shard_event_counts() const;
-  /// The shard currently owning `id` (hash placement unless migrated).
-  [[nodiscard]] std::uint32_t shard_of_node(net::NodeId id) const {
-    return node_ref(id).shard;
-  }
 
  private:
   class NodeEnv;
@@ -266,7 +244,7 @@ class SimWorld {
     bool up = false;
     double busy_until = 0.0;
     Rng rng{0};
-    std::uint32_t shard = 0;
+    std::uint32_t shard = 0;  ///< shard_of(id, shards), fixed for the run
   };
 
   struct LinkState {
@@ -309,9 +287,6 @@ class SimWorld {
     /// This round's conservative horizon, written by the coordinator before
     /// the crew is released.
     double round_horizon = 0.0;
-    /// Per-node events executed this load window (sim.rebalance only).
-    /// Bumped only by the owning shard's lane, reset at every window check.
-    std::unordered_map<net::NodeId, std::uint64_t> window_events;
     /// Arena slots whose parked frame this shard delivered during the round;
     /// drained back to the world free list at the barrier, in shard order,
     /// so slot reuse is a pure function of the event history.
@@ -371,14 +346,6 @@ class SimWorld {
   /// Execute the arrival parked in arena slot `slot` and hand the slot to
   /// the executing shard's release list. Runs on the destination's shard.
   void deliver_parked(std::uint32_t slot);
-  /// Every rebalance_every rounds: compare per-shard window loads and
-  /// migrate the hottest nodes hot -> cold (sim.rebalance only).
-  void maybe_rebalance();
-  /// Move a node's ownership (pending events, outbound links, env binding)
-  /// to `to_shard`. Returns false — and changes nothing — if any pending
-  /// event of the node lies before the destination shard's clock (executing
-  /// it there would deliver into that shard's past).
-  bool migrate_node(net::NodeId id, std::uint32_t to_shard);
   RoundWorkerPool& round_crew();
   /// Rescan nodes_ for the wire-cost minima iff wire_cost_dirty_. O(nodes),
   /// but runs only after an invalidating op — never once per round.
@@ -417,9 +384,7 @@ class SimWorld {
   /// the merge schedules without allocating.
   std::vector<CrossFrame> arena_;
   std::vector<std::uint32_t> arena_free_;
-  std::vector<TakenEvent> migrate_scratch_;
   std::uint64_t rounds_ = 0;
-  std::uint64_t migrations_ = 0;
   /// Cached per-shard min over owned nodes of MachineSpec::min_wire_cost() —
   /// the round-horizon input. Maintained incrementally by add_node (a new
   /// node can only lower a min, so `min(cached, spec)` is exact); every
@@ -427,8 +392,7 @@ class SimWorld {
   /// > 1) must set wire_cost_dirty_ instead, and the next round rescans. A
   /// stale value from a raise is always <= the true minimum, so horizons
   /// computed from it remain conservative — the dirty flag buys back horizon
-  /// width. Migration also sets the flag, and there it IS needed for safety
-  /// (see refresh_wire_cost).
+  /// width.
   mutable std::vector<double> shard_wire_min_;
   mutable bool wire_cost_dirty_ = false;
   mutable NetStats stats_;  ///< classic: the live counters; sharded: aggregate

@@ -74,10 +74,13 @@ class ChurnTickerTask : public Task {
     w.u64(iterations_);
     return w.take();
   }
-  void restore(const serial::Bytes& state) override {
+  bool restore(const serial::Bytes& state) override {
     serial::Reader r(state);
-    iterations_ = r.u64();
+    const std::uint64_t iterations = r.u64();
+    if (!r.ok()) return false;
+    iterations_ = iterations;
     error_ = iterations_ ? 1.0 / static_cast<double>(iterations_) : 1.0;
+    return true;
   }
 
  private:

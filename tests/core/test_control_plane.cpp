@@ -67,11 +67,15 @@ class CpTickerTask : public Task {
     w.u64(tokens_received_);
     return w.take();
   }
-  void restore(const serial::Bytes& state) override {
+  bool restore(const serial::Bytes& state) override {
     serial::Reader r(state);
-    iterations_ = r.u64();
-    tokens_received_ = r.u64();
+    const std::uint64_t iterations = r.u64();
+    const std::uint64_t tokens_received = r.u64();
+    if (!r.ok()) return false;
+    iterations_ = iterations;
+    tokens_received_ = tokens_received;
     error_ = iterations_ ? 1.0 / static_cast<double>(iterations_) : 1.0;
+    return true;
   }
 
  private:

@@ -112,9 +112,52 @@ TEST(GenericTask, CheckpointRestoreRoundTrip) {
 
   GenericMultisplitTask replica;
   replica.init(app, 1);
-  replica.restore(snapshot);
+  ASSERT_TRUE(replica.restore(snapshot));
   EXPECT_EQ(replica.final_payload(), task.final_payload());
   EXPECT_DOUBLE_EQ(replica.local_error(), task.local_error());
+}
+
+/// `state`, a GenericMultisplitTask checkpoint, with vector `field`
+/// (0 x_local, 1 owned_prev, 2 x_halo) resized by `delta`.
+serial::Bytes reshaped_state(const serial::Bytes& state, std::size_t field,
+                             int delta) {
+  serial::Reader r(state);
+  std::vector<linalg::Vector> vectors(3);
+  for (auto& v : vectors) v = r.f64_vector<linalg::Vector>();
+  const double local_error = r.f64();
+  const std::uint64_t iterations = r.u64();
+  const std::uint64_t informative = r.u64();
+  EXPECT_TRUE(r.ok() && r.exhausted());
+  vectors[field].resize(vectors[field].size() + delta, 0.5);
+  serial::Writer w;
+  for (const auto& v : vectors) w.f64_vector(v);
+  w.f64(local_error);
+  w.u64(iterations);
+  w.u64(informative);
+  return w.take();
+}
+
+TEST(GenericTask, RestoreRefusesMisshapedState) {
+  // The state comes from a backup peer. One whose vectors do not have the
+  // shapes init() set is refused and leaves the task as it was.
+  const std::size_t n = 24;
+  const auto a = random_spd(n, 21);
+  linalg::Vector b(n, 1.0);
+  const auto app = generic_app(a, b, 3);
+
+  GenericMultisplitTask task;
+  task.init(app, 1);
+  task.iterate();
+  const serial::Bytes before = task.checkpoint();
+  for (std::size_t field = 0; field < 3; ++field) {
+    for (const int delta : {-1, +1}) {
+      EXPECT_FALSE(task.restore(reshaped_state(before, field, delta)))
+          << "field " << field << ", delta " << delta;
+      EXPECT_EQ(task.checkpoint(), before);
+    }
+  }
+  EXPECT_TRUE(task.restore(reshaped_state(before, 0, 0)));
+  EXPECT_EQ(task.checkpoint(), before);
 }
 
 TEST(GenericTask, EndToEndOnP2PNetworkWithFailure) {

@@ -40,11 +40,15 @@ class TickerTask : public Task {
     w.u64(tokens_received_);
     return w.take();
   }
-  void restore(const serial::Bytes& state) override {
+  bool restore(const serial::Bytes& state) override {
     serial::Reader r(state);
-    iterations_ = r.u64();
-    tokens_received_ = r.u64();
+    const std::uint64_t iterations = r.u64();
+    const std::uint64_t tokens_received = r.u64();
+    if (!r.ok()) return false;
+    iterations_ = iterations;
+    tokens_received_ = tokens_received;
     error_ = iterations_ ? 1.0 / static_cast<double>(iterations_) : 1.0;
+    return true;
   }
 
  private:
@@ -176,7 +180,9 @@ TEST(Spawner, UniformScheduleHelper) {
   for (std::size_t i = 0; i < times.size(); ++i) {
     EXPECT_GE(times[i], 5.0);
     EXPECT_LE(times[i], 25.0);
-    if (i > 0) EXPECT_GE(times[i], times[i - 1]);  // sorted
+    if (i > 0) {
+      EXPECT_GE(times[i], times[i - 1]);  // sorted
+    }
   }
   // Deterministic in the seed.
   EXPECT_EQ(uniform_disconnect_schedule(10, 5.0, 20.0, 77), times);

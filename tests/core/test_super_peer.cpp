@@ -297,6 +297,89 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name;
     });
 
+/// Harness actor playing the only backup holder of a task: it reports a
+/// checkpoint at iteration 7 and serves `state` for it.
+class StateHolder : public net::Actor {
+ public:
+  explicit StateHolder(serial::Bytes state) : state_(std::move(state)) {}
+  void on_start(net::Env&) override {}
+  void on_message(const net::Message& m, net::Env& env) override {
+    if (m.type == msg::QueryBackup::kType) {
+      const auto query = net::payload_of<msg::QueryBackup>(m);
+      msg::BackupInfo info;
+      info.app_id = query.app_id;
+      info.task_id = query.task_id;
+      info.available = true;
+      info.iteration = 7;
+      rmi::invoke(env, m.from, info);
+    } else if (m.type == msg::FetchBackup::kType) {
+      const auto fetch = net::payload_of<msg::FetchBackup>(m);
+      msg::BackupData data;
+      data.app_id = fetch.app_id;
+      data.task_id = fetch.task_id;
+      data.iteration = 7;
+      data.state = state_;
+      rmi::invoke(env, m.from, data);
+      ++fetches;
+    }
+  }
+
+  serial::Bytes state_;
+  int fetches = 0;
+};
+
+TEST(DaemonRestore, MisshapedBackupStateRestartsFromZero) {
+  // A replacement daemon for task 1 of 2 whose one backup holder serves a
+  // state with a 1-value lower boundary instead of n. The daemon refuses it
+  // like a failed fetch: one re-query round, then iteration 0.
+  AppDescriptor app = runnable_app();
+  app.task_count = 2;
+  poisson::PoissonTask donor;
+  donor.init(app, 1);
+  const serial::Bytes state = donor.checkpoint();
+  serial::Reader r(state);
+  serial::Writer w;
+  w.f64_vector(r.f64_vector<linalg::Vector>());  // x_ext
+  w.f64_vector(r.f64_vector<linalg::Vector>());  // owned_prev
+  (void)r.f64_vector<linalg::Vector>();
+  w.f64_vector({0.5});                            // lower boundary, 1 of n
+  w.f64_vector(r.f64_vector<linalg::Vector>());  // upper boundary
+  for (int i = 0; i < 4; ++i) w.u64(r.u64());    // tags, error, iterations
+  ASSERT_TRUE(r.ok() && r.exhausted());
+
+  Scenario s(1, 7);
+  auto* d = s.add_daemon();
+  auto holder = std::make_unique<StateHolder>(w.take());
+  StateHolder* h = holder.get();
+  const net::Stub holder_stub = s.world.add_node(
+      std::move(holder), sim::MachineSpec{}, net::EntityKind::Daemon);
+  auto probe = std::make_unique<ReserveProbe>();
+  ReserveProbe* p = probe.get();
+  s.world.add_node(std::move(probe), sim::MachineSpec{}, net::EntityKind::Spawner);
+  s.world.run_until(2.0);
+  s.world.schedule_global(0.0, [&s, p] { p->request(s.sp_stubs[0], 1); });
+  s.world.run_until(4.0);
+  ASSERT_EQ(p->granted.size(), 1u);
+  s.world.schedule_global(0.0, [p, app, holder_stub] {
+    msg::TaskAssignment assignment;
+    assignment.app = app;
+    assignment.task_id = 1;
+    assignment.reg.app_id = app.app_id;
+    assignment.reg.spawner = p->env_->self();
+    assignment.reg.tasks = {TaskEntry{0, holder_stub},
+                            TaskEntry{1, p->granted.at(0)}};
+    assignment.restart = true;
+    rmi::invoke(*p->env_, p->granted.at(0), assignment);
+  });
+  s.world.run_until(30.0);
+
+  EXPECT_EQ(h->fetches, 2);
+  EXPECT_EQ(d->restores_from_backup(), 0u);
+  EXPECT_EQ(d->restarts_from_zero(), 1u);
+  EXPECT_EQ(d->state(), Daemon::State::Computing);
+  EXPECT_GT(d->iteration(), 0u);
+}
+
 TEST(SuperPeer, DaemonReRegistersWhenSuperPeerDies) {
   Scenario s(2, 11);
   auto* d = s.add_daemon();

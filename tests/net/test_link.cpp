@@ -6,6 +6,7 @@
 
 #include "core/config.hpp"
 #include "core/messages.hpp"
+#include "serial/checksum.hpp"
 #include "serial/serial.hpp"
 
 namespace jacepp::net {
@@ -181,6 +182,37 @@ TEST(Link, UnpackRejectsTruncationAndWrongType) {
 
   Message not_a_batch = ctrl_msg(1);
   EXPECT_FALSE(unpack_batch(not_a_batch, out));
+}
+
+// A Batch envelope framed like pack_batch's, but whose count field claims
+// `count` sub-messages. The CRC covers only the subframes, so it stays valid.
+Message batch_claiming(std::uint64_t count, const std::vector<Message>& parts) {
+  serial::Writer sub;
+  for (const Message& m : parts) {
+    sub.varint(m.type);
+    sub.bytes(m.body.bytes());
+  }
+  serial::Writer w;
+  w.varint(count);
+  w.u32(serial::crc32(sub.data()));
+  w.bytes(sub.data());
+  Message envelope;
+  envelope.type = kBatchMessageType;
+  envelope.body = w.take();
+  return envelope;
+}
+
+TEST(Link, UnpackRejectsInflatedSubMessageCount) {
+  const std::vector<Message> parts{ctrl_msg(1), ctrl_msg(2)};
+  std::vector<Message> out{ctrl_msg(9)};
+  // A count no vector can reserve must be refused, not thrown on.
+  EXPECT_FALSE(unpack_batch(batch_claiming(std::uint64_t{1} << 58, parts), out));
+  EXPECT_TRUE(out.empty());
+  EXPECT_FALSE(unpack_batch(batch_claiming(parts.size() + 1, parts), out));
+  EXPECT_TRUE(out.empty());
+  // The true count unpacks, so only the count made the difference.
+  ASSERT_TRUE(unpack_batch(batch_claiming(parts.size(), parts), out));
+  EXPECT_EQ(out.size(), 2u);
 }
 
 TEST(Link, BatchesConsecutiveControlMessages) {

@@ -151,7 +151,7 @@ TEST(BlockTask, CheckpointRestoreRoundTrip) {
 
   PoissonTask replacement;
   replacement.init(app, 1);
-  replacement.restore(snapshot);
+  ASSERT_TRUE(replacement.restore(snapshot));
   EXPECT_EQ(replacement.x_ext(), x_before);
   EXPECT_DOUBLE_EQ(replacement.local_error(), tasks[1].local_error());
 }
@@ -167,11 +167,54 @@ TEST(BlockTask, RestoredTaskContinuesConverging) {
   const auto snapshot = tasks[2].checkpoint();
   PoissonTask replacement;
   replacement.init(app, 2);
-  replacement.restore(snapshot);
+  ASSERT_TRUE(replacement.restore(snapshot));
   tasks[2] = std::move(replacement);
 
   run_rounds(tasks, 250);
   EXPECT_LT(assembled_residual(tasks, n), 1e-7);
+}
+
+/// `state`, a PoissonTask checkpoint, with vector `field` (0 x_ext,
+/// 1 owned_prev, 2 lower boundary, 3 upper boundary) resized by `delta`.
+serial::Bytes reshaped_state(const serial::Bytes& state, std::size_t field,
+                             int delta) {
+  serial::Reader r(state);
+  std::vector<linalg::Vector> vectors(4);
+  for (auto& v : vectors) v = r.f64_vector<linalg::Vector>();
+  const std::uint64_t lower_tag = r.u64();
+  const std::uint64_t upper_tag = r.u64();
+  const double local_error = r.f64();
+  const std::uint64_t iterations = r.u64();
+  EXPECT_TRUE(r.ok() && r.exhausted());
+  vectors[field].resize(vectors[field].size() + delta, 0.5);
+  serial::Writer w;
+  for (const auto& v : vectors) w.f64_vector(v);
+  w.u64(lower_tag);
+  w.u64(upper_tag);
+  w.f64(local_error);
+  w.u64(iterations);
+  return w.take();
+}
+
+TEST(BlockTask, RestoreRefusesMisshapedState) {
+  // The state comes from a backup peer. One whose vectors do not have the
+  // block's shapes is refused and leaves the task as it was; iterate() would
+  // otherwise index past the short ones.
+  auto app = make_app(16, 4);
+  std::vector<PoissonTask> tasks(4);
+  for (std::uint32_t t = 0; t < 4; ++t) tasks[t].init(app, t);
+  run_rounds(tasks, 5);
+  PoissonTask& task = tasks[1];  // a middle block: both boundaries in use
+  const serial::Bytes before = task.checkpoint();
+  for (std::size_t field = 0; field < 4; ++field) {
+    for (const int delta : {-1, +1}) {
+      EXPECT_FALSE(task.restore(reshaped_state(before, field, delta)))
+          << "field " << field << ", delta " << delta;
+      EXPECT_EQ(task.checkpoint(), before);
+    }
+  }
+  EXPECT_TRUE(task.restore(reshaped_state(before, 0, 0)));
+  EXPECT_EQ(task.checkpoint(), before);
 }
 
 TEST(BlockTask, MalformedDataDropped) {

@@ -174,16 +174,6 @@ TEST(EventQueue, LiveCountTracksScheduleCancelPop) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, IdStreamAssignsStridedIds) {
-  // Disjoint id streams (residues mod the stride) are how the sharded world
-  // keeps ids unique across per-shard queues without coordination.
-  EventQueue q;
-  q.set_id_stream(3, 5);
-  EXPECT_EQ(q.schedule(1.0, [] {}), 3u);
-  EXPECT_EQ(q.schedule(2.0, [] {}), 8u);
-  EXPECT_EQ(q.schedule_tagged(3.0, 7, [] {}), 13u);
-}
-
 TEST(EventQueue, PopReportsTag) {
   EventQueue q;
   q.schedule_tagged(1.0, 42, [] {});
@@ -194,75 +184,6 @@ TEST(EventQueue, PopReportsTag) {
   EXPECT_EQ(tag, 42u);
   q.pop(&now, &tag)();
   EXPECT_EQ(tag, 0u);
-}
-
-TEST(EventQueue, TakeTaggedExtractsOnlyMatchingEvents) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule_tagged(1.0, 7, [&] { order.push_back(1); });
-  q.schedule_tagged(2.0, 9, [&] { order.push_back(2); });
-  q.schedule_tagged(3.0, 7, [&] { order.push_back(3); });
-  std::vector<TakenEvent> taken;
-  EXPECT_EQ(q.take_tagged(7, taken), 2u);
-  ASSERT_EQ(taken.size(), 2u);
-  EXPECT_EQ(q.live_count(), 1u);
-  double now = 0;
-  while (!q.empty()) q.pop(&now)();
-  EXPECT_EQ(order, (std::vector<int>{2}));
-}
-
-TEST(EventQueue, RestorePreservesIdsAndTieBreaks) {
-  // Migration moves events between queues via take_tagged/restore; the
-  // original (time, id) keys must survive so same-timestamp ordering replays
-  // exactly as if the events had never moved.
-  EventQueue a;
-  EventQueue b;
-  a.set_id_stream(1, 2);
-  b.set_id_stream(2, 2);
-  std::vector<int> order;
-  a.schedule_tagged(1.0, 5, [&] { order.push_back(1); });   // id 1
-  b.schedule_tagged(1.0, 0, [&] { order.push_back(2); });   // id 2
-  a.schedule_tagged(1.0, 5, [&] { order.push_back(3); });   // id 3
-  std::vector<TakenEvent> taken;
-  a.take_tagged(5, taken);
-  EXPECT_EQ(taken[0].id, 1u);
-  EXPECT_EQ(taken[1].id, 3u);
-  b.restore(std::move(taken));
-  EXPECT_TRUE(a.empty());
-  EXPECT_EQ(b.live_count(), 3u);
-  double now = 0;
-  while (!b.empty()) b.pop(&now)();
-  // Ids 1 < 2 < 3 at the shared timestamp: insertion order across BOTH
-  // queues, not arrival order into b.
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, TakeTaggedReclaimsCancelledTombstones) {
-  EventQueue q;
-  const EventId dead = q.schedule_tagged(1.0, 7, [] {});
-  q.schedule_tagged(2.0, 7, [] {});
-  q.cancel(dead);
-  std::vector<TakenEvent> taken;
-  // The cancelled event is dropped with its tombstone, not taken.
-  EXPECT_EQ(q.take_tagged(7, taken), 1u);
-  EXPECT_EQ(taken.size(), 1u);
-  EXPECT_EQ(q.cancelled_count(), 0u);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, CancelAfterRestoreStillWorks) {
-  EventQueue a;
-  EventQueue b;
-  a.set_id_stream(1, 2);
-  b.set_id_stream(2, 2);
-  bool ran = false;
-  const EventId id = a.schedule_tagged(1.0, 4, [&] { ran = true; });
-  std::vector<TakenEvent> taken;
-  a.take_tagged(4, taken);
-  b.restore(std::move(taken));
-  b.cancel(id);  // the id followed the event into its new queue
-  EXPECT_TRUE(b.empty());
-  EXPECT_FALSE(ran);
 }
 
 TEST(EventQueue, ObserversAreConstAndPure) {
