@@ -13,6 +13,11 @@
 //   outgoing()    — dependency data to push to neighbours afterwards
 //   on_data()     — latest-wins reception of neighbour data
 //   checkpoint()/restore() — serialize state for the Backup fault tolerance
+//
+// Keep what checkpoint() saves in one wire struct (`State` below): its
+// JACEPP_WIRE_FIELDS list is the whole checkpoint layout, so checkpoint() is
+// one serial::encode call and restore() one Reader::object call plus the
+// shape check that guards against a state from a misbehaving peer.
 #include <cmath>
 #include <cstdio>
 
@@ -60,17 +65,18 @@ class HeatTask : public core::Task {
       const double x = (lo_ + i + 1) * h;
       b_[i] = M_PI * M_PI * std::sin(M_PI * x);
     }
-    u_.assign(size_, 0.0);
+    state_ = State{};
+    state_.u.assign(size_, 0.0);
     prev_.assign(size_, 0.0);
-    left_value_ = right_value_ = 0.0;
   }
 
   double iterate() override {
     // Solve the local tridiagonal system exactly (Thomas algorithm) with the
     // latest neighbour boundary values as Dirichlet data.
+    std::vector<double>& u = state_.u;
     std::vector<double> rhs(b_);
-    rhs.front() += inv_h2_ * left_value_;
-    rhs.back() += inv_h2_ * right_value_;
+    rhs.front() += inv_h2_ * state_.left_value;
+    rhs.back() += inv_h2_ * state_.right_value;
 
     std::vector<double> c(size_, 0.0);
     std::vector<double> d(size_, 0.0);
@@ -83,23 +89,23 @@ class HeatTask : public core::Task {
       c[i] = off / m;
       d[i] = (rhs[i] - off * d[i - 1]) / m;
     }
-    u_[size_ - 1] = d[size_ - 1];
+    u[size_ - 1] = d[size_ - 1];
     for (std::uint32_t i = size_ - 1; i-- > 0;) {
-      u_[i] = d[i] - c[i] * u_[i + 1];
+      u[i] = d[i] - c[i] * u[i + 1];
     }
 
     double diff2 = 0.0;
     double norm2 = 0.0;
     for (std::uint32_t i = 0; i < size_; ++i) {
-      const double delta = u_[i] - prev_[i];
+      const double delta = u[i] - prev_[i];
       diff2 += delta * delta;
-      norm2 += u_[i] * u_[i];
-      prev_[i] = u_[i];
+      norm2 += u[i] * u[i];
+      prev_[i] = u[i];
     }
     error_ = std::sqrt(diff2) / std::max(std::sqrt(norm2), 1e-300);
-    informative_ = fresh_ || iterations_ == 0 || task_count_ == 1;
+    informative_ = fresh_ || state_.iterations == 0 || task_count_ == 1;
     fresh_ = false;
-    ++iterations_;
+    ++state_.iterations;
     return 9.0 * size_ * config_.work_per_cell;
   }
 
@@ -110,9 +116,11 @@ class HeatTask : public core::Task {
       w.f64(v);
       return w.take();
     };
-    if (task_id_ > 0) out.push_back({task_id_ - 1, one_value(u_.front())});
+    if (task_id_ > 0) {
+      out.push_back({task_id_ - 1, one_value(state_.u.front())});
+    }
     if (task_id_ + 1 < task_count_) {
-      out.push_back({task_id_ + 1, one_value(u_.back())});
+      out.push_back({task_id_ + 1, one_value(state_.u.back())});
     }
     return out;
   }
@@ -124,59 +132,57 @@ class HeatTask : public core::Task {
     serial::Reader reader(bytes);
     const double value = reader.f64();
     if (!reader.ok()) return;
-    if (from + 1 == task_id_ && value != left_value_) {
-      left_value_ = value;
+    if (from + 1 == task_id_ && value != state_.left_value) {
+      state_.left_value = value;
       fresh_ = true;
-    } else if (from == task_id_ + 1 && value != right_value_) {
-      right_value_ = value;
+    } else if (from == task_id_ + 1 && value != state_.right_value) {
+      state_.right_value = value;
       fresh_ = true;
     }
   }
 
   [[nodiscard]] serial::Bytes checkpoint() const override {
-    serial::Writer w;
-    w.f64_vector(u_);
-    w.f64(left_value_);
-    w.f64(right_value_);
-    w.u64(iterations_);
-    return w.take();
+    return serial::encode(state_);
   }
 
-  bool restore(const serial::Bytes& state) override {
+  bool restore(const serial::Bytes& bytes) override {
     // The state comes from a backup peer: refuse one that does not fit.
-    serial::Reader r(state);
-    std::vector<double> u = r.f64_vector();
-    const double left_value = r.f64();
-    const double right_value = r.f64();
-    const std::uint64_t iterations = r.u64();
-    if (!r.ok() || u.size() != u_.size()) return false;
-    u_ = std::move(u);
-    left_value_ = left_value;
-    right_value_ = right_value;
-    iterations_ = iterations;
-    prev_ = u_;
+    serial::Reader r(bytes);
+    State state = r.object<State>();
+    if (!r.ok() || state.u.size() != size_) return false;
+    state_ = std::move(state);
+    prev_ = state_.u;
     return true;
   }
 
   [[nodiscard]] serial::Bytes final_payload() const override {
     serial::Writer w;
-    w.f64_vector(u_);
+    w.f64_vector(state_.u);
     return w.take();
   }
 
  private:
+  /// Everything checkpoint() saves, in wire order.
+  struct State {
+    std::vector<double> u;     ///< this task's unknowns
+    double left_value = 0.0;   ///< latest neighbour values (Dirichlet data)
+    double right_value = 0.0;
+    std::uint64_t iterations = 0;
+
+    JACEPP_WIRE_FIELDS(u, left_value, right_value, iterations)
+  };
+
   HeatConfig config_;
   core::TaskId task_id_ = 0;
   std::uint32_t task_count_ = 0;
   std::uint32_t lo_ = 0;
   std::uint32_t size_ = 0;
   double inv_h2_ = 0.0;
-  std::vector<double> b_, u_, prev_;
-  double left_value_ = 0.0, right_value_ = 0.0;
+  std::vector<double> b_, prev_;
+  State state_;
   bool fresh_ = false;
   bool informative_ = false;
   double error_ = 1.0;
-  std::uint64_t iterations_ = 0;
 };
 
 }  // namespace

@@ -17,6 +17,9 @@
 using namespace jacepp;
 
 int main(int argc, char** argv) {
+  // Line-buffered even into a pipe or file, so the log of a run killed by an
+  // outer timeout still shows how far it got.
+  std::setvbuf(stdout, nullptr, _IOLBF, 0);
   FlagSet flags("threaded_runtime",
                 "Run JaceP2P on real threads; optionally crash a daemon");
   auto n = flags.add_int("n", 32, "grid side");

@@ -31,7 +31,7 @@ BackupStore::StoreResult BackupStore::store_frame(AppId app, TaskId task,
     entry.last_delta_seq = 0;
     entry.chunk_size = decoded->chunk_size;
     entry.state_checksum = decoded->state_checksum;
-    entry.baseline = std::move(decoded->full_state);
+    entry.state = std::move(decoded->full_state);
     total_bytes_ += entry.bytes();
     entries_.emplace(key(app, task), std::move(entry));
     result = {true, false};
@@ -39,7 +39,7 @@ BackupStore::StoreResult BackupStore::store_frame(AppId app, TaskId task,
     if (it == entries_.end() ||
         it->second.baseline_id != decoded->baseline_id ||
         it->second.chunk_size != decoded->chunk_size ||
-        it->second.baseline.size() != decoded->total_size) {
+        it->second.state.size() != decoded->total_size) {
       return {false, true};  // no chain this delta can extend
     }
     Entry& entry = it->second;
@@ -49,11 +49,16 @@ BackupStore::StoreResult BackupStore::store_frame(AppId app, TaskId task,
     if (decoded->delta_seq != entry.last_delta_seq + 1) {
       return {false, true};  // gap: a frame was lost in between
     }
-    entry.deltas.push_back(frame);
+    // decode_frame bounded every chunk against total_size, the held state's
+    // size, so each one lands inside it.
+    for (const auto& [index, payload] : decoded->chunks) {
+      const std::size_t lo = std::size_t{index} * entry.chunk_size;
+      std::copy(payload.begin(), payload.end(),
+                entry.state.begin() + static_cast<std::ptrdiff_t>(lo));
+    }
     entry.last_delta_seq = decoded->delta_seq;
     entry.iteration = std::max(entry.iteration, iteration);
     entry.state_checksum = decoded->state_checksum;
-    total_bytes_ += frame.size();
     result = {true, false};
   }
 
@@ -71,35 +76,13 @@ const BackupStore::Entry* BackupStore::find(AppId app, TaskId task) const {
 std::optional<serial::Bytes> BackupStore::materialize(AppId app, TaskId task) {
   const auto it = entries_.find(key(app, task));
   if (it == entries_.end()) return std::nullopt;
-  Entry& entry = it->second;
-
-  serial::Bytes state = entry.baseline;
-  bool ok = true;
-  for (const auto& raw : entry.deltas) {
-    const auto frame = checkpoint::decode_frame(raw);
-    if (!frame.has_value() || frame->total_size != state.size()) {
-      ok = false;
-      break;
-    }
-    for (const auto& [index, payload] : frame->chunks) {
-      const std::size_t lo =
-          static_cast<std::size_t>(index) * frame->chunk_size;
-      if (lo + payload.size() > state.size()) {
-        ok = false;
-        break;
-      }
-      std::copy(payload.begin(), payload.end(),
-                state.begin() + static_cast<std::ptrdiff_t>(lo));
-    }
-    if (!ok) break;
-  }
-  if (!ok || serial::crc32(state) != entry.state_checksum) {
+  if (serial::crc32(it->second.state) != it->second.state_checksum) {
     // Broken chain: drop it so QueryBackup reports unavailable and the
     // replacement daemon falls back to another holder (or iteration 0).
     erase_entry(it);
     return std::nullopt;
   }
-  return state;
+  return it->second.state;
 }
 
 void BackupStore::clear_app(AppId app) {

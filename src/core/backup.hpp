@@ -1,8 +1,9 @@
 // The Backup store each Daemon hosts for its neighbours (paper §5.4), grown
 // from a latest-blob map into a chain store for incremental checkpoints: per
-// (application, task) it holds one full baseline plus the ordered delta
-// frames received since, and materializes the newest state lazily when a
-// replacement daemon asks for it (core/checkpoint.hpp describes the frames).
+// (application, task) it holds one chain as a single state, the baseline
+// with every delta since written into it on arrival, and hands that state to
+// a replacement daemon after checking its CRC (core/checkpoint.hpp describes
+// the frames).
 //
 // Memory is bounded: an optional byte budget evicts whole applications,
 // oldest finished apps first, then the most stale (least recently stored)
@@ -12,7 +13,6 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
-#include <vector>
 
 #include "core/app.hpp"
 #include "core/checkpoint.hpp"
@@ -22,22 +22,18 @@ namespace jacepp::core {
 
 class BackupStore {
  public:
-  /// One baseline+delta chain. `iteration` is the iteration of the newest
-  /// frame — what the restore protocol compares across holders.
+  /// One baseline+delta chain, held as the state its newest frame
+  /// describes. `iteration` is the iteration of that frame — what the
+  /// restore protocol compares across holders.
   struct Entry {
     std::uint64_t iteration = 0;
     std::uint64_t baseline_id = 0;
     std::uint64_t last_delta_seq = 0;  ///< 0 = baseline only
     std::uint32_t chunk_size = 0;
-    std::uint32_t state_checksum = 0;  ///< CRC-32 of the newest full state
-    serial::Bytes baseline;            ///< materialized baseline state
-    std::vector<serial::Bytes> deltas;  ///< raw frames, delta_seq 1..N
+    std::uint32_t state_checksum = 0;  ///< CRC-32 the newest frame declares
+    serial::Bytes state;  ///< baseline with deltas 1..last_delta_seq applied
 
-    [[nodiscard]] std::size_t bytes() const {
-      std::size_t total = baseline.size();
-      for (const auto& d : deltas) total += d.size();
-      return total;
-    }
+    [[nodiscard]] std::size_t bytes() const { return state.size(); }
   };
 
   struct StoreResult {
@@ -49,17 +45,17 @@ class BackupStore {
 
   /// Ingest one checkpoint frame. Full baselines replace the chain unless
   /// they would regress `iteration`; deltas must extend the current chain
-  /// exactly (same baseline, next sequence number). Duplicates are ignored
-  /// but acknowledged.
+  /// exactly (same baseline, next sequence number) and are written into the
+  /// held state at once. Duplicates are ignored but acknowledged.
   StoreResult store_frame(AppId app, TaskId task, std::uint64_t iteration,
                           const serial::Bytes& frame);
 
   /// Chain held for (app, task); nullptr when none.
   [[nodiscard]] const Entry* find(AppId app, TaskId task) const;
 
-  /// Reconstruct the newest state from baseline + deltas, verifying the
-  /// chain's state checksum. On a broken/corrupt chain the entry is dropped
-  /// (so later queries report it unavailable) and nullopt returned.
+  /// A copy of the held state once its CRC matches the newest frame's state
+  /// checksum. On a broken/corrupt chain the entry is dropped (so later
+  /// queries report it unavailable) and nullopt returned.
   std::optional<serial::Bytes> materialize(AppId app, TaskId task);
 
   /// Drop all checkpoints of a finished application.

@@ -280,7 +280,7 @@ DeltaEncoder::Emitted DeltaEncoder::emit(
       }
     }
     // A delta no smaller than the state is no cheaper than a baseline and
-    // would only lengthen the chain a rollback must replay. The exact size
+    // would only lengthen the chain toward its next rebase. The exact size
     // decides before anything is encoded: a state of one chunk that changed
     // always lands here, since its delta is the whole state plus framing.
     const std::size_t size =

@@ -17,12 +17,15 @@
 //     of the full reconstructed state so a holder can prove a chain intact
 //     before serving it to a replacement daemon.
 //
-// The sender (DeltaEncoder) keeps one copy of the previous serialized state
-// plus a per-holder dirty bitset, so the paper's round-robin placement still
-// works: each holder's chain only needs the chunks dirtied since that
-// holder's own last frame. A chain is rebased onto a fresh baseline after
-// `rebase_every` deltas, when the chain's bytes exceed the byte budget, or
-// when the holder NACKs (restarted, lost its chain, detected a gap).
+// The sender (DeltaEncoder) keeps one copy of the previous serialized state,
+// compares each new state against it chunk by chunk, and keeps a per-holder
+// dirty bitset, so the paper's round-robin placement still works: each
+// holder's chain only needs the chunks changed since that holder's own last
+// frame. A chain is rebased onto a fresh baseline after `rebase_every`
+// deltas, when the chain's bytes exceed the byte budget, or when the holder
+// NACKs (restarted, lost its chain, detected a gap). The holder (BackupStore,
+// core/backup.hpp) keeps one state per chain and writes each delta into it
+// on arrival.
 #pragma once
 
 #include <cstddef>
@@ -41,8 +44,9 @@ namespace jacepp::core::checkpoint {
 struct CheckpointPolicy {
   std::uint32_t chunk_size = 4096;  ///< dirty-tracking granularity, bytes
   std::uint32_t rebase_every = 16;  ///< full baseline after this many deltas
-  /// Rebase when a chain's delta bytes exceed this; 0 = auto (one full state:
-  /// past that, replaying the chain costs more than a fresh baseline).
+  /// Rebase when a chain's delta bytes exceed this; 0 = auto (one full
+  /// state). Like rebase_every, it bounds how long a chain runs before a
+  /// fresh baseline re-anchors the holder.
   std::uint64_t chain_byte_budget = 0;
 
   // Adaptive save interval: widen/narrow k so the modelled checkpoint cost
@@ -60,11 +64,12 @@ struct CheckpointPolicy {
                      target_overhead, net_bandwidth, net_latency)
 };
 
-/// Byte intervals of a task's serialized state that may have changed since
-/// the task's previous checkpoint() call. Produced by Task::take_dirty_ranges
-/// as a HINT: the encoder only compares hinted chunks against its retained
-/// copy, so a false positive costs a memcmp while a false negative corrupts
-/// the chain (caught by the state checksum, healed by a forced rebase).
+/// Byte intervals of a state that may have changed since the previous emit,
+/// passed to DeltaEncoder::emit as a HINT: the encoder then compares only the
+/// hinted chunks against its retained copy, so a false positive costs a
+/// memcmp while a false negative corrupts the chain (caught by the state
+/// checksum, healed by a forced rebase). The Daemon passes no hints; only the
+/// codec tests and bench_checkpoint do.
 struct DirtyRanges {
   bool all = false;  ///< everything dirty (restore, unknown provenance)
   std::vector<std::pair<std::size_t, std::size_t>> ranges;  ///< [lo, hi)
@@ -135,9 +140,9 @@ class DeltaEncoder {
   DeltaEncoder(CheckpointPolicy policy, std::size_t holder_count);
 
   /// Emit the next frame for `holder` given the task's current serialized
-  /// state and its dirty hints since the previous emit (nullopt = compare
-  /// every chunk). Called once per checkpoint; updates every holder's dirty
-  /// bitset and advances `holder`'s chain.
+  /// state and optional dirty hints since the previous emit (nullopt, the
+  /// Daemon's case, = compare every chunk). Called once per checkpoint;
+  /// updates every holder's dirty bitset and advances `holder`'s chain.
   Emitted emit(std::size_t holder, const serial::Bytes& state,
                const std::optional<DirtyRanges>& hints);
 

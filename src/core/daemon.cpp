@@ -438,8 +438,8 @@ void Daemon::do_checkpoint() {
   if (backup_peers_.empty()) return;
   // Round-robin across the fixed backup-peer set (paper Figure 5: successive
   // saves of one task land on alternating neighbours). Each holder gets its
-  // own baseline+delta chain, so only the chunks dirtied since THIS holder's
-  // previous frame travel.
+  // own baseline+delta chain, so only the chunks changed since THIS holder's
+  // previous frame travel; the encoder finds them by comparing every chunk.
   const std::size_t target_index = save_seq_ % backup_peers_.size();
   const TaskId target = backup_peers_[target_index];
   ++save_seq_;
@@ -447,8 +447,7 @@ void Daemon::do_checkpoint() {
   if (!holder.valid() || holder == env_->self()) return;
 
   const serial::Bytes state = task_->checkpoint();
-  auto emitted =
-      encoder_->emit(target_index, state, task_->take_dirty_ranges());
+  auto emitted = encoder_->emit(target_index, state, std::nullopt);
   const std::size_t frame_bytes = emitted.frame.size();
   if (emitted.kind == checkpoint::FrameKind::Full) {
     ++ckpt_fulls_;
@@ -534,9 +533,9 @@ void Daemon::handle_fetch_backup(const msg::FetchBackup& m,
                                  const net::Message& raw, net::Env& env) {
   const BackupStore::Entry* entry = backup_store_.find(m.app_id, m.task_id);
   const std::uint64_t iteration = entry != nullptr ? entry->iteration : 0;
-  // Rollback reconstruction: replay baseline + delta chain into the newest
-  // full state. A broken/corrupt chain drops the entry and the restarter is
-  // told to fall back (it re-queries the other holders).
+  // Rollback: the holder's chain state, every delta already applied, once
+  // its CRC matches. A broken/corrupt chain drops the entry and the
+  // restarter is told to fall back (it re-queries the other holders).
   auto state = entry != nullptr
                    ? backup_store_.materialize(m.app_id, m.task_id)
                    : std::nullopt;

@@ -42,16 +42,17 @@ class GenericMultisplitTask : public Task {
   void init(const AppDescriptor& app, TaskId task_id) override;
   double iterate() override;
   std::vector<OutgoingData> outgoing() override;
-  [[nodiscard]] double local_error() const override { return local_error_; }
+  [[nodiscard]] double local_error() const override {
+    return state_.local_error;
+  }
   [[nodiscard]] bool error_is_informative() const override { return informative_; }
   void on_data(TaskId from_task, std::uint64_t iteration,
                const serial::Bytes& payload) override;
   [[nodiscard]] serial::Bytes checkpoint() const override;
   [[nodiscard]] bool restore(const serial::Bytes& state) override;
-  std::optional<checkpoint::DirtyRanges> take_dirty_ranges() override;
   [[nodiscard]] serial::Bytes final_payload() const override;
   [[nodiscard]] std::uint64_t informative_iterations() const override {
-    return informative_count_;
+    return state_.informative_count;
   }
 
   // --- Introspection ---
@@ -71,29 +72,37 @@ class GenericMultisplitTask : public Task {
   std::vector<linalg::RowBlock> blocks_;
   linalg::RowBlock block_;
 
+  /// What checkpoint() saves and restore() brings back, in wire order.
+  struct State {
+    linalg::Vector x_local;     ///< owned components
+    linalg::Vector owned_prev;
+    linalg::Vector x_halo;      ///< global-length scratch with halo values
+    double local_error = 1.0;
+    std::uint64_t iterations = 0;
+    std::uint64_t informative_count = 0;
+
+    JACEPP_WIRE_FIELDS(x_local, owned_prev, x_halo, local_error, iterations,
+                       informative_count)
+  };
+
   linalg::CsrMatrix a_local_;     ///< diagonal block
-  linalg::Vector x_local_;        ///< owned components
-  linalg::Vector x_halo_;         ///< global-length scratch with halo values
-  linalg::Vector owned_prev_;
+  State state_;
 
   /// For each peer task: the GLOBAL indices of MY owned components that the
   /// peer's rows reference (what I must send it).
   std::map<TaskId, std::vector<std::uint32_t>> export_indices_;
+  /// Indexed by sender: the GLOBAL indices in ITS owned range that MY rows
+  /// reference, in the order its export list sends them (empty when my rows
+  /// do not couple to it).
+  std::vector<std::vector<std::uint32_t>> import_indices_;
   /// For each peer task: last content received (global index → value applied
-  /// into x_halo_); used for content-based freshness.
+  /// into x_halo); used for content-based freshness.
   std::map<TaskId, linalg::Vector> last_received_;
-
-  // Dirty flags for delta checkpointing; cleared by take_dirty_ranges().
-  bool ckpt_solve_dirty_ = true;  ///< x_local_ + owned_prev_ changed
-  bool ckpt_halo_dirty_ = true;   ///< x_halo_ changed
 
   bool fresh_ = false;
   bool informative_ = false;
   bool last_solve_converged_ = false;
   double last_solve_flops_ = 0.0;
-  double local_error_ = 1.0;
-  std::uint64_t iterations_ = 0;
-  std::uint64_t informative_count_ = 0;
   bool sent_since_solve_ = false;
   std::uint64_t last_send_iteration_ = 0;
 };

@@ -9,23 +9,14 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "sim/world.hpp"
+
 namespace jacepp::core {
 
-/// SplitMix64 finalizer — the same full-avalanche mix the simulator uses for
-/// its shard assignment (sim::mix64), duplicated here because core must not
-/// depend on sim.
-[[nodiscard]] constexpr std::uint64_t shard_mix64(std::uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return x;
-}
-
-/// Home shard of `id` among `n` shards (0 when n <= 1).
+/// Home shard of `id` among `n` shards (0 when n <= 1), by the same
+/// SplitMix64 mix the simulator uses for its own shard assignment.
 [[nodiscard]] constexpr std::size_t shard_of(std::uint64_t id, std::size_t n) {
-  return n <= 1 ? 0 : static_cast<std::size_t>(shard_mix64(id) % n);
+  return n <= 1 ? 0 : static_cast<std::size_t>(sim::mix64(id) % n);
 }
 
 }  // namespace jacepp::core

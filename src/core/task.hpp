@@ -11,18 +11,23 @@
 // Programs are registered by name in the TaskProgramRegistry — the analogue of
 // the paper's "URL of a web server where the class files are available": a
 // daemon materializes the Task from the name carried in the AppDescriptor.
+//
+// A task keeps what it checkpoints in one wire struct (JACEPP_WIRE_FIELDS,
+// serial/serial.hpp), so its layout is stated once: checkpoint() is
+// serial::encode(state_), and restore() decodes with Reader::object<State>()
+// and commits only a state whose shapes fit. A task reports nothing about
+// which bytes changed between saves; the Daemon's encoder compares each save
+// with the previous one chunk by chunk (core/checkpoint.hpp).
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "core/app.hpp"
-#include "core/checkpoint.hpp"
 #include "serial/serial.hpp"
 
 namespace jacepp::core {
@@ -81,17 +86,6 @@ class Task {
   /// not fit the shapes init() set, return false and leave the task as it
   /// was.
   [[nodiscard]] virtual bool restore(const serial::Bytes& state) = 0;
-
-  /// Delta-checkpoint support: byte ranges of the checkpoint() encoding that
-  /// may have changed since the PREVIOUS take_dirty_ranges() call, and clear
-  /// the task's dirty tracking. nullopt (the default) means "unknown — the
-  /// encoder compares every chunk". Over-marking costs a memcmp per chunk;
-  /// under-marking corrupts the holder's chain (caught by the chain's state
-  /// checksum and healed by a forced rebase, but never silent — see
-  /// core/checkpoint.hpp).
-  virtual std::optional<checkpoint::DirtyRanges> take_dirty_ranges() {
-    return std::nullopt;
-  }
 
   /// Payload reported to the Spawner after GlobalHalt (defaults to the full
   /// checkpoint; override to return just the solution slice).

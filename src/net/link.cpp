@@ -189,7 +189,6 @@ std::optional<WireFrame> Link::next_wire_frame() {
       stats_->batches.fetch_add(1, std::memory_order_relaxed);
       stats_->batched_messages.fetch_add(parts.size(),
                                          std::memory_order_relaxed);
-      batch_occupancy_.add(static_cast<double>(parts.size()));
     }
   }
 

@@ -33,7 +33,6 @@
 
 #include "net/message.hpp"
 #include "net/stub.hpp"
-#include "support/stats.hpp"
 
 namespace jacepp::net {
 
@@ -157,11 +156,6 @@ class Link {
   [[nodiscard]] std::size_t queued_messages() const { return live_count_; }
   [[nodiscard]] std::size_t queued_bytes() const { return live_bytes_; }
 
-  /// Control messages per Batch envelope formed on this link (bench output).
-  [[nodiscard]] const RunningStats& batch_occupancy() const {
-    return batch_occupancy_;
-  }
-
  private:
   struct Key {
     std::uint64_t hi = 0;
@@ -202,7 +196,6 @@ class Link {
   std::size_t live_count_ = 0;
   std::size_t live_bytes_ = 0;
   std::size_t dead_count_ = 0;
-  RunningStats batch_occupancy_;
 };
 
 }  // namespace jacepp::net

@@ -78,14 +78,12 @@ void PoissonTask::init(const core::AppDescriptor& app, core::TaskId task_id) {
   b_ext_.assign(full_rhs.begin() + static_cast<std::ptrdiff_t>(block_.ext_lo),
                 full_rhs.begin() + static_cast<std::ptrdiff_t>(block_.ext_hi));
 
-  x_ext_.assign(block_.ext_size(), 0.0);
-  owned_prev_.assign(block_.owned_size(), 0.0);
-  lower_boundary_.assign(n, 0.0);
-  upper_boundary_.assign(n, 0.0);
-  lower_tag_ = upper_tag_ = 0;
+  state_ = State{};
+  state_.x_ext.assign(block_.ext_size(), 0.0);
+  state_.owned_prev.assign(block_.owned_size(), 0.0);
+  state_.lower_boundary.assign(n, 0.0);
+  state_.upper_boundary.assign(n, 0.0);
   lower_fresh_ = upper_fresh_ = false;
-  local_error_ = 1.0;
-  iterations_done_ = 0;
   total_flops_ = 0.0;
 }
 
@@ -95,12 +93,14 @@ void PoissonTask::build_rhs(linalg::Vector& rhs) const {
   // Dirichlet data at the extended boundary comes from the neighbours' latest
   // published lines; the outermost tasks use the domain boundary (zero).
   if (task_id_ > 0) {
-    for (std::size_t i = 0; i < n; ++i) rhs[i] += inv_h2_ * lower_boundary_[i];
+    for (std::size_t i = 0; i < n; ++i) {
+      rhs[i] += inv_h2_ * state_.lower_boundary[i];
+    }
   }
   if (task_id_ + 1 < task_count_) {
     const std::size_t base = block_.ext_size() - n;
     for (std::size_t i = 0; i < n; ++i) {
-      rhs[base + i] += inv_h2_ * upper_boundary_[i];
+      rhs[base + i] += inv_h2_ * state_.upper_boundary[i];
     }
   }
 }
@@ -112,9 +112,9 @@ double PoissonTask::iterate() {
   // paper's implementation performs regardless of updates. These are exactly
   // the paper's "iterations without update" that do not make the computation
   // progress (§7): same price, no progress.
-  if (iterations_done_ > 0 && !lower_fresh_ && !upper_fresh_ &&
+  if (state_.iterations_done > 0 && !lower_fresh_ && !upper_fresh_ &&
       last_solve_converged_) {
-    ++iterations_done_;
+    ++state_.iterations_done;
     last_iteration_informative_ = task_count_ == 1;
     total_flops_ += last_solve_flops_;
     return last_solve_flops_;
@@ -126,30 +126,31 @@ double PoissonTask::iterate() {
   linalg::CgOptions options;
   options.tolerance = config_.inner_tolerance;
   options.max_iterations = config_.inner_max_iterations;
-  const auto cg = linalg::conjugate_gradient(a_local_, rhs, x_ext_, options);
+  const auto cg =
+      linalg::conjugate_gradient(a_local_, rhs, state_.x_ext, options);
   last_solve_converged_ = cg.converged;
   sent_since_last_solve_ = false;
-  ckpt_solve_dirty_ = true;
 
   // Relative change of the OWNED components — the published iterate — in
-  // the same pass that records them in owned_prev_.
+  // the same pass that records them in state_.owned_prev.
   const std::size_t off = block_.owned_offset();
   double diff2 = 0.0;
   double norm2 = 0.0;
   for (std::size_t i = 0; i < block_.owned_size(); ++i) {
-    const double v = x_ext_[off + i];
-    const double d = v - owned_prev_[i];
+    const double v = state_.x_ext[off + i];
+    const double d = v - state_.owned_prev[i];
     diff2 += d * d;
     norm2 += v * v;
-    owned_prev_[i] = v;
+    state_.owned_prev[i] = v;
   }
-  local_error_ = std::sqrt(diff2) / std::max(std::sqrt(norm2), 1e-300);
+  state_.local_error = std::sqrt(diff2) / std::max(std::sqrt(norm2), 1e-300);
 
-  ++iterations_done_;
+  ++state_.iterations_done;
   // The very first iteration is informative too: it moves x off the initial
   // guess regardless of neighbour data.
   last_iteration_informative_ =
-      lower_fresh_ || upper_fresh_ || task_count_ == 1 || iterations_done_ == 1;
+      lower_fresh_ || upper_fresh_ || task_count_ == 1 ||
+      state_.iterations_done == 1;
   if (last_iteration_informative_) ++iterations_with_fresh_data_;
   lower_fresh_ = upper_fresh_ = false;
 
@@ -171,11 +172,11 @@ std::vector<core::OutgoingData> PoissonTask::outgoing() {
   // flooding the network with bit-identical lines.
   constexpr std::uint64_t kResendInterval = 8;
   if (sent_since_last_solve_ &&
-      iterations_done_ - last_send_iteration_ < kResendInterval) {
+      state_.iterations_done - last_send_iteration_ < kResendInterval) {
     return {};
   }
   sent_since_last_solve_ = true;
-  last_send_iteration_ = iterations_done_;
+  last_send_iteration_ = state_.iterations_done;
 
   std::vector<core::OutgoingData> out;
   const std::size_t n = config_.n;
@@ -186,8 +187,9 @@ std::vector<core::OutgoingData> PoissonTask::outgoing() {
                   global_start + n <= block_.owned_hi);
     const std::size_t local = global_start - block_.ext_lo;
     serial::Writer writer;
-    linalg::Vector line(x_ext_.begin() + static_cast<std::ptrdiff_t>(local),
-                        x_ext_.begin() + static_cast<std::ptrdiff_t>(local + n));
+    const auto first =
+        state_.x_ext.begin() + static_cast<std::ptrdiff_t>(local);
+    linalg::Vector line(first, first + static_cast<std::ptrdiff_t>(n));
     writer.f64_vector(line);
     return writer.take();
   };
@@ -224,95 +226,41 @@ void PoissonTask::on_data(core::TaskId from_task, std::uint64_t iteration,
   // information would let update-distance hit zero and fake local stability
   // (the paper's "no update received" iterations).
   if (from_task + 1 == task_id_) {
-    if (line != lower_boundary_) {
-      lower_fresh_ = true;
-      ckpt_lower_dirty_ = true;
-    }
-    lower_boundary_ = std::move(line);
-    lower_tag_ = iteration;
+    if (line != state_.lower_boundary) lower_fresh_ = true;
+    state_.lower_boundary = std::move(line);
+    state_.lower_tag = iteration;
   } else if (from_task == task_id_ + 1) {
-    if (line != upper_boundary_) {
-      upper_fresh_ = true;
-      ckpt_upper_dirty_ = true;
-    }
-    upper_boundary_ = std::move(line);
-    upper_tag_ = iteration;
+    if (line != state_.upper_boundary) upper_fresh_ = true;
+    state_.upper_boundary = std::move(line);
+    state_.upper_tag = iteration;
   }
 }
 
 serial::Bytes PoissonTask::checkpoint() const {
-  serial::Writer writer;
-  writer.f64_vector(x_ext_);
-  writer.f64_vector(owned_prev_);
-  writer.f64_vector(lower_boundary_);
-  writer.f64_vector(upper_boundary_);
-  writer.u64(lower_tag_);
-  writer.u64(upper_tag_);
-  writer.f64(local_error_);
-  writer.u64(iterations_done_);
-  return writer.take();
+  return serial::encode(state_);
 }
 
-bool PoissonTask::restore(const serial::Bytes& state) {
-  // Decode into locals and commit only a state whose every vector has the
-  // shape init() gave this block: iterate() indexes all four unchecked.
-  serial::Reader reader(state);
-  linalg::Vector x_ext = reader.f64_vector<linalg::Vector>();
-  linalg::Vector owned_prev = reader.f64_vector<linalg::Vector>();
-  linalg::Vector lower = reader.f64_vector<linalg::Vector>();
-  linalg::Vector upper = reader.f64_vector<linalg::Vector>();
-  const std::uint64_t lower_tag = reader.u64();
-  const std::uint64_t upper_tag = reader.u64();
-  const double local_error = reader.f64();
-  const std::uint64_t iterations_done = reader.u64();
-  if (!reader.ok() || x_ext.size() != block_.ext_size() ||
-      owned_prev.size() != block_.owned_size() || lower.size() != config_.n ||
-      upper.size() != config_.n) {
+bool PoissonTask::restore(const serial::Bytes& bytes) {
+  // Commit only a state whose every vector has the shape init() gave this
+  // block: iterate() indexes all four unchecked.
+  serial::Reader reader(bytes);
+  State state = reader.object<State>();
+  if (!reader.ok() || state.x_ext.size() != block_.ext_size() ||
+      state.owned_prev.size() != block_.owned_size() ||
+      state.lower_boundary.size() != config_.n ||
+      state.upper_boundary.size() != config_.n) {
     return false;
   }
-  x_ext_ = std::move(x_ext);
-  owned_prev_ = std::move(owned_prev);
-  lower_boundary_ = std::move(lower);
-  upper_boundary_ = std::move(upper);
-  lower_tag_ = lower_tag;
-  upper_tag_ = upper_tag;
-  local_error_ = local_error;
-  iterations_done_ = iterations_done;
+  state_ = std::move(state);
   lower_fresh_ = upper_fresh_ = false;
-  ckpt_solve_dirty_ = ckpt_lower_dirty_ = ckpt_upper_dirty_ = true;
   return true;
-}
-
-std::optional<core::checkpoint::DirtyRanges> PoissonTask::take_dirty_ranges() {
-  // Byte layout of checkpoint(): x_ext_ | owned_prev_ | lower | upper |
-  // tags + error + iteration counter. Vector sizes are fixed after init, so
-  // the field offsets are stable across checkpoints.
-  const std::size_t n = config_.n;
-  const std::size_t x_end = serial::varint_size(x_ext_.size()) +
-                            sizeof(double) * x_ext_.size();
-  const std::size_t prev_end = x_end +
-                               serial::varint_size(owned_prev_.size()) +
-                               sizeof(double) * owned_prev_.size();
-  const std::size_t lower_end =
-      prev_end + serial::varint_size(n) + sizeof(double) * n;
-  const std::size_t upper_end =
-      lower_end + serial::varint_size(n) + sizeof(double) * n;
-  const std::size_t total = upper_end + 4 * sizeof(std::uint64_t);
-
-  core::checkpoint::DirtyRanges d;
-  if (ckpt_solve_dirty_) d.mark(0, prev_end);
-  if (ckpt_lower_dirty_) d.mark(prev_end, lower_end);
-  if (ckpt_upper_dirty_) d.mark(lower_end, upper_end);
-  d.mark(upper_end, total);  // scalars change every iteration
-  ckpt_solve_dirty_ = ckpt_lower_dirty_ = ckpt_upper_dirty_ = false;
-  return d;
 }
 
 linalg::Vector PoissonTask::owned_slice() const {
   const std::size_t off = block_.owned_offset();
+  const auto first = state_.x_ext.begin() + static_cast<std::ptrdiff_t>(off);
   return linalg::Vector(
-      x_ext_.begin() + static_cast<std::ptrdiff_t>(off),
-      x_ext_.begin() + static_cast<std::ptrdiff_t>(off + block_.owned_size()));
+      first, first + static_cast<std::ptrdiff_t>(block_.owned_size()));
 }
 
 serial::Bytes PoissonTask::final_payload() const {

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/task.hpp"
@@ -54,7 +53,9 @@ class PoissonTask : public core::Task {
   void init(const core::AppDescriptor& app, core::TaskId task_id) override;
   double iterate() override;
   std::vector<core::OutgoingData> outgoing() override;
-  [[nodiscard]] double local_error() const override { return local_error_; }
+  [[nodiscard]] double local_error() const override {
+    return state_.local_error;
+  }
   [[nodiscard]] bool error_is_informative() const override {
     return last_iteration_informative_;
   }
@@ -62,7 +63,6 @@ class PoissonTask : public core::Task {
                const serial::Bytes& payload) override;
   [[nodiscard]] serial::Bytes checkpoint() const override;
   [[nodiscard]] bool restore(const serial::Bytes& state) override;
-  std::optional<core::checkpoint::DirtyRanges> take_dirty_ranges() override;
   [[nodiscard]] serial::Bytes final_payload() const override;
   [[nodiscard]] std::uint64_t informative_iterations() const override {
     return iterations_with_fresh_data_;
@@ -71,8 +71,10 @@ class PoissonTask : public core::Task {
   // --- Introspection / testing ---
   [[nodiscard]] const PoissonConfig& config() const { return config_; }
   [[nodiscard]] const linalg::RowBlock& block() const { return block_; }
-  [[nodiscard]] const linalg::Vector& x_ext() const { return x_ext_; }
-  [[nodiscard]] std::uint64_t iterations_done() const { return iterations_done_; }
+  [[nodiscard]] const linalg::Vector& x_ext() const { return state_.x_ext; }
+  [[nodiscard]] std::uint64_t iterations_done() const {
+    return state_.iterations_done;
+  }
   [[nodiscard]] double total_flops() const { return total_flops_; }
   [[nodiscard]] std::uint64_t stale_free_iterations() const {
     return iterations_with_fresh_data_;
@@ -93,35 +95,34 @@ class PoissonTask : public core::Task {
   std::vector<linalg::RowBlock> blocks_;
   linalg::RowBlock block_;
 
+  /// What checkpoint() saves and restore() brings back, in wire order.
+  struct State {
+    linalg::Vector x_ext;
+    linalg::Vector owned_prev;
+    // Latest boundary lines received (last-received-wins; see DESIGN.md).
+    linalg::Vector lower_boundary;  ///< grid line just below ext_lo
+    linalg::Vector upper_boundary;  ///< grid line just above ext_hi
+    std::uint64_t lower_tag = 0;
+    std::uint64_t upper_tag = 0;
+    double local_error = 1.0;
+    std::uint64_t iterations_done = 0;
+
+    JACEPP_WIRE_FIELDS(x_ext, owned_prev, lower_boundary, upper_boundary,
+                       lower_tag, upper_tag, local_error, iterations_done)
+  };
+
   linalg::CsrMatrix a_local_;
   linalg::Vector b_ext_;
-  linalg::Vector x_ext_;
-  linalg::Vector owned_prev_;
-
-  // Latest boundary lines received (last-received-wins; see DESIGN.md).
-  linalg::Vector lower_boundary_;  ///< grid line just below ext_lo
-  linalg::Vector upper_boundary_;  ///< grid line just above ext_hi
-  std::uint64_t lower_tag_ = 0;
-  std::uint64_t upper_tag_ = 0;
+  State state_;
   bool lower_fresh_ = false;
   bool upper_fresh_ = false;
 
-  // Dirty flags for delta checkpointing, at field granularity; cleared by
-  // take_dirty_ranges(). The trailing scalars (tags/error/iteration counter)
-  // are always reported dirty — they change every iteration and share the
-  // final chunk anyway.
-  bool ckpt_solve_dirty_ = true;  ///< x_ext_ + owned_prev_ changed
-  bool ckpt_lower_dirty_ = true;
-  bool ckpt_upper_dirty_ = true;
-
   double inv_h2_ = 0.0;
-  double local_error_ = 1.0;
   bool last_iteration_informative_ = false;
   bool last_solve_converged_ = false;
   double last_solve_flops_ = 0.0;
   std::uint64_t last_send_iteration_ = 0;
   bool sent_since_last_solve_ = false;
-  std::uint64_t iterations_done_ = 0;
   std::uint64_t iterations_with_fresh_data_ = 0;
   double total_flops_ = 0.0;
 };

@@ -113,7 +113,6 @@ class ThreadRuntime {
     Rng rng{0};
     // Timer state touched only by the worker thread.
     std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers;
-    std::uint64_t cancelled_timers_generation = 0;
     std::vector<net::TimerId> cancelled;
     bool stop_requested = false;
     bool crashed = false;

@@ -32,10 +32,10 @@
 // field order twice. A type outside the rule must hand-write
 // `void serialize(Writer&) const` and `static T deserialize(Reader&)`;
 // linalg::CsrMatrix is the one struct that does (varint dimensions, and its
-// constructor validates the shape). Three codecs call Writer/Reader directly
-// because they are not field lists: the checkpoint frame codec (CRCs, chunk
-// loops), the link Batch envelope (CRC over packed sub-messages) and task
-// checkpoint()/restore() (state layouts with shape checks).
+// constructor validates the shape). A task's checkpoint state is a field list
+// too (core/task.hpp). Two codecs call Writer/Reader directly because they
+// are not field lists: the checkpoint frame codec (CRCs, chunk loops) and the
+// link Batch envelope (CRC over packed sub-messages).
 //
 // Reader never reads out of bounds: all failures surface via ok()/error() and
 // reads after failure return zero values (monadic poisoning), so decoding
@@ -85,8 +85,8 @@ template <typename A>
 inline constexpr bool kIsF64Vector<std::vector<double, A>> = true;
 }  // namespace detail
 
-/// Encoded byte length of varint(v) — for computing field offsets inside an
-/// encoding without writing it (delta-checkpoint dirty-range layout math).
+/// Encoded byte length of varint(v) — for sizing an encoding before writing
+/// it (the checkpoint frame codec reserves each frame's exact size).
 inline std::size_t varint_size(std::uint64_t v) {
   std::size_t n = 1;
   while (v >= 0x80) {

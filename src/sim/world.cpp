@@ -379,13 +379,27 @@ void SimWorld::pump_link(net::NodeId from_id, net::NodeId to_node) {
   }
 }
 
-double SimWorld::occupancy_delay(const Node& from, const MachineSpec& to_spec,
-                                 std::size_t bytes) {
+void SimWorld::occupy_link(net::NodeId from_id, net::NodeId to_node,
+                           const MachineSpec& to_spec, std::size_t bytes,
+                           LinkState* ls) {
+  if (ls == nullptr || !config_.serialize_links) return;
   // Sender-side wire occupancy: software overhead plus serialization onto
   // the slower NIC. Deterministic (no jitter), so frame ordering on a link
   // is stable across runs regardless of the jitter draws on delivery.
+  const Node& from = node_ref(from_id);
+  Shard& sh = *shards_[from.shard];
   const double bandwidth = std::min(from.spec.bandwidth_bps, to_spec.bandwidth_bps);
-  return from.spec.message_overhead_s + static_cast<double>(bytes) * 8.0 / bandwidth;
+  const double occupancy = from.spec.message_overhead_s +
+                           static_cast<double>(bytes) * 8.0 / bandwidth;
+  ls->busy = true;
+  const LinkKey key{from_id, to_node};
+  sh.queue.schedule_tagged(sh.now + occupancy, key.from, [this, key] {
+    Shard& s2 = shard_for(key.from);
+    auto it = s2.links.find(key);
+    if (it == s2.links.end()) return;
+    it->second.busy = false;
+    pump_link(key.from, key.to);
+  });
 }
 
 void SimWorld::transmit_wire(net::NodeId from_id, const net::Stub& to,
@@ -408,18 +422,7 @@ void SimWorld::transmit_wire(net::NodeId from_id, const net::Stub& to,
     // on the destination shard — deliver_cross — which also means sender-side
     // wire occupancy is charged whether or not the destination turns out to
     // be up (a NIC does not know its peer died).
-    if (ls != nullptr && config_.serialize_links) {
-      ls->busy = true;
-      const double occupancy = occupancy_delay(from, dest.spec, message.wire_size());
-      const LinkKey key{from_id, to.node};
-      sh.queue.schedule_tagged(sh.now + occupancy, key.from, [this, key] {
-        Shard& s2 = shard_for(key.from);
-        auto it = s2.links.find(key);
-        if (it == s2.links.end()) return;
-        it->second.busy = false;
-        pump_link(key.from, key.to);
-      });
-    }
+    occupy_link(from_id, to.node, dest.spec, message.wire_size(), ls);
     const double delay =
         transfer_delay(from, dest.spec, message.wire_size(), *sh.link_rng);
     ++sh.stats->cross_shard_frames;
@@ -443,18 +446,7 @@ void SimWorld::transmit_wire(net::NodeId from_id, const net::Stub& to,
     return;
   }
 
-  if (ls != nullptr && config_.serialize_links) {
-    ls->busy = true;
-    const double occupancy = occupancy_delay(from, dest.spec, message.wire_size());
-    const LinkKey key{from_id, to.node};
-    sh.queue.schedule_tagged(sh.now + occupancy, key.from, [this, key] {
-      Shard& s2 = shard_for(key.from);
-      auto it = s2.links.find(key);
-      if (it == s2.links.end()) return;
-      it->second.busy = false;
-      pump_link(key.from, key.to);
-    });
-  }
+  occupy_link(from_id, to.node, dest.spec, message.wire_size(), ls);
 
   const double delay =
       transfer_delay(from, dest.spec, message.wire_size(), *sh.link_rng);

@@ -323,8 +323,12 @@ class SimWorld {
   /// frame came off a link queue (occupancy accounting).
   void transmit_wire(net::NodeId from, const net::Stub& to,
                      net::Message message, LinkState* ls);
-  double occupancy_delay(const Node& from, const MachineSpec& to_spec,
-                         std::size_t bytes);
+  /// With serialize_links, hold a link-queue frame's link busy for its
+  /// sender-side wire occupancy, then pump the link again. A no-op for a
+  /// frame that bypassed the link queues (`ls` null).
+  void occupy_link(net::NodeId from, net::NodeId to_node,
+                   const MachineSpec& to_spec, std::size_t bytes,
+                   LinkState* ls);
   /// Deliver a frame to (dest, inc): the classic delivery path (lost-in-
   /// flight check, then deliver_body). Runs on the destination's shard.
   void deliver_wire(net::NodeId dest, net::Incarnation inc, net::Message msg);

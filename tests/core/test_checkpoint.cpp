@@ -271,9 +271,32 @@ TEST(CheckpointRoundTrip, RebaseEveryBoundsChainLength) {
     ASSERT_TRUE(store.store_frame(1, 0, step + 1, emitted.frame).accepted);
     const auto* entry = store.find(1, 0);
     ASSERT_NE(entry, nullptr);
-    EXPECT_LE(entry->deltas.size(), 4u);
+    EXPECT_LE(entry->last_delta_seq, 4u);
   }
   EXPECT_GE(encoder.fulls_emitted(), 40u / 5u);
+}
+
+TEST(BackupStore, AppliedDeltasKeepOneState) {
+  // A holder writes each delta into its copy of the state on arrival, so
+  // after a baseline and N deltas it keeps one state's bytes, not the
+  // baseline plus N frames.
+  std::mt19937_64 rng(52);
+  DeltaEncoder encoder(small_chunks(), 1);
+  BackupStore store;
+  Bytes state = random_state(rng, 1024);
+  ASSERT_TRUE(
+      store.store_frame(1, 0, 1, encoder.emit(0, state, std::nullopt).frame)
+          .accepted);
+  for (std::uint64_t step = 2; step <= 10; ++step) {
+    mutate(rng, state, 1);
+    const auto emitted = encoder.emit(0, state, std::nullopt);
+    ASSERT_EQ(emitted.kind, FrameKind::Delta) << "step " << step;
+    ASSERT_TRUE(store.store_frame(1, 0, step, emitted.frame).accepted);
+    EXPECT_EQ(store.bytes(), state.size()) << "step " << step;
+  }
+  ASSERT_NE(store.find(1, 0), nullptr);
+  EXPECT_EQ(store.find(1, 0)->last_delta_seq, 9u);
+  EXPECT_EQ(store.materialize(1, 0), state);
 }
 
 // --- Failure modes ---------------------------------------------------------
@@ -346,6 +369,41 @@ TEST(CheckpointFailure, CorruptFrameNackedChainSurvives) {
   EXPECT_FALSE(result.accepted);
   EXPECT_TRUE(result.needs_full);
   EXPECT_EQ(store.materialize(1, 0), before);  // old chain untouched
+}
+
+TEST(CheckpointFailure, DeltaChunkOutsideTheStateIsNacked) {
+  // A holder writes delta chunks straight into its state, so a frame whose
+  // chunk lies outside the state must be refused even when its CRC is valid.
+  // 100 bytes in chunks of 32: indices 0..3, the last one a 4-byte tail.
+  std::mt19937_64 rng(53);
+  const Bytes state = random_state(rng, 100);
+  BackupStore store;
+  ASSERT_TRUE(
+      store.store_frame(1, 0, 1, checkpoint::encode_full_frame(1, 32, state))
+          .accepted);
+  const auto sealed_delta = [&](std::uint64_t index, std::size_t len) {
+    serial::Writer w;
+    w.u8(static_cast<std::uint8_t>(FrameKind::Delta));
+    w.varint(1);    // baseline_id
+    w.varint(1);    // delta_seq
+    w.varint(32);   // chunk_size
+    w.varint(state.size());
+    w.u32(serial::crc32(state));
+    w.varint(1);    // chunk count
+    w.varint(index);
+    w.bytes(Bytes(len, 0xAB));
+    w.u32(serial::crc32(w.data()));
+    return w.take();
+  };
+  for (const auto& [index, len] :
+       {std::pair<std::uint64_t, std::size_t>{4, 32}, {3, 32}, {3, 5},
+        {std::uint64_t{1} << 40, 32}}) {
+    const auto result = store.store_frame(1, 0, 2, sealed_delta(index, len));
+    EXPECT_FALSE(result.accepted) << "chunk " << index << ", " << len << " B";
+    EXPECT_TRUE(result.needs_full);
+  }
+  EXPECT_TRUE(store.store_frame(1, 0, 2, sealed_delta(3, 4)).accepted);
+  EXPECT_EQ(store.find(1, 0)->last_delta_seq, 1u);
 }
 
 TEST(CheckpointFailure, TamperedStoredChainIsDroppedAtMaterialize) {

@@ -6,6 +6,7 @@
 #include "core/generic_task.hpp"
 #include "linalg/vector_ops.hpp"
 #include "poisson/poisson.hpp"
+#include "serial/checksum.hpp"
 #include "support/rng.hpp"
 
 namespace jacepp::core {
@@ -158,6 +159,33 @@ TEST(GenericTask, RestoreRefusesMisshapedState) {
   }
   EXPECT_TRUE(task.restore(reshaped_state(before, 0, 0)));
   EXPECT_EQ(task.checkpoint(), before);
+}
+
+TEST(GenericTask, CheckpointBytesGolden) {
+  // The checkpoint() encoding of a middle task, pinned by size and CRC-32,
+  // taken after halos arrived and one starved iteration, so the iteration
+  // and informative counters differ. x_halo is longer than x_local and
+  // owned_prev, so reordering it or the scalars changes these bytes.
+  const std::size_t n = 24;
+  const auto a = random_spd(n, 21);
+  linalg::Vector b(n, 1.0);
+  const auto app = generic_app(a, b, 3);
+  std::vector<GenericMultisplitTask> tasks(3);
+  for (std::uint32_t t = 0; t < 3; ++t) tasks[t].init(app, t);
+  for (std::uint64_t round = 0; round < 3; ++round) {
+    for (auto& t : tasks) t.iterate();
+    for (std::uint32_t t = 0; t < 3; ++t) {
+      for (auto& out : tasks[t].outgoing()) {
+        tasks[out.to_task].on_data(t, round + 1, out.payload);
+      }
+    }
+  }
+  tasks[1].iterate();  // fresh halos: a real solve
+  tasks[1].iterate();  // nothing new: starved
+  ASSERT_FALSE(tasks[1].error_is_informative());
+  const serial::Bytes state = tasks[1].checkpoint();
+  EXPECT_EQ(state.size(), 347u);
+  EXPECT_EQ(serial::crc32(state), 0xc9ccc68eu);
 }
 
 TEST(GenericTask, EndToEndOnP2PNetworkWithFailure) {

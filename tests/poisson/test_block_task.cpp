@@ -4,6 +4,7 @@
 
 #include "linalg/vector_ops.hpp"
 #include "poisson/poisson.hpp"
+#include "serial/checksum.hpp"
 #include "support/rng.hpp"
 
 namespace jacepp::poisson {
@@ -215,6 +216,29 @@ TEST(BlockTask, RestoreRefusesMisshapedState) {
   }
   EXPECT_TRUE(task.restore(reshaped_state(before, 0, 0)));
   EXPECT_EQ(task.checkpoint(), before);
+}
+
+TEST(BlockTask, CheckpointBytesGolden) {
+  // The checkpoint() encoding of a middle block with overlap, pinned by size
+  // and CRC-32. With overlap, x_ext and owned_prev differ in length, and the
+  // two boundaries carry different lines and tags, so reordering any field
+  // of the state changes these bytes. A backup holder keeps such bytes across
+  // versions, so the layout must not move silently.
+  auto app = make_app(6, 3, /*overlap_lines=*/1, /*rhs_kind=*/1);
+  std::vector<PoissonTask> tasks(3);
+  for (std::uint32_t t = 0; t < 3; ++t) tasks[t].init(app, t);
+  for (std::uint64_t round = 0; round < 4; ++round) {
+    for (auto& t : tasks) t.iterate();
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      for (auto& out : tasks[i].outgoing()) {
+        tasks[out.to_task].on_data(i, 100 * i + round + 1, out.payload);
+      }
+    }
+  }
+  tasks[1].iterate();
+  const serial::Bytes state = tasks[1].checkpoint();
+  EXPECT_EQ(state.size(), 420u);
+  EXPECT_EQ(serial::crc32(state), 0xaa2b9eb7u);
 }
 
 TEST(BlockTask, MalformedDataDropped) {
