@@ -385,58 +385,6 @@ void BM_OutboxKWayMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_OutboxKWayMerge)->Arg(2)->Arg(4)->Arg(8);
 
-class NullActor : public net::Actor {
- public:
-  void on_start(net::Env&) override {}
-  void on_message(const net::Message&, net::Env&) override {}
-};
-
-void add_lookahead_fleet(sim::SimWorld& world, std::size_t nodes,
-                         net::NodeId* first) {
-  Rng rng(7);
-  for (std::size_t i = 0; i < nodes; ++i) {
-    sim::MachineSpec spec;
-    spec.latency_s = 100e-6 + rng.next_double() * 400e-6;
-    spec.message_overhead_s = 1e-3 + rng.next_double() * 7e-3;
-    const net::Stub stub =
-        world.add_node(std::make_unique<NullActor>(), spec, net::EntityKind::Daemon);
-    if (i == 0) *first = stub.node;
-  }
-}
-
-// The horizon question every round asks, on the steady-state path: nothing
-// changed since the last round, so the cached per-shard wire-cost minima
-// answer in O(shards) regardless of fleet size.
-void BM_LookaheadCached(benchmark::State& state) {
-  sim::SimConfig config;
-  config.shards = 4;
-  sim::SimWorld world(config);
-  net::NodeId first = 0;
-  add_lookahead_fleet(world, static_cast<std::size_t>(state.range(0)), &first);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(world.lookahead());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_LookaheadCached)->Arg(1024)->Arg(16384)->Arg(100000);
-
-// Worst case for the cache: a wire-cost invalidation (throttle with a wire
-// factor) every iteration, forcing the O(nodes) minimum rescan each time —
-// what every round would pay without the cache. Pairs with BM_LookaheadCached.
-void BM_LookaheadRescan(benchmark::State& state) {
-  sim::SimConfig config;
-  config.shards = 4;
-  sim::SimWorld world(config);
-  net::NodeId first = 0;
-  add_lookahead_fleet(world, static_cast<std::size_t>(state.range(0)), &first);
-  for (auto _ : state) {
-    world.throttle(first, 1.0, 1.0 + 1e-12);
-    benchmark::DoNotOptimize(world.lookahead());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_LookaheadRescan)->Arg(1024)->Arg(16384)->Arg(100000);
-
 void BM_MessageEncodeDecode(benchmark::State& state) {
   core::AppRegister reg;
   reg.app_id = 1;

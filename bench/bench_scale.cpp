@@ -434,7 +434,7 @@ ConvCaseResult run_conv_case(std::size_t daemons, std::uint32_t tasks,
   config.app.stable_iterations_required = 3;
   config.max_sim_time = 600.0;
   config.sim.seed = seed;
-  config.cp.super_peers = 4;
+  config.super_peer_count = 4;
   config.cp.shard_register = true;
   config.cp.diffusion = diffusion;
 
@@ -504,7 +504,6 @@ ChurnCaseResult run_churn_case(bool reputation, std::uint64_t seed) {
   config.churn.flash_size = 4;
   config.churn.failure_bursts = 4;
   config.churn.burst_size = 2;
-  config.churn.revive = true;
   config.churn.revive_delay = 6.0;
   config.churn.slowdowns = 1;
   config.churn.slowdown_size = 2;

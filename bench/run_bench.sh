@@ -77,7 +77,6 @@ stamp "${OUT}"
 # without the source: each entry is (optimized row, baseline row).
 tmp="$(mktemp)"
 jq '.meta.ablation_pairs = {
-      lookahead: ["BM_LookaheadCached", "BM_LookaheadRescan"],
       outbox_merge: ["BM_OutboxKWayMerge", "BM_ShardOutboxMerge"],
       heartbeat_period: ["BM_HeartbeatPeriodIndex", "BM_HeartbeatPeriodLinear"]
     }' "${OUT}" > "${tmp}" && mv "${tmp}" "${OUT}"

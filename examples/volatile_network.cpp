@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
 
   // Decentralized control plane (§13): four linked super-peers, sharded
   // Register, replicated Application Register, diffusion-wave convergence.
-  config.cp.super_peers = 4;
+  config.super_peer_count = 4;
   config.cp.shard_register = true;
   config.cp.replicate_register = true;
   config.cp.diffusion = true;
@@ -67,7 +67,6 @@ int main(int argc, char** argv) {
   config.churn.flash_size = 4;
   config.churn.failure_bursts = static_cast<std::size_t>(*bursts);
   config.churn.burst_size = static_cast<std::size_t>(*burst_size);
-  config.churn.revive = true;
   config.churn.revive_delay = 20.0;
   config.churn.slowdowns = 1;
   config.churn.slowdown_size = 2;

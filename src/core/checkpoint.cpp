@@ -230,7 +230,7 @@ void DeltaEncoder::refresh_changed_chunks(
       scratch_chunks_.push_back(static_cast<std::uint32_t>(c));
     }
   };
-  if (!hints.has_value() || hints->all) {
+  if (!hints.has_value()) {
     add_candidate_range(0, state.size());
   } else {
     for (const auto& [lo, hi] : hints->ranges) add_candidate_range(lo, hi);
@@ -323,10 +323,6 @@ DeltaEncoder::Emitted DeltaEncoder::emit(
 
 void DeltaEncoder::mark_needs_full(std::size_t holder) {
   if (holder < holders_.size()) holders_[holder].needs_full = true;
-}
-
-void DeltaEncoder::mark_all_need_full() {
-  for (auto& h : holders_) h.needs_full = true;
 }
 
 }  // namespace jacepp::core::checkpoint

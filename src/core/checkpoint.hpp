@@ -71,18 +71,13 @@ struct CheckpointPolicy {
 /// checksum, healed by a forced rebase). The Daemon passes no hints; only the
 /// codec tests and bench_checkpoint do.
 struct DirtyRanges {
-  bool all = false;  ///< everything dirty (restore, unknown provenance)
   std::vector<std::pair<std::size_t, std::size_t>> ranges;  ///< [lo, hi)
 
   void mark(std::size_t lo, std::size_t hi) {
     if (lo < hi) ranges.emplace_back(lo, hi);
   }
-  void mark_all() { all = true; }
-  void clear() {
-    all = false;
-    ranges.clear();
-  }
-  [[nodiscard]] bool empty() const { return !all && ranges.empty(); }
+  void clear() { ranges.clear(); }
+  [[nodiscard]] bool empty() const { return ranges.empty(); }
 };
 
 // ---------------------------------------------------------------------------
@@ -149,7 +144,6 @@ class DeltaEncoder {
   /// The holder could not extend its chain (restart, gap, corrupt frame):
   /// its next frame must be a full baseline.
   void mark_needs_full(std::size_t holder);
-  void mark_all_need_full();
 
   [[nodiscard]] std::size_t holder_count() const { return holders_.size(); }
   [[nodiscard]] std::uint64_t fulls_emitted() const { return fulls_emitted_; }

@@ -12,15 +12,21 @@ namespace jacepp::core {
 
 namespace {
 
-/// Why a daemon cannot run `m`, or nullptr when it can. Checked before the
-/// assignment touches any state: every field comes from a peer.
-const char* assignment_defect(const msg::TaskAssignment& m) {
-  if (!TaskProgramRegistry::instance().contains(m.app.program)) {
+/// Diffusion mode (cp.diffusion): the initiator's launch/retry scan period,
+/// and how long it waits for a token before relaunching its wave.
+constexpr double kWavePeriod = 0.5;
+constexpr double kWaveTimeout = 3.0;
+
+/// Why a daemon cannot run task `task_id` of `app`, or nullptr when it can.
+/// Checked before an assignment or an audit challenge touches any state:
+/// every field comes from a peer.
+const char* assignment_defect(const AppDescriptor& app, TaskId task_id) {
+  if (!TaskProgramRegistry::instance().contains(app.program)) {
     return "unknown program";
   }
-  if (m.app.task_count == 0) return "no tasks";
-  if (m.task_id >= m.app.task_count) return "task id out of range";
-  if (m.app.ckpt.chunk_size == 0) return "zero checkpoint chunk size";
+  if (app.task_count == 0) return "no tasks";
+  if (task_id >= app.task_count) return "task id out of range";
+  if (app.ckpt.chunk_size == 0) return "zero checkpoint chunk size";
   return nullptr;
 }
 
@@ -174,7 +180,7 @@ void Daemon::handle_assignment(const msg::TaskAssignment& m,
   if (state_ == State::Computing) return;  // duplicate assignment
   // Refuse an assignment this daemon cannot run before touching any state,
   // so a Reserved daemon's reserved_timeout still returns it to the pool.
-  if (const char* defect = assignment_defect(m)) {
+  if (const char* defect = assignment_defect(m.app, m.task_id)) {
     JACEPP_LOG(Warn, "daemon", "%s refused task %u of app %u ('%s'): %s",
                env_->self().to_debug_string().c_str(), m.task_id,
                m.app.app_id, m.app.program.c_str(), defect);
@@ -227,7 +233,7 @@ void Daemon::handle_assignment(const msg::TaskAssignment& m,
   // token went missing, and re-sends the verdict until the halt arrives.
   if (cp_.diffusion && task_id_ == 0 && !finalize_only_) {
     wave_.emplace();
-    arm_periodic(*env_, cp_.wave_period, [this, epoch]() -> bool {
+    arm_periodic(*env_, kWavePeriod, [this, epoch]() -> bool {
       if (epoch != epoch_ || state_ != State::Computing || halted_) return false;
       wave_scan();
       return true;
@@ -341,16 +347,7 @@ void Daemon::start_iterating() {
   if (finalize_only_) {
     // Result recovery (post-halt): hand the restored state straight back to
     // the spawner instead of iterating.
-    msg::FinalState final_state;
-    final_state.app_id = app_.app_id;
-    final_state.task_id = task_id_;
-    final_state.iteration = iteration_;
-    final_state.informative_iterations = task_->informative_iterations();
-    final_state.payload = task_->final_payload();
-    rmi::invoke(*env_, reg_.spawner, final_state);
-    halted_ = true;
-    teardown_task();
-    begin_bootstrap();
+    hand_in_final_state();
     return;
   }
   run_iteration();
@@ -643,7 +640,7 @@ void Daemon::forward_wave(msg::WaveToken token) {
   token.to_task = (task_id_ + 1) % app_.task_count;
   const net::Stub to = reg_.daemon_of(token.to_task);
   // A failed, not-yet-replaced successor drops the token; the initiator's
-  // wave_timeout relaunches it once the ring is whole again.
+  // kWaveTimeout relaunches it once the ring is whole again.
   if (!to.valid()) return;
   rmi::invoke(*env_, to, token);
 }
@@ -672,7 +669,7 @@ void Daemon::wave_scan() {
   }
   if (wave_->outstanding()) {
     // Token lost (daemon crashed holding it, or a ring slot is vacant).
-    if (env_->now() - wave_launched_at_ > cp_.wave_timeout) launch_wave();
+    if (env_->now() - wave_launched_at_ > kWaveTimeout) launch_wave();
     return;
   }
   if (tracker_.has_value() && tracker_->stable()) launch_wave();
@@ -709,8 +706,11 @@ void Daemon::handle_halt(const msg::GlobalHalt& m, const net::Message&,
       finalize_only_) {
     return;
   }
-  halted_ = true;
+  hand_in_final_state();
+}
 
+void Daemon::hand_in_final_state() {
+  halted_ = true;
   msg::FinalState final_state;
   final_state.app_id = app_.app_id;
   final_state.task_id = task_id_;
@@ -718,7 +718,6 @@ void Daemon::handle_halt(const msg::GlobalHalt& m, const net::Message&,
   final_state.informative_iterations = task_->informative_iterations();
   final_state.payload = task_->final_payload();
   rmi::invoke(*env_, reg_.spawner, final_state);
-
   teardown_task();
   begin_bootstrap();  // rejoin the available pool
 }
@@ -746,9 +745,16 @@ void Daemon::handle_audit_challenge(const msg::AuditChallenge& m,
   // (descriptor, task id, iteration count), so every honest replica produces
   // identical bits; only a forged reply can be outvoted. The re-run goes
   // through env.compute, so its (throttled) cost is charged like real work.
+  // The descriptor comes from a peer, so it passes the assignment checks
+  // before anything is instantiated.
+  if (const char* defect = assignment_defect(m.app, m.task_id)) {
+    JACEPP_LOG(Warn, "daemon", "%s dropped an audit of task %u of app %u "
+               "('%s'): %s", env.self().to_debug_string().c_str(),
+               m.task_id, m.app.app_id, m.app.program.c_str(), defect);
+    return;
+  }
   std::shared_ptr<Task> fresh =
       TaskProgramRegistry::instance().create(m.app.program);
-  if (fresh == nullptr) return;
   const net::Stub requester = raw.from;
   env.compute(
       [fresh, m] {
@@ -800,7 +806,7 @@ void Daemon::teardown_task() {
   // budget bites before the retention timer fires.
   const AppId app = app_.app_id;
   backup_store_.mark_app_finished(app);
-  env_->schedule(timing_.backup_retention,
+  env_->schedule(kBackupRetention,
                  [this, app] { backup_store_.clear_app(app); });
   task_.reset();
   tracker_.reset();

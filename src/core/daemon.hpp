@@ -35,6 +35,10 @@ namespace jacepp::core {
 
 class Daemon : public net::Actor {
  public:
+  /// How long a daemon keeps a finished app's Backups after the halt, so a
+  /// post-halt finalize-only replacement can still read them.
+  static constexpr double kBackupRetention = 30.0;
+
   enum class State : std::uint8_t {
     Bootstrapping,
     Registered,
@@ -144,6 +148,9 @@ class Daemon : public net::Actor {
   void run_iteration();
   void finish_iteration();
   void do_checkpoint();
+  /// Send the task's FinalState to the spawner, tear the task down and
+  /// rejoin the available pool (the halt, or a finalize-only recovery).
+  void hand_in_final_state();
   void teardown_task();
 
   // Diffusion-wave convergence detection (DESIGN.md §13; only with

@@ -36,12 +36,9 @@ void SimDeployment::build() {
   JACEPP_CHECK(!built_, "SimDeployment::build called twice");
   built_ = true;
 
-  // --- Super-peer overlay (§5.1; count overridable via cp.super_peers) ---
-  const std::size_t sp_count = config_.cp.super_peers > 0
-                                   ? config_.cp.super_peers
-                                   : config_.super_peer_count;
+  // --- Super-peer overlay (§5.1) ---
   std::vector<SuperPeer*> super_peers;
-  for (std::size_t i = 0; i < sp_count; ++i) {
+  for (std::size_t i = 0; i < config_.super_peer_count; ++i) {
     auto sp = std::make_unique<SuperPeer>(config_.timing, config_.cp,
                                           config_.rep);
     SuperPeer* raw = sp.get();
@@ -136,50 +133,45 @@ void SimDeployment::flash_join(std::size_t count, Rng& rng) {
   }
 }
 
-void SimDeployment::failure_burst(std::size_t count, bool revive,
-                                  double revive_delay, Rng& rng) {
-  if (completed_) return;
+std::vector<net::NodeId> SimDeployment::sample_live_daemons(std::size_t count,
+                                                           Rng& rng) const {
   std::vector<net::NodeId> pool;
   for (const net::NodeId node : daemon_nodes_) {
     if (world_->is_up(node)) pool.push_back(node);
   }
   const std::size_t n = std::min(count, pool.size());
-  // Partial Fisher-Yates: the first n slots become a distinct victim sample.
+  // Partial Fisher-Yates: the first n slots become a distinct sample.
   for (std::size_t i = 0; i < n; ++i) {
     std::swap(pool[i], pool[i + rng.index(pool.size() - i)]);
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    const net::NodeId victim = pool[i];
+  pool.resize(n);
+  return pool;
+}
+
+void SimDeployment::failure_burst(std::size_t count, double revive_delay,
+                                  Rng& rng) {
+  if (completed_) return;
+  const std::vector<net::NodeId> victims = sample_live_daemons(count, rng);
+  for (const net::NodeId victim : victims) {
     accumulate_counters_from(victim);
     world_->disconnect(victim);
     ++report_.burst_disconnections;
-    if (revive) {
-      world_->schedule_global(revive_delay, [this, victim] {
-        if (completed_ || world_->is_up(victim)) return;
-        // Revived incarnations come back honest — a fresh peer, like the
-        // paper's reconnections (liar wrapping is a build-time property).
-        world_->revive(victim, make_daemon(/*liar=*/false, /*tag=*/0));
-        ++report_.burst_revivals;
-      });
-    }
+    world_->schedule_global(revive_delay, [this, victim] {
+      if (completed_ || world_->is_up(victim)) return;
+      // Revived incarnations come back honest — a fresh peer, like the
+      // paper's reconnections (liar wrapping is a build-time property).
+      world_->revive(victim, make_daemon(/*liar=*/false, /*tag=*/0));
+      ++report_.burst_revivals;
+    });
   }
-  JACEPP_LOG(Info, "deploy", "failure burst: %zu daemons down at %.3f", n,
-             world_->now());
+  JACEPP_LOG(Info, "deploy", "failure burst: %zu daemons down at %.3f",
+             victims.size(), world_->now());
 }
 
-void SimDeployment::slow_peers(std::size_t count, double factor,
-                               double wire_factor, Rng& rng) {
+void SimDeployment::slow_peers(std::size_t count, double factor, Rng& rng) {
   if (completed_) return;
-  std::vector<net::NodeId> pool;
-  for (const net::NodeId node : daemon_nodes_) {
-    if (world_->is_up(node)) pool.push_back(node);
-  }
-  const std::size_t n = std::min(count, pool.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    std::swap(pool[i], pool[i + rng.index(pool.size() - i)]);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    world_->throttle(pool[i], factor, wire_factor);
+  for (const net::NodeId node : sample_live_daemons(count, rng)) {
+    world_->throttle(node, factor);
     ++report_.slowdowns_applied;
   }
 }
@@ -211,10 +203,7 @@ void SimDeployment::inject_disconnect() {
   if (config_.reconnect) {
     world_->schedule_global(config_.reconnect_delay, [this, victim] {
       if (world_->is_up(victim)) return;  // already revived (should not happen)
-      world_->revive(victim, std::make_unique<Daemon>(super_peer_addresses_,
-                                                      config_.timing,
-                                                      config_.perf,
-                                                      config_.cp));
+      world_->revive(victim, make_daemon(/*liar=*/false, /*tag=*/0));
       ++report_.reconnections_executed;
     });
   }

@@ -29,11 +29,10 @@ struct SimDeploymentConfig {
   TimingConfig timing;
   CommConfig comm;                    ///< staleness-aware comm path knobs
   PerfConfig perf;                    ///< inert (core/config.hpp)
-  /// Decentralized control plane knobs (§13). `cp.super_peers > 0` overrides
-  /// `super_peer_count`; defaults reproduce the centralized plane
-  /// bit-for-bit.
+  /// Decentralized control plane switches (§13); defaults reproduce the
+  /// centralized plane bit-for-bit.
   ControlPlaneConfig cp;
-  /// Reputation / redundant-execution knobs (`rep.*`, DESIGN.md §14).
+  /// Reputation / redundant-execution switches (`rep.*`, DESIGN.md §14).
   /// Defaults keep every path off — bit-identical to a rep-less build.
   ReputationConfig rep;
   /// Deterministic fault-injection script (`churn.*`, DESIGN.md §14):
@@ -118,16 +117,18 @@ class SimDeployment : private sim::ChurnDriver {
  private:
   void inject_disconnect();
   void accumulate_counters_from(net::NodeId node);
+  /// Up to `count` distinct daemons that are up now, drawn from `rng`.
+  [[nodiscard]] std::vector<net::NodeId> sample_live_daemons(std::size_t count,
+                                                             Rng& rng) const;
   [[nodiscard]] std::unique_ptr<net::Actor> make_daemon(bool liar,
                                                         std::uint64_t tag);
 
   // sim::ChurnDriver hooks (DESIGN.md §14): run inside schedule_global
   // events, drawing only from the per-op Rng.
   void flash_join(std::size_t count, Rng& rng) override;
-  void failure_burst(std::size_t count, bool revive, double revive_delay,
+  void failure_burst(std::size_t count, double revive_delay,
                      Rng& rng) override;
-  void slow_peers(std::size_t count, double factor, double wire_factor,
-                  Rng& rng) override;
+  void slow_peers(std::size_t count, double factor, Rng& rng) override;
 
   SimDeploymentConfig config_;
   std::unique_ptr<sim::SimWorld> world_;

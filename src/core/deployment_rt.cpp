@@ -36,11 +36,8 @@ RtDeployment::~RtDeployment() {
 
 void RtDeployment::start() {
   // Super-peers first: their addresses seed every bootstrap list.
-  const std::size_t sp_count = config_.cp.super_peers > 0
-                                   ? config_.cp.super_peers
-                                   : config_.super_peer_count;
   std::vector<net::Stub> full_stubs;
-  for (std::size_t i = 0; i < sp_count; ++i) {
+  for (std::size_t i = 0; i < config_.super_peer_count; ++i) {
     auto sp = std::make_unique<SuperPeer>(config_.timing, config_.cp);
     const net::Stub stub =
         runtime_->add_node(std::move(sp), net::EntityKind::SuperPeer);

@@ -30,9 +30,7 @@ struct RtDeploymentConfig {
   AppDescriptor app;
   TimingConfig timing = fast_rt_timing();
   CommConfig comm;  ///< staleness-aware comm path knobs (flush_window > 0 enables)
-  /// Decentralized control plane knobs (§13). `cp.super_peers > 0` overrides
-  /// `super_peer_count`.
-  ControlPlaneConfig cp;
+  ControlPlaneConfig cp;  ///< decentralized control plane switches (§13)
   std::uint64_t seed = 42;
 };
 

@@ -265,9 +265,9 @@ struct FinalState {
 // ---------------------------------------------------------------------------
 
 /// Spawner → Super-Peer: store this Application Register replica (keep the
-/// highest version per app). Sent to the first `cp.replica_count` super-peers
-/// on every version change so a standby spawner can adopt the application
-/// after the primary dies.
+/// highest version per app). Sent to the first two super-peers on every
+/// version change so a standby spawner can adopt the application after the
+/// primary dies.
 struct AppRegisterReplica {
   static constexpr net::MessageType kType = 21;
   AppRegister reg;

@@ -21,32 +21,33 @@
 #include <cstdint>
 #include <map>
 
-#include "core/config.hpp"
 #include "net/stub.hpp"
 
 namespace jacepp::core {
 
 class ReputationStore {
  public:
-  explicit ReputationStore(ReputationConfig config = {}) : config_(config) {}
+  static constexpr double kEwmaAlpha = 0.25;    ///< smoothing for both tracks
+  static constexpr double kInitialScore = 0.5;  ///< prior for unseen peers
+  static constexpr double kSpeedWeight = 0.25;  ///< speed's share of the score
 
   void observe_success(net::NodeId node) {
     PeerScore& s = entry(node);
     if (s.liar) return;
-    s.availability += config_.ewma_alpha * (1.0 - s.availability);
+    s.availability += kEwmaAlpha * (1.0 - s.availability);
   }
 
   void observe_failure(net::NodeId node) {
     PeerScore& s = entry(node);
     if (s.liar) return;
-    s.availability -= config_.ewma_alpha * s.availability;
+    s.availability -= kEwmaAlpha * s.availability;
   }
 
   /// `normalized` in [0, 1]: 1 = instantaneous, 0 = unusable.
   void observe_speed(net::NodeId node, double normalized) {
     PeerScore& s = entry(node);
     if (s.liar) return;
-    s.speed += config_.ewma_alpha * (normalized - s.speed);
+    s.speed += kEwmaAlpha * (normalized - s.speed);
   }
 
   /// Outvoted in a verification round: pin to the floor permanently.
@@ -62,11 +63,10 @@ class ReputationStore {
   /// joiners rank between proven-good and proven-bad peers).
   [[nodiscard]] double score_of(net::NodeId node) const {
     const auto it = scores_.find(node);
-    if (it == scores_.end()) return config_.initial_score;
+    if (it == scores_.end()) return kInitialScore;
     const PeerScore& s = it->second;
     if (s.liar) return 0.0;
-    return (1.0 - config_.speed_weight) * s.availability +
-           config_.speed_weight * s.speed;
+    return (1.0 - kSpeedWeight) * s.availability + kSpeedWeight * s.speed;
   }
 
   [[nodiscard]] bool known(net::NodeId node) const {
@@ -90,12 +90,10 @@ class ReputationStore {
     const auto it = scores_.find(node);
     if (it != scores_.end()) return it->second;
     return scores_
-        .emplace(node,
-                 PeerScore{config_.initial_score, config_.initial_score, false})
+        .emplace(node, PeerScore{kInitialScore, kInitialScore, false})
         .first->second;
   }
 
-  ReputationConfig config_;
   std::map<net::NodeId, PeerScore> scores_;
   std::size_t liars_marked_ = 0;
 };

@@ -8,6 +8,28 @@
 
 namespace jacepp::core {
 
+namespace {
+
+/// A reserved daemon that sits unassigned in the pool longer than this is
+/// written off. The daemon re-registers on its own after `reserved_timeout`,
+/// whose simulator default (6 s) is above this, so both sides agree the
+/// reservation lapsed.
+constexpr double kReservationTtl = 4.0;
+/// NACK-and-retry window for a fresh assignment: a daemon that has not
+/// heartbeated this long after it (it crashed between ReserveReply and the
+/// assignment) is replaced without waiting out `daemon_timeout`. Must exceed
+/// `heartbeat_period` with margin.
+constexpr double kAssignAckTimeout = 1.5;
+/// Super-peers holding an Application Register replica (the first ones of
+/// the bootstrap list; cp.replicate_register).
+constexpr std::size_t kReplicaCount = 2;
+/// Iterations per audit re-run, and how long the spawner waits for the
+/// votes (rep.redundancy >= 2).
+constexpr std::uint32_t kAuditIterations = 3;
+constexpr double kAuditTimeout = 2.0;
+
+}  // namespace
+
 Spawner::Spawner(AppDescriptor app, std::vector<net::Stub> bootstrap_addresses,
                  CompletionCallback on_complete, TimingConfig timing,
                  ControlPlaneConfig cp, ReputationConfig rep)
@@ -16,8 +38,7 @@ Spawner::Spawner(AppDescriptor app, std::vector<net::Stub> bootstrap_addresses,
       cp_(cp),
       rep_(rep),
       bootstrap_addresses_(std::move(bootstrap_addresses)),
-      on_complete_(std::move(on_complete)),
-      local_rep_(rep) {
+      on_complete_(std::move(on_complete)) {
   JACEPP_CHECK(app_.task_count > 0, "Spawner: application needs >= 1 task");
   JACEPP_CHECK(!bootstrap_addresses_.empty(),
                "Spawner needs at least one super-peer bootstrap address");
@@ -62,7 +83,7 @@ void Spawner::arm_watchdogs() {
   // Reservation watchdog: while the launch (or a replacement) is short of
   // daemons and no request is in flight, ask again — daemons may have joined
   // the super-peer registers in the meantime. Stale pool entries (daemon
-  // crashed after ReserveReply; cp.reservation_ttl) are written off first so
+  // crashed after ReserveReply; kReservationTtl) are written off first so
   // they stop masking the shortfall.
   arm_periodic(*env_, timing_.reserve_retry, [this]() -> bool {
     if (finished_) return false;
@@ -128,8 +149,7 @@ void Spawner::request_daemons(std::uint32_t count) {
 }
 
 void Spawner::expire_pool(double now) {
-  if (cp_.reservation_ttl <= 0.0) return;
-  const double cutoff = now - cp_.reservation_ttl;
+  const double cutoff = now - kReservationTtl;
   const std::size_t before = pool_.size();
   std::erase_if(pool_, [&](const PooledDaemon& p) {
     return p.reserved_at < cutoff;
@@ -220,19 +240,13 @@ void Spawner::try_launch() {
     reg_.tasks.push_back(entry);
     task_of_daemon_[pool_[task].stub] = task;
     last_heartbeat_[task] = env_->now();
-    if (cp_.assign_ack_timeout > 0.0) {
-      awaiting_first_heartbeat_[task] = env_->now();
-    }
+    awaiting_first_heartbeat_[task] = env_->now();
   }
   pool_.erase(pool_.begin(), pool_.begin() + app_.task_count);
 
   for (const TaskEntry& entry : reg_.tasks) {
-    msg::TaskAssignment assignment;
-    assignment.app = app_;
-    assignment.task_id = entry.task_id;
-    assignment.reg = reg_;
-    assignment.restart = false;
-    rmi::invoke(*env_, entry.daemon, assignment);
+    send_assignment(entry.task_id, entry.daemon, /*restart=*/false,
+                    /*finalize_only=*/false);
   }
   replicate_register();
   broadcast_backup_placement();
@@ -248,19 +262,21 @@ void Spawner::assign_task(TaskId task, const net::Stub& daemon, bool restart) {
   }
   task_of_daemon_[daemon] = task;
   last_heartbeat_[task] = env_->now();
-  if (cp_.assign_ack_timeout > 0.0) {
-    awaiting_first_heartbeat_[task] = env_->now();
-  }
+  awaiting_first_heartbeat_[task] = env_->now();
   board_.invalidate(task);
+  send_assignment(task, daemon, restart, /*finalize_only=*/false);
+  broadcast_register();
+}
 
+void Spawner::send_assignment(TaskId task, const net::Stub& daemon,
+                              bool restart, bool finalize_only) {
   msg::TaskAssignment assignment;
   assignment.app = app_;
   assignment.task_id = task;
   assignment.reg = reg_;
   assignment.restart = restart;
+  assignment.finalize_only = finalize_only;
   rmi::invoke(*env_, daemon, assignment);
-
-  broadcast_register();
 }
 
 void Spawner::broadcast_register() {
@@ -276,15 +292,13 @@ void Spawner::broadcast_register() {
 }
 
 void Spawner::replicate_register() {
-  // Push the Application Register to the first `replica_count` super-peers on
+  // Push the Application Register to the first kReplicaCount super-peers on
   // every version change (DESIGN.md §13). They keep the highest version, so
   // replicas racing each other or a failover are harmless.
   if (!cp_.replicate_register) return;
   msg::AppRegisterReplica replica;
   replica.reg = reg_;
-  const std::size_t n = std::min<std::size_t>(
-      std::max<std::uint32_t>(cp_.replica_count, 1u),
-      bootstrap_addresses_.size());
+  const std::size_t n = std::min(kReplicaCount, bootstrap_addresses_.size());
   for (std::size_t i = 0; i < n; ++i) {
     rmi::invoke(*env_, bootstrap_addresses_[i], replica);
   }
@@ -295,9 +309,7 @@ void Spawner::begin_recover() {
   // highest version seen after a collection window; keep trying while the
   // replica has not surfaced yet (the primary may not have pushed one before
   // dying — adoption is only possible once a launch was replicated).
-  const std::size_t n = std::min<std::size_t>(
-      std::max<std::uint32_t>(cp_.replica_count, 1u),
-      bootstrap_addresses_.size());
+  const std::size_t n = std::min(kReplicaCount, bootstrap_addresses_.size());
   for (std::size_t i = 0; i < n; ++i) {
     rmi::invoke(*env_, bootstrap_addresses_[i],
                 msg::FetchAppRegister{app_.app_id});
@@ -377,18 +389,18 @@ void Spawner::handle_heartbeat(const msg::Heartbeat&, const net::Message& raw,
 
 void Spawner::sweep_heartbeats() {
   const double deadline = env_->now() - timing_.daemon_timeout;
-  const double ack_deadline = env_->now() - cp_.assign_ack_timeout;
+  const double ack_deadline = env_->now() - kAssignAckTimeout;
   bool changed = false;
   for (TaskEntry& entry : reg_.tasks) {
     if (!entry.daemon.valid()) continue;  // already awaiting replacement
     const auto hb = last_heartbeat_.find(entry.task_id);
     const bool timed_out =
         hb != last_heartbeat_.end() && hb->second < deadline;
-    // NACK window (cp.assign_ack_timeout): an assignment whose daemon never
+    // NACK window (kAssignAckTimeout): an assignment whose daemon never
     // heartbeated at all — it crashed between ReserveReply and the assignment
     // — is retried early instead of waiting out the full daemon_timeout.
     bool nacked = false;
-    if (!timed_out && cp_.assign_ack_timeout > 0.0) {
+    if (!timed_out) {
       const auto ack = awaiting_first_heartbeat_.find(entry.task_id);
       nacked = ack != awaiting_first_heartbeat_.end() &&
                ack->second < ack_deadline;
@@ -555,14 +567,7 @@ void Spawner::serve_final_recovery() {
       if (entry.task_id == task) entry.daemon = daemon;
     }
     task_of_daemon_[daemon] = task;
-
-    msg::TaskAssignment assignment;
-    assignment.app = app_;
-    assignment.task_id = task;
-    assignment.reg = reg_;
-    assignment.restart = true;
-    assignment.finalize_only = true;
-    rmi::invoke(*env_, daemon, assignment);
+    send_assignment(task, daemon, /*restart=*/true, /*finalize_only=*/true);
   }
 }
 
@@ -671,7 +676,7 @@ void Spawner::start_audit() {
       challenge.task_id = task;
       challenge.round = audit_round_;
       challenge.nonce = audit_nonce(task);
-      challenge.iterations = std::max<std::uint32_t>(rep_.audit_iterations, 1);
+      challenge.iterations = kAuditIterations;
       rmi::invoke(*env_, daemon, challenge);
       audit_sent_at_[key] = env_->now();
       ++audit_expected_;
@@ -685,7 +690,7 @@ void Spawner::start_audit() {
     return;
   }
   const std::uint32_t round = audit_round_;
-  env_->schedule(rep_.audit_timeout, [this, round] {
+  env_->schedule(kAuditTimeout, [this, round] {
     // Votes from daemons that died mid-audit never arrive; tally without them.
     if (audit_in_progress_ && audit_round_ == round) finish_audit();
   });

@@ -91,15 +91,11 @@ class Spawner : public net::Actor {
   [[nodiscard]] bool launched() const { return launched_; }
   [[nodiscard]] bool halted() const { return halt_broadcast_; }
   [[nodiscard]] bool adopted() const { return adopted_; }
-  [[nodiscard]] std::size_t pool_size() const { return pool_.size(); }
   [[nodiscard]] std::uint64_t reservations_expired() const { return reservations_expired_; }
   [[nodiscard]] std::uint64_t assign_nacks() const { return assign_nacks_; }
   [[nodiscard]] std::uint64_t verdicts_received() const { return verdicts_received_; }
   [[nodiscard]] const AppRegister& app_register() const { return reg_; }
   [[nodiscard]] const SpawnerReport& report() const { return report_; }
-  [[nodiscard]] std::size_t pending_replacements() const {
-    return awaiting_replacement_.size();
-  }
   [[nodiscard]] const ReputationStore& reputation() const { return local_rep_; }
   /// Stubs of all daemons currently holding a task (for the failure injector).
   [[nodiscard]] std::vector<net::Stub> computing_daemons() const;
@@ -127,6 +123,9 @@ class Spawner : public net::Actor {
   void expire_pool(double now);
   void try_launch();
   void assign_task(TaskId task, const net::Stub& daemon, bool restart);
+  /// Send `task` to `daemon` with the current register.
+  void send_assignment(TaskId task, const net::Stub& daemon, bool restart,
+                       bool finalize_only);
   void broadcast_register();
   void replicate_register();
   void begin_recover();
@@ -171,8 +170,9 @@ class Spawner : public net::Actor {
   std::map<std::uint32_t, PendingRequest> pending_requests_;
 
   /// Reserved, not yet assigned. `reserved_at` feeds the reservation TTL
-  /// (cp.reservation_ttl): a pooled daemon that crashed after ReserveReply
-  /// would otherwise inflate `have` forever and stall launch/replacement.
+  /// (kReservationTtl in spawner.cpp): a pooled daemon that crashed after
+  /// ReserveReply would otherwise inflate `have` forever and stall
+  /// launch/replacement.
   struct PooledDaemon {
     net::Stub stub;
     double reserved_at = 0.0;
@@ -185,8 +185,9 @@ class Spawner : public net::Actor {
   std::map<net::Stub, TaskId> task_of_daemon_;
   std::map<TaskId, double> last_heartbeat_;
   /// Freshly assigned tasks whose daemon has not heartbeated yet
-  /// (cp.assign_ack_timeout): a daemon that died between ReserveReply and the
-  /// assignment is NACKed and replaced without waiting out daemon_timeout.
+  /// (kAssignAckTimeout in spawner.cpp): a daemon that died between
+  /// ReserveReply and the assignment is NACKed and replaced without waiting
+  /// out daemon_timeout.
   std::map<TaskId, double> awaiting_first_heartbeat_;
   std::deque<TaskId> awaiting_replacement_;  ///< failed tasks needing a daemon
   asynciter::GlobalConvergenceBoard board_;

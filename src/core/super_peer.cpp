@@ -6,9 +6,9 @@
 
 namespace jacepp::core {
 
-SuperPeer::SuperPeer(TimingConfig timing, ControlPlaneConfig cp,
+SuperPeer::SuperPeer(TimingConfig timing, ControlPlaneConfig /*cp*/,
                      ReputationConfig rep)
-    : timing_(timing), cp_(cp), rep_(rep), rep_store_(rep) {}
+    : timing_(timing), rep_(rep) {}
 
 const rmi::Table<SuperPeer>& SuperPeer::table() {
   static const rmi::Table<SuperPeer> table = [] {
@@ -130,18 +130,14 @@ void SuperPeer::handle_reserve(const msg::ReserveRequest& m,
     // (paper Figure 2: SP1 reserves the third daemon on SP2).
     auto visited = m.visited;
     visited.push_back(env.self());
-    const bool depth_ok = cp_.max_forward_depth == 0 ||
-                          visited.size() < cp_.max_forward_depth;
     const net::Stub* next = nullptr;
-    if (depth_ok) {
-      for (const net::Stub& peer : peers_) {
-        const bool seen = std::any_of(
-            visited.begin(), visited.end(),
-            [&](const net::Stub& v) { return v.node == peer.node; });
-        if (!seen) {
-          next = &peer;
-          break;
-        }
+    for (const net::Stub& peer : peers_) {
+      const bool seen = std::any_of(
+          visited.begin(), visited.end(),
+          [&](const net::Stub& v) { return v.node == peer.node; });
+      if (!seen) {
+        next = &peer;
+        break;
       }
     }
     if (next != nullptr) {
@@ -153,9 +149,7 @@ void SuperPeer::handle_reserve(const msg::ReserveRequest& m,
       rmi::invoke(env, *next, forward);
       ++requests_forwarded_;
     } else {
-      // Whole overlay visited (or the forwarding-depth budget is spent);
-      // the requester must retry later.
-      if (depth_ok == false) ++requests_depth_bounded_;
+      // Whole overlay visited; the requester must retry later.
       exhausted = true;
     }
   }

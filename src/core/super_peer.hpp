@@ -4,10 +4,9 @@
 // overlay), and sweeps out daemons whose heartbeats stop.
 //
 // Decentralized control plane (DESIGN.md §13): heartbeats refresh a
-// last-heard index in O(1) and the sweep pops only expired daemons,
-// reservation forwarding can be depth-bounded (`cp.max_forward_depth`), and
-// the super-peer stores Application Register replicas pushed by the spawner
-// so a standby spawner can adopt a running application.
+// last-heard index in O(1) and the sweep pops only expired daemons, and the
+// super-peer stores Application Register replicas pushed by the spawner so a
+// standby spawner can adopt a running application.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +26,9 @@ namespace jacepp::core {
 
 class SuperPeer : public net::Actor {
  public:
+  /// `cp` is unused: no control-plane switch changes what a super-peer does.
+  /// perfbench's cp-100k world still passes one, so the parameter stays
+  /// until that workload's code changes (ROADMAP item 2).
   explicit SuperPeer(TimingConfig timing = {}, ControlPlaneConfig cp = {},
                      ReputationConfig rep = {});
 
@@ -44,10 +46,8 @@ class SuperPeer : public net::Actor {
   //     post-shutdown access in rt) ---
   [[nodiscard]] std::size_t registered_count() const { return register_.size(); }
   [[nodiscard]] bool has_registered(const net::Stub& daemon) const;
-  [[nodiscard]] const std::vector<net::Stub>& linked_peers() const { return peers_; }
   [[nodiscard]] std::uint64_t reservations_served() const { return reservations_served_; }
   [[nodiscard]] std::uint64_t requests_forwarded() const { return requests_forwarded_; }
-  [[nodiscard]] std::uint64_t requests_depth_bounded() const { return requests_depth_bounded_; }
   [[nodiscard]] std::uint64_t daemons_swept() const { return daemons_swept_; }
   [[nodiscard]] bool has_replica(AppId app_id) const { return replicas_.count(app_id) != 0; }
   [[nodiscard]] std::uint64_t replica_version(AppId app_id) const;
@@ -76,7 +76,6 @@ class SuperPeer : public net::Actor {
   [[nodiscard]] std::vector<net::Stub> grant_order() const;
 
   TimingConfig timing_;
-  ControlPlaneConfig cp_;
   ReputationConfig rep_;
   net::Env* env_ = nullptr;
 
@@ -98,7 +97,6 @@ class SuperPeer : public net::Actor {
 
   std::uint64_t reservations_served_ = 0;
   std::uint64_t requests_forwarded_ = 0;
-  std::uint64_t requests_depth_bounded_ = 0;
   std::uint64_t daemons_swept_ = 0;
 };
 

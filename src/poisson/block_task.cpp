@@ -84,7 +84,6 @@ void PoissonTask::init(const core::AppDescriptor& app, core::TaskId task_id) {
   state_.lower_boundary.assign(n, 0.0);
   state_.upper_boundary.assign(n, 0.0);
   lower_fresh_ = upper_fresh_ = false;
-  total_flops_ = 0.0;
 }
 
 void PoissonTask::build_rhs(linalg::Vector& rhs) const {
@@ -116,7 +115,6 @@ double PoissonTask::iterate() {
       last_solve_converged_) {
     ++state_.iterations_done;
     last_iteration_informative_ = task_count_ == 1;
-    total_flops_ += last_solve_flops_;
     return last_solve_flops_;
   }
 
@@ -161,7 +159,6 @@ double PoissonTask::iterate() {
   // slowly-tracking maximum so early cheap warm-started solves do not
   // underprice them.
   last_solve_flops_ = std::max(flops, 0.5 * last_solve_flops_);
-  total_flops_ += flops;
   return flops;
 }
 
@@ -267,10 +264,6 @@ serial::Bytes PoissonTask::final_payload() const {
   serial::Writer writer;
   writer.f64_vector(owned_slice());
   return writer.take();
-}
-
-std::size_t PoissonTask::boundary_payload_bytes() const {
-  return config_.n * sizeof(double) + 4;
 }
 
 linalg::Vector assemble_solution(std::size_t n, std::uint32_t task_count,

@@ -75,16 +75,12 @@ class PoissonTask : public core::Task {
   [[nodiscard]] std::uint64_t iterations_done() const {
     return state_.iterations_done;
   }
-  [[nodiscard]] double total_flops() const { return total_flops_; }
   [[nodiscard]] std::uint64_t stale_free_iterations() const {
     return iterations_with_fresh_data_;
   }
 
   /// Owned slice of the current iterate (the task's published components).
   [[nodiscard]] linalg::Vector owned_slice() const;
-
-  /// Bytes exchanged with each neighbour per iteration (n doubles + framing).
-  [[nodiscard]] std::size_t boundary_payload_bytes() const;
 
  private:
   void build_rhs(linalg::Vector& rhs) const;
@@ -124,7 +120,6 @@ class PoissonTask : public core::Task {
   std::uint64_t last_send_iteration_ = 0;
   bool sent_since_last_solve_ = false;
   std::uint64_t iterations_with_fresh_data_ = 0;
-  double total_flops_ = 0.0;
 };
 
 /// Reassemble the global solution from per-task FinalState payloads.

@@ -17,7 +17,7 @@ constexpr std::uint64_t kSlowTag = 0x510Eull;
 
 void append_ops(ChurnTrace& trace, const ChurnScriptConfig& config,
                 ChurnOpKind kind, std::uint64_t tag, std::size_t events,
-                std::size_t count, double factor, double wire_factor) {
+                std::size_t count, double factor) {
   Rng stream(mix64(config.seed ^ (tag * 0x9E3779B97F4A7C15ull)));
   for (std::size_t i = 0; i < events; ++i) {
     ChurnOp op;
@@ -25,7 +25,6 @@ void append_ops(ChurnTrace& trace, const ChurnScriptConfig& config,
     op.kind = kind;
     op.count = count;
     op.factor = factor;
-    op.wire_factor = wire_factor;
     // A private victim-selection seed per op: stable under reordering, so the
     // sort below cannot change which nodes an op picks.
     op.rng_seed = mix64(config.seed ^ (tag + 0x9E3779B97F4A7C15ull * (i + 1)));
@@ -38,16 +37,13 @@ void append_ops(ChurnTrace& trace, const ChurnScriptConfig& config,
 ChurnTrace generate_churn_trace(const ChurnScriptConfig& config) {
   JACEPP_CHECK(config.horizon >= 0.0, "churn: horizon must be >= 0");
   JACEPP_CHECK(config.slow_factor >= 1.0, "churn: slow_factor must be >= 1");
-  JACEPP_CHECK(config.slow_wire_factor >= 1.0,
-               "churn: slow_wire_factor must be >= 1");
   ChurnTrace trace;
   append_ops(trace, config, ChurnOpKind::FlashCrowd, kCrowdTag,
-             config.flash_crowds, config.flash_size, 1.0, 1.0);
+             config.flash_crowds, config.flash_size, 1.0);
   append_ops(trace, config, ChurnOpKind::FailureBurst, kBurstTag,
-             config.failure_bursts, config.burst_size, 1.0, 1.0);
+             config.failure_bursts, config.burst_size, 1.0);
   append_ops(trace, config, ChurnOpKind::Slowdown, kSlowTag, config.slowdowns,
-             config.slowdown_size, config.slow_factor,
-             config.slow_wire_factor);
+             config.slowdown_size, config.slow_factor);
   std::stable_sort(trace.ops.begin(), trace.ops.end(),
                    [](const ChurnOp& a, const ChurnOp& b) {
                      return a.time < b.time;
@@ -68,11 +64,10 @@ void ChurnScript::install(SimWorld& world, ChurnDriver& driver) {
           driver.flash_join(op.count, rng);
           break;
         case ChurnOpKind::FailureBurst:
-          driver.failure_burst(op.count, config_.revive, config_.revive_delay,
-                               rng);
+          driver.failure_burst(op.count, config_.revive_delay, rng);
           break;
         case ChurnOpKind::Slowdown:
-          driver.slow_peers(op.count, op.factor, op.wire_factor, rng);
+          driver.slow_peers(op.count, op.factor, rng);
           break;
       }
     });

@@ -22,9 +22,9 @@ namespace jacepp::sim {
 
 class SimWorld;
 
-/// Knobs for the generated churn trace (`churn.*`; core/config.hpp is the knob
-/// index). All-zero counts — the default — generate an empty trace and
-/// install nothing: the run is bit-identical to a world without a script.
+/// Settings of the generated churn trace (`churn.*`). All-zero counts — the
+/// default — generate an empty trace and install nothing: the run is
+/// bit-identical to a world without a script.
 struct ChurnScriptConfig {
   std::uint64_t seed = 1;      ///< trace randomness (op times + victim draws)
   double start = 5.0;          ///< earliest op time (simulated seconds)
@@ -33,17 +33,11 @@ struct ChurnScriptConfig {
   std::size_t flash_size = 8;    ///< fresh daemons per flash crowd
   std::size_t failure_bursts = 0;  ///< correlated crash-stop bursts
   std::size_t burst_size = 3;      ///< victims per burst
-  bool revive = true;            ///< burst victims reconnect as fresh peers
-  double revive_delay = 20.0;    ///< seconds down before reviving
+  double revive_delay = 20.0;    ///< seconds a burst victim stays down before
+                                 ///< it reconnects as a fresh peer
   std::size_t slowdowns = 0;     ///< slow-peer events (service-time scaling)
   std::size_t slowdown_size = 1; ///< peers throttled per event
   double slow_factor = 8.0;      ///< flops/bandwidth divisor (>= 1)
-  /// Wire-cost multiplier (>= 1) applied to throttled peers' latency +
-  /// per-message overhead. 1 (the default) keeps slowdowns compute/bandwidth
-  /// only — bit-identical to traces generated before this knob existed.
-  /// Values > 1 model congested NICs and make SimWorld's cached wire-cost
-  /// minimum invalidation load-bearing (DESIGN.md §12).
-  double slow_wire_factor = 1.0;
   std::size_t liars = 0;         ///< lying workers injected at build time
   double lie_rate = 1.0;         ///< per-result corruption probability
 
@@ -62,7 +56,6 @@ struct ChurnOp {
   ChurnOpKind kind = ChurnOpKind::FlashCrowd;
   std::size_t count = 0;       ///< joins / victims / throttled peers
   double factor = 1.0;         ///< slowdown divisor (Slowdown only)
-  double wire_factor = 1.0;    ///< latency/overhead multiplier (Slowdown only)
   std::uint64_t rng_seed = 0;  ///< private substream for victim selection
 };
 
@@ -84,10 +77,10 @@ class ChurnDriver {
  public:
   virtual ~ChurnDriver() = default;
   virtual void flash_join(std::size_t count, Rng& rng) = 0;
-  virtual void failure_burst(std::size_t count, bool revive,
-                             double revive_delay, Rng& rng) = 0;
-  virtual void slow_peers(std::size_t count, double factor, double wire_factor,
-                          Rng& rng) = 0;
+  /// Crash `count` peers; each revives `revive_delay` seconds later.
+  virtual void failure_burst(std::size_t count, double revive_delay,
+                             Rng& rng) = 0;
+  virtual void slow_peers(std::size_t count, double factor, Rng& rng) = 0;
 };
 
 class ChurnScript {

@@ -159,8 +159,7 @@ net::Stub SimWorld::add_node(std::unique_ptr<net::Actor> actor,
   node.rng = rng_.split(id);
   node.shard = shard_of(id, shards_.size());
   node.env = std::make_unique<NodeEnv>(this, id, shards_[node.shard].get());
-  // A new node can only LOWER a minimum, so min(cached, spec) is exact even
-  // while wire_cost_dirty_ is pending — no need to force a rescan here.
+  // A new node can only LOWER a minimum, so min(cached, spec) is exact.
   shard_wire_min_[node.shard] =
       std::min(shard_wire_min_[node.shard], spec.min_wire_cost());
   nodes_.push_back(std::make_unique<Node>(std::move(node)));
@@ -216,21 +215,11 @@ net::Actor* SimWorld::actor(net::NodeId node_id) {
   return node != nullptr ? node->actor.get() : nullptr;
 }
 
-void SimWorld::throttle(net::NodeId node, double factor, double wire_factor) {
+void SimWorld::throttle(net::NodeId node, double factor) {
   JACEPP_CHECK(factor >= 1.0, "throttle: factor must be >= 1 (slowdown only)");
-  JACEPP_CHECK(wire_factor >= 1.0,
-               "throttle: wire_factor must be >= 1 (slowdown only)");
   Node& n = node_ref(node);
   n.spec.flops_per_sec /= factor;
   n.spec.bandwidth_bps /= factor;
-  if (wire_factor > 1.0) {
-    // Raising a node's wire cost may raise the cached minima; they stay valid
-    // (conservative) lower bounds meanwhile, so only the horizon width is at
-    // stake — rescan lazily at the next round.
-    n.spec.latency_s *= wire_factor;
-    n.spec.message_overhead_s *= wire_factor;
-    wire_cost_dirty_ = true;
-  }
 }
 
 EventId SimWorld::schedule_guarded(net::NodeId id, net::Incarnation inc,
@@ -279,34 +268,6 @@ std::uint64_t SimWorld::events_executed() const {
   std::uint64_t total = 0;
   for (const auto& shard : shards_) total += shard->executed;
   return total;
-}
-
-void SimWorld::refresh_wire_cost() const {
-  if (!wire_cost_dirty_) return;
-  std::fill(shard_wire_min_.begin(), shard_wire_min_.end(),
-            std::numeric_limits<double>::infinity());
-  // Down nodes stay in the scan: a revived incarnation keeps its spec, so
-  // excluding it here could briefly overstate the minimum.
-  for (const auto& node : nodes_) {
-    shard_wire_min_[node->shard] =
-        std::min(shard_wire_min_[node->shard], node->spec.min_wire_cost());
-  }
-  wire_cost_dirty_ = false;
-}
-
-double SimWorld::lookahead() const {
-  refresh_wire_cost();
-  const double min_cost =
-      *std::min_element(shard_wire_min_.begin(), shard_wire_min_.end());
-  if (!std::isfinite(min_cost)) return 0.0;
-  // Any wire transfer costs at least (1 - jitter) times the two endpoints'
-  // latency + per-message overhead, each bounded below by the fleet-wide
-  // minimum. The 0.999 shave absorbs floating-point rounding in
-  // transfer_delay's sum/multiply so a frame can never arrive strictly inside
-  // the horizon that was open when it was sent.
-  const double j = std::min(config_.message_jitter, 1.0);
-  const double la = 0.999 * (1.0 - j) * 2.0 * min_cost;
-  return la > 0.0 ? la : 0.0;
 }
 
 double SimWorld::transfer_delay(const Node& from, const MachineSpec& to_spec,
@@ -607,7 +568,6 @@ void SimWorld::set_round_horizons(double t_min, double limit) {
   // inside the horizon that was open when it was sent. min-over-others needs
   // only the global min and second-min of the per-shard minima (the min
   // itself for every shard except the argmin).
-  refresh_wire_cost();
   const double f = 0.999 * (1.0 - std::min(config_.message_jitter, 1.0));
   double m1 = kInf, m2 = kInf;
   std::size_t arg1 = 0;

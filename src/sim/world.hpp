@@ -162,16 +162,11 @@ class SimWorld {
   [[nodiscard]] net::Actor* actor(net::NodeId node);
 
   /// Slow-peer fault injection (DESIGN.md §14): divide the node's sustained
-  /// flop rate and NIC bandwidth by `factor` (>= 1), and multiply its
-  /// latency_s + message_overhead_s by `wire_factor` (>= 1, default 1 =
-  /// unchanged). Both directions only LENGTHEN delays, so the cached
-  /// wire-cost minima feeding the round horizons stay conservative even
-  /// before the invalidation below is observed — a stale (smaller) cached
-  /// minimum can only shrink horizons, never admit an unsafe frame. A
-  /// wire_factor > 1 marks the cache dirty so the next round rescans and
-  /// recovers the larger (faster) horizons. Call from a schedule_global
-  /// event (round barrier) only.
-  void throttle(net::NodeId node, double factor, double wire_factor = 1.0);
+  /// flop rate and NIC bandwidth by `factor` (>= 1). Latency and per-message
+  /// overhead are untouched, so the node's wire cost (the round-horizon
+  /// input) does not change. Call from a schedule_global event (round
+  /// barrier) only.
+  void throttle(net::NodeId node, double factor);
 
   /// Run until stop is requested, the event queue drains, or max_time passes.
   void run();
@@ -220,10 +215,6 @@ class SimWorld {
                ? 0u
                : static_cast<std::uint32_t>(mix64(id) % shard_count);
   }
-  /// Global conservative lookahead (seconds): the lower bound on any
-  /// frame's flight time, 2 * the smallest wire cost. 0 when no node has been
-  /// added yet. Each shard's round horizon is at least this wide.
-  [[nodiscard]] double lookahead() const;
   /// Events executed so far, summed over shards (and the classic loop).
   [[nodiscard]] std::uint64_t events_executed() const;
   /// Parallel rounds completed (0 in classic mode).
@@ -351,9 +342,6 @@ class SimWorld {
   /// the executing shard's release list. Runs on the destination's shard.
   void deliver_parked(std::uint32_t slot);
   RoundWorkerPool& round_crew();
-  /// Rescan nodes_ for the wire-cost minima iff wire_cost_dirty_. O(nodes),
-  /// but runs only after an invalidating op — never once per round.
-  void refresh_wire_cost() const;
   /// Fold per-shard counters into stats_ (no-op with shards == 1).
   void aggregate_stats() const;
 
@@ -389,16 +377,11 @@ class SimWorld {
   std::vector<CrossFrame> arena_;
   std::vector<std::uint32_t> arena_free_;
   std::uint64_t rounds_ = 0;
-  /// Cached per-shard min over owned nodes of MachineSpec::min_wire_cost() —
-  /// the round-horizon input. Maintained incrementally by add_node (a new
-  /// node can only lower a min, so `min(cached, spec)` is exact); every
-  /// operation that can RAISE a node's wire cost (throttle with wire_factor
-  /// > 1) must set wire_cost_dirty_ instead, and the next round rescans. A
-  /// stale value from a raise is always <= the true minimum, so horizons
-  /// computed from it remain conservative — the dirty flag buys back horizon
-  /// width.
-  mutable std::vector<double> shard_wire_min_;
-  mutable bool wire_cost_dirty_ = false;
+  /// Per-shard min over owned nodes of MachineSpec::min_wire_cost() — the
+  /// round-horizon input. add_node alone maintains it: a new node can only
+  /// lower a min, so `min(cached, spec)` is exact, and nothing changes a
+  /// node's latency or per-message overhead after it is added.
+  std::vector<double> shard_wire_min_;
   mutable NetStats stats_;  ///< classic: the live counters; sharded: aggregate
   net::CommStats comm_stats_;
 };

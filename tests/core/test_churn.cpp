@@ -125,7 +125,6 @@ sim::ChurnScriptConfig busy_churn() {
   churn.flash_size = 3;
   churn.failure_bursts = 2;
   churn.burst_size = 2;
-  churn.revive = true;
   churn.revive_delay = 15.0;
   churn.slowdowns = 1;
   churn.slowdown_size = 2;
@@ -206,43 +205,53 @@ TEST(ChurnTrace, DifferentSeedsProduceDifferentOpTimes) {
 // ReputationStore (core/reputation.hpp)
 // ---------------------------------------------------------------------------
 
+constexpr double kAlpha = ReputationStore::kEwmaAlpha;
+constexpr double kPrior = ReputationStore::kInitialScore;
+constexpr double kWeight = ReputationStore::kSpeedWeight;
+
+/// The placement score of a peer with these two tracks.
+double blended(double availability, double speed) {
+  return (1.0 - kWeight) * availability + kWeight * speed;
+}
+
 TEST(ReputationStore, UnknownPeerScoresNeutralPrior) {
-  ReputationConfig config;
-  config.enabled = true;
-  const ReputationStore store(config);
-  EXPECT_DOUBLE_EQ(store.score_of(7), config.initial_score);
+  const ReputationStore store;
+  EXPECT_DOUBLE_EQ(store.score_of(7), kPrior);
   EXPECT_FALSE(store.known(7));
 }
 
 TEST(ReputationStore, EwmaMovesAvailabilityTowardObservations) {
-  ReputationConfig config;
-  config.ewma_alpha = 0.5;
-  config.speed_weight = 0.0;  // score == availability
-  ReputationStore store(config);
-  store.observe_success(1);  // 0.5 + 0.5*(1-0.5) = 0.75
-  EXPECT_DOUBLE_EQ(store.score_of(1), 0.75);
-  store.observe_failure(1);  // 0.75 - 0.5*0.75 = 0.375
-  EXPECT_DOUBLE_EQ(store.score_of(1), 0.375);
-  for (int i = 0; i < 50; ++i) store.observe_success(1);
-  EXPECT_GT(store.score_of(1), 0.99);
-  for (int i = 0; i < 50; ++i) store.observe_failure(1);
-  EXPECT_LT(store.score_of(1), 0.01);
+  ReputationStore store;
+  double availability = kPrior;  // speed stays at the prior throughout
+  store.observe_success(1);
+  availability += kAlpha * (1.0 - availability);
+  EXPECT_DOUBLE_EQ(store.score_of(1), blended(availability, kPrior));
+  store.observe_failure(1);
+  availability -= kAlpha * availability;
+  EXPECT_DOUBLE_EQ(store.score_of(1), blended(availability, kPrior));
+  // Long runs drive availability to its bounds: 1 after successes, 0 after
+  // failures.
+  for (int i = 0; i < 100; ++i) store.observe_success(1);
+  EXPECT_NEAR(store.score_of(1), blended(1.0, kPrior), 1e-6);
+  for (int i = 0; i < 100; ++i) store.observe_failure(1);
+  EXPECT_NEAR(store.score_of(1), blended(0.0, kPrior), 1e-6);
 }
 
 TEST(ReputationStore, SpeedBlendsIntoScore) {
-  ReputationConfig config;
-  config.ewma_alpha = 1.0;  // jump straight to the observation
-  config.speed_weight = 0.25;
-  ReputationStore store(config);
+  ReputationStore store;
   store.observe_success(1);
+  const double availability = kPrior + kAlpha * (1.0 - kPrior);
+  double speed = kPrior;
   store.observe_speed(1, 0.0);
-  EXPECT_DOUBLE_EQ(store.score_of(1), 0.75 * 1.0 + 0.25 * 0.0);
+  speed += kAlpha * (0.0 - speed);
+  EXPECT_DOUBLE_EQ(store.score_of(1), blended(availability, speed));
   store.observe_speed(1, 1.0);
-  EXPECT_DOUBLE_EQ(store.score_of(1), 1.0);
+  speed += kAlpha * (1.0 - speed);
+  EXPECT_DOUBLE_EQ(store.score_of(1), blended(availability, speed));
 }
 
 TEST(ReputationStore, LiarIsPinnedToFloorPermanently) {
-  ReputationStore store{ReputationConfig{}};
+  ReputationStore store;
   store.observe_success(3);
   store.observe_liar(3);
   EXPECT_TRUE(store.is_liar(3));

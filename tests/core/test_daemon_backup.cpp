@@ -115,11 +115,11 @@ TEST(DaemonBackup, BackupsClearedAfterHalt) {
   SimDeployment deployment(config);
   deployment.build();
   deployment.world().run();
-  // Backups are retained for backup_retention seconds after the halt (for
+  // Backups are retained for kBackupRetention seconds after the halt (for
   // post-halt result recovery); past that they must be gone.
   deployment.world().clear_stop();
   deployment.world().run_until(deployment.world().now() +
-                               config.timing.backup_retention + 1.0);
+                               Daemon::kBackupRetention + 1.0);
   for (const auto node : deployment.daemon_nodes()) {
     auto* daemon = dynamic_cast<Daemon*>(deployment.world().actor(node));
     if (daemon != nullptr) {

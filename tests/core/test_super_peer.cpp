@@ -297,6 +297,60 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name;
     });
 
+/// Harness actor playing an auditing spawner: it challenges a daemon with
+/// re-runs and keeps the replies.
+class AuditProbe : public net::Actor {
+ public:
+  void on_start(net::Env& env) override { env_ = &env; }
+  void on_message(const net::Message& m, net::Env&) override {
+    if (m.type == msg::AuditReply::kType) {
+      replies.push_back(net::payload_of<msg::AuditReply>(m));
+    }
+  }
+  void challenge(const net::Stub& daemon, const AppDescriptor& app,
+                 TaskId task_id, std::uint64_t nonce) {
+    msg::AuditChallenge challenge;
+    challenge.app = app;
+    challenge.task_id = task_id;
+    challenge.round = 1;
+    challenge.nonce = nonce;
+    challenge.iterations = 3;
+    rmi::invoke(*env_, daemon, challenge);
+  }
+
+  net::Env* env_ = nullptr;
+  std::vector<msg::AuditReply> replies;
+};
+
+TEST(DaemonAudit, ChallengeGoesThroughAssignmentChecks) {
+  // An AuditChallenge carries a descriptor from a peer that the daemon
+  // instantiates and re-runs. Every unrunnable one (no tasks, a task id out
+  // of range, a zero chunk size) is dropped without a reply; the runnable one
+  // is answered, and the daemon stays up.
+  Scenario s(1, 7);
+  auto* d = s.add_daemon();
+  auto probe = std::make_unique<AuditProbe>();
+  AuditProbe* p = probe.get();
+  s.world.add_node(std::move(probe), sim::MachineSpec{},
+                   net::EntityKind::Spawner);
+  s.world.run_until(2.0);
+  ASSERT_EQ(d->state(), Daemon::State::Registered);
+  s.world.schedule_global(0.0, [&s, p] {
+    std::uint64_t nonce = 1;
+    for (const BadAssignment& bad : bad_assignments()) {
+      p->challenge(s.daemon_stubs[0], bad.app, bad.task_id, nonce++);
+    }
+    p->challenge(s.daemon_stubs[0], runnable_app(), 0, 99);
+  });
+  s.world.run_until(5.0);
+
+  ASSERT_EQ(p->replies.size(), 1u);
+  EXPECT_EQ(p->replies[0].nonce, 99u);
+  EXPECT_EQ(p->replies[0].task_id, 0u);
+  EXPECT_TRUE(s.world.is_current(s.daemon_stubs[0]));
+  EXPECT_EQ(d->state(), Daemon::State::Registered);
+}
+
 /// Harness actor playing the only backup holder of a task: it reports a
 /// checkpoint at iteration 7 and serves `state` for it.
 class StateHolder : public net::Actor {

@@ -139,7 +139,7 @@ class StarDriver : public ChurnDriver {
     for (std::size_t i = 0; i < count; ++i) add_spoke();
   }
 
-  void failure_burst(std::size_t count, bool revive, double revive_delay,
+  void failure_burst(std::size_t count, double revive_delay,
                      Rng& rng) override {
     std::vector<net::NodeId> pool;
     for (const net::NodeId node : nodes_) {
@@ -152,18 +152,14 @@ class StarDriver : public ChurnDriver {
     for (std::size_t i = 0; i < n; ++i) {
       const net::NodeId victim = pool[i];
       world_->disconnect(victim);
-      if (revive) {
-        world_->schedule_global(revive_delay, [this, victim] {
-          if (world_->is_up(victim)) return;
-          world_->revive(victim, make_actor_for(victim));
-        });
-      }
+      world_->schedule_global(revive_delay, [this, victim] {
+        if (world_->is_up(victim)) return;
+        world_->revive(victim, make_actor_for(victim));
+      });
     }
   }
 
-  void slow_peers(std::size_t count, double factor, double wire_factor,
-                  Rng& rng) override {
-    (void)wire_factor;
+  void slow_peers(std::size_t count, double factor, Rng& rng) override {
     std::vector<net::NodeId> pool;
     for (const net::NodeId node : nodes_) {
       if (world_->is_up(node)) pool.push_back(node);
@@ -264,7 +260,6 @@ StarResult run_star_scenario(SimConfig config) {
   churn.flash_size = 8;
   churn.failure_bursts = 2;
   churn.burst_size = 2;
-  churn.revive = true;
   churn.revive_delay = 4.0;
   churn.slowdowns = 1;
   churn.slowdown_size = 2;
