@@ -13,6 +13,7 @@
 #include "bench_common.hpp"
 #include "core/daemon.hpp"
 #include "poisson/block_task.hpp"
+#include "support/assert.hpp"
 #include "support/flags.hpp"
 
 using namespace jacepp;
@@ -36,7 +37,9 @@ double measured_flops_per_iteration(std::size_t n, std::uint32_t tasks,
   const core::TaskId mid = tasks / 2;
   std::vector<poisson::PoissonTask> ring(3);
   const core::TaskId ids[3] = {mid - 1, mid, mid + 1};
-  for (int i = 0; i < 3; ++i) ring[i].init(app, ids[i]);
+  for (int i = 0; i < 3; ++i) {
+    JACEPP_CHECK(ring[i].init(app, ids[i]), "bench_ratio: config refused");
+  }
 
   double flops = 0.0;
   int counted = 0;

@@ -366,9 +366,10 @@ CpCaseResult run_cp_case(std::size_t daemons, std::size_t sps,
 
 class ScaleTickerTask : public core::Task {
  public:
-  void init(const core::AppDescriptor& app, core::TaskId task_id) override {
+  bool init(const core::AppDescriptor& app, core::TaskId task_id) override {
     task_id_ = task_id;
     task_count_ = app.task_count;
+    return true;
   }
   double iterate() override {
     ++iterations_;

@@ -46,9 +46,13 @@ class HeatTask : public core::Task {
  public:
   static constexpr const char* kProgramName = "examples.heat1d";
 
-  void init(const core::AppDescriptor& app, core::TaskId task_id) override {
+  bool init(const core::AppDescriptor& app, core::TaskId task_id) override {
+    // The descriptor comes from a peer: refuse a config that does not
+    // decode or leaves a task without a cell.
     serial::Reader reader(app.config);
-    config_ = reader.object<HeatConfig>();
+    const HeatConfig config = reader.object<HeatConfig>();
+    if (!reader.ok() || config.cells < app.task_count) return false;
+    config_ = config;
     task_id_ = task_id;
     task_count_ = app.task_count;
 
@@ -68,6 +72,7 @@ class HeatTask : public core::Task {
     state_ = State{};
     state_.u.assign(size_, 0.0);
     prev_.assign(size_, 0.0);
+    return true;
   }
 
   double iterate() override {

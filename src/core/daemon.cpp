@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/periodic.hpp"
 #include "core/shard.hpp"
 #include "linalg/vector_ops.hpp"
 #include "support/logging.hpp"
@@ -17,17 +16,28 @@ namespace {
 constexpr double kWavePeriod = 0.5;
 constexpr double kWaveTimeout = 3.0;
 
-/// Why a daemon cannot run task `task_id` of `app`, or nullptr when it can.
-/// Checked before an assignment or an audit challenge touches any state:
-/// every field comes from a peer.
-const char* assignment_defect(const AppDescriptor& app, TaskId task_id) {
+/// Task `task_id` of `app`, built and initialized, or why a daemon cannot
+/// run it.
+struct BuiltTask {
+  std::unique_ptr<Task> task;
+  const char* defect = nullptr;
+};
+
+/// Runs before an assignment or an audit challenge touches any state: every
+/// field comes from a peer.
+BuiltTask build_task(const AppDescriptor& app, TaskId task_id) {
+  const auto refuse = [](const char* defect) {
+    return BuiltTask{nullptr, defect};
+  };
   if (!TaskProgramRegistry::instance().contains(app.program)) {
-    return "unknown program";
+    return refuse("unknown program");
   }
-  if (app.task_count == 0) return "no tasks";
-  if (task_id >= app.task_count) return "task id out of range";
-  if (app.ckpt.chunk_size == 0) return "zero checkpoint chunk size";
-  return nullptr;
+  if (app.task_count == 0) return refuse("no tasks");
+  if (task_id >= app.task_count) return refuse("task id out of range");
+  if (app.ckpt.chunk_size == 0) return refuse("zero checkpoint chunk size");
+  auto task = TaskProgramRegistry::instance().create(app.program);
+  if (!task->init(app, task_id)) return refuse("malformed program config");
+  return BuiltTask{std::move(task), nullptr};
 }
 
 }  // namespace
@@ -127,7 +137,7 @@ void Daemon::enter_registered(const net::Stub& super_peer) {
   last_sp_ack_ = env_->now();
   bump_epoch();
   const std::uint64_t epoch = epoch_;
-  arm_periodic(*env_, timing_.heartbeat_period, [this, epoch]() -> bool {
+  timers_.arm(*env_, timing_.heartbeat_period, [this, epoch]() -> bool {
     if (epoch != epoch_ || state_ != State::Registered) return false;
     // SP failure detection: no acks for too long → re-bootstrap elsewhere.
     if (env_->now() - last_sp_ack_ > timing_.super_peer_timeout) {
@@ -180,10 +190,11 @@ void Daemon::handle_assignment(const msg::TaskAssignment& m,
   if (state_ == State::Computing) return;  // duplicate assignment
   // Refuse an assignment this daemon cannot run before touching any state,
   // so a Reserved daemon's reserved_timeout still returns it to the pool.
-  if (const char* defect = assignment_defect(m.app, m.task_id)) {
+  BuiltTask built = build_task(m.app, m.task_id);
+  if (built.defect != nullptr) {
     JACEPP_LOG(Warn, "daemon", "%s refused task %u of app %u ('%s'): %s",
                env_->self().to_debug_string().c_str(), m.task_id,
-               m.app.app_id, m.app.program.c_str(), defect);
+               m.app.app_id, m.app.program.c_str(), built.defect);
     return;
   }
   set_state(State::Computing);
@@ -217,12 +228,11 @@ void Daemon::handle_assignment(const msg::TaskAssignment& m,
   iterations_since_checkpoint_ = 0;
   iter_cost_ewma_ = 0.0;
 
-  task_ = TaskProgramRegistry::instance().create(app_.program);
-  task_->init(app_, task_id_);
+  task_ = std::move(built.task);
 
   // While computing, heartbeats go to the Spawner instead of a Super-Peer.
   const std::uint64_t epoch = epoch_;
-  arm_periodic(*env_, timing_.heartbeat_period, [this, epoch]() -> bool {
+  timers_.arm(*env_, timing_.heartbeat_period, [this, epoch]() -> bool {
     if (epoch != epoch_ || state_ != State::Computing) return false;
     rmi::invoke(*env_, reg_.spawner, msg::Heartbeat{});
     return true;
@@ -233,7 +243,7 @@ void Daemon::handle_assignment(const msg::TaskAssignment& m,
   // token went missing, and re-sends the verdict until the halt arrives.
   if (cp_.diffusion && task_id_ == 0 && !finalize_only_) {
     wave_.emplace();
-    arm_periodic(*env_, kWavePeriod, [this, epoch]() -> bool {
+    timers_.arm(*env_, kWavePeriod, [this, epoch]() -> bool {
       if (epoch != epoch_ || state_ != State::Computing || halted_) return false;
       wave_scan();
       return true;
@@ -745,20 +755,19 @@ void Daemon::handle_audit_challenge(const msg::AuditChallenge& m,
   // (descriptor, task id, iteration count), so every honest replica produces
   // identical bits; only a forged reply can be outvoted. The re-run goes
   // through env.compute, so its (throttled) cost is charged like real work.
-  // The descriptor comes from a peer, so it passes the assignment checks
-  // before anything is instantiated.
-  if (const char* defect = assignment_defect(m.app, m.task_id)) {
+  // The descriptor comes from a peer, so the task is built and initialized
+  // before anything else happens, and a defect drops the challenge.
+  BuiltTask built = build_task(m.app, m.task_id);
+  if (built.defect != nullptr) {
     JACEPP_LOG(Warn, "daemon", "%s dropped an audit of task %u of app %u "
                "('%s'): %s", env.self().to_debug_string().c_str(),
-               m.task_id, m.app.app_id, m.app.program.c_str(), defect);
+               m.task_id, m.app.app_id, m.app.program.c_str(), built.defect);
     return;
   }
-  std::shared_ptr<Task> fresh =
-      TaskProgramRegistry::instance().create(m.app.program);
+  std::shared_ptr<Task> fresh = std::move(built.task);
   const net::Stub requester = raw.from;
   env.compute(
       [fresh, m] {
-        fresh->init(m.app, m.task_id);
         double flops = 0.0;
         for (std::uint32_t i = 0; i < m.iterations; ++i) {
           flops += fresh->iterate();

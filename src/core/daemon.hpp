@@ -27,6 +27,7 @@
 #include "core/checkpoint.hpp"
 #include "core/config.hpp"
 #include "core/messages.hpp"
+#include "core/periodic.hpp"
 #include "core/task.hpp"
 #include "net/env.hpp"
 #include "rmi/rmi.hpp"
@@ -167,6 +168,7 @@ class Daemon : public net::Actor {
   ControlPlaneConfig cp_;
   std::vector<net::Stub> bootstrap_addresses_;
   net::Env* env_ = nullptr;
+  PeriodicTimers timers_;
 
   void set_state(State s) {
     state_ = s;

@@ -39,7 +39,7 @@ class GenericMultisplitTask : public Task {
  public:
   static constexpr const char* kProgramName = "generic.multisplit";
 
-  void init(const AppDescriptor& app, TaskId task_id) override;
+  [[nodiscard]] bool init(const AppDescriptor& app, TaskId task_id) override;
   double iterate() override;
   std::vector<OutgoingData> outgoing() override;
   [[nodiscard]] double local_error() const override {

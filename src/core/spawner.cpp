@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/periodic.hpp"
 #include "core/shard.hpp"
 #include "support/logging.hpp"
 
@@ -85,7 +84,7 @@ void Spawner::arm_watchdogs() {
   // the super-peer registers in the meantime. Stale pool entries (daemon
   // crashed after ReserveReply; kReservationTtl) are written off first so
   // they stop masking the shortfall.
-  arm_periodic(*env_, timing_.reserve_retry, [this]() -> bool {
+  timers_.arm(*env_, timing_.reserve_retry, [this]() -> bool {
     if (finished_) return false;
     expire_stale_requests();
     expire_pool(env_->now());
@@ -108,7 +107,7 @@ void Spawner::arm_watchdogs() {
 
   // Heartbeat sweep for computing daemons (§5.3). The sweep also re-checks
   // the halt condition, since maybe_halt() can defer on a stale heartbeat.
-  arm_periodic(*env_, timing_.sweep_period, [this]() -> bool {
+  timers_.arm(*env_, timing_.sweep_period, [this]() -> bool {
     if (finished_) return false;
     if (launched_ && !halt_broadcast_) {
       sweep_heartbeats();

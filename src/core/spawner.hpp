@@ -16,6 +16,7 @@
 #include "asynciter/convergence.hpp"
 #include "core/config.hpp"
 #include "core/messages.hpp"
+#include "core/periodic.hpp"
 #include "core/reputation.hpp"
 #include "net/env.hpp"
 #include "rmi/rmi.hpp"
@@ -155,6 +156,7 @@ class Spawner : public net::Actor {
   std::vector<net::Stub> bootstrap_addresses_;
   CompletionCallback on_complete_;
   net::Env* env_ = nullptr;
+  PeriodicTimers timers_;
 
   // Reservation state. Requests are tracked individually and expire after a
   // couple of retry periods — a request sent to a dead super-peer must never

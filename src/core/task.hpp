@@ -49,8 +49,11 @@ class Task {
   virtual ~Task() = default;
 
   /// Called once before the first iteration (or before restore() on a
-  /// replacement daemon). `task_id` is this task's SPMD rank.
-  virtual void init(const AppDescriptor& app, TaskId task_id) = 0;
+  /// replacement daemon). `task_id` is this task's SPMD rank. The descriptor
+  /// comes from a peer, so it is untrusted: if the config does not decode or
+  /// describes nothing this task can run, return false; the daemon then
+  /// discards the task.
+  [[nodiscard]] virtual bool init(const AppDescriptor& app, TaskId task_id) = 0;
 
   /// Perform one (outer) iteration of real computation using the latest
   /// received dependency data. Returns the work performed in flops — the

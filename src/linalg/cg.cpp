@@ -2,12 +2,18 @@
 
 #include <cmath>
 
-#include "linalg/fused.hpp"
+#include "linalg/kernels.hpp"
 #include "support/assert.hpp"
 
 namespace jacepp::linalg {
 
 CgResult conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
+                            const CgOptions& options) {
+  return conjugate_gradient(kernels(), a, b, x, options);
+}
+
+CgResult conjugate_gradient(const Kernels& k, const CsrMatrix& a,
+                            const Vector& b, Vector& x,
                             const CgOptions& options) {
   const std::size_t n = b.size();
   JACEPP_ASSERT(a.rows() == n && a.cols() == n);
@@ -16,6 +22,7 @@ CgResult conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
   CgResult result;
   const double nnz_work = 2.0 * static_cast<double>(a.nnz());
   const double vec_work = static_cast<double>(n);
+  const MatrixView m = view_of(a);
 
   // The work vectors persist across calls on this thread (every kernel below
   // writes its output in full before it is read). Allocated per call, they
@@ -28,16 +35,16 @@ CgResult conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
   ap.resize(n);
   double r_norm;
   if (options.fused) {
-    r_norm = spmv_residual_norm2(a, x, b, r);
+    r_norm = std::sqrt(k.spmv_residual(m, x.data(), b.data(), r.data()));
     result.flops += nnz_work;
   } else {
     a.multiply(x, ap);
     result.flops += nnz_work;
     residual(b, ap, r);
-    r_norm = norm2(r);
+    r_norm = std::sqrt(k.dot(r.data(), r.data(), n));
   }
 
-  const double b_norm = norm2(b);
+  const double b_norm = std::sqrt(k.dot(b.data(), b.data(), n));
   const double threshold = options.tolerance * (b_norm > 0.0 ? b_norm : 1.0);
 
   if (r_norm <= threshold) {
@@ -48,16 +55,16 @@ CgResult conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
 
   // The preconditioner is the identity, so z = r and r·z = r·r.
   p = r;
-  double rr = dot(r, r);
+  double rr = k.dot(r.data(), r.data(), n);
   result.flops += 2.0 * vec_work;
 
   for (std::size_t it = 0; it < options.max_iterations; ++it) {
     double p_ap;
     if (options.fused) {
-      p_ap = spmv_dot(a, p, ap);
+      p_ap = k.spmv_dot(m, p.data(), ap.data());
     } else {
       a.multiply(p, ap);
-      p_ap = dot(p, ap);
+      p_ap = k.dot(p.data(), ap.data(), n);
     }
     result.flops += nnz_work + 2.0 * vec_work;
     if (p_ap <= 0.0) {
@@ -68,11 +75,11 @@ CgResult conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
     const double alpha = rr / p_ap;
     double rr_next;
     if (options.fused) {
-      rr_next = cg_update(alpha, p, ap, x, r);
+      rr_next = k.cg_update(alpha, p.data(), ap.data(), x.data(), r.data(), n);
     } else {
-      axpy(alpha, p, x);
-      axpy(-alpha, ap, r);
-      rr_next = dot(r, r);
+      k.axpy(alpha, p.data(), x.data(), n);
+      k.axpy(-alpha, ap.data(), r.data(), n);
+      rr_next = k.dot(r.data(), r.data(), n);
     }
     r_norm = std::sqrt(rr_next);
     result.flops += 4.0 * vec_work;  // x and r updates
@@ -85,7 +92,8 @@ CgResult conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
 
     const double beta = rr_next / rr;
     rr = rr_next;
-    axpby(1.0, r, beta, p);  // p = r + beta * p (1.0 * r is exact)
+    // p = r + beta * p (1.0 * r is exact)
+    k.axpby(1.0, r.data(), beta, p.data(), n);
     result.flops += 4.0 * vec_work;
   }
 

@@ -30,8 +30,17 @@ struct CgResult {
 };
 
 /// Solve A x = b for symmetric positive definite A, starting from the given x
-/// (warm start). x is updated in place.
+/// (warm start). x is updated in place. Runs the kernel build picked at
+/// start-up (linalg/kernels.hpp).
 CgResult conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
+                            const CgOptions& options = {});
+
+struct Kernels;
+
+/// The same solve on a named kernel build, for tests and benches that
+/// compare the builds.
+CgResult conjugate_gradient(const Kernels& kernels, const CsrMatrix& a,
+                            const Vector& b, Vector& x,
                             const CgOptions& options = {});
 
 }  // namespace jacepp::linalg

@@ -8,12 +8,11 @@ namespace jacepp::linalg {
 
 std::vector<RowBlock> partition_rows(std::size_t total_rows, std::size_t parts,
                                      std::size_t granularity, std::size_t overlap) {
-  JACEPP_CHECK(parts >= 1, "partition_rows: need at least one part");
-  JACEPP_CHECK(granularity >= 1, "partition_rows: granularity must be >= 1");
-  JACEPP_CHECK(total_rows % granularity == 0,
-               "partition_rows: total_rows must be a multiple of granularity");
+  if (parts == 0 || granularity == 0 || total_rows % granularity != 0 ||
+      total_rows / granularity < parts) {
+    return {};
+  }
   const std::size_t lines = total_rows / granularity;
-  JACEPP_CHECK(lines >= parts, "partition_rows: more parts than grid lines");
 
   // Distribute `lines` grid lines over `parts` blocks as evenly as possible;
   // the first (lines % parts) blocks get one extra line.

@@ -29,8 +29,10 @@ struct RowBlock {
 /// total_rows must itself be a multiple of granularity). Each block is then
 /// extended by `overlap` rows on each side, clamped to [0, total_rows).
 ///
-/// Requires: parts >= 1, granularity >= 1, total_rows % granularity == 0,
-/// total_rows / granularity >= parts.
+/// Returns no blocks when the rows cannot be split so: parts == 0,
+/// granularity == 0, total_rows % granularity != 0, or fewer lines
+/// (total_rows / granularity) than parts. The sizes may come from a peer's
+/// config, so this is a result, not an abort.
 std::vector<RowBlock> partition_rows(std::size_t total_rows, std::size_t parts,
                                      std::size_t granularity, std::size_t overlap);
 

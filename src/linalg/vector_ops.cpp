@@ -3,31 +3,24 @@
 #include <algorithm>
 #include <cmath>
 
+#include "linalg/kernels.hpp"
 #include "support/assert.hpp"
 
 namespace jacepp::linalg {
 
 void axpy(double alpha, const Vector& x, Vector& y) {
   JACEPP_ASSERT(x.size() == y.size());
-  const double* xs = x.data();
-  double* ys = y.data();
-  for (std::size_t i = 0; i < x.size(); ++i) ys[i] += alpha * xs[i];
+  kernels().axpy(alpha, x.data(), y.data(), x.size());
 }
 
 void axpby(double alpha, const Vector& x, double beta, Vector& y) {
   JACEPP_ASSERT(x.size() == y.size());
-  const double* xs = x.data();
-  double* ys = y.data();
-  for (std::size_t i = 0; i < x.size(); ++i) ys[i] = alpha * xs[i] + beta * ys[i];
+  kernels().axpby(alpha, x.data(), beta, y.data(), x.size());
 }
 
 double dot(const Vector& x, const Vector& y) {
   JACEPP_ASSERT(x.size() == y.size());
-  const double* xs = x.data();
-  const double* ys = y.data();
-  double acc = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) acc += xs[i] * ys[i];
-  return acc;
+  return kernels().dot(x.data(), y.data(), x.size());
 }
 
 double norm2(const Vector& x) { return std::sqrt(dot(x, x)); }
@@ -40,12 +33,7 @@ double norm_inf(const Vector& x) {
 
 double distance2(const Vector& x, const Vector& y) {
   JACEPP_ASSERT(x.size() == y.size());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double d = x[i] - y[i];
-    acc += d * d;
-  }
-  return std::sqrt(acc);
+  return std::sqrt(kernels().distance_sq(x.data(), y.data(), x.size()));
 }
 
 double distance_inf(const Vector& x, const Vector& y) {

@@ -50,7 +50,8 @@ class PoissonTask : public core::Task {
  public:
   static constexpr const char* kProgramName = "poisson";
 
-  void init(const core::AppDescriptor& app, core::TaskId task_id) override;
+  [[nodiscard]] bool init(const core::AppDescriptor& app,
+                          core::TaskId task_id) override;
   double iterate() override;
   std::vector<core::OutgoingData> outgoing() override;
   [[nodiscard]] double local_error() const override {

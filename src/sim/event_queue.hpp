@@ -36,7 +36,8 @@ class EventQueue {
   /// Schedule `fn` at absolute time `when` (seconds). Returns a cancellable id.
   EventId schedule(double when, std::function<void()> fn);
 
-  /// schedule() with an ownership tag (a node id), reported back by pop().
+  /// schedule() with a tag that pop() reports back; the world keeps its
+  /// liveness guard there (SimWorld::schedule_guarded).
   EventId schedule_tagged(double when, std::uint64_t tag,
                           std::function<void()> fn);
 

@@ -4,6 +4,10 @@
 #include <cmath>
 #include <thread>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "support/assert.hpp"
 #include "support/logging.hpp"
 #include "support/thread_pool.hpp"
@@ -24,6 +28,17 @@ struct RoundStopGuard {
   explicit RoundStopGuard(bool* flag) { tls_round_stop = flag; }
   ~RoundStopGuard() { tls_round_stop = nullptr; }
 };
+
+/// Keeps the heap that worlds free inside the process (DESIGN.md §12
+/// "Node table"). A world of 100k daemons frees some 150 MB when it is
+/// destroyed; glibc would hand the heap top back to the OS, and the next
+/// world would fault every page in again.
+void keep_freed_heap() {
+#if defined(__GLIBC__)
+  static const int once = mallopt(M_TRIM_THRESHOLD, -1);
+  (void)once;
+#endif
+}
 
 void accumulate(NetStats& into, const NetStats& from) {
   into.sent += from.sent;
@@ -104,6 +119,7 @@ class SimWorld::NodeEnv : public net::Env {
 };
 
 SimWorld::SimWorld(SimConfig config) : config_(config), rng_(config.seed) {
+  keep_freed_heap();
   config_.shards = std::clamp<std::size_t>(config_.shards, 1, 4096);
   const std::size_t n = config_.shards;
   shards_.reserve(n);
@@ -151,6 +167,7 @@ bool SimWorld::alive_at(net::NodeId id, net::Incarnation inc) const {
 net::Stub SimWorld::add_node(std::unique_ptr<net::Actor> actor,
                              const MachineSpec& spec, net::EntityKind kind) {
   const net::NodeId id = next_node_++;
+  JACEPP_CHECK(id >> 32 == 0, "add_node: node ids must fit 32 bits");
   Node node;
   node.actor = std::move(actor);
   node.spec = spec;
@@ -222,12 +239,23 @@ void SimWorld::throttle(net::NodeId node, double factor) {
   n.spec.bandwidth_bps /= factor;
 }
 
+// An event's tag is 0, or the (node, incarnation) guard of
+// schedule_guarded: the node id in the high 32 bits (ids start at 1, so the
+// tag is never 0) and the incarnation in the low 32.
 EventId SimWorld::schedule_guarded(net::NodeId id, net::Incarnation inc,
                                    double when, std::function<void()> fn) {
-  return shard_for(id).queue.schedule_tagged(
-      when, id, [this, id, inc, fn = std::move(fn)] {
-        if (alive_at(id, inc)) fn();
-      });
+  return shard_for(id).queue.schedule_tagged(when, id << 32 | inc,
+                                             std::move(fn));
+}
+
+void SimWorld::run_next(Shard& sh) {
+  std::uint64_t tag = 0;
+  auto fn = sh.queue.pop(&sh.now, &tag);
+  ++sh.executed;
+  if (tag == 0 ||
+      alive_at(tag >> 32, static_cast<net::Incarnation>(tag & 0xffffffffu))) {
+    fn();
+  }
 }
 
 EventId SimWorld::schedule_global(double delay, std::function<void()> fn) {
@@ -321,7 +349,7 @@ void SimWorld::pump_link(net::NodeId from_id, net::NodeId to_node) {
         const LinkKey key{from_id, to_node};
         // The link may be gone by then: disconnect() erases a crashed
         // sender's queues.
-        sh.queue.schedule_tagged(ls.next_flush, key.from, [this, key] {
+        sh.queue.schedule(ls.next_flush, [this, key] {
           Shard& s2 = shard_for(key.from);
           auto it2 = s2.links.find(key);
           if (it2 == s2.links.end()) return;
@@ -354,7 +382,7 @@ void SimWorld::occupy_link(net::NodeId from_id, net::NodeId to_node,
                            static_cast<double>(bytes) * 8.0 / bandwidth;
   ls->busy = true;
   const LinkKey key{from_id, to_node};
-  sh.queue.schedule_tagged(sh.now + occupancy, key.from, [this, key] {
+  sh.queue.schedule(sh.now + occupancy, [this, key] {
     Shard& s2 = shard_for(key.from);
     auto it = s2.links.find(key);
     if (it == s2.links.end()) return;
@@ -415,8 +443,8 @@ void SimWorld::transmit_wire(net::NodeId from_id, const net::Stub& to,
   const net::Incarnation dest_inc = dest.stub.incarnation;
   // Deliver only if the destination is still the same live incarnation when
   // the bits arrive; otherwise the message is lost in flight.
-  sh.queue.schedule_tagged(
-      sh.now + delay, dest_id,
+  sh.queue.schedule(
+      sh.now + delay,
       [this, dest_id, dest_inc, msg = std::move(message)]() mutable {
         deliver_wire(dest_id, dest_inc, std::move(msg));
       });
@@ -478,10 +506,8 @@ void SimWorld::run() {
   Shard& sh = *shards_[0];
   while (!stopped_.load(std::memory_order_relaxed) && !sh.queue.empty()) {
     if (sh.queue.next_time() > config_.max_time) break;
-    auto fn = sh.queue.pop(&sh.now);
-    now_ = sh.now;
-    ++sh.executed;
-    fn();
+    now_ = sh.queue.next_time();
+    run_next(sh);
   }
 }
 
@@ -494,10 +520,8 @@ bool SimWorld::run_until(double t) {
   Shard& sh = *shards_[0];
   while (!stopped_.load(std::memory_order_relaxed) && !sh.queue.empty() &&
          sh.queue.next_time() <= t) {
-    auto fn = sh.queue.pop(&sh.now);
-    now_ = sh.now;
-    ++sh.executed;
-    fn();
+    now_ = sh.queue.next_time();
+    run_next(sh);
   }
   if (!stopped_.load(std::memory_order_relaxed) && now_ < t) {
     now_ = t;
@@ -611,9 +635,7 @@ void SimWorld::run_round() {
       RoundStopGuard guard(&sh.stop_round);
       while (!sh.stop_round && !sh.queue.empty() &&
              sh.queue.next_time() < sh.round_horizon) {
-        auto fn = sh.queue.pop(&sh.now);
-        ++sh.executed;
-        fn();
+        run_next(sh);
       }
       // Sort this shard's outbox by (arrival, seq) here, inside the parallel
       // region: the barrier's k-way merge then only walks sorted runs.
@@ -679,8 +701,8 @@ void SimWorld::merge_outboxes() {
     }
     arena_[slot] = std::move(outbox[cur.index]);
     CrossFrame& frame = arena_[slot];
-    shards_[frame.dest_shard]->queue.schedule_tagged(
-        frame.arrival, frame.to.node, [this, slot] { deliver_parked(slot); });
+    shards_[frame.dest_shard]->queue.schedule(
+        frame.arrival, [this, slot] { deliver_parked(slot); });
 
     if (cur.index + 1 < outbox.size()) {
       merge_heap_.push_back(MergeCursor{outbox[cur.index + 1].arrival,

@@ -297,9 +297,13 @@ class SimWorld {
   Shard& shard_for(net::NodeId id) { return *shards_[node_ref(id).shard]; }
 
   /// Schedule an event that only fires if (node, inc) is still the live
-  /// incarnation at fire time.
+  /// incarnation at fire time. The guard rides in the event's tag, so `fn`
+  /// is queued as it is: no wrapper closure to allocate.
   EventId schedule_guarded(net::NodeId id, net::Incarnation inc, double when,
                            std::function<void()> fn);
+  /// Pop `sh`'s next event and run it unless its guard (schedule_guarded)
+  /// names an incarnation that has ended.
+  void run_next(Shard& sh);
 
   void send_from(net::NodeId from, const net::Stub& to, net::Message message);
   double transfer_delay(const Node& from, const MachineSpec& to_spec,

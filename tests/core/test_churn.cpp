@@ -50,9 +50,10 @@ std::uint64_t bits_of(double d) {
 
 class ChurnTickerTask : public Task {
  public:
-  void init(const AppDescriptor& app, TaskId task_id) override {
+  bool init(const AppDescriptor& app, TaskId task_id) override {
     task_id_ = task_id;
     task_count_ = app.task_count;
+    return true;
   }
   double iterate() override {
     ++iterations_;

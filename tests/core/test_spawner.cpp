@@ -15,9 +15,10 @@ namespace {
 /// Converges deterministically: local error = 1/iteration.
 class TickerTask : public Task {
  public:
-  void init(const AppDescriptor& app, TaskId task_id) override {
+  bool init(const AppDescriptor& app, TaskId task_id) override {
     task_id_ = task_id;
     task_count_ = app.task_count;
+    return true;
   }
   double iterate() override {
     ++iterations_;

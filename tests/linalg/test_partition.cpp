@@ -19,6 +19,16 @@ TEST(Partition, EvenSplitNoOverlap) {
   EXPECT_EQ(cursor, 100u);
 }
 
+TEST(Partition, ImpossibleSplitsGiveNoBlocks) {
+  // The sizes may come from a peer's config: a split that cannot be made
+  // is an empty result, never an abort.
+  EXPECT_TRUE(partition_rows(100, 0, 5, 0).empty());   // no parts
+  EXPECT_TRUE(partition_rows(100, 4, 0, 0).empty());   // no granularity
+  EXPECT_TRUE(partition_rows(100, 4, 3, 0).empty());   // 100 % 3 != 0
+  EXPECT_TRUE(partition_rows(100, 21, 5, 0).empty());  // 20 lines, 21 parts
+  EXPECT_EQ(partition_rows(100, 20, 5, 0).size(), 20u);
+}
+
 TEST(Partition, UnevenSplitDistributesExtraLines) {
   // 10 lines of granularity 3 over 4 parts: 3,3,2,2 lines.
   const auto blocks = partition_rows(30, 4, 3, 0);
