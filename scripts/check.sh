@@ -3,10 +3,15 @@
 # ThreadSanitizer, AddressSanitizer and UndefinedBehaviorSanitizer (separate
 # build trees, so the plain build stays incremental).
 #
+# `native` mirrors CI's native job instead: a Release -DJACEPP_NATIVE=ON
+# (-O3 -march=native) build whose kernel, CG and checkpoint-byte goldens must
+# hold as in the portable build, then the fused-CG floor.
+#
 # Usage:
 #   scripts/check.sh            # plain + tsan + asan + ubsan
 #   scripts/check.sh plain      # just the tier-1 build + ctest
 #   scripts/check.sh tsan asan  # just those sanitizer configs
+#   scripts/check.sh native     # the native CI job
 #   JOBS=8 scripts/check.sh
 set -euo pipefail
 
@@ -17,14 +22,35 @@ if [[ ${#CONFIGS[@]} -eq 0 ]]; then
   CONFIGS=(plain tsan asan ubsan)
 fi
 
+run_native() {
+  local build_dir="${REPO_ROOT}/build-native"
+  echo "== native: configure + build (${build_dir}) =="
+  cmake -B "${build_dir}" -S "${REPO_ROOT}" -DCMAKE_BUILD_TYPE=Release \
+    -DJACEPP_NATIVE=ON
+  cmake --build "${build_dir}" -j "${JOBS}" \
+    --target test_linalg test_poisson test_core bench_hotpath
+  echo "== native: goldens =="
+  "${build_dir}/tests/test_linalg"
+  "${build_dir}/tests/test_poisson"
+  "${build_dir}/tests/test_core" --gtest_filter='GenericTask.*'
+  echo "== native: fused-CG floor =="
+  local report
+  report="$(mktemp)"
+  "${build_dir}/bench/bench_hotpath" --smoke > "${report}"
+  BENCH_GUARD_STRICT=1 BENCH_GUARD_SKIP_BASELINE=1 \
+    "${REPO_ROOT}/scripts/bench_guard.sh" "${report}"
+  rm -f "${report}"
+}
+
 run_config() {
   local name="$1" build_dir sanitize
   case "${name}" in
+    native) run_native; return ;;
     plain) build_dir="${REPO_ROOT}/build"      sanitize="" ;;
     tsan)  build_dir="${REPO_ROOT}/build-tsan" sanitize="thread" ;;
     asan)  build_dir="${REPO_ROOT}/build-asan" sanitize="address" ;;
     ubsan) build_dir="${REPO_ROOT}/build-ubsan" sanitize="undefined" ;;
-    *) echo "unknown config '${name}' (want plain|tsan|asan|ubsan)" >&2; return 1 ;;
+    *) echo "unknown config '${name}' (want plain|tsan|asan|ubsan|native)" >&2; return 1 ;;
   esac
   echo "== ${name}: configure + build (${build_dir}) =="
   cmake -B "${build_dir}" -S "${REPO_ROOT}" -DJACEPP_SANITIZE="${sanitize}"

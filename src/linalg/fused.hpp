@@ -4,14 +4,15 @@
 // times.
 //
 // Determinism: every kernel performs exactly the floating-point operations of
-// its unfused sequence, in the same per-element order, so its results are
-// bit-identical to running the unfused kernels back-to-back.
+// its unfused sequence, in the same per-element order, and folds its
+// reduction in the same 4-lane order as dot() (DESIGN.md §10), so its results
+// are bit-identical to running the unfused kernels back-to-back, whichever
+// kernel build runs (linalg/kernels.hpp).
 //
 // On a matrix with a banded copy (CsrMatrix::band(), every Poisson block)
-// spmv_residual_norm2 and spmv_dot build their row sums from that copy in a
-// loop that vectorizes across rows and folds the reduction in row order.
-// Every output equals the CSR loop's bit for bit when the operands are finite
-// (DESIGN.md §9 "Banded row sums").
+// spmv_residual_norm2 and spmv_dot build their row sums from that copy,
+// several rows to a vector. Every output equals the CSR loop's bit for bit
+// when the operands are finite (DESIGN.md §9 "Banded row sums").
 #pragma once
 
 #include <cstddef>

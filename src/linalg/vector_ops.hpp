@@ -1,8 +1,10 @@
 // Dense vector kernels. Vectors are std::vector<double> over a 64-byte
 // aligned allocator (support/aligned.hpp) so kernel operands start on a cache
 // line; these free functions provide the BLAS-1 level operations the solvers
-// need. Every kernel is one serial loop in index order, so its result is the
-// same bits on every run and every machine (DESIGN.md §10).
+// need. axpy, axpby, dot, norm2 and distance2 run the kernel build picked at
+// start-up (linalg/kernels.hpp); the reductions fold in one 4-lane order
+// written in the source, so a result is the same bits on every run and every
+// machine (DESIGN.md §10).
 #pragma once
 
 #include <cstddef>
