@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "core/messages.hpp"
 #include "support/flags.hpp"
 
 using namespace jacepp;
@@ -38,7 +39,8 @@ int main(int argc, char** argv) {
       std::printf("  %4u   DID NOT CONVERGE\n", k);
       continue;
     }
-    const auto save_it = outcome.report.net.sent_by_type.find(12);  // SaveBackup
+    const auto save_it = outcome.report.net.sent_by_type.find(
+        core::msg::SaveBackup::kType);
     const std::uint64_t saves =
         save_it != outcome.report.net.sent_by_type.end() ? save_it->second : 0;
     std::printf("  %4u  %7.1f   %.2e  %8llu  %9llu   %11llu  %7.1f\n", k,

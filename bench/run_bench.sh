@@ -3,8 +3,8 @@
 #
 # Builds (if needed) and runs bench_micro once and writes its
 # google-benchmark JSON to $OUT. Then runs bench_checkpoint once and writes
-# $CKPT_OUT with the full-vs-delta frame sizes and timings (the
-# incremental-checkpoint payoff).
+# $CKPT_OUT with the checkpoint path's timings (CRC, frame encode and decode,
+# materialize).
 #
 # Also runs bench_comm (the staleness-aware comm path ablation, $COMM_OUT),
 # bench_hotpath (fused kernels and the fused CG against their unfused CSR
@@ -83,7 +83,7 @@ jq '.meta.ablation_pairs = {
 echo "wrote ${OUT}"
 jq -r '.benchmarks[] | "\(.name): \(.real_time | floor)\(.time_unit)"' "${OUT}"
 
-echo "== bench_checkpoint (full vs delta frames) =="
+echo "== bench_checkpoint (CRC, frame encode/decode, materialize) =="
 "${BUILD_DIR}/bench/bench_checkpoint" \
   --benchmark_format=json > "${CKPT_OUT}"
 
@@ -91,11 +91,7 @@ stamp "${CKPT_OUT}"
 echo "wrote ${CKPT_OUT}"
 jq -r '
   .benchmarks[] |
-  if (.frame_bytes != null and .full_bytes != null) then
-    "\(.name): \(.real_time | floor)ns  frame \(.frame_bytes | floor)B  full \(.full_bytes | floor)B  ratio \((.frame_bytes / .full_bytes * 1000 | floor) / 1000)"
-  else
-    "\(.name): \(.real_time | floor)ns" + (if .frame_bytes != null then "  frame \(.frame_bytes | floor)B" else "" end)
-  end
+  "\(.name): \(.real_time | floor)ns" + (if .frame_bytes != null then "  frame \(.frame_bytes | floor)B" else "" end)
 ' "${CKPT_OUT}"
 
 echo "== bench_comm (coalescing off vs on${COMM_ARGS:+, ${COMM_ARGS}}) =="

@@ -7,11 +7,17 @@
 # (-O3 -march=native) build whose kernel, CG and checkpoint-byte goldens must
 # hold as in the portable build, then the fused-CG floor.
 #
+# `digests` builds perfbench's untraced driver in Release (build-digests/)
+# and prints, on standard output only, one line per workload and seed
+# 201-210: the run's digest and its simulated outputs. Run it in two trees
+# and diff the outputs to see whether a change moved any simulated result.
+#
 # Usage:
 #   scripts/check.sh            # plain + tsan + asan + ubsan
 #   scripts/check.sh plain      # just the tier-1 build + ctest
 #   scripts/check.sh tsan asan  # just those sanitizer configs
 #   scripts/check.sh native     # the native CI job
+#   scripts/check.sh digests > digests.txt
 #   JOBS=8 scripts/check.sh
 set -euo pipefail
 
@@ -42,15 +48,39 @@ run_native() {
   rm -f "${report}"
 }
 
+run_digests() {
+  local build_dir="${REPO_ROOT}/build-digests"
+  echo "== digests: configure + build (${build_dir}) ==" >&2
+  cmake -B "${build_dir}" -S "${REPO_ROOT}/perfbench" \
+    -DCMAKE_BUILD_TYPE=Release >&2
+  cmake --build "${build_dir}" -j "${JOBS}" --target perfbench >&2
+  local workload seed
+  for workload in fig7-churn solve-large cp-100k; do
+    for seed in $(seq 201 210); do
+      "${build_dir}/perfbench" --workload "${workload}" --seed "${seed}" \
+          --reps 1 |
+        jq -r --arg w "${workload}" --arg s "${seed}" \
+          'select(.type == "rep") | "\($w) \($s) digest \(.digest)"
+           + " sim_exec_s \(.sim.sim_exec_s) events \(.sim.events)"
+           + " outer_iterations \(.sim.outer_iterations)"
+           + " restores \(.sim.restores_from_backup)"
+           + " restarts \(.sim.restarts_from_zero)"
+           + " residual \(.sim.residual)"
+           + " net_bytes_sent \(.sim.net_bytes_sent)"'
+    done
+  done
+}
+
 run_config() {
   local name="$1" build_dir sanitize
   case "${name}" in
     native) run_native; return ;;
+    digests) run_digests; return ;;
     plain) build_dir="${REPO_ROOT}/build"      sanitize="" ;;
     tsan)  build_dir="${REPO_ROOT}/build-tsan" sanitize="thread" ;;
     asan)  build_dir="${REPO_ROOT}/build-asan" sanitize="address" ;;
     ubsan) build_dir="${REPO_ROOT}/build-ubsan" sanitize="undefined" ;;
-    *) echo "unknown config '${name}' (want plain|tsan|asan|ubsan|native)" >&2; return 1 ;;
+    *) echo "unknown config '${name}' (want plain|tsan|asan|ubsan|native|digests)" >&2; return 1 ;;
   esac
   echo "== ${name}: configure + build (${build_dir}) =="
   cmake -B "${build_dir}" -S "${REPO_ROOT}" -DJACEPP_SANITIZE="${sanitize}"
@@ -62,4 +92,4 @@ run_config() {
 for config in "${CONFIGS[@]}"; do
   run_config "${config}"
 done
-echo "== all configs passed: ${CONFIGS[*]} =="
+echo "== all configs passed: ${CONFIGS[*]} ==" >&2

@@ -1,7 +1,5 @@
 #include "core/backup.hpp"
 
-#include <algorithm>
-
 #include "serial/checksum.hpp"
 
 namespace jacepp::core {
@@ -10,62 +8,25 @@ BackupStore::StoreResult BackupStore::store_frame(AppId app, TaskId task,
                                                   std::uint64_t iteration,
                                                   const serial::Bytes& frame) {
   auto decoded = checkpoint::decode_frame(frame);
-  if (!decoded.has_value()) {
-    return {false, true};  // corrupt frame; existing chain stays usable
-  }
+  if (!decoded.has_value()) return {false, true};
 
   auto it = entries_.find(key(app, task));
-  StoreResult result;
-
-  if (decoded->kind == checkpoint::FrameKind::Full) {
-    if (it != entries_.end() && iteration < it->second.iteration) {
-      // Reordered stale baseline: never regress the stored chain. Ack it so
-      // the sender does not keep rebasing; its next delta will mismatch and
-      // trigger the rebase properly if the chains truly diverged.
-      return {true, false};
-    }
-    if (it != entries_.end()) erase_entry(it);
-    Entry entry;
-    entry.iteration = iteration;
-    entry.baseline_id = decoded->baseline_id;
-    entry.last_delta_seq = 0;
-    entry.chunk_size = decoded->chunk_size;
-    entry.state_checksum = decoded->state_checksum;
-    entry.state = std::move(decoded->full_state);
-    total_bytes_ += entry.bytes();
-    entries_.emplace(key(app, task), std::move(entry));
-    result = {true, false};
-  } else {
-    if (it == entries_.end() ||
-        it->second.baseline_id != decoded->baseline_id ||
-        it->second.chunk_size != decoded->chunk_size ||
-        it->second.state.size() != decoded->total_size) {
-      return {false, true};  // no chain this delta can extend
-    }
-    Entry& entry = it->second;
-    if (decoded->delta_seq <= entry.last_delta_seq) {
-      return {true, false};  // duplicate/reordered: already applied
-    }
-    if (decoded->delta_seq != entry.last_delta_seq + 1) {
-      return {false, true};  // gap: a frame was lost in between
-    }
-    // decode_frame bounded every chunk against total_size, the held state's
-    // size, so each one lands inside it.
-    for (const auto& [index, payload] : decoded->chunks) {
-      const std::size_t lo = std::size_t{index} * entry.chunk_size;
-      std::copy(payload.begin(), payload.end(),
-                entry.state.begin() + static_cast<std::ptrdiff_t>(lo));
-    }
-    entry.last_delta_seq = decoded->delta_seq;
-    entry.iteration = std::max(entry.iteration, iteration);
-    entry.state_checksum = decoded->state_checksum;
-    result = {true, false};
+  if (it != entries_.end()) {
+    // A reordered older save never replaces a newer state.
+    if (iteration < it->second.iteration) return {false, false};
+    erase_entry(it);
   }
+  Entry entry;
+  entry.iteration = iteration;
+  entry.state_checksum = decoded->state_checksum;
+  entry.state = std::move(decoded->full_state);
+  total_bytes_ += entry.bytes();
+  entries_.emplace(key(app, task), std::move(entry));
 
   AppMeta& meta = app_meta_[app];
   meta.last_store_tick = ++store_tick_;
   enforce_budget(app);
-  return result;
+  return {true, false};
 }
 
 const BackupStore::Entry* BackupStore::find(AppId app, TaskId task) const {
@@ -77,8 +38,9 @@ std::optional<serial::Bytes> BackupStore::materialize(AppId app, TaskId task) {
   const auto it = entries_.find(key(app, task));
   if (it == entries_.end()) return std::nullopt;
   if (serial::crc32(it->second.state) != it->second.state_checksum) {
-    // Broken chain: drop it so QueryBackup reports unavailable and the
-    // replacement daemon falls back to another holder (or iteration 0).
+    // Damaged since it arrived: drop it so QueryBackup reports unavailable
+    // and the replacement daemon falls back to another holder (or
+    // iteration 0).
     erase_entry(it);
     return std::nullopt;
   }
@@ -118,7 +80,7 @@ void BackupStore::enforce_budget(AppId protect_app) {
   while (total_bytes_ > byte_budget_) {
     // Victim: a finished app beats a live one; within a class, the app least
     // recently stored into. The app currently being stored is off limits —
-    // evicting it would immediately invalidate the chain just extended.
+    // evicting it would drop the state just stored.
     bool found = false;
     AppId victim = 0;
     bool victim_finished = false;

@@ -1,9 +1,7 @@
-// The Backup store each Daemon hosts for its neighbours (paper §5.4), grown
-// from a latest-blob map into a chain store for incremental checkpoints: per
-// (application, task) it holds one chain as a single state, the baseline
-// with every delta since written into it on arrival, and hands that state to
-// a replacement daemon after checking its CRC (core/checkpoint.hpp describes
-// the frames).
+// The Backup store each Daemon hosts for its neighbours (paper §5.4): per
+// (application, task) it holds the newest iteration's state that arrived in
+// a checkpoint frame (core/checkpoint.hpp), and hands it to a replacement
+// daemon after checking the state's CRC.
 //
 // Memory is bounded: an optional byte budget evicts whole applications,
 // oldest finished apps first, then the most stale (least recently stored)
@@ -22,40 +20,33 @@ namespace jacepp::core {
 
 class BackupStore {
  public:
-  /// One baseline+delta chain, held as the state its newest frame
-  /// describes. `iteration` is the iteration of that frame — what the
-  /// restore protocol compares across holders.
+  /// The newest state held for one task. `iteration` is the iteration of
+  /// its frame — what the restore protocol compares across holders.
   struct Entry {
     std::uint64_t iteration = 0;
-    std::uint64_t baseline_id = 0;
-    std::uint64_t last_delta_seq = 0;  ///< 0 = baseline only
-    std::uint32_t chunk_size = 0;
-    std::uint32_t state_checksum = 0;  ///< CRC-32 the newest frame declares
-    serial::Bytes state;  ///< baseline with deltas 1..last_delta_seq applied
+    std::uint32_t state_checksum = 0;  ///< CRC-32 the frame declared
+    serial::Bytes state;
 
     [[nodiscard]] std::size_t bytes() const { return state.size(); }
   };
 
   struct StoreResult {
-    bool accepted = false;
-    /// The frame could not extend this chain (gap, unknown baseline, corrupt
-    /// frame): the sender must rebase with a full baseline.
-    bool needs_full = false;
+    bool accepted = false;  ///< the frame's state is now the one held
+    bool needs_full = false;  ///< the frame did not decode
   };
 
-  /// Ingest one checkpoint frame. Full baselines replace the chain unless
-  /// they would regress `iteration`; deltas must extend the current chain
-  /// exactly (same baseline, next sequence number) and are written into the
-  /// held state at once. Duplicates are ignored but acknowledged.
+  /// Ingest one checkpoint frame. Its state replaces the held one unless the
+  /// held one is of a later iteration; a frame that does not decode leaves
+  /// the held state untouched.
   StoreResult store_frame(AppId app, TaskId task, std::uint64_t iteration,
                           const serial::Bytes& frame);
 
-  /// Chain held for (app, task); nullptr when none.
+  /// State held for (app, task); nullptr when none.
   [[nodiscard]] const Entry* find(AppId app, TaskId task) const;
 
-  /// A copy of the held state once its CRC matches the newest frame's state
-  /// checksum. On a broken/corrupt chain the entry is dropped (so later
-  /// queries report it unavailable) and nullopt returned.
+  /// A copy of the held state once its CRC matches the checksum its frame
+  /// declared. A state that fails the check is dropped (so later queries
+  /// report it unavailable) and nullopt returned.
   std::optional<serial::Bytes> materialize(AppId app, TaskId task);
 
   /// Drop all checkpoints of a finished application.

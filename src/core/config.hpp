@@ -78,10 +78,10 @@ struct ReputationConfig {
   /// it observes and prefers high-scoring pooled daemons for launch slots and
   /// replacements.
   bool enabled = false;
-  /// Reputation-ranked backup-peer placement (on top of the checkpoint
-  /// chains of DESIGN.md §7): the spawner broadcasts a ranking of tasks by their
-  /// daemon's score and daemons save checkpoints to the top-ranked peers
-  /// instead of the round-robin neighbours. Requires `enabled`.
+  /// Reputation-ranked backup-peer placement (on top of the whole-state
+  /// saves of DESIGN.md §7): the spawner broadcasts a ranking of tasks by
+  /// their daemon's score and daemons save checkpoints to the top-ranked
+  /// peers instead of the round-robin neighbours. Requires `enabled`.
   bool backup_placement = false;
   /// Redundant-execution verification round (Davtyan et al.): before halting,
   /// the spawner challenges k daemons per task with a deterministic re-run,

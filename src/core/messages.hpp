@@ -169,19 +169,6 @@ struct SaveBackup {
   JACEPP_WIRE_FIELDS(app_id, task_id, iteration, state)
 };
 
-/// Backup-peer → saving Daemon: frame ingest result. `needs_full` asks the
-/// sender to rebase this holder's chain with a full baseline (the holder
-/// restarted, detected a sequence gap, or received a corrupt frame).
-struct BackupAck {
-  static constexpr net::MessageType kType = 20;
-  AppId app_id = 0;
-  TaskId task_id = 0;
-  bool ok = false;
-  bool needs_full = false;
-
-  JACEPP_WIRE_FIELDS(app_id, task_id, ok, needs_full)
-};
-
 /// Replacement Daemon → potential backup-peer: which iteration (if any) do
 /// you hold for this task?
 struct QueryBackup {
@@ -396,10 +383,10 @@ struct BackupPlacement {
 /// The Data-vs-Control split for the whole catalogue. Only TaskData is Data:
 /// the asynchronous model makes a superseded halo update equivalent to an
 /// ordinary lost message. Everything else is Control — including SaveBackup,
-/// whose delta frames are sequence-sensitive per holder (a skipped frame
-/// forces a gap-NACK and a full rebase, so "coalescing" them would cost more
-/// than it saves), and LocalStateReport, whose 1/0 *transitions* must all
-/// reach the convergence board (§5.5).
+/// because Data may be dropped under backpressure, and a dropped save leaves
+/// its holder a round behind (or empty) when a replacement daemon needs it,
+/// and LocalStateReport, whose 1/0 *transitions* must all reach the
+/// convergence board (§5.5).
 constexpr net::DeliveryClass delivery_class_of(net::MessageType type) {
   return type == TaskData::kType ? net::DeliveryClass::Data
                                  : net::DeliveryClass::Control;

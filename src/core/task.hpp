@@ -15,9 +15,8 @@
 // A task keeps what it checkpoints in one wire struct (JACEPP_WIRE_FIELDS,
 // serial/serial.hpp), so its layout is stated once: checkpoint() is
 // serial::encode(state_), and restore() decodes with Reader::object<State>()
-// and commits only a state whose shapes fit. A task reports nothing about
-// which bytes changed between saves; the Daemon's encoder compares each save
-// with the previous one chunk by chunk (core/checkpoint.hpp).
+// and commits only a state whose shapes fit. Every save sends the whole
+// state (core/checkpoint.hpp).
 #pragma once
 
 #include <functional>

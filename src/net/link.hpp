@@ -9,7 +9,7 @@
 // data-tag) stream is pure waste: replacing it in place is indistinguishable
 // from ordinary message loss, which the algorithm already survives. Protocol
 // *control* traffic (registration, reservation, convergence 1/0 transitions,
-// Backup frames and their acks, heartbeats) has no such redundancy and is
+// Backup frames, heartbeats) has no such redundancy and is
 // never coalesced or dropped.
 //
 // A Link is a passive per-destination queue; the owning transport decides
