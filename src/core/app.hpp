@@ -3,7 +3,7 @@
 // * AppDescriptor — what the paper's Spawner user supplies: where the code
 //   lives (here: a registered program name instead of a class-file URL),
 //   how many computing nodes, and the application arguments (a serialized
-//   config blob), plus the checkpointing policy.
+//   config blob), plus the checkpoint and convergence policy.
 // * AppRegister — the paper's "Application Register": the task→daemon mapping
 //   for one application, versioned so stale broadcasts are ignored.
 #pragma once
@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "core/checkpoint.hpp"
 #include "net/stub.hpp"
 #include "serial/serial.hpp"
 
@@ -34,17 +33,13 @@ struct AppDescriptor {
   // Fault-tolerance policy (paper §5.4 / §7).
   std::uint32_t checkpoint_every = 5;    ///< jaceSave frequency, in iterations
   std::uint32_t backup_peer_count = 20;  ///< backup-peers per task
-  /// Delta-checkpoint framing and adaptive-interval knobs (core/checkpoint).
-  /// With `ckpt.adaptive_interval` set, `checkpoint_every` is only the
-  /// initial interval and the daemon retunes it within the policy's bounds.
-  checkpoint::CheckpointPolicy ckpt;
 
   // Convergence policy (paper §5.5).
   double convergence_threshold = 1e-8;
   std::uint32_t stable_iterations_required = 3;
 
   JACEPP_WIRE_FIELDS(app_id, program, config, task_count, checkpoint_every,
-                     backup_peer_count, ckpt, convergence_threshold,
+                     backup_peer_count, convergence_threshold,
                      stable_iterations_required)
 };
 

@@ -1,9 +1,9 @@
 // CRC-32 (ISO-HDLC polynomial, the zlib/PNG variant) for frame integrity.
 //
 // Checkpoint frames (core/checkpoint) carry two of these: one over the frame
-// bytes themselves (detects a corrupted frame) and one over the full
-// reconstructed state (detects a broken baseline+delta chain even when every
-// individual frame is intact).
+// bytes themselves (detects a corrupted frame) and one over the state (a
+// holder checks it again before serving the state to a restore, which
+// detects a state damaged after it arrived).
 //
 // The kernel is portable slicing-by-8: eight 256-entry tables let one step
 // fold eight input bytes, read as two little-endian 32-bit words, into the

@@ -147,8 +147,10 @@ SimDeploymentConfig golden_config() {
 // landed (same scenario, byte-identical entity behaviour). Any change to the
 // default path — the deployment's super-peer topology, centralized
 // convergence detection, random bootstrap, reservation handling — breaks this
-// pin and must be treated as a determinism regression.
-constexpr std::uint64_t kGoldenControlPlaneDigest = 9060537021409396175ull;
+// pin and must be treated as a determinism regression. Re-pinned once since,
+// when the checkpoint policy left AppDescriptor: each TaskAssignment is 49
+// bytes shorter, which moves the byte count and the arrival times.
+constexpr std::uint64_t kGoldenControlPlaneDigest = 11072662705462811018ull;
 
 TEST(ControlPlaneGolden, DefaultPathBitIdenticalToPrePlaneScheduler) {
   SimDeployment deployment(golden_config());

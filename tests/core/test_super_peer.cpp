@@ -248,7 +248,7 @@ AppDescriptor generic_app(std::uint32_t task_count, std::size_t b_size) {
 }
 
 /// Every way an assignment would have aborted the daemon had it accepted
-/// it: three descriptor fields, then program configs the task's init()
+/// it: two descriptor fields, then program configs the task's init()
 /// refuses. An unknown program is one more bad assignment; it has its own
 /// test.
 std::vector<BadAssignment> bad_assignments() {
@@ -256,8 +256,6 @@ std::vector<BadAssignment> bad_assignments() {
   out.push_back({"NoTasks", runnable_app()});
   out.back().app.task_count = 0;
   out.push_back({"TaskIdOutOfRange", runnable_app(), 1});
-  out.push_back({"ZeroCheckpointChunk", runnable_app()});
-  out.back().app.ckpt.chunk_size = 0;
 
   out.push_back({"PoissonConfigDoesNotDecode", runnable_app()});
   out.back().app.config = {0xff};

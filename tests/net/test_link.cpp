@@ -435,8 +435,8 @@ TEST(LinkClassifier, ControlCatalogueMessagesClassifyAsControl) {
   core::msg::Heartbeat hb;
   EXPECT_EQ(core::msg::classify_for_link(make_message(hb)).cls,
             DeliveryClass::Control);
-  core::msg::SaveBackup sb;  // deliberately Control: delta chains are
-                             // sequence-sensitive per holder
+  core::msg::SaveBackup sb;  // deliberately Control: a save dropped under
+                             // backpressure leaves its holder a round behind
   EXPECT_EQ(core::msg::classify_for_link(make_message(sb)).cls,
             DeliveryClass::Control);
   core::msg::LocalStateReport lsr;
