@@ -2,6 +2,10 @@
 // whole-state frame encoding, the holder's decode of a frame, and the
 // holder's materialize before a restore. The 3 KiB rows are the
 // deployments' save: a Poisson task state of about 3 KiB.
+//
+// BM_Crc32 runs the kernel picked at start-up (the JSON context's
+// crc32_kernel); BM_Crc32Portable runs slicing-by-8 on the same bytes, so
+// the pair measures the fold where the CPU has it.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -33,6 +37,16 @@ void BM_Crc32(benchmark::State& state) {
                           static_cast<std::int64_t>(data.size()));
 }
 BENCHMARK(BM_Crc32)->Arg(3 << 10)->Arg(4 << 10)->Arg(256 << 10);
+
+void BM_Crc32Portable(benchmark::State& state) {
+  const Bytes data = random_state(static_cast<std::size_t>(state.range(0)), 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(serial::crc32_portable(data.data(), data.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(data.size()));
+}
+BENCHMARK(BM_Crc32Portable)->Arg(3 << 10)->Arg(4 << 10)->Arg(256 << 10);
 
 void BM_EncodeFullFrame(benchmark::State& state) {
   const auto size = static_cast<std::size_t>(state.range(0));
@@ -80,4 +94,13 @@ BENCHMARK(BM_Materialize)->Arg(3 << 10)->Arg(1 << 20);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext(
+      "crc32_kernel",
+      serial::crc32_kernel_name(serial::crc32_active_kernel()));
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -54,6 +54,14 @@ int main(int argc, char** argv) {
     if (overlap == 0) base_sync = sync.outer_iterations;
     std::printf("  %14zu  %11zu  %12zu  %13zu\n", overlap, sync.outer_iterations,
                 async.outer_iterations, grid);
+    // A synchronous run can stop at a fixed point above the tolerance: it did
+    // not converge, and its iteration count is the round that repeated.
+    if (sync.stalled) {
+      std::printf("  (overlap %zu, sync: stalled at round %zu, relative "
+                  "residual %.16e above tolerance %.0e)\n",
+                  overlap, sync.outer_iterations, sync.final_residual,
+                  opt.tolerance);
+    }
     std::fflush(stdout);
   }
 

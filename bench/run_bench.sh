@@ -3,8 +3,8 @@
 #
 # Builds (if needed) and runs bench_micro once and writes its
 # google-benchmark JSON to $OUT. Then runs bench_checkpoint once and writes
-# $CKPT_OUT with the checkpoint path's timings (CRC, frame encode and decode,
-# materialize).
+# $CKPT_OUT with the checkpoint path's timings (CRC by the picked kernel and
+# by slicing-by-8, frame encode and decode, materialize).
 #
 # Also runs bench_comm (the staleness-aware comm path ablation, $COMM_OUT),
 # bench_hotpath (fused kernels and the fused CG against their unfused CSR
@@ -88,6 +88,11 @@ echo "== bench_checkpoint (CRC, frame encode/decode, materialize) =="
   --benchmark_format=json > "${CKPT_OUT}"
 
 stamp "${CKPT_OUT}"
+# BM_Crc32 runs the kernel picked at start-up (.context.crc32_kernel),
+# BM_Crc32Portable slicing-by-8 on the same bytes.
+tmp="$(mktemp)"
+jq '.meta.ablation_pairs = {crc32_fold: ["BM_Crc32", "BM_Crc32Portable"]}' \
+  "${CKPT_OUT}" > "${tmp}" && mv "${tmp}" "${CKPT_OUT}"
 echo "wrote ${CKPT_OUT}"
 jq -r '
   .benchmarks[] |

@@ -55,6 +55,14 @@
 #     64² grids; RelWithDebInfo, Release and -march=native builds); before
 #     the banded row sums it read 1.35x. A file without the row fails the
 #     check.
+#  7. CRC-32 fold floor (DESIGN.md §7) — inside a bench_checkpoint JSON
+#     (BENCH_checkpoint.json): where the JSON context's crc32_kernel is
+#     "fold", BM_Crc32/3072 (the kernel picked at start-up) must run at least
+#     3x faster than BM_Crc32Portable/3072 (slicing-by-8 on the same bytes).
+#     Both rows come from one run, so the ratio is machine-portable; measured
+#     at 6.4x on a 4-vCPU AMD EPYC VM. On a host without PCLMULQDQ the check
+#     prints a skip. A file without either row, or without the context,
+#     fails the check.
 #
 # Usage: scripts/bench_guard.sh BENCH_micro.json [BENCH_hotpath.json ...]
 #        BENCH_GUARD_STRICT=1 BENCH_GUARD_SKIP_BASELINE=1 scripts/bench_guard.sh BENCH_hotpath.json
@@ -140,6 +148,24 @@ fused_cg_floor_checks() {
   ' "${file}" 2>/dev/null
 }
 
+# CRC-32 fold floor (see header, check 7). Within-run ratio, no tolerance
+# knob; the kernel name gates it.
+crc_fold_floor_checks() {
+  local file="$1"
+  jq -r --argjson floor 3 '
+    .context.crc32_kernel as $kernel
+    | (.benchmarks // []) | map({key: .name, value: .real_time}) | from_entries
+    | .["BM_Crc32/3072"] as $picked | .["BM_Crc32Portable/3072"] as $portable
+    | if $picked == null or $portable == null then
+        "bench-guard: FLOOR crc32/fold: no BM_Crc32/3072 or BM_Crc32Portable/3072 row"
+      elif $kernel == null then
+        "bench-guard: FLOOR crc32/fold: no crc32_kernel in the JSON context"
+      elif $kernel == "fold" and $portable < $floor * $picked then
+        "bench-guard: FLOOR crc32/fold: \($portable / $picked)x below floor \($floor)x (fold \($picked) ns, slicing-by-8 \($portable) ns)"
+      else empty end
+  ' "${file}" 2>/dev/null
+}
+
 # Heartbeat per-period floor (see header, check 5).
 heartbeat_floor_checks() {
   local file="$1"
@@ -185,6 +211,19 @@ for file in "$@"; do
       total_warnings=$((total_warnings + $(echo "${fused_violations}" | wc -l)))
     else
       echo "bench-guard: ${name}: fused CG floor holds"
+    fi
+  fi
+
+  if [[ "${name}" == "BENCH_checkpoint.json" ]]; then
+    crc_violations="$(crc_fold_floor_checks "${file}")"
+    crc_kernel="$(jq -r '.context.crc32_kernel // "none"' "${file}" 2>/dev/null)"
+    if [[ -n "${crc_violations}" ]]; then
+      echo "${crc_violations}"
+      total_warnings=$((total_warnings + $(echo "${crc_violations}" | wc -l)))
+    elif [[ "${crc_kernel}" == "fold" ]]; then
+      echo "bench-guard: ${name}: CRC-32 fold floor holds"
+    else
+      echo "bench-guard: ${name}: CRC-32 fold floor skipped (kernel ${crc_kernel}: this host has no PCLMULQDQ fold)"
     fi
   fi
 

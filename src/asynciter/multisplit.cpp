@@ -22,7 +22,6 @@ struct BlockState {
   Vector b_ext;                    ///< b restricted to extended rows
   Vector x_ext;                    ///< current local extended iterate (warm start)
   std::deque<Vector> history;      ///< published owned slices, newest first
-  double last_update_norm = 0.0;
 };
 
 }  // namespace
@@ -57,6 +56,8 @@ MultisplitResult run_multisplitting(const CsrMatrix& a, const Vector& b,
   Vector ax(n), rhs, coupling;
 
   for (std::size_t outer = 0; outer < options.max_outer_iterations; ++outer) {
+    // Whether every block publishes exactly its previous slice this round.
+    bool repeated = true;
     // Each block performs one update this round. In async mode each block
     // reads a randomly stale published version of every OTHER block.
     for (std::size_t p = 0; p < blocks.size(); ++p) {
@@ -96,7 +97,7 @@ MultisplitResult run_multisplitting(const CsrMatrix& a, const Vector& b,
       Vector owned(st.x_ext.begin() + static_cast<std::ptrdiff_t>(blk.owned_offset()),
                    st.x_ext.begin() +
                        static_cast<std::ptrdiff_t>(blk.owned_offset() + blk.owned_size()));
-      st.last_update_norm = linalg::distance2(owned, st.history.front());
+      repeated = repeated && owned == st.history.front();
       st.history.push_front(std::move(owned));
       if (st.history.size() > history_cap) st.history.pop_back();
     }
@@ -113,6 +114,13 @@ MultisplitResult run_multisplitting(const CsrMatrix& a, const Vector& b,
         linalg::spmv_residual_norm2(a, x_latest, b, ax) / residual_scale;
     if (result.final_residual <= options.tolerance) {
       result.converged = true;
+      break;
+    }
+    // A synchronous block's update depends only on the vector it reads, so a
+    // round that changed no slice leaves the next round the same vector to
+    // read: every later round would repeat this one.
+    if (options.mode == IterationMode::Synchronous && repeated) {
+      result.stalled = true;
       break;
     }
   }

@@ -29,7 +29,8 @@ enum class IterationMode : std::uint8_t {
 struct MultisplitOptions {
   IterationMode mode = IterationMode::Synchronous;
   std::size_t max_outer_iterations = 5000;
-  /// Global stop: relative update distance max_p ||x_p^{k+1}-x_p^k|| / ||x||.
+  /// Global stop: the true relative residual ||b - A x|| / ||b|| of the
+  /// freshest published iterates, checked after every round.
   double tolerance = 1e-8;
   linalg::CgOptions inner;
   /// Async model: probability that a dependency read skips the freshest
@@ -41,6 +42,10 @@ struct MultisplitOptions {
 
 struct MultisplitResult {
   bool converged = false;
+  /// A synchronous run stopped above the tolerance at a fixed point: every
+  /// block published exactly its previous slice, so each later round would
+  /// repeat the same one.
+  bool stalled = false;
   std::size_t outer_iterations = 0;
   double final_residual = 0.0;   ///< true global residual ||b - Ax|| / ||b||
   double total_inner_flops = 0.0;
@@ -50,7 +55,10 @@ struct MultisplitResult {
 /// Run the multisplitting iteration on blocks (with any overlap already baked
 /// into the RowBlock extents). Overlapped components follow restricted
 /// additive Schwarz: each block solves its extended system but only its owned
-/// rows are published.
+/// rows are published. A run stops when the residual reaches the tolerance
+/// (converged), when a synchronous round repeats the previous one element for
+/// element (stalled), or at max_outer_iterations. An asynchronous run never
+/// stalls: its stale reads differ from round to round.
 MultisplitResult run_multisplitting(const linalg::CsrMatrix& a,
                                     const linalg::Vector& b,
                                     const std::vector<linalg::RowBlock>& blocks,

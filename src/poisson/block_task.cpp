@@ -189,19 +189,20 @@ std::vector<core::OutgoingData> PoissonTask::outgoing() {
   sent_since_last_solve_ = true;
   last_send_iteration_ = state_.iterations_done;
 
-  std::vector<core::OutgoingData> out;
   const std::size_t n = config_.n;
   const std::size_t overlap_rows = config_.overlap_lines * n;
+  std::vector<core::OutgoingData> out;
+  out.reserve(std::size_t{task_id_ > 0} +
+              std::size_t{task_id_ + 1 < task_count_});
 
+  // Each line is encoded straight from x_ext into a buffer of its exact size.
   auto extract_line = [&](std::size_t global_start) {
     JACEPP_ASSERT(global_start >= block_.owned_lo &&
                   global_start + n <= block_.owned_hi);
-    const std::size_t local = global_start - block_.ext_lo;
-    serial::Writer writer;
-    const auto first =
-        state_.x_ext.begin() + static_cast<std::ptrdiff_t>(local);
-    linalg::Vector line(first, first + static_cast<std::ptrdiff_t>(n));
-    writer.f64_vector(line);
+    serial::Bytes buffer;
+    buffer.reserve(serial::varint_size(n) + n * sizeof(double));
+    serial::Writer writer(std::move(buffer));
+    writer.f64_vector(state_.x_ext.data() + (global_start - block_.ext_lo), n);
     return writer.take();
   };
 
@@ -223,11 +224,30 @@ std::vector<core::OutgoingData> PoissonTask::outgoing() {
   return out;
 }
 
+namespace {
+
+/// Copies a received line's doubles (little-endian, as f64_vector writes
+/// them) over `held`, which has the line's length, and reports whether any
+/// element compares unequal: a ±0 swap is no news, a NaN always is.
+bool take_line(const std::uint8_t* line, linalg::Vector& held) {
+  bool changed = false;
+  for (std::size_t i = 0; i < held.size(); ++i) {
+    const double v = serial::load_f64(line + i * sizeof(double));
+    changed |= v != held[i];
+    held[i] = v;
+  }
+  return changed;
+}
+
+}  // namespace
+
 void PoissonTask::on_data(core::TaskId from_task, std::uint64_t iteration,
                           const serial::Bytes& payload) {
+  // A line is taken when it is n doubles in the f64_vector encoding (bytes
+  // after them are ignored); it is decoded straight into the held line.
   serial::Reader reader(payload);
-  linalg::Vector line = reader.f64_vector<linalg::Vector>();
-  if (!reader.ok() || line.size() != config_.n) return;  // malformed: drop
+  const std::uint8_t* line = reader.f64_vector_in_place(config_.n);
+  if (line == nullptr) return;  // malformed: drop
   // Last-received-wins: after a neighbour restarts from a checkpoint its
   // iteration counter regresses, yet its data is the freshest available, so
   // arrival order (not the counter) decides. The tag is kept for diagnostics.
@@ -237,12 +257,10 @@ void PoissonTask::on_data(core::TaskId from_task, std::uint64_t iteration,
   // information would let update-distance hit zero and fake local stability
   // (the paper's "no update received" iterations).
   if (from_task + 1 == task_id_) {
-    if (line != state_.lower_boundary) lower_fresh_ = true;
-    state_.lower_boundary = std::move(line);
+    if (take_line(line, state_.lower_boundary)) lower_fresh_ = true;
     state_.lower_tag = iteration;
   } else if (from_task == task_id_ + 1) {
-    if (line != state_.upper_boundary) upper_fresh_ = true;
-    state_.upper_boundary = std::move(line);
+    if (take_line(line, state_.upper_boundary)) upper_fresh_ = true;
     state_.upper_tag = iteration;
   }
 }

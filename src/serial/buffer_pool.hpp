@@ -1,10 +1,12 @@
 // Free-list recycling of message-body buffers (DESIGN.md §9).
 //
-// Every boundary-line exchange allocates a fresh Bytes for the payload and
-// another for the encoded message body; at one allocation per neighbour per
-// iteration that is pure allocator churn. The pool keeps recently released
-// buffers (their heap storage, capacity intact) and hands them back to the
-// next Writer, so the steady-state send path stops hitting the allocator.
+// net::make_message encodes every message body into a Bytes; a fresh one per
+// message, one per neighbour per iteration for the boundary lines alone, is
+// pure allocator churn. The pool keeps recently released buffers (their heap
+// storage, capacity intact) and hands them back to the next Writer, so a
+// body's storage is reused. A send still allocates the body's refcount block
+// (net::Payload::pooled), and a boundary line also the task's own payload
+// buffer, sized exactly (poisson/block_task.cpp).
 //
 // Safety model: a buffer enters the pool ONLY from the last-reference deleter
 // of net::Payload::pooled() (or an explicit release of an owned Bytes), so a

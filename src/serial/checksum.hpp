@@ -5,10 +5,19 @@
 // holder checks it again before serving the state to a restore, which
 // detects a state damaged after it arrived).
 //
-// The kernel is portable slicing-by-8: eight 256-entry tables let one step
-// fold eight input bytes, read as two little-endian 32-bit words, into the
-// register with eight independent lookups. Same polynomial and same values as
-// the byte-at-a-time loop, and no ISA dispatch.
+// Two kernels give the same value for every input:
+//   * slicing-by-8, portable: eight 256-entry tables let one step fold eight
+//     input bytes, read as two little-endian 32-bit words, into the register
+//     with eight independent lookups. It is the tests' reference and the only
+//     path on a CPU or build without the fold.
+//   * the fold (checksum.cpp), on x86-64 CPUs with PCLMULQDQ and SSE4.1:
+//     carry-less multiplies fold 64 bytes per step into four 128-bit lanes,
+//     which are folded into one and reduced to 32 bits (Intel's "Fast CRC
+//     Computation Using PCLMULQDQ"). It takes a whole number of 16-byte
+//     blocks from inputs of at least 64 bytes; slicing-by-8 feeds the tail
+//     and every shorter input into the same register.
+// crc32() runs the fold where the CPU has it, picked once at start-up from
+// CPUID (DESIGN.md §10); no option or variable picks it.
 // crc32_combine derives CRC(A || B) from CRC(A), CRC(B) and |B| without
 // touching the bytes (zlib's algorithm), so a frame's CRC can be assembled
 // from its header's CRC and a state CRC that was computed once.
@@ -87,15 +96,15 @@ constexpr std::array<std::uint32_t, 32> make_crc32_x2n() {
 
 inline constexpr std::array<std::uint32_t, 32> kCrc32X2n = make_crc32_x2n();
 
-}  // namespace detail
-
-/// CRC-32 of `size` bytes at `data` (init/final XOR 0xFFFFFFFF, reflected).
-inline std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
-  const auto& t = detail::kCrc32Tables;
-  std::uint32_t c = 0xFFFFFFFFu;
+/// Feeds `size` bytes into the CRC register `c` by slicing-by-8 (no initial
+/// or final XOR).
+inline std::uint32_t crc32_slicing_by_8(std::uint32_t c,
+                                        const std::uint8_t* data,
+                                        std::size_t size) {
+  const auto& t = kCrc32Tables;
   for (; size >= 8; data += 8, size -= 8) {
-    const std::uint32_t lo = detail::load_le32(data) ^ c;
-    const std::uint32_t hi = detail::load_le32(data + 4);
+    const std::uint32_t lo = load_le32(data) ^ c;
+    const std::uint32_t hi = load_le32(data + 4);
     c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
         t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
         t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
@@ -103,8 +112,34 @@ inline std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
   for (; size > 0; ++data, --size) {
     c = t[0][(c ^ *data) & 0xFFu] ^ (c >> 8);
   }
-  return c ^ 0xFFFFFFFFu;
+  return c;
 }
+
+}  // namespace detail
+
+/// The CRC-32 kernels (header comment).
+enum class Crc32Kernel : std::uint8_t { slicing_by_8 = 0, fold = 1 };
+
+/// Lowercase name for reports and bench metadata: "slicing-by-8", "fold".
+[[nodiscard]] const char* crc32_kernel_name(Crc32Kernel kernel);
+
+/// The kernel crc32() runs: the fold in an x86-64 build on a CPU whose CPUID
+/// reports PCLMULQDQ and SSE4.1, else slicing-by-8.
+[[nodiscard]] Crc32Kernel crc32_active_kernel();
+
+/// CRC-32 of `size` bytes at `data` (init/final XOR 0xFFFFFFFF, reflected),
+/// by the kernel picked at start-up.
+[[nodiscard]] std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
+
+/// crc32() by slicing-by-8 alone, whatever the CPU.
+[[nodiscard]] inline std::uint32_t crc32_portable(const std::uint8_t* data,
+                                                  std::size_t size) {
+  return detail::crc32_slicing_by_8(0xFFFFFFFFu, data, size) ^ 0xFFFFFFFFu;
+}
+
+/// crc32() by the fold; aborts where crc32_active_kernel() is not the fold.
+[[nodiscard]] std::uint32_t crc32_fold(const std::uint8_t* data,
+                                       std::size_t size);
 
 inline std::uint32_t crc32(const Bytes& data) {
   return crc32(data.data(), data.size());

@@ -32,8 +32,10 @@
 // field order twice. A type outside the rule must hand-write
 // `void serialize(Writer&) const` and `static T deserialize(Reader&)`;
 // linalg::CsrMatrix is the one struct that does (varint dimensions, and its
-// constructor validates the shape). A task's checkpoint state is a field list
-// too (core/task.hpp). Two codecs call Writer/Reader directly because they
+// constructor validates the shape). Writer::object_size gives the byte length
+// of any wire value by the same rule, so encode() writes into a buffer of
+// exactly that size. A task's checkpoint state is a field list too
+// (core/task.hpp). Two codecs call Writer/Reader directly because they
 // are not field lists: the checkpoint frame codec (CRCs, chunk loops) and the
 // link Batch envelope (CRC over packed sub-messages).
 //
@@ -86,7 +88,7 @@ inline constexpr bool kIsF64Vector<std::vector<double, A>> = true;
 }  // namespace detail
 
 /// Encoded byte length of varint(v) — for sizing an encoding before writing
-/// it (the checkpoint frame codec reserves each frame's exact size).
+/// it (Writer::object_size, and the checkpoint frame codec).
 inline std::size_t varint_size(std::uint64_t v) {
   std::size_t n = 1;
   while (v >= 0x80) {
@@ -158,8 +160,13 @@ class Writer {
   /// does not change with the storage alignment.
   template <typename Alloc>
   void f64_vector(const std::vector<double, Alloc>& v) {
-    varint(v.size());
-    append_le(v.data(), v.size());
+    f64_vector(v.data(), v.size());
+  }
+
+  /// Same encoding as f64_vector for `count` doubles inside a larger vector.
+  void f64_vector(const double* values, std::size_t count) {
+    varint(count);
+    append_le(values, count);
   }
 
   /// Braced-list convenience: `{1.0, 2.0}` cannot deduce the allocator above.
@@ -214,6 +221,41 @@ class Writer {
     }
   }
 
+  /// Byte length of object(value), by the same type -> encoding rule. A
+  /// hand-written type is measured by encoding it; the one such type,
+  /// linalg::CsrMatrix, is only encoded at set-up.
+  template <typename T>
+  static std::size_t object_size(const T& value) {
+    if constexpr (FieldList<T>) {
+      return std::apply(
+          [](const auto&... field) {
+            return (std::size_t{0} + ... + object_size(field));
+          },
+          value.fields());
+    } else if constexpr (std::is_enum_v<T> || std::is_same_v<T, bool> ||
+                         std::is_same_v<T, std::uint8_t>) {
+      return 1;
+    } else if constexpr (std::is_same_v<T, std::uint32_t> ||
+                         std::is_same_v<T, std::uint64_t> ||
+                         std::is_same_v<T, double>) {
+      return sizeof(T);
+    } else if constexpr (std::is_same_v<T, std::string> ||
+                         std::is_same_v<T, Bytes> ||
+                         std::is_same_v<T, std::vector<std::uint32_t>> ||
+                         detail::kIsF64Vector<T>) {
+      return varint_size(value.size()) +
+             value.size() * sizeof(typename T::value_type);
+    } else if constexpr (detail::kIsVector<T>) {
+      std::size_t size = varint_size(value.size());
+      for (const auto& v : value) size += object_size(v);
+      return size;
+    } else {
+      Writer writer;
+      writer.object(value);
+      return writer.size();
+    }
+  }
+
   template <typename T>
   void object_vector(const std::vector<T>& values) {
     varint(values.size());
@@ -233,9 +275,8 @@ class Writer {
     // An empty vector's data() may be null, which memcpy must not receive.
     if (count == 0) return;
     if constexpr (std::endian::native == std::endian::little) {
-      const std::size_t old = buffer_.size();
-      buffer_.resize(old + count * sizeof(T));
-      std::memcpy(buffer_.data() + old, values, count * sizeof(T));
+      const auto* bytes = reinterpret_cast<const std::uint8_t*>(values);
+      buffer_.insert(buffer_.end(), bytes, bytes + count * sizeof(T));
     } else {
       for (std::size_t i = 0; i < count; ++i) {
         std::uint64_t bits;
@@ -370,6 +411,23 @@ class Reader {
     return vector_le<Vec>();
   }
 
+  /// An f64_vector of exactly `count` doubles, left in place: checks the
+  /// length and that count * 8 bytes follow, skips them and returns where
+  /// they start (read each with load_f64). Any other length, or a short
+  /// payload, poisons the reader and returns nullptr.
+  const std::uint8_t* f64_vector_in_place(std::size_t count) {
+    const std::uint64_t len = varint();
+    if (!ok_) return nullptr;
+    if (len != count || len > remaining() / sizeof(double)) {
+      poison(len != count ? "unexpected vector length"
+                          : "vector length exceeds payload");
+      return nullptr;
+    }
+    const std::uint8_t* start = data_ + pos_;
+    pos_ += count * sizeof(double);
+    return start;
+  }
+
   std::vector<std::uint32_t> u32_vector() {
     return vector_le<std::vector<std::uint32_t>>();
   }
@@ -483,10 +541,24 @@ class Reader {
   std::string error_;
 };
 
-/// Encode a wire value into a fresh byte buffer.
+/// The double whose IEEE-754 bits are stored little-endian at `p` (one
+/// element of an f64_vector read in place).
+inline double load_f64(const std::uint8_t* p) {
+  std::uint64_t bits = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&bits, p, sizeof(bits));
+  } else {
+    for (int i = 0; i < 8; ++i) bits |= std::uint64_t{p[i]} << (8 * i);
+  }
+  return std::bit_cast<double>(bits);
+}
+
+/// Encode a wire value into a fresh buffer of exactly its size.
 template <typename T>
 Bytes encode(const T& value) {
-  Writer writer;
+  Bytes buffer;
+  buffer.reserve(Writer::object_size(value));
+  Writer writer(std::move(buffer));
   writer.object(value);
   return writer.take();
 }

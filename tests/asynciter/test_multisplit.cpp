@@ -93,7 +93,28 @@ TEST(Multisplit, RespectsIterationCap) {
   opt.max_outer_iterations = 2;
   const auto result = run_multisplitting(problem.a, problem.b, blocks, opt);
   EXPECT_FALSE(result.converged);
+  EXPECT_FALSE(result.stalled);
   EXPECT_EQ(result.outer_iterations, 2u);
+}
+
+TEST(Multisplit, SynchronousRunStopsAtAFixedPoint) {
+  // bench_overlap's A4 cell without overlap reaches a relative residual just
+  // above 1e-8, after which every round publishes the slices of the round
+  // before: the run stops there, not at the cap, and has not converged.
+  const auto problem = poisson::make_default_problem(64);
+  const auto blocks = partition_rows(64 * 64, 8, 64, 0);
+  MultisplitOptions opt;
+  opt.mode = IterationMode::Synchronous;
+  opt.tolerance = 1e-8;
+  opt.inner.tolerance = 1e-10;
+  opt.inner.max_iterations = 4000;
+  opt.max_outer_iterations = 2000;
+  const auto result = run_multisplitting(problem.a, problem.b, blocks, opt);
+  EXPECT_FALSE(result.converged);
+  EXPECT_TRUE(result.stalled);
+  EXPECT_LT(result.outer_iterations, opt.max_outer_iterations);
+  EXPECT_GT(result.final_residual, opt.tolerance);
+  EXPECT_LT(result.final_residual, 2 * opt.tolerance);
 }
 
 TEST(Multisplit, DeterministicForSeed) {

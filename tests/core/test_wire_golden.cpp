@@ -66,6 +66,8 @@ void expect_golden(const T& sample, std::string_view hex) {
   EXPECT_EQ(to_hex(serial::encode(sample)), hex);
 
   const serial::Bytes golden = from_hex(hex);
+  // encode() reserves this size up front, so it must be exact.
+  EXPECT_EQ(serial::Writer::object_size(sample), golden.size());
   serial::Reader reader(golden);
   const T decoded = reader.object<T>();
   EXPECT_TRUE(reader.ok()) << reader.error();

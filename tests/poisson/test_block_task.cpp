@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include "linalg/vector_ops.hpp"
 #include "poisson/poisson.hpp"
 #include "serial/checksum.hpp"
@@ -242,21 +246,96 @@ TEST(BlockTask, CheckpointBytesGolden) {
   EXPECT_EQ(serial::crc32(state), 0xae5632beu);
 }
 
+/// A boundary line as outgoing() encodes it, followed by `trailing` bytes.
+serial::Bytes line_payload(const std::vector<double>& values,
+                           const serial::Bytes& trailing = {}) {
+  serial::Writer w;
+  w.f64_vector(values);
+  serial::Bytes bytes = w.take();
+  bytes.insert(bytes.end(), trailing.begin(), trailing.end());
+  return bytes;
+}
+
+/// The lower boundary line a task holds, read from its checkpoint bytes
+/// (the state's third field).
+std::vector<double> held_lower_line(const PoissonTask& task) {
+  const serial::Bytes state = task.checkpoint();
+  serial::Reader r(state);
+  (void)r.f64_vector();  // x_ext
+  (void)r.f64_vector();  // owned_prev
+  std::vector<double> line = r.f64_vector();
+  EXPECT_TRUE(r.ok());
+  return line;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
 TEST(BlockTask, MalformedDataDropped) {
   auto app = make_app(16, 2);
   PoissonTask task;
   ASSERT_TRUE(task.init(app, 0));
   task.iterate();
   const double before = task.local_error();
-  // Wrong length payload and garbage bytes: both ignored.
-  serial::Writer w;
-  w.f64_vector({1.0, 2.0});
-  task.on_data(1, 5, w.take());
-  task.on_data(1, 6, serial::Bytes{0xff, 0x03, 0x01});
+  const serial::Bytes state = task.checkpoint();
+  // A wrong length, garbage bytes and a line one byte short are refused, and
+  // none of them touches the held line or its tag.
+  serial::Bytes truncated = line_payload(std::vector<double>(16, 1.0));
+  truncated.pop_back();
+  const serial::Bytes refused[] = {line_payload({1.0, 2.0}),
+                                   serial::Bytes{0xff, 0x03, 0x01},
+                                   truncated};
+  std::uint64_t iteration = 5;
+  for (const serial::Bytes& payload : refused) {
+    task.on_data(1, iteration++, payload);
+    EXPECT_EQ(task.checkpoint(), state) << "payload " << iteration - 5;
+  }
   task.iterate();
   // No fresh (valid) data arrived: the spin path keeps the error untouched.
   EXPECT_DOUBLE_EQ(task.local_error(), before);
   EXPECT_FALSE(task.error_is_informative());
+}
+
+TEST(BlockTask, LineFreshnessComparesValues) {
+  // Freshness compares values element by element, and a taken line's bits
+  // replace the held line's whether or not it was fresh.
+  const std::size_t n = 16;
+  auto app = make_app(n, 2);
+  const auto fresh_after = [&](PoissonTask& task,
+                               const serial::Bytes& payload) {
+    task.on_data(0, 1, payload);
+    task.iterate();
+    return task.error_is_informative();
+  };
+
+  // The held line starts at +0: a line of -0 is not fresh, yet it is held.
+  PoissonTask signed_zero;
+  ASSERT_TRUE(signed_zero.init(app, 1));
+  signed_zero.iterate();
+  const std::vector<double> minus_zero(n, -0.0);
+  EXPECT_FALSE(fresh_after(signed_zero, line_payload(minus_zero)));
+  EXPECT_TRUE(same_bits(held_lower_line(signed_zero), minus_zero));
+
+  // A NaN never compares equal, so the same line is fresh on every arrival.
+  PoissonTask nan;
+  ASSERT_TRUE(nan.init(app, 1));
+  nan.iterate();
+  std::vector<double> with_nan(n, 0.0);
+  with_nan[3] = std::numeric_limits<double>::quiet_NaN();
+  for (int arrival = 0; arrival < 3; ++arrival) {
+    EXPECT_TRUE(fresh_after(nan, line_payload(with_nan))) << arrival;
+  }
+  EXPECT_TRUE(same_bits(held_lower_line(nan), with_nan));
+
+  // Bytes after the line's n doubles are ignored.
+  PoissonTask trailing;
+  ASSERT_TRUE(trailing.init(app, 1));
+  trailing.iterate();
+  const std::vector<double> line(n, 0.25);
+  EXPECT_TRUE(fresh_after(trailing, line_payload(line, {0xab, 0xcd, 0x01})));
+  EXPECT_TRUE(same_bits(held_lower_line(trailing), line));
 }
 
 TEST(BlockTask, StarvedIterationsChargeFullCostButAreUninformative) {

@@ -1,15 +1,23 @@
-// CRC-32 kernel and combine: known answers, the slicing-by-8 loop against a
-// byte-at-a-time reference at every short length and alignment, and
-// crc32_combine against the CRC of the concatenation.
+// CRC-32 kernels and combine: known answers and each kernel (slicing-by-8,
+// and the fold where the CPU has it) against a byte-at-a-time reference at
+// every short length and alignment; the start-up pick; crc32_combine against
+// the CRC of the concatenation.
 #include "serial/checksum.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <random>
 #include <string>
 
 namespace jacepp::serial {
+
+// Names each kernel case by its kernel (gtest finds this by argument lookup).
+void PrintTo(Crc32Kernel kernel, std::ostream* os) {
+  *os << crc32_kernel_name(kernel);
+}
+
 namespace {
 
 /// The textbook bit-serial CRC-32 (reflected 0xEDB88320): the reference the
@@ -31,33 +39,77 @@ Bytes random_bytes(std::mt19937_64& rng, std::size_t size) {
   return out;
 }
 
-TEST(Crc32, KnownAnswers) {
+/// One kernel's cases; the fold's skip where the fold is not picked.
+class Crc32 : public ::testing::TestWithParam<Crc32Kernel> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == Crc32Kernel::fold &&
+        crc32_active_kernel() != Crc32Kernel::fold) {
+      GTEST_SKIP() << "this CPU or build has no PCLMULQDQ and SSE4.1 fold";
+    }
+  }
+
+  static std::uint32_t crc(const std::uint8_t* data, std::size_t size) {
+    return GetParam() == Crc32Kernel::fold ? crc32_fold(data, size)
+                                           : crc32_portable(data, size);
+  }
+};
+
+TEST_P(Crc32, KnownAnswers) {
   const std::string check = "123456789";
-  EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t*>(check.data()),
-                  check.size()),
+  EXPECT_EQ(crc(reinterpret_cast<const std::uint8_t*>(check.data()),
+                check.size()),
             0xCBF43926u);
-  EXPECT_EQ(crc32(Bytes{}), 0u);
-  EXPECT_EQ(crc32(nullptr, 0), 0u);
+  EXPECT_EQ(crc(nullptr, 0), 0u);
+  // 64 bytes, the fold's shortest input: zeros, and 0x00..0x3f.
+  Bytes block(64, 0);
+  EXPECT_EQ(crc(block.data(), block.size()), 0x758D6336u);
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    block[i] = static_cast<std::uint8_t>(i);
+  }
+  EXPECT_EQ(crc(block.data(), block.size()), 0x100ECE8Cu);
 }
 
-TEST(Crc32, MatchesReferenceAtEveryShortLengthAndOffset) {
+TEST_P(Crc32, MatchesReferenceAtEveryShortLengthAndOffset) {
   std::mt19937_64 rng(11);
   const Bytes buffer = random_bytes(rng, 300 + 16);
   for (std::size_t offset = 0; offset < 16; ++offset) {
     for (std::size_t len = 0; len <= 300; ++len) {
       const std::uint8_t* p = buffer.data() + offset;
-      ASSERT_EQ(crc32(p, len), reference_crc32(p, len))
+      ASSERT_EQ(crc(p, len), reference_crc32(p, len))
           << "offset " << offset << " length " << len;
     }
   }
 }
 
-TEST(Crc32, MatchesReferenceOnLargeBuffers) {
+TEST_P(Crc32, MatchesReferenceOnLargeBuffers) {
   std::mt19937_64 rng(12);
   for (int round = 0; round < 4; ++round) {
-    const Bytes buffer = random_bytes(rng, 64 << 10);
-    EXPECT_EQ(crc32(buffer), reference_crc32(buffer.data(), buffer.size()));
+    const Bytes buffer = random_bytes(rng, (64 << 10) + round * 7);
+    EXPECT_EQ(crc(buffer.data(), buffer.size()),
+              reference_crc32(buffer.data(), buffer.size()));
   }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, Crc32,
+                         ::testing::Values(Crc32Kernel::slicing_by_8,
+                                           Crc32Kernel::fold));
+
+TEST(Crc32Pick, FoldExactlyWhereCpuidReportsPclmulAndSse41) {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  __builtin_cpu_init();
+  const bool cpu_has_fold = __builtin_cpu_supports("pclmul") &&
+                            __builtin_cpu_supports("sse4.1");
+#else
+  const bool cpu_has_fold = false;
+#endif
+  EXPECT_EQ(crc32_active_kernel(),
+            cpu_has_fold ? Crc32Kernel::fold : Crc32Kernel::slicing_by_8);
+  // crc32() runs the picked kernel.
+  std::mt19937_64 rng(14);
+  const Bytes buffer = random_bytes(rng, 3104);
+  EXPECT_EQ(crc32(buffer), crc32_portable(buffer.data(), buffer.size()));
+  EXPECT_EQ(crc32(Bytes{}), 0u);
 }
 
 TEST(Crc32, CombineEqualsCrcOfConcatenation) {
