@@ -444,7 +444,8 @@ void BM_MessageRoundTrip(benchmark::State& state) {
   core::Daemon daemon({net::Stub{1, 0, net::EntityKind::SuperPeer}});
   daemon.on_start(env);
   core::msg::TaskData data;
-  data.payload.assign(bytes, 0x5a);
+  const serial::Bytes line(bytes, 0x5a);
+  data.payload = line;
   for (auto _ : state) {
     const net::Message m = bytes == 0
                                ? net::make_message(core::msg::HeartbeatAck{})

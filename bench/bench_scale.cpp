@@ -376,14 +376,16 @@ class ScaleTickerTask : public core::Task {
     error_ = 1.0 / static_cast<double>(iterations_);
     return 1e6;
   }
-  std::vector<core::OutgoingData> outgoing() override {
+  std::span<const core::OutgoingData> outgoing() override {
     if (task_count_ < 2) return {};
-    serial::Writer w;
+    serial::Writer w(std::move(token_));
     w.u64(iterations_);
-    return {core::OutgoingData{(task_id_ + 1) % task_count_, w.take()}};
+    token_ = w.take();
+    out_ = core::OutgoingData{(task_id_ + 1) % task_count_, token_};
+    return {&out_, 1};
   }
   [[nodiscard]] double local_error() const override { return error_; }
-  void on_data(core::TaskId, std::uint64_t, const serial::Bytes&) override {}
+  void on_data(core::TaskId, std::uint64_t, serial::ByteView) override {}
   [[nodiscard]] serial::Bytes checkpoint() const override {
     serial::Writer w;
     w.u64(iterations_);
@@ -402,6 +404,8 @@ class ScaleTickerTask : public core::Task {
   core::TaskId task_id_ = 0;
   std::uint32_t task_count_ = 0;
   std::uint64_t iterations_ = 0;
+  serial::Bytes token_;  ///< what outgoing() sends, rewritten in place
+  core::OutgoingData out_;
   double error_ = 1.0;
 };
 

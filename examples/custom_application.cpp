@@ -18,8 +18,10 @@
 // JACEPP_WIRE_FIELDS list is the whole checkpoint layout, so checkpoint() is
 // one serial::encode call and restore() one Reader::object call plus the
 // shape check that guards against a state from a misbehaving peer.
+#include <array>
 #include <cmath>
 #include <cstdio>
+#include <span>
 
 #include "core/deployment.hpp"
 #include "core/task.hpp"
@@ -114,26 +116,27 @@ class HeatTask : public core::Task {
     return 9.0 * size_ * config_.work_per_cell;
   }
 
-  std::vector<core::OutgoingData> outgoing() override {
-    std::vector<core::OutgoingData> out;
-    auto one_value = [](double v) {
-      serial::Writer w;
+  // The records and the bytes they view belong to the task, and stay valid
+  // until the next iterate(); each send rewrites them in place.
+  std::span<const core::OutgoingData> outgoing() override {
+    std::size_t count = 0;
+    auto one_value = [&](core::TaskId to, double v, serial::Bytes& bytes) {
+      serial::Writer w(std::move(bytes));
       w.f64(v);
-      return w.take();
+      bytes = w.take();
+      out_[count++] = {to, bytes};
     };
-    if (task_id_ > 0) {
-      out.push_back({task_id_ - 1, one_value(state_.u.front())});
-    }
+    if (task_id_ > 0) one_value(task_id_ - 1, state_.u.front(), left_bytes_);
     if (task_id_ + 1 < task_count_) {
-      out.push_back({task_id_ + 1, one_value(state_.u.back())});
+      one_value(task_id_ + 1, state_.u.back(), right_bytes_);
     }
-    return out;
+    return {out_.data(), count};
   }
 
   [[nodiscard]] double local_error() const override { return error_; }
   [[nodiscard]] bool error_is_informative() const override { return informative_; }
 
-  void on_data(core::TaskId from, std::uint64_t, const serial::Bytes& bytes) override {
+  void on_data(core::TaskId from, std::uint64_t, serial::ByteView bytes) override {
     serial::Reader reader(bytes);
     const double value = reader.f64();
     if (!reader.ok()) return;
@@ -188,6 +191,9 @@ class HeatTask : public core::Task {
   bool fresh_ = false;
   bool informative_ = false;
   double error_ = 1.0;
+  /// What outgoing() sends: one encoded value per neighbour.
+  serial::Bytes left_bytes_, right_bytes_;
+  std::array<core::OutgoingData, 2> out_{};
 };
 
 }  // namespace

@@ -11,6 +11,10 @@
 # and prints, on standard output only, one line per workload and seed
 # 201-210: the run's digest and its simulated outputs. Run it in two trees
 # and diff the outputs to see whether a change moved any simulated result.
+# `digests-check` does the same and fails on any difference from the pinned
+# lines in tests/golden/perfbench_digests.txt; a change that means to move
+# a simulated output re-pins them with
+#   scripts/check.sh digests > tests/golden/perfbench_digests.txt
 #
 # Usage:
 #   scripts/check.sh            # plain + tsan + asan + ubsan
@@ -18,6 +22,7 @@
 #   scripts/check.sh tsan asan  # just those sanitizer configs
 #   scripts/check.sh native     # the native CI job
 #   scripts/check.sh digests > digests.txt
+#   scripts/check.sh digests-check
 #   JOBS=8 scripts/check.sh
 set -euo pipefail
 
@@ -71,16 +76,31 @@ run_digests() {
   done
 }
 
+run_digests_check() {
+  local golden="${REPO_ROOT}/tests/golden/perfbench_digests.txt"
+  local current
+  current="$(mktemp)"
+  run_digests > "${current}"
+  echo "== digests-check: diff against ${golden} ==" >&2
+  if ! diff -u "${golden}" "${current}" >&2; then
+    rm -f "${current}"
+    echo "perfbench digests differ from the pin (see the diff above)" >&2
+    return 1
+  fi
+  rm -f "${current}"
+}
+
 run_config() {
   local name="$1" build_dir sanitize
   case "${name}" in
     native) run_native; return ;;
     digests) run_digests; return ;;
+    digests-check) run_digests_check; return ;;
     plain) build_dir="${REPO_ROOT}/build"      sanitize="" ;;
     tsan)  build_dir="${REPO_ROOT}/build-tsan" sanitize="thread" ;;
     asan)  build_dir="${REPO_ROOT}/build-asan" sanitize="address" ;;
     ubsan) build_dir="${REPO_ROOT}/build-ubsan" sanitize="undefined" ;;
-    *) echo "unknown config '${name}' (want plain|tsan|asan|ubsan|native|digests)" >&2; return 1 ;;
+    *) echo "unknown config '${name}' (want plain|tsan|asan|ubsan|native|digests|digests-check)" >&2; return 1 ;;
   esac
   echo "== ${name}: configure + build (${build_dir}) =="
   cmake -B "${build_dir}" -S "${REPO_ROOT}" -DJACEPP_SANITIZE="${sanitize}"

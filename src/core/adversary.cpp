@@ -22,7 +22,10 @@ void CorruptingEnv::send(const net::Stub& to, net::Message m) {
   if (m.type == msg::TaskData::kType && lie_rng_.chance(lie_rate_)) {
     auto data = net::payload_of<msg::TaskData>(m);
     if (!data.payload.empty()) {
-      data.payload[lie_rng_.index(data.payload.size())] ^= 0x01;
+      // The payload views the honest message's body; forge a copy.
+      serial::Bytes forged(data.payload.begin(), data.payload.end());
+      forged[lie_rng_.index(forged.size())] ^= 0x01;
+      data.payload = forged;
       ++corruptions_;
       inner_->send(to, net::make_message(data));
       return;

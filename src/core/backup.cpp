@@ -1,5 +1,6 @@
 #include "core/backup.hpp"
 
+#include "serial/buffer_pool.hpp"
 #include "serial/checksum.hpp"
 
 namespace jacepp::core {
@@ -10,18 +11,18 @@ BackupStore::StoreResult BackupStore::store_frame(AppId app, TaskId task,
   auto decoded = checkpoint::decode_frame(frame);
   if (!decoded.has_value()) return {false, true};
 
-  auto it = entries_.find(key(app, task));
-  if (it != entries_.end()) {
-    // A reordered older save never replaces a newer state.
-    if (iteration < it->second.iteration) return {false, false};
-    erase_entry(it);
-  }
-  Entry entry;
+  auto [it, inserted] = entries_.try_emplace(key(app, task));
+  Entry& entry = it->second;
+  // A reordered older save never replaces a newer state.
+  if (!inserted && iteration < entry.iteration) return {false, false};
+  // The held entry is assigned in place; the state it held goes back to
+  // the pool for the next frame's decode.
+  total_bytes_ -= entry.bytes();
+  serial::BufferPool::instance().release(std::move(entry.state));
   entry.iteration = iteration;
   entry.state_checksum = decoded->state_checksum;
   entry.state = std::move(decoded->full_state);
   total_bytes_ += entry.bytes();
-  entries_.emplace(key(app, task), std::move(entry));
 
   AppMeta& meta = app_meta_[app];
   meta.last_store_tick = ++store_tick_;

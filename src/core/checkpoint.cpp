@@ -1,5 +1,6 @@
 #include "core/checkpoint.hpp"
 
+#include "serial/buffer_pool.hpp"
 #include "serial/checksum.hpp"
 #include "support/assert.hpp"
 
@@ -14,7 +15,7 @@ serial::Bytes encode_full_frame(std::uint64_t baseline_id,
       1 + serial::varint_size(baseline_id) + serial::varint_size(0) +
       serial::varint_size(chunk_size) + serial::varint_size(state.size()) + 4 +
       serial::varint_size(state.size()) + state.size() + 4;
-  serial::Bytes buffer;
+  serial::Bytes buffer = serial::BufferPool::instance().acquire();
   buffer.reserve(size);
   serial::Writer w(std::move(buffer));
   w.u8(static_cast<std::uint8_t>(FrameKind::Full));
@@ -68,6 +69,7 @@ std::optional<DecodedFrame> decode_frame(const serial::Bytes& frame) {
       state_crc != f.state_checksum) {
     return std::nullopt;
   }
+  f.full_state = serial::BufferPool::instance().acquire();
   f.full_state.assign(state, state + len);
   return f;
 }

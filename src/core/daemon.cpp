@@ -4,6 +4,7 @@
 
 #include "core/shard.hpp"
 #include "linalg/vector_ops.hpp"
+#include "serial/buffer_pool.hpp"
 #include "support/logging.hpp"
 
 namespace jacepp::core {
@@ -367,7 +368,7 @@ void Daemon::finish_iteration() {
   // Push dependency data to neighbours through the current register; slots
   // whose daemon failed and has not been replaced yet hold an invalid stub —
   // those messages are simply not sent (equivalently: lost), per §5.3.
-  for (auto& out : task_->outgoing()) {
+  for (const OutgoingData& out : task_->outgoing()) {
     const net::Stub to = reg_.daemon_of(out.to_task);
     if (!to.valid()) continue;
     msg::TaskData data;
@@ -376,7 +377,7 @@ void Daemon::finish_iteration() {
     data.to_task = out.to_task;
     data.tag = out.tag;
     data.iteration = iteration_;
-    data.payload = std::move(out.payload);
+    data.payload = out.payload;
     rmi::invoke(*env_, to, data);
   }
 
@@ -428,13 +429,19 @@ void Daemon::do_checkpoint() {
   const net::Stub holder = reg_.daemon_of(target);
   if (!holder.valid() || holder == env_->self()) return;
 
-  const serial::Bytes state = task_->checkpoint();
+  serial::Bytes state = task_->checkpoint();
+  serial::Bytes frame = encoder_.emit(target_index, state, std::nullopt).frame;
   msg::SaveBackup save;
   save.app_id = app_.app_id;
   save.task_id = task_id_;
   save.iteration = iteration_;
-  save.state = encoder_.emit(target_index, state, std::nullopt).frame;
+  save.state = frame;
   rmi::invoke(*env_, holder, save);
+  // The message body holds its own copy: the state and the frame, both
+  // encoded into recycled buffers, go back for the next save.
+  auto& pool = serial::BufferPool::instance();
+  pool.release(std::move(frame));
+  pool.release(std::move(state));
 }
 
 // ---------------------------------------------------------------------------
@@ -446,7 +453,13 @@ void Daemon::handle_save_backup(const msg::SaveBackup& m, const net::Message&,
   if (finished_apps_.count(m.app_id) != 0) return;  // app already halted
   // Like the paper's jaceSave, a save is one message with no reply: a frame
   // that does not decode, or one older than the state held, is dropped.
-  backup_store_.store_frame(m.app_id, m.task_id, m.iteration, m.state);
+  // store_frame reads the frame from Bytes, so the view is copied into a
+  // recycled buffer.
+  auto& pool = serial::BufferPool::instance();
+  serial::Bytes frame = pool.acquire();
+  frame.assign(m.state.begin(), m.state.end());
+  backup_store_.store_frame(m.app_id, m.task_id, m.iteration, frame);
+  pool.release(std::move(frame));
 }
 
 void Daemon::handle_query_backup(const msg::QueryBackup& m,

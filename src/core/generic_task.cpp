@@ -129,7 +129,7 @@ double GenericMultisplitTask::iterate() {
   return flops;
 }
 
-std::vector<OutgoingData> GenericMultisplitTask::outgoing() {
+std::span<const OutgoingData> GenericMultisplitTask::outgoing() {
   constexpr std::uint64_t kResendInterval = 8;
   if (sent_since_solve_ &&
       state_.iterations - last_send_iteration_ < kResendInterval) {
@@ -138,24 +138,25 @@ std::vector<OutgoingData> GenericMultisplitTask::outgoing() {
   sent_since_solve_ = true;
   last_send_iteration_ = state_.iterations;
 
-  std::vector<OutgoingData> out;
-  out.reserve(export_indices_.size());
+  lines_.resize(export_indices_.size());
+  outgoing_.clear();
   for (const auto& [peer, indices] : export_indices_) {
-    Vector values;
-    values.reserve(indices.size());
+    gathered_.clear();
     for (const std::uint32_t global : indices) {
-      values.push_back(state_.x_local[global - block_.owned_lo]);
+      gathered_.push_back(state_.x_local[global - block_.owned_lo]);
     }
-    serial::Writer writer;
-    writer.f64_vector(values);
+    serial::Bytes& line = lines_[outgoing_.size()];
+    serial::Writer writer(std::move(line));
+    writer.f64_vector(gathered_);
+    line = writer.take();
     // One halo-export stream per peer, so tag 0 throughout.
-    out.push_back(OutgoingData{peer, writer.take(), 0});
+    outgoing_.push_back(OutgoingData{peer, line, 0});
   }
-  return out;
+  return outgoing_;
 }
 
 void GenericMultisplitTask::on_data(TaskId from_task, std::uint64_t /*iteration*/,
-                                    const serial::Bytes& payload) {
+                                    serial::ByteView payload) {
   if (from_task >= task_count_ || from_task == task_id_) return;
   serial::Reader reader(payload);
   Vector values = reader.f64_vector<Vector>();

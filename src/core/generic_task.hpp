@@ -41,13 +41,13 @@ class GenericMultisplitTask : public Task {
 
   [[nodiscard]] bool init(const AppDescriptor& app, TaskId task_id) override;
   double iterate() override;
-  std::vector<OutgoingData> outgoing() override;
+  std::span<const OutgoingData> outgoing() override;
   [[nodiscard]] double local_error() const override {
     return state_.local_error;
   }
   [[nodiscard]] bool error_is_informative() const override { return informative_; }
   void on_data(TaskId from_task, std::uint64_t iteration,
-               const serial::Bytes& payload) override;
+               serial::ByteView payload) override;
   [[nodiscard]] serial::Bytes checkpoint() const override;
   [[nodiscard]] bool restore(const serial::Bytes& state) override;
   [[nodiscard]] serial::Bytes final_payload() const override;
@@ -98,6 +98,12 @@ class GenericMultisplitTask : public Task {
   /// For each peer task: last content received (global index → value applied
   /// into x_halo); used for content-based freshness.
   std::map<TaskId, linalg::Vector> last_received_;
+  /// What outgoing() returns: one encoded export line per peer (in
+  /// export_indices_ order), rewritten in place on each send, and the
+  /// records viewing them; `gathered_` holds one line's values.
+  std::vector<serial::Bytes> lines_;
+  std::vector<OutgoingData> outgoing_;
+  linalg::Vector gathered_;
 
   bool fresh_ = false;
   bool informative_ = false;

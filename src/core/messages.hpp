@@ -140,7 +140,9 @@ struct RegisterUpdate {
 /// Poisson task sends its lower and upper boundary lines as separate
 /// streams): the link layer coalesces per (app, from, to, tag), never across
 /// tags. The four stream-key fields lead the encoding so a classifier can
-/// peek them without touching the payload.
+/// peek them without touching the payload. The payload is a view: on the
+/// sender into the task's own line buffer, on the receiver into the message
+/// body it was decoded from, so a line is copied once, into the body.
 struct TaskData {
   static constexpr net::MessageType kType = 11;
   AppId app_id = 0;
@@ -148,7 +150,7 @@ struct TaskData {
   TaskId to_task = 0;
   std::uint32_t tag = 0;
   std::uint64_t iteration = 0;
-  serial::Bytes payload;
+  serial::ByteView payload;
 
   JACEPP_WIRE_FIELDS(app_id, from_task, to_task, tag, iteration, payload)
 };
@@ -158,13 +160,15 @@ struct TaskData {
 // ---------------------------------------------------------------------------
 
 /// Daemon → backup-peer Daemon: store this local checkpoint (replaces any
-/// older checkpoint held here for the same task).
+/// older checkpoint held here for the same task). `state` is the checkpoint
+/// frame, viewed like TaskData's payload: on the sender in the encoded
+/// frame, on the holder in the message body.
 struct SaveBackup {
   static constexpr net::MessageType kType = 12;
   AppId app_id = 0;
   TaskId task_id = 0;
   std::uint64_t iteration = 0;
-  serial::Bytes state;
+  serial::ByteView state;
 
   JACEPP_WIRE_FIELDS(app_id, task_id, iteration, state)
 };

@@ -22,9 +22,9 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "core/app.hpp"
 #include "serial/serial.hpp"
@@ -36,10 +36,11 @@ namespace jacepp::core {
 /// names the update stream when one task sends several independent pieces of
 /// data to the same neighbour (e.g. lower vs upper boundary lines) — the
 /// link layer's latest-wins coalescing replaces superseded messages only
-/// within one (app, from, to, tag) stream.
+/// within one (app, from, to, tag) stream. The payload views bytes the
+/// task owns.
 struct OutgoingData {
   TaskId to_task = 0;
-  serial::Bytes payload;
+  serial::ByteView payload;
   std::uint32_t tag = 0;
 };
 
@@ -60,7 +61,9 @@ class Task {
   virtual double iterate() = 0;
 
   /// Data to push to neighbours after the iteration that just completed.
-  virtual std::vector<OutgoingData> outgoing() = 0;
+  /// The records, and the bytes their payloads view, belong to the task and
+  /// stay valid until the next iterate(); a task rewrites them in place.
+  virtual std::span<const OutgoingData> outgoing() = 0;
 
   /// Error signal of the last iteration (relative iterate change); feeds the
   /// local convergence detector (§5.5).
@@ -76,9 +79,10 @@ class Task {
 
   /// Dependency data received from another task. `iteration` is the sender's
   /// iteration counter; implementations keep the latest version per sender
-  /// and ignore older ones (asynchronous latest-wins semantics).
+  /// and ignore older ones (asynchronous latest-wins semantics). `payload`
+  /// views the received message and is valid only during the call.
   virtual void on_data(TaskId from_task, std::uint64_t iteration,
-                       const serial::Bytes& payload) = 0;
+                       serial::ByteView payload) = 0;
 
   /// Serialize the full task state (the Backup object's body, §5.4).
   [[nodiscard]] virtual serial::Bytes checkpoint() const = 0;

@@ -2,8 +2,8 @@
 // This is the unit both transports (simulated and threaded) deliver.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <utility>
 
 #include "net/stub.hpp"
@@ -15,73 +15,76 @@ namespace jacepp::net {
 using MessageType = std::uint32_t;
 
 /// Immutable, reference-counted message body. Copying a Message — checkpoint
-/// fan-out to several backup peers, capture into the sim event queue, rt
-/// mailbox hops — shares one underlying buffer instead of duplicating
-/// checkpoint-sized payloads. The bytes are frozen at construction, so a
-/// payload may be read concurrently from any number of runtime threads.
+/// fan-out to several backup peers, rt mailbox hops — shares one underlying
+/// buffer instead of duplicating checkpoint-sized payloads. The bytes are
+/// frozen at construction, so a payload may be read concurrently from any
+/// number of runtime threads.
 ///
-/// An empty body holds no buffer at all: building, copying and dropping it
-/// touches neither the heap nor the BufferPool (a heartbeat's whole cost is
-/// its envelope).
+/// A non-empty body is one serial::SharedBytes block from the BufferPool: an
+/// atomic count of the handles sharing it, and the Bytes. When the last
+/// handle drops, the block and its buffer's capacity go back to the pool,
+/// strictly after the count reaches zero, so no live reader can observe a
+/// recycled buffer. An empty body holds no block at all: building, copying
+/// and dropping it touches neither the heap nor the pool (a heartbeat's
+/// whole cost is its envelope).
 class Payload {
  public:
   Payload() = default;
+  /// Adopt `bytes` into a pooled block. Empty bytes make an empty body and
+  /// hand their capacity straight back to the pool.
   // NOLINTNEXTLINE(google-explicit-constructor): Bytes -> Payload is the
   // intended seam; every encode() call site keeps reading naturally.
   Payload(serial::Bytes bytes) {
-    if (!bytes.empty()) {
-      data_ = std::make_shared<const serial::Bytes>(std::move(bytes));
+    if (bytes.empty()) {
+      serial::BufferPool::instance().release(std::move(bytes));
+    } else {
+      block_ = serial::BufferPool::instance().adopt(std::move(bytes));
+    }
+  }
+  Payload(const Payload& other) : block_(other.block_) {
+    if (block_ != nullptr) block_->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  Payload(Payload&& other) noexcept : block_(std::exchange(other.block_, nullptr)) {}
+  Payload& operator=(const Payload& other) {
+    Payload copy(other);
+    std::swap(block_, copy.block_);
+    return *this;
+  }
+  Payload& operator=(Payload&& other) noexcept {
+    std::swap(block_, other.block_);
+    return *this;
+  }
+  ~Payload() {
+    // A handle that sees a count of one is the only one left: no other
+    // handle exists to copy or drop the block concurrently.
+    if (block_ != nullptr &&
+        (block_->refs.load(std::memory_order_acquire) == 1 ||
+         block_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)) {
+      serial::BufferPool::instance().recycle(block_);
     }
   }
 
   [[nodiscard]] const serial::Bytes& bytes() const {
     static const serial::Bytes kEmpty;
-    return data_ ? *data_ : kEmpty;
+    return block_ != nullptr ? block_->bytes : kEmpty;
   }
   // NOLINTNEXTLINE(google-explicit-constructor)
   operator const serial::Bytes&() const { return bytes(); }
 
-  [[nodiscard]] std::size_t size() const { return data_ ? data_->size() : 0; }
+  [[nodiscard]] std::size_t size() const {
+    return block_ != nullptr ? block_->bytes.size() : 0;
+  }
   [[nodiscard]] bool empty() const { return size() == 0; }
 
   /// True when both payloads reference the same underlying buffer — the
   /// zero-copy invariant tests assert on. Always false for empty bodies,
   /// which have no buffer.
   [[nodiscard]] bool shares_buffer_with(const Payload& other) const {
-    return data_ != nullptr && data_ == other.data_;
-  }
-
-  /// Like the Bytes constructor, but the buffer's heap storage returns to the
-  /// global serial::BufferPool when the LAST reference drops. Copies still
-  /// share the one buffer (shares_buffer_with holds as usual); recycling
-  /// happens strictly after the refcount reaches zero, so no live reader can
-  /// ever observe a recycled buffer. The refcount and the Bytes header share
-  /// one heap block; an empty buffer hands its capacity straight back.
-  [[nodiscard]] static Payload pooled(serial::Bytes bytes) {
-    Payload p;
-    if (bytes.empty()) {
-      serial::BufferPool::instance().release(std::move(bytes));
-      return p;
-    }
-    auto holder = std::make_shared<PooledBytes>(std::move(bytes));
-    const serial::Bytes* view = &holder->bytes;
-    p.data_ = std::shared_ptr<const serial::Bytes>(std::move(holder), view);
-    return p;
+    return block_ != nullptr && block_ == other.block_;
   }
 
  private:
-  /// Owner of a pooled buffer; its destructor runs when the last Payload
-  /// sharing it drops, and hands the storage back to the pool.
-  struct PooledBytes {
-    explicit PooledBytes(serial::Bytes b) : bytes(std::move(b)) {}
-    ~PooledBytes() { serial::BufferPool::instance().release(std::move(bytes)); }
-    PooledBytes(const PooledBytes&) = delete;
-    PooledBytes& operator=(const PooledBytes&) = delete;
-
-    serial::Bytes bytes;
-  };
-
-  std::shared_ptr<const serial::Bytes> data_;
+  serial::SharedBytes* block_ = nullptr;
 };
 
 struct Message {
@@ -97,18 +100,14 @@ struct Message {
 /// Build a message from a typed payload: T must expose
 /// `static constexpr MessageType kType` and be a wire struct (serial.hpp).
 /// A payload with no wire fields leaves the body empty: no pool access and
-/// no allocation. Any other body is encoded into a pool-recycled buffer that
-/// returns to the pool when the message's last copy dies, so the steady-state
-/// send path allocates one block (refcount plus Bytes header) per message.
+/// no allocation. Any other body is encoded into a recycled buffer in a
+/// recycled block, both of which return to the pool when the message's last
+/// copy dies, so a warm send path does not allocate.
 template <typename T>
 Message make_message(const T& payload) {
   Message m;
   m.type = T::kType;
-  if constexpr (!serial::EmptyFieldList<T>) {
-    serial::Writer writer(serial::BufferPool::instance().acquire());
-    writer.object(payload);
-    m.body = Payload::pooled(writer.take());
-  }
+  if constexpr (!serial::EmptyFieldList<T>) m.body = serial::encode(payload);
   return m;
 }
 

@@ -1,6 +1,7 @@
 #include "poisson/block_task.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -31,6 +32,15 @@ linalg::CsrMatrix assemble_local_laplacian(std::size_t n, std::size_t row_lo,
   return builder.build();
 }
 
+namespace {
+
+/// The source term of rhs_kind 0, f = 2π² sin(πx) sin(πy).
+double default_source(double x, double y) {
+  return 2.0 * M_PI * M_PI * std::sin(M_PI * x) * std::sin(M_PI * y);
+}
+
+}  // namespace
+
 linalg::Vector global_rhs(const PoissonConfig& config) {
   const std::size_t n = config.n;
   if (config.rhs_kind == 1) {
@@ -41,9 +51,7 @@ linalg::Vector global_rhs(const PoissonConfig& config) {
     assemble_laplacian(n).multiply(exact, b);
     return b;
   }
-  return assemble_rhs(n, [](double x, double y) {
-    return 2.0 * M_PI * M_PI * std::sin(M_PI * x) * std::sin(M_PI * y);
-  });
+  return assemble_rhs(n, default_source);
 }
 
 serial::Bytes encode_config(const PoissonConfig& config) {
@@ -55,7 +63,7 @@ bool PoissonTask::init(const core::AppDescriptor& app, core::TaskId task_id) {
   // that does not decode or describes no grid this task can solve.
   serial::Reader reader(app.config);
   const PoissonConfig config = reader.object<PoissonConfig>();
-  // global_rhs builds the whole n² right-hand side and, for rhs_kind 1, the
+  // For rhs_kind 1, global_rhs builds the whole n² right-hand side and the
   // whole n²-row Laplacian, whose up to 5 n² nonzeros the CSR indexes in 32
   // bits; past that grid side the right-hand side alone is tens of
   // gigabytes. n² cannot overflow: n has 32 bits. A negative or non-finite
@@ -87,9 +95,22 @@ bool PoissonTask::init(const core::AppDescriptor& app, core::TaskId task_id) {
 
   a_local_ = assemble_local_laplacian(n, block_.ext_lo, block_.ext_hi);
 
-  const linalg::Vector full_rhs = global_rhs(config_);
-  b_ext_.assign(full_rhs.begin() + static_cast<std::ptrdiff_t>(block_.ext_lo),
-                full_rhs.begin() + static_cast<std::ptrdiff_t>(block_.ext_hi));
+  if (config_.rhs_kind == 1) {
+    const linalg::Vector full_rhs = global_rhs(config_);
+    b_ext_.assign(
+        full_rhs.begin() + static_cast<std::ptrdiff_t>(block_.ext_lo),
+        full_rhs.begin() + static_cast<std::ptrdiff_t>(block_.ext_hi));
+  } else {
+    // f on this block's rows only, at the grid points assemble_rhs uses
+    // (row r is grid point (r % n, r / n)), so the values are the global
+    // right-hand side's bits.
+    b_ext_.resize(block_.ext_size());
+    for (std::size_t r = block_.ext_lo; r < block_.ext_hi; ++r) {
+      const double x = static_cast<double>(r % n + 1) * h;
+      const double y = static_cast<double>(r / n + 1) * h;
+      b_ext_[r - block_.ext_lo] = default_source(x, y);
+    }
+  }
 
   state_ = State{};
   state_.x_ext.assign(block_.ext_size(), 0.0);
@@ -132,14 +153,13 @@ double PoissonTask::iterate() {
     return last_solve_flops_;
   }
 
-  linalg::Vector rhs;
-  build_rhs(rhs);
+  build_rhs(rhs_);
 
   linalg::CgOptions options;
   options.tolerance = config_.inner_tolerance;
   options.max_iterations = config_.inner_max_iterations;
   const auto cg =
-      linalg::conjugate_gradient(a_local_, rhs, state_.x_ext, options);
+      linalg::conjugate_gradient(a_local_, rhs_, state_.x_ext, options);
   last_solve_converged_ = cg.converged;
   sent_since_last_solve_ = false;
 
@@ -176,7 +196,7 @@ double PoissonTask::iterate() {
   return flops;
 }
 
-std::vector<core::OutgoingData> PoissonTask::outgoing() {
+std::span<const core::OutgoingData> PoissonTask::outgoing() {
   // Send boundary lines after every real solve; during starved spins resend
   // only every kResendInterval iterations — a low-rate refresh that feeds
   // replacement daemons (which join with empty boundary buffers) without
@@ -191,19 +211,19 @@ std::vector<core::OutgoingData> PoissonTask::outgoing() {
 
   const std::size_t n = config_.n;
   const std::size_t overlap_rows = config_.overlap_lines * n;
-  std::vector<core::OutgoingData> out;
-  out.reserve(std::size_t{task_id_ > 0} +
-              std::size_t{task_id_ + 1 < task_count_});
+  std::size_t count = 0;
 
-  // Each line is encoded straight from x_ext into a buffer of its exact size.
-  auto extract_line = [&](std::size_t global_start) {
+  // Each line is encoded straight from x_ext into the task's buffer for
+  // that neighbour, which keeps its capacity from one send to the next.
+  auto put_line = [&](core::TaskId to, std::size_t global_start,
+                      serial::Bytes& line, std::uint32_t tag) {
     JACEPP_ASSERT(global_start >= block_.owned_lo &&
                   global_start + n <= block_.owned_hi);
-    serial::Bytes buffer;
-    buffer.reserve(serial::varint_size(n) + n * sizeof(double));
-    serial::Writer writer(std::move(buffer));
+    line.reserve(serial::varint_size(n) + n * sizeof(double));
+    serial::Writer writer(std::move(line));
     writer.f64_vector(state_.x_ext.data() + (global_start - block_.ext_lo), n);
-    return writer.take();
+    line = writer.take();
+    outgoing_[count++] = core::OutgoingData{to, line, tag};
   };
 
   // Stream tags name the boundary direction: the line a neighbour receives
@@ -212,29 +232,57 @@ std::vector<core::OutgoingData> PoissonTask::outgoing() {
   if (task_id_ > 0) {
     // The predecessor's extended block ends at my owned_lo + overlap; it
     // needs the line right above that boundary.
-    const std::size_t start = block_.owned_lo + overlap_rows;
-    out.push_back(core::OutgoingData{task_id_ - 1, extract_line(start), 1});
+    put_line(task_id_ - 1, block_.owned_lo + overlap_rows, line_down_, 1);
   }
   if (task_id_ + 1 < task_count_) {
     // The successor's extended block starts at my owned_hi - overlap; it
     // needs the line right below that boundary.
-    const std::size_t start = block_.owned_hi - overlap_rows - n;
-    out.push_back(core::OutgoingData{task_id_ + 1, extract_line(start), 0});
+    put_line(task_id_ + 1, block_.owned_hi - overlap_rows - n, line_up_, 0);
   }
-  return out;
+  return {outgoing_.data(), count};
 }
 
 namespace {
 
+/// Two doubles, one SSE2 register at the baseline ISA, and the lane mask
+/// their comparison yields.
+using Pair = double __attribute__((vector_size(16)));
+using PairMask = std::int64_t __attribute__((vector_size(16)));
+
 /// Copies a received line's doubles (little-endian, as f64_vector writes
 /// them) over `held`, which has the line's length, and reports whether any
-/// element compares unequal: a ±0 swap is no news, a NaN always is.
+/// element compares unequal: a ±0 swap is no news, a NaN always is. The
+/// held bits become the line's.
 bool take_line(const std::uint8_t* line, linalg::Vector& held) {
+  const std::size_t n = held.size();
+  double* out = held.data();
+  std::size_t i = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    // Four doubles a step. A vector != is the scalar one lane by lane (an
+    // unordered compare, so a NaN lane is always set). The first step that
+    // finds a difference makes the line fresh, and the rest is a copy.
+    for (; i + 4 <= n; i += 4) {
+      Pair v0, v1, h0, h1;
+      __builtin_memcpy(&v0, line + i * sizeof(double), sizeof v0);
+      __builtin_memcpy(&v1, line + (i + 2) * sizeof(double), sizeof v1);
+      __builtin_memcpy(&h0, out + i, sizeof h0);
+      __builtin_memcpy(&h1, out + i + 2, sizeof h1);
+      __builtin_memcpy(out + i, &v0, sizeof v0);
+      __builtin_memcpy(out + i + 2, &v1, sizeof v1);
+      const PairMask unequal = (v0 != h0) | (v1 != h1);
+      if ((unequal[0] | unequal[1]) != 0) {
+        i += 4;
+        __builtin_memcpy(out + i, line + i * sizeof(double),
+                         (n - i) * sizeof(double));
+        return true;
+      }
+    }
+  }
   bool changed = false;
-  for (std::size_t i = 0; i < held.size(); ++i) {
+  for (; i < n; ++i) {
     const double v = serial::load_f64(line + i * sizeof(double));
-    changed |= v != held[i];
-    held[i] = v;
+    changed |= v != out[i];
+    out[i] = v;
   }
   return changed;
 }
@@ -242,7 +290,7 @@ bool take_line(const std::uint8_t* line, linalg::Vector& held) {
 }  // namespace
 
 void PoissonTask::on_data(core::TaskId from_task, std::uint64_t iteration,
-                          const serial::Bytes& payload) {
+                          serial::ByteView payload) {
   // A line is taken when it is n doubles in the f64_vector encoding (bytes
   // after them are ignored); it is decoded straight into the held line.
   serial::Reader reader(payload);

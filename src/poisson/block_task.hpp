@@ -10,7 +10,9 @@
 // data are constant").
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/task.hpp"
@@ -53,7 +55,7 @@ class PoissonTask : public core::Task {
   [[nodiscard]] bool init(const core::AppDescriptor& app,
                           core::TaskId task_id) override;
   double iterate() override;
-  std::vector<core::OutgoingData> outgoing() override;
+  std::span<const core::OutgoingData> outgoing() override;
   [[nodiscard]] double local_error() const override {
     return state_.local_error;
   }
@@ -61,7 +63,7 @@ class PoissonTask : public core::Task {
     return last_iteration_informative_;
   }
   void on_data(core::TaskId from_task, std::uint64_t iteration,
-               const serial::Bytes& payload) override;
+               serial::ByteView payload) override;
   [[nodiscard]] serial::Bytes checkpoint() const override;
   [[nodiscard]] bool restore(const serial::Bytes& state) override;
   [[nodiscard]] serial::Bytes final_payload() const override;
@@ -73,6 +75,9 @@ class PoissonTask : public core::Task {
   [[nodiscard]] const PoissonConfig& config() const { return config_; }
   [[nodiscard]] const linalg::RowBlock& block() const { return block_; }
   [[nodiscard]] const linalg::Vector& x_ext() const { return state_.x_ext; }
+  /// The right-hand side of the extended block's rows, before the
+  /// neighbours' boundary lines are added.
+  [[nodiscard]] const linalg::Vector& b_ext() const { return b_ext_; }
   [[nodiscard]] std::uint64_t iterations_done() const {
     return state_.iterations_done;
   }
@@ -110,9 +115,17 @@ class PoissonTask : public core::Task {
 
   linalg::CsrMatrix a_local_;
   linalg::Vector b_ext_;
+  linalg::Vector rhs_;  ///< build_rhs's output, kept so a solve allocates none
   State state_;
   bool lower_fresh_ = false;
   bool upper_fresh_ = false;
+
+  /// What outgoing() returns: the encoded lines for the predecessor and the
+  /// successor, rewritten in place on each send, and the records viewing
+  /// them.
+  serial::Bytes line_down_;
+  serial::Bytes line_up_;
+  std::array<core::OutgoingData, 2> outgoing_{};
 
   double inv_h2_ = 0.0;
   bool last_iteration_informative_ = false;

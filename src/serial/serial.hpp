@@ -24,6 +24,7 @@
 //   std::uint32_t -> u32            std::uint64_t -> u64
 //   bool -> boolean                 double -> f64
 //   std::string -> str              Bytes -> bytes
+//   ByteView -> bytes (decodes as a view into the reader's buffer)
 //   std::vector<std::uint32_t> -> u32_vector
 //   std::vector<double, A> -> f64_vector (any allocator)
 //   std::vector<T> of wire structs -> object_vector
@@ -48,6 +49,7 @@
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -64,6 +66,12 @@
 namespace jacepp::serial {
 
 using Bytes = std::vector<std::uint8_t>;
+
+/// Bytes that live in someone else's buffer. Encodes exactly like Bytes
+/// (varint length, then the bytes); Reader decodes it as a view into the
+/// buffer being read, so it is valid only while that buffer is: a TaskData
+/// payload points into its message's body.
+using ByteView = std::span<const std::uint8_t>;
 
 /// A struct declared with JACEPP_WIRE_FIELDS.
 template <typename T>
@@ -206,8 +214,9 @@ class Writer {
       f64(value);
     } else if constexpr (std::is_same_v<T, std::string>) {
       str(value);
-    } else if constexpr (std::is_same_v<T, Bytes>) {
-      bytes(value);
+    } else if constexpr (std::is_same_v<T, Bytes> ||
+                         std::is_same_v<T, ByteView>) {
+      bytes(value.data(), value.size());
     } else if constexpr (std::is_same_v<T, std::vector<std::uint32_t>>) {
       u32_vector(value);
     } else if constexpr (detail::kIsF64Vector<T>) {
@@ -241,6 +250,7 @@ class Writer {
       return sizeof(T);
     } else if constexpr (std::is_same_v<T, std::string> ||
                          std::is_same_v<T, Bytes> ||
+                         std::is_same_v<T, ByteView> ||
                          std::is_same_v<T, std::vector<std::uint32_t>> ||
                          detail::kIsF64Vector<T>) {
       return varint_size(value.size()) +
@@ -299,6 +309,7 @@ class Reader {
  public:
   explicit Reader(const Bytes& data) : data_(data.data()), size_(data.size()) {}
   Reader(const std::uint8_t* data, std::size_t size) : data_(data), size_(size) {}
+  explicit Reader(ByteView data) : data_(data.data()), size_(data.size()) {}
 
   [[nodiscard]] bool ok() const { return ok_; }
   [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
@@ -388,6 +399,13 @@ class Reader {
   }
 
   Bytes bytes() {
+    const ByteView view = byte_view();
+    return Bytes(view.begin(), view.end());
+  }
+
+  /// A bytes() field left in place: a view of it inside the buffer being
+  /// read, with no copy.
+  ByteView byte_view() {
     const std::uint64_t len = varint();
     if (!ok_) return {};
     // Clamp against the remaining payload BEFORE allocating: an adversarial
@@ -396,9 +414,9 @@ class Reader {
       poison("bytes length exceeds payload");
       return {};
     }
-    Bytes b(data_ + pos_, data_ + pos_ + len);
+    const ByteView view(data_ + pos_, static_cast<std::size_t>(len));
     pos_ += len;
-    return b;
+    return view;
   }
 
   /// Decode a double vector. The vector type is a template parameter so call
@@ -464,6 +482,8 @@ class Reader {
       return str();
     } else if constexpr (std::is_same_v<T, Bytes>) {
       return bytes();
+    } else if constexpr (std::is_same_v<T, ByteView>) {
+      return byte_view();
     } else if constexpr (std::is_same_v<T, std::vector<std::uint32_t>>) {
       return u32_vector();
     } else if constexpr (detail::kIsF64Vector<T>) {
@@ -553,10 +573,14 @@ inline double load_f64(const std::uint8_t* p) {
   return std::bit_cast<double>(bits);
 }
 
-/// Encode a wire value into a fresh buffer of exactly its size.
+/// An empty buffer from the process's BufferPool (serial/buffer_pool.hpp),
+/// its capacity kept.
+Bytes recycled_buffer();
+
+/// Encode a wire value into a recycled buffer holding at least its size.
 template <typename T>
 Bytes encode(const T& value) {
-  Bytes buffer;
+  Bytes buffer = recycled_buffer();
   buffer.reserve(Writer::object_size(value));
   Writer writer(std::move(buffer));
   writer.object(value);

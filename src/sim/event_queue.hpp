@@ -2,6 +2,14 @@
 // cancellation flags. Ties in time break by insertion order, which makes the
 // whole simulation deterministic for a fixed seed.
 //
+// The heap holds small keys, not closures (DESIGN.md §12). A key is
+// {time, id, slot}, 24 trivially copyable bytes; the closure and its tag sit
+// in `slots_`, an array recycled through a free list, so a sift level moves
+// 24 bytes instead of a 56-byte entry holding a std::function. The slot
+// array grows to the high-water mark of pending events and is reused from
+// then on: scheduling allocates nothing unless the closure itself outgrows
+// std::function's inline buffer.
+//
 // The heap is 4-ary (children of i at 4i+1..4i+4) rather than binary: pops
 // dominate the simulator loop, and a 4-ary sift-down does half the levels of
 // a binary one at 3 extra comparisons per level — a net win once the queue
@@ -19,7 +27,8 @@
 // rounds without mutating shard state). To bound memory under cancel-heavy
 // loads (periodic timers rescheduled every tick), cancel() eagerly rebuilds
 // the heap once tombstones outnumber half the live entries, so the queue
-// never holds more than ~2x the live event count.
+// never holds more than ~2x the live event count. A swept tombstone's slot
+// is released with it.
 #pragma once
 
 #include <cstdint>
@@ -66,18 +75,24 @@ class EventQueue {
   /// a stale cancel (of an id that already fired) is reconciled at the next
   /// eager purge. `empty()` does not depend on this counter.
   [[nodiscard]] std::size_t live_count() const { return live_; }
+  /// Closure slots ever allocated: the high-water mark of scheduled_count().
+  [[nodiscard]] std::size_t slot_count() const { return slots_.size(); }
 
  private:
-  struct Entry {
+  struct Key {
     double time;
     EventId id;
-    std::uint64_t tag;
+    std::uint32_t slot;
+  };
+
+  struct Slot {
     std::function<void()> fn;
+    std::uint64_t tag = 0;
   };
 
   /// Min-order: should a pop before b? Earliest time first, insertion id as
   /// the deterministic tiebreaker.
-  static bool before(const Entry& a, const Entry& b) {
+  static bool before(const Key& a, const Key& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.id < b.id;
   }
@@ -86,6 +101,8 @@ class EventQueue {
   void sift_down(std::size_t i);
   void rebuild();
   void pop_top();
+  /// Destroy slot `slot`'s closure and put the slot on the free list.
+  void release_slot(std::uint32_t slot);
 
   void drop_cancelled();
   void purge();
@@ -93,7 +110,9 @@ class EventQueue {
   // Manual 4-ary heap over a vector instead of std::priority_queue: purge()
   // needs access to the underlying storage, and the arity is not expressible
   // with std::*_heap.
-  std::vector<Entry> heap_;
+  std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
   std::unordered_set<EventId> cancelled_;
   EventId next_id_ = 1;
   std::size_t live_ = 0;

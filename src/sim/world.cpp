@@ -418,7 +418,7 @@ void SimWorld::transmit_wire(net::NodeId from_id, const net::Stub& to,
     // seq = position in this outbox: the per-shard (arrival, seq) sort at the
     // end of the round then reproduces send order for equal arrivals.
     sh.outbox.push_back(CrossFrame{sh.now + delay, to, std::move(message),
-                                   &dest, dest.shard, sh.outbox.size()});
+                                   dest.shard, sh.outbox.size()});
     return;
   }
 
@@ -439,15 +439,11 @@ void SimWorld::transmit_wire(net::NodeId from_id, const net::Stub& to,
 
   const double delay =
       transfer_delay(from, dest.spec, message.wire_size(), *sh.link_rng);
-  const net::NodeId dest_id = to.node;
-  const net::Incarnation dest_inc = dest.stub.incarnation;
   // Deliver only if the destination is still the same live incarnation when
   // the bits arrive; otherwise the message is lost in flight.
-  sh.queue.schedule(
-      sh.now + delay,
-      [this, dest_id, dest_inc, msg = std::move(message)]() mutable {
-        deliver_wire(dest_id, dest_inc, std::move(msg));
-      });
+  park(from.shard, sh.now + delay,
+       net::Stub{to.node, dest.stub.incarnation, to.kind}, std::move(message),
+       /*cross=*/false);
 }
 
 void SimWorld::deliver_wire(net::NodeId dest_id, net::Incarnation dest_inc,
@@ -651,17 +647,6 @@ void SimWorld::run_round() {
 }
 
 void SimWorld::merge_outboxes() {
-  // Recycle the arena slots whose frames were delivered during the round.
-  // Drained in shard order so the free-list state — and therefore which slot
-  // the next frame lands in — is a pure function of the event history, never
-  // of lane timing.
-  for (auto& shard : shards_) {
-    for (const std::uint32_t slot : shard->released_slots) {
-      arena_free_.push_back(slot);
-    }
-    shard->released_slots.clear();
-  }
-
   // Deterministic (arrival, shard, seq) merge, equivalent to the former
   // concatenate + stable_sort but allocation-free in steady state: each
   // outbox is already (arrival, seq)-sorted, so a cursor heap keyed
@@ -687,22 +672,11 @@ void SimWorld::merge_outboxes() {
     merge_heap_.pop_back();
     std::vector<CrossFrame>& outbox = shards_[cur.shard]->outbox;
 
-    // Park the frame in a reusable arena slot. The arrival closure captures
-    // just (this, slot) — inside std::function's inline buffer, so the
-    // schedule itself allocates nothing; the arena and free list grow to the
-    // per-round high-water mark once and are reused thereafter.
-    std::uint32_t slot;
-    if (!arena_free_.empty()) {
-      slot = arena_free_.back();
-      arena_free_.pop_back();
-    } else {
-      slot = static_cast<std::uint32_t>(arena_.size());
-      arena_.emplace_back();
-    }
-    arena_[slot] = std::move(outbox[cur.index]);
-    CrossFrame& frame = arena_[slot];
-    shards_[frame.dest_shard]->queue.schedule(
-        frame.arrival, [this, slot] { deliver_parked(slot); });
+    // The barrier runs single-threaded, so it may write the destination
+    // shard's parked slots.
+    CrossFrame& frame = outbox[cur.index];
+    park(frame.dest_shard, frame.arrival, frame.to, std::move(frame.message),
+         /*cross=*/true);
 
     if (cur.index + 1 < outbox.size()) {
       merge_heap_.push_back(MergeCursor{outbox[cur.index + 1].arrival,
@@ -713,13 +687,38 @@ void SimWorld::merge_outboxes() {
   for (auto& shard : shards_) shard->outbox.clear();
 }
 
-void SimWorld::deliver_parked(std::uint32_t slot) {
-  CrossFrame& frame = arena_[slot];
-  Node& dest = *frame.dest;
-  deliver_cross(dest, frame.to, std::move(frame.message));
-  // Release to the executing shard's list: the destination's, whose queue
-  // held this arrival.
-  shards_[dest.shard]->released_slots.push_back(slot);
+void SimWorld::park(std::uint32_t shard, double arrival, const net::Stub& to,
+                    net::Message message, bool cross) {
+  Shard& sh = *shards_[shard];
+  std::uint32_t slot;
+  if (!sh.parked_free.empty()) {
+    slot = sh.parked_free.back();
+    sh.parked_free.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(sh.parked.size());
+    sh.parked.emplace_back();
+  }
+  Parked& parked = sh.parked[slot];
+  parked.to = to;
+  parked.message = std::move(message);
+  parked.cross = cross;
+  sh.queue.schedule(arrival,
+                    [this, shard, slot] { deliver_parked(shard, slot); });
+}
+
+void SimWorld::deliver_parked(std::uint32_t shard, std::uint32_t slot) {
+  Shard& sh = *shards_[shard];
+  Parked& parked = sh.parked[slot];
+  const net::Stub to = parked.to;
+  const bool cross = parked.cross;
+  net::Message message = std::move(parked.message);
+  // Free the slot first: the handler may park new frames in this shard.
+  sh.parked_free.push_back(slot);
+  if (cross) {
+    deliver_cross(node_ref(to.node), to, std::move(message));
+  } else {
+    deliver_wire(to.node, to.incarnation, std::move(message));
+  }
 }
 
 std::vector<std::uint64_t> SimWorld::shard_event_counts() const {

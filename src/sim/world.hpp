@@ -247,19 +247,30 @@ class SimWorld {
         : link(config, stats) {}
   };
 
-  /// A cross-shard wire frame parked in its sender's outbox until the round
+  /// A cross-shard wire frame held in its sender's outbox until the round
   /// barrier. Liveness/incarnation checks happen at arrival on the
   /// destination shard (the sender must not read another shard's state).
   struct CrossFrame {
     double arrival = 0.0;
     net::Stub to;
     net::Message message;
-    Node* dest = nullptr;  ///< stable: each node is its own allocation
     std::uint32_t dest_shard = 0;
     /// Send order within the owning outbox: the per-shard sort key is
     /// (arrival, seq), so equal-arrival frames keep send order and the k-way
     /// merge reproduces the old concat + stable_sort order exactly.
     std::uint64_t seq = 0;
+  };
+
+  /// A wire frame in flight, parked in its destination shard until its
+  /// arrival event fires. The event's closure captures only (world, shard,
+  /// slot), which fits std::function's inline buffer, so scheduling a
+  /// delivery allocates nothing.
+  struct Parked {
+    /// Same-shard: the destination with the incarnation resolved at send
+    /// (deliver_wire). Cross-shard: the stub as addressed (deliver_cross).
+    net::Stub to;
+    net::Message message;
+    bool cross = false;
   };
 
   /// One world partition: everything a round executes without touching
@@ -273,15 +284,17 @@ class SimWorld {
     NetStats* stats = nullptr;  ///< &world.stats_ classic, &local sharded
     std::unordered_map<LinkKey, LinkState, LinkKeyHash> links;
     std::vector<CrossFrame> outbox;
+    /// Frames in flight to this shard's nodes, and the free slots among
+    /// them. Only this shard's lane touches them during a round; the barrier
+    /// merge parks cross-shard arrivals here single-threaded. Both grow to
+    /// the shard's high-water mark of frames in flight and are reused.
+    std::vector<Parked> parked;
+    std::vector<std::uint32_t> parked_free;
     std::uint64_t executed = 0;
     bool stop_round = false;    ///< set by request_stop() on this shard
     /// This round's conservative horizon, written by the coordinator before
     /// the crew is released.
     double round_horizon = 0.0;
-    /// Arena slots whose parked frame this shard delivered during the round;
-    /// drained back to the world free list at the barrier, in shard order,
-    /// so slot reuse is a pure function of the event history.
-    std::vector<std::uint32_t> released_slots;
   };
 
   /// The node with id `id`, or nullptr for an id never allocated.
@@ -313,9 +326,9 @@ class SimWorld {
   /// with serialize_links, one-frame-in-flight occupancy.
   void pump_link(net::NodeId from, net::NodeId to);
   /// Put one frame on the wire: same-shard frames run the classic
-  /// liveness/incarnation checks and schedule local delivery; cross-shard
-  /// frames are parked in the sender's outbox. `ls` is non-null when the
-  /// frame came off a link queue (occupancy accounting).
+  /// liveness/incarnation checks and park for local delivery; cross-shard
+  /// frames wait in the sender's outbox. `ls` is non-null when the frame
+  /// came off a link queue (occupancy accounting).
   void transmit_wire(net::NodeId from, const net::Stub& to,
                      net::Message message, LinkState* ls);
   /// With serialize_links, hold a link-queue frame's link busy for its
@@ -342,9 +355,13 @@ class SimWorld {
   void set_round_horizons(double t_min, double limit);
   void run_round();
   void merge_outboxes();
-  /// Execute the arrival parked in arena slot `slot` and hand the slot to
-  /// the executing shard's release list. Runs on the destination's shard.
-  void deliver_parked(std::uint32_t slot);
+  /// Park `message` in shard `shard` and schedule its delivery at `arrival`
+  /// on that shard's queue.
+  void park(std::uint32_t shard, double arrival, const net::Stub& to,
+            net::Message message, bool cross);
+  /// Release parked slot `slot` of shard `shard` and deliver its frame.
+  /// Runs on that shard.
+  void deliver_parked(std::uint32_t shard, std::uint32_t slot);
   RoundWorkerPool& round_crew();
   /// Fold per-shard counters into stats_ (no-op with shards == 1).
   void aggregate_stats() const;
@@ -356,8 +373,8 @@ class SimWorld {
   net::NodeId next_node_ = 1;
   /// The node table, indexed by id - 1: ids are allocated densely from 1
   /// and nodes are never erased. Each node is its own allocation, so its
-  /// address survives the table growing (CrossFrame::dest holds one across
-  /// rounds). DESIGN.md §12 says why this is not a std::deque<Node>.
+  /// address survives the table growing. DESIGN.md §12 says why this is not
+  /// a std::deque<Node>.
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Shard>> shards_;
   /// Harness events (shards >= 2 only; classic mode keeps them in shard 0's
@@ -372,14 +389,6 @@ class SimWorld {
     std::size_t index = 0;
   };
   std::vector<MergeCursor> merge_heap_;
-  /// Parked cross-shard frames awaiting delivery. Slots are acquired and
-  /// recycled only at round barriers (single-threaded); during a round each
-  /// live slot is touched exclusively by the one shard whose queue holds its
-  /// arrival event. Keeping the frame here lets the arrival closure capture
-  /// just (this, slot) — small enough for std::function's inline buffer, so
-  /// the merge schedules without allocating.
-  std::vector<CrossFrame> arena_;
-  std::vector<std::uint32_t> arena_free_;
   std::uint64_t rounds_ = 0;
   /// Per-shard min over owned nodes of MachineSpec::min_wire_cost() — the
   /// round-horizon input. add_node alone maintains it: a new node can only

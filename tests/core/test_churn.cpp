@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -60,14 +61,16 @@ class ChurnTickerTask : public Task {
     error_ = 1.0 / static_cast<double>(iterations_);
     return 1e6;
   }
-  std::vector<OutgoingData> outgoing() override {
+  std::span<const OutgoingData> outgoing() override {
     if (task_count_ < 2) return {};
-    serial::Writer w;
+    serial::Writer w(std::move(token_));
     w.u64(iterations_);
-    return {OutgoingData{(task_id_ + 1) % task_count_, w.take()}};
+    token_ = w.take();
+    out_ = OutgoingData{(task_id_ + 1) % task_count_, token_};
+    return {&out_, 1};
   }
   [[nodiscard]] double local_error() const override { return error_; }
-  void on_data(TaskId, std::uint64_t, const serial::Bytes&) override {
+  void on_data(TaskId, std::uint64_t, serial::ByteView) override {
     ++tokens_received_;
   }
   [[nodiscard]] serial::Bytes checkpoint() const override {
@@ -88,6 +91,8 @@ class ChurnTickerTask : public Task {
   TaskId task_id_ = 0;
   std::uint32_t task_count_ = 0;
   std::uint64_t iterations_ = 0;
+  serial::Bytes token_;  ///< what outgoing() sends, rewritten in place
+  OutgoingData out_;
   std::uint64_t tokens_received_ = 0;
   double error_ = 1.0;
 };
@@ -624,6 +629,79 @@ TEST(ChurnDefaults, NoChurnNoReputationNoAuditMessagesByDefault) {
        {msg::AuditChallenge::kType, msg::AuditReply::kType,
         msg::ReputationReport::kType, msg::BackupPlacement::kType}) {
     EXPECT_EQ(report.net.sent_by_type.count(type), 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Lying workers: what a forged line looks like
+// ---------------------------------------------------------------------------
+
+/// Env that keeps every message it is asked to send.
+class RecordingEnv : public net::Env {
+ public:
+  [[nodiscard]] double now() const override { return 0.0; }
+  [[nodiscard]] net::Stub self() const override {
+    return net::Stub{9, 1, net::EntityKind::Daemon};
+  }
+  void send(const net::Stub&, net::Message m) override {
+    sent.push_back(std::move(m));
+  }
+  net::TimerId schedule(double, std::function<void()>) override { return 0; }
+  void cancel(net::TimerId) override {}
+  void compute(std::function<double()>, std::function<void()>) override {}
+  Rng& rng() override { return rng_; }
+  void shutdown_self() override {}
+
+  std::vector<net::Message> sent;
+
+ private:
+  Rng rng_{1};
+};
+
+TEST(CorruptingEnv, ForgedLineDiffersInExactlyOneByte) {
+  // The payload of a decoded TaskData views the honest message's body, so
+  // the liar forges a copy: the honest body is untouched, and the forged
+  // line differs from it in one byte, flipped in its low bit.
+  RecordingEnv inner;
+  CorruptingEnv liar(inner, /*seed=*/5, /*lie_rate=*/1.0);
+  serial::Bytes line(768);
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    line[i] = static_cast<std::uint8_t>(i * 7);
+  }
+  msg::TaskData data;
+  data.app_id = 3;
+  data.from_task = 1;
+  data.to_task = 2;
+  data.tag = 1;
+  data.iteration = 44;
+  data.payload = line;
+  const net::Message honest = net::make_message(data);
+  const serial::Bytes honest_body = honest.body.bytes();
+
+  for (int round = 0; round < 20; ++round) {
+    liar.send(net::Stub{4, 1, net::EntityKind::Daemon}, honest);
+  }
+  EXPECT_EQ(liar.corruptions(), 20u);
+  EXPECT_EQ(honest.body.bytes(), honest_body);
+  ASSERT_EQ(inner.sent.size(), 20u);
+  for (const net::Message& forged : inner.sent) {
+    ASSERT_EQ(forged.type, msg::TaskData::kType);
+    EXPECT_EQ(forged.body.size(), honest.body.size());
+    const auto decoded = net::payload_of<msg::TaskData>(forged);
+    EXPECT_EQ(decoded.app_id, data.app_id);
+    EXPECT_EQ(decoded.from_task, data.from_task);
+    EXPECT_EQ(decoded.to_task, data.to_task);
+    EXPECT_EQ(decoded.tag, data.tag);
+    EXPECT_EQ(decoded.iteration, data.iteration);
+    ASSERT_EQ(decoded.payload.size(), line.size());
+    std::size_t differing = 0;
+    for (std::size_t i = 0; i < line.size(); ++i) {
+      if (decoded.payload[i] != line[i]) {
+        ++differing;
+        EXPECT_EQ(decoded.payload[i] ^ line[i], 0x01);
+      }
+    }
+    EXPECT_EQ(differing, 1u);
   }
 }
 

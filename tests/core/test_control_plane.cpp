@@ -52,14 +52,16 @@ class CpTickerTask : public Task {
     error_ = 1.0 / static_cast<double>(iterations_);
     return 1e6;
   }
-  std::vector<OutgoingData> outgoing() override {
+  std::span<const OutgoingData> outgoing() override {
     if (task_count_ < 2) return {};
-    serial::Writer w;
+    serial::Writer w(std::move(token_));
     w.u64(iterations_);
-    return {OutgoingData{(task_id_ + 1) % task_count_, w.take()}};
+    token_ = w.take();
+    out_ = OutgoingData{(task_id_ + 1) % task_count_, token_};
+    return {&out_, 1};
   }
   [[nodiscard]] double local_error() const override { return error_; }
-  void on_data(TaskId, std::uint64_t, const serial::Bytes&) override {
+  void on_data(TaskId, std::uint64_t, serial::ByteView) override {
     ++tokens_received_;
   }
   [[nodiscard]] serial::Bytes checkpoint() const override {
@@ -83,6 +85,8 @@ class CpTickerTask : public Task {
   TaskId task_id_ = 0;
   std::uint32_t task_count_ = 0;
   std::uint64_t iterations_ = 0;
+  serial::Bytes token_;  ///< what outgoing() sends, rewritten in place
+  OutgoingData out_;
   std::uint64_t tokens_received_ = 0;
   double error_ = 1.0;
 };

@@ -10,6 +10,7 @@
 // bytes, decode of the golden, and rejection of every strict prefix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -312,8 +313,18 @@ TEST(WireGolden, TaskData) {
   m.to_task = 6;
   m.tag = 1;
   m.iteration = 0x0102030405;
-  m.payload = {9, 8, 7};
+  const serial::Bytes line{9, 8, 7};
+  m.payload = line;
   expect_golden(m, "2a000000050000000600000001000000050403020100000003090807");
+
+  // Decoded from a message, the payload is a view into the message's body:
+  // the line is not copied out.
+  const net::Message message = net::make_message(m);
+  const msg::TaskData decoded = net::payload_of<msg::TaskData>(message);
+  const serial::Bytes& body = message.body.bytes();
+  ASSERT_EQ(decoded.payload.size(), line.size());
+  EXPECT_EQ(decoded.payload.data(), body.data() + body.size() - line.size());
+  EXPECT_TRUE(std::equal(line.begin(), line.end(), decoded.payload.begin()));
 }
 
 TEST(WireGolden, SaveBackup) {
@@ -321,7 +332,8 @@ TEST(WireGolden, SaveBackup) {
   m.app_id = 42;
   m.task_id = 5;
   m.iteration = 77;
-  m.state = {0xaa, 0xbb, 0xcc};
+  const serial::Bytes frame{0xaa, 0xbb, 0xcc};
+  m.state = frame;
   expect_golden(m, "2a000000050000004d0000000000000003aabbcc");
 }
 
@@ -349,7 +361,8 @@ TEST(WireGolden, BackupData) {
   m.app_id = 42;
   m.task_id = 5;
   m.iteration = 77;
-  m.state = {0xaa, 0xbb, 0xcc};
+  const serial::Bytes frame{0xaa, 0xbb, 0xcc};
+  m.state = frame;
   expect_golden(m, "2a000000050000004d0000000000000003aabbcc");
 }
 

@@ -413,7 +413,8 @@ TEST(LinkClassifier, TaskDataKeyPacksStreamIdentity) {
   d.to_task = 6;
   d.tag = 1;
   d.iteration = 99;
-  d.payload = serial::Bytes(64);
+  const serial::Bytes payload(64);
+  d.payload = payload;
   const Classification c = core::msg::classify_for_link(make_message(d));
   EXPECT_EQ(c.cls, DeliveryClass::Data);
   EXPECT_EQ(c.key_hi, (std::uint64_t{3} << 32) | 5u);

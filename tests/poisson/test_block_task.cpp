@@ -310,6 +310,28 @@ TEST(BlockTask, LineFreshnessComparesValues) {
     return task.error_is_informative();
   };
 
+  // The compare runs four doubles a step, then element by element: for an
+  // odd n (a remainder after the steps) and an even one, a lone NaN is
+  // fresh and a lone -0 over +0 is not, at every position, each taken
+  // bit for bit.
+  for (const std::size_t side : {std::size_t{11}, std::size_t{16}}) {
+    const auto side_app = make_app(static_cast<std::uint32_t>(side), 2);
+    for (std::size_t pos = 0; pos < side; ++pos) {
+      PoissonTask task;
+      ASSERT_TRUE(task.init(side_app, 1));
+      task.iterate();
+      std::vector<double> line(side, 0.0);
+      line[pos] = -0.0;
+      EXPECT_FALSE(fresh_after(task, line_payload(line)))
+          << "n=" << side << " -0 at " << pos;
+      EXPECT_TRUE(same_bits(held_lower_line(task), line));
+      line[pos] = std::numeric_limits<double>::quiet_NaN();
+      EXPECT_TRUE(fresh_after(task, line_payload(line)))
+          << "n=" << side << " NaN at " << pos;
+      EXPECT_TRUE(same_bits(held_lower_line(task), line));
+    }
+  }
+
   // The held line starts at +0: a line of -0 is not fresh, yet it is held.
   PoissonTask signed_zero;
   ASSERT_TRUE(signed_zero.init(app, 1));
@@ -370,6 +392,33 @@ TEST(BlockTask, IdenticalContentDoesNotCountAsFresh) {
   b.on_data(0, 2, out[0].payload);        // same content re-sent
   b.iterate();
   EXPECT_FALSE(b.error_is_informative());
+}
+
+TEST(BlockTask, BlockRhsMatchesGlobalRhsSlice) {
+  // rhs_kind 0 evaluates f on the block's own rows; the values must be the
+  // bits of the same rows of the global right-hand side, for every block of
+  // every split the partition allows.
+  for (const std::uint32_t n : {2u, 3u, 96u, 160u}) {
+    PoissonConfig pc;
+    pc.n = n;
+    const linalg::Vector global = global_rhs(pc);
+    for (const std::uint32_t tasks : {1u, 2u, 8u, 80u}) {
+      for (const std::uint32_t overlap : {0u, 1u, 2u}) {
+        const auto app = make_app(n, tasks, overlap);
+        for (std::uint32_t id = 0; id < tasks; ++id) {
+          PoissonTask task;
+          if (!task.init(app, id)) break;  // a split the partition refuses
+          const auto& blk = task.block();
+          ASSERT_EQ(task.b_ext().size(), blk.ext_size());
+          EXPECT_EQ(std::memcmp(task.b_ext().data(), global.data() + blk.ext_lo,
+                                blk.ext_size() * sizeof(double)),
+                    0)
+              << "n=" << n << " tasks=" << tasks << " overlap=" << overlap
+              << " task=" << id;
+        }
+      }
+    }
+  }
 }
 
 TEST(BlockTask, AssembleSolutionSkipsMissingPayloads) {

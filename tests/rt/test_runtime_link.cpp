@@ -63,7 +63,8 @@ net::Message task_data(std::uint32_t tag, std::uint64_t iteration) {
   d.to_task = 1;
   d.tag = tag;
   d.iteration = iteration;
-  d.payload = serial::Bytes(128);
+  const serial::Bytes payload(128);
+  d.payload = payload;
   return net::make_message(d);
 }
 

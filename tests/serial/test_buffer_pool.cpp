@@ -55,7 +55,7 @@ TEST_F(BufferPoolTest, PooledPayloadRecyclesOnlyAfterLastReference) {
   auto& pool = BufferPool::instance();
   Bytes bytes(512, 0x5a);
 
-  net::Payload first = net::Payload::pooled(std::move(bytes));
+  net::Payload first = net::Payload(std::move(bytes));
   {
     net::Payload second = first;  // capture (e.g. sim event queue copy)
     EXPECT_TRUE(second.shares_buffer_with(first));
@@ -168,7 +168,7 @@ TEST_F(BufferPoolTest, EmptyPooledBufferReturnsAtOnce) {
   auto& pool = BufferPool::instance();
   Bytes b;
   b.reserve(64);
-  const net::Payload p = net::Payload::pooled(std::move(b));
+  const net::Payload p = net::Payload(std::move(b));
   EXPECT_TRUE(p.empty());
   EXPECT_EQ(&p.bytes(), &net::Payload{}.bytes());
   EXPECT_EQ(pool.free_count(), 1u);
@@ -188,7 +188,7 @@ TEST_F(BufferPoolTest, ConcurrentAcquireReleaseIsRaceFree) {
       for (int i = 0; i < kRounds; ++i) {
         Bytes b = pool.acquire();
         b.assign(64 + static_cast<std::size_t>(t), static_cast<std::uint8_t>(i));
-        net::Payload p = net::Payload::pooled(std::move(b));
+        net::Payload p = net::Payload(std::move(b));
         net::Payload copy = p;
         ASSERT_TRUE(copy.shares_buffer_with(p));
       }

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <tuple>
 #include <vector>
+
+#include "support/rng.hpp"
 
 namespace jacepp::sim {
 namespace {
@@ -206,6 +210,88 @@ TEST(EventQueue, ObserversAreConstAndPure) {
   EXPECT_EQ(view.scheduled_count(), heap_before);
   EXPECT_EQ(view.cancelled_count(), tombs_before);
   EXPECT_EQ(view.live_count(), 1u);
+}
+
+TEST(EventQueue, RandomOperationsMatchAnOrderedReference) {
+  // 20,000 random schedule / schedule_tagged / cancel / pop operations
+  // against a reference ordered by (time, id). Cancels target pending events
+  // only, so the live count is exact throughout. Times sit on a coarse grid,
+  // so equal times (broken by id) are common. The phases alternate growth,
+  // cancel-heavy stretches (which force eager purges) and draining.
+  EventQueue q;
+  Rng rng(2024);
+  struct Ref {
+    std::uint64_t tag = 0;
+    std::uint64_t token = 0;
+  };
+  std::map<std::pair<double, EventId>, Ref> reference;
+  std::map<EventId, double> pending_time;  // id -> time, for cancels
+  std::uint64_t fired = 0;
+  std::uint64_t next_token = 1;
+  EventId next_id = 1;
+  double now = 0.0;
+  std::size_t high_water = 0;
+  std::size_t purges = 0;
+  std::size_t pops = 0;
+
+  for (int op = 0; op < 20000; ++op) {
+    const int phase = (op / 2000) % 3;
+    const double roll = rng.next_double();
+    const double p_schedule = phase == 0 ? 0.6 : phase == 1 ? 0.15 : 0.2;
+    const double p_tagged = phase == 0 ? 0.1 : 0.05;
+    const double p_cancel = phase == 1 ? 0.6 : 0.15;
+    const std::size_t heap_before = q.scheduled_count();
+    if (roll < p_schedule + p_tagged) {
+      const double when = now + 0.5 * static_cast<double>(rng.index(20));
+      const std::uint64_t token = next_token++;
+      const bool tagged = roll >= p_schedule;
+      const std::uint64_t tag = tagged ? 1 + rng.index(1000) : 0;
+      const auto fn = [&fired, token] { fired = token; };
+      const EventId id = tagged ? q.schedule_tagged(when, tag, fn)
+                                : q.schedule(when, fn);
+      ASSERT_EQ(id, next_id++) << "ids count up from 1";
+      reference[{when, id}] = Ref{tag, token};
+      pending_time[id] = when;
+    } else if (roll < p_schedule + p_tagged + p_cancel) {
+      if (pending_time.empty()) continue;
+      auto it = pending_time.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(
+                           rng.index(pending_time.size())));
+      q.cancel(it->first);
+      reference.erase({it->second, it->first});
+      pending_time.erase(it);
+      if (q.scheduled_count() + 1 < heap_before) ++purges;
+    } else {
+      if (reference.empty()) {
+        ASSERT_TRUE(q.empty());
+        continue;
+      }
+      const auto expected = reference.begin();
+      std::uint64_t tag = ~0ull;
+      q.pop(&now, &tag)();
+      ++pops;
+      ASSERT_EQ(fired, expected->second.token) << "op " << op;
+      ASSERT_EQ(tag, expected->second.tag);
+      ASSERT_EQ(now, expected->first.first);
+      pending_time.erase(expected->first.second);
+      reference.erase(expected);
+    }
+    ASSERT_EQ(q.live_count(), reference.size()) << "op " << op;
+    ASSERT_EQ(q.empty(), reference.empty());
+    if (!reference.empty()) {
+      ASSERT_EQ(q.next_time(), reference.begin()->first.first);
+    }
+    // Tombstones are the only entries beyond the live ones, and stay under
+    // half the heap.
+    ASSERT_EQ(q.scheduled_count(), reference.size() + q.cancelled_count());
+    ASSERT_LE(q.cancelled_count(), q.scheduled_count() / 2 + 1);
+    // Every slot a pop, sweep or purge frees is reused before a new one is
+    // made: the slot array is exactly the heap's high-water mark.
+    high_water = std::max(high_water, q.scheduled_count());
+    ASSERT_EQ(q.slot_count(), high_water) << "op " << op;
+  }
+  EXPECT_GT(purges, 0u);
+  EXPECT_GT(pops, 2000u);
 }
 
 }  // namespace

@@ -47,7 +47,8 @@ net::Message task_data(std::uint32_t tag, std::uint64_t iteration,
   d.to_task = 1;
   d.tag = tag;
   d.iteration = iteration;
-  d.payload = serial::Bytes(payload_bytes);
+  const serial::Bytes payload(payload_bytes);
+  d.payload = payload;
   return net::make_message(d);
 }
 
