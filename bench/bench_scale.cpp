@@ -20,11 +20,9 @@
 // fleets of 100/1k/10k (plus 100k in full mode) registering against 1 vs 4
 // super-peers, a probe replaying the spawner's reservation pattern to record
 // sim-time reservation-latency percentiles and the per-super-peer share of
-// reservation traffic, a deployment pair counting convergence-detection
-// messages through the spawner (centralized board vs diffusion wave), and a
-// shard-count determinism gate over the decentralized path. The `cp_floor`
-// JSON block (max reservation share vs 1/N + tolerance, spawner convergence
-// messages vs an O(1) bound) is evaluated by scripts/bench_guard.sh.
+// reservation traffic, and a shard-count determinism gate over the
+// decentralized path. The `cp_floor` JSON block (max reservation share vs
+// 1/N + tolerance) is evaluated by scripts/bench_guard.sh.
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
@@ -362,7 +360,7 @@ CpCaseResult run_cp_case(std::size_t daemons, std::size_t sps,
   return r;
 }
 
-// --- convergence-message pair (centralized board vs diffusion wave) ---------
+// --- the ticker task the churn and voting cases run -------------------------
 
 class ScaleTickerTask : public core::Task {
  public:
@@ -409,58 +407,10 @@ class ScaleTickerTask : public core::Task {
   double error_ = 1.0;
 };
 
-struct ConvCaseResult {
-  bool completed = false;
-  double convergence_time = 0.0;
-  std::uint64_t spawner_reports = 0;   ///< LocalStateReport through the spawner
-  std::uint64_t verdicts = 0;          ///< ConvergedVerdict through the spawner
-  std::uint64_t wave_tokens = 0;       ///< WaveToken hops on the task ring
-  double wall_s = 0.0;
-};
-
 void ensure_scale_ticker() {
   static core::ProgramRegistrar registrar("scale.ticker", [] {
     return std::unique_ptr<core::Task>(new ScaleTickerTask());
   });
-}
-
-ConvCaseResult run_conv_case(std::size_t daemons, std::uint32_t tasks,
-                             bool diffusion, std::uint64_t seed) {
-  ensure_scale_ticker();
-
-  core::SimDeploymentConfig config;
-  config.daemon_count = daemons;
-  config.app.app_id = 77;
-  config.app.program = "scale.ticker";
-  config.app.task_count = tasks;
-  config.app.checkpoint_every = 5;
-  config.app.backup_peer_count = 2;
-  config.app.convergence_threshold = 0.002;  // stable once iteration >= 500
-  config.app.stable_iterations_required = 3;
-  config.max_sim_time = 600.0;
-  config.sim.seed = seed;
-  config.super_peer_count = 4;
-  config.cp.shard_register = true;
-  config.cp.diffusion = diffusion;
-
-  core::SimDeployment deployment(config);
-  const double start = now_s();
-  const core::SimExperimentReport report = deployment.run();
-  const double wall = now_s() - start;
-
-  ConvCaseResult r;
-  r.completed = report.spawner.completed;
-  r.convergence_time = report.spawner.convergence_time;
-  const auto& delivered = report.net.delivered_by_type;
-  const auto count_of = [&](net::MessageType t) -> std::uint64_t {
-    const auto it = delivered.find(t);
-    return it == delivered.end() ? 0 : it->second;
-  };
-  r.spawner_reports = count_of(core::msg::LocalStateReport::kType);
-  r.verdicts = count_of(core::msg::ConvergedVerdict::kType);
-  r.wave_tokens = count_of(core::msg::WaveToken::kType);
-  r.wall_s = wall;
-  return r;
 }
 
 // --- churn ablation: reputation-aware vs random placement (DESIGN.md §14) ---
@@ -713,23 +663,6 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  // Convergence-detection message pair: centralized board vs diffusion wave,
-  // at the 10k-daemon tier in full mode.
-  const std::size_t conv_daemons = *smoke ? 500 : 10000;
-  const std::uint32_t conv_tasks = 16;
-  const ConvCaseResult conv_central =
-      run_conv_case(conv_daemons, conv_tasks, /*diffusion=*/false, *seed);
-  const ConvCaseResult conv_diff =
-      run_conv_case(conv_daemons, conv_tasks, /*diffusion=*/true, *seed);
-  std::fprintf(stderr,
-               "conv daemons %zu tasks %u: centralized %" PRIu64
-               " spawner msgs (conv %.2fs) | diffusion %" PRIu64
-               " verdicts, %" PRIu64 " wave tokens (conv %.2fs)\n",
-               conv_daemons, conv_tasks, conv_central.spawner_reports,
-               conv_central.convergence_time, conv_diff.verdicts,
-               conv_diff.wave_tokens, conv_diff.convergence_time);
-  if (!conv_central.completed || !conv_diff.completed) ok = false;
-
   // --- churn ablation + voting sweep (DESIGN.md §14) -----------------------
 
   // Same committed fault trace, placement policy toggled. Both metrics are
@@ -767,8 +700,7 @@ int main(int argc, char** argv) {
   }
   if (!voting_ok) ok = false;
 
-  // Floor inputs: the largest tier's 4-SP reservation share, and the spawner
-  // message count under diffusion (must be O(1) per application).
+  // Floor input: the largest tier's 4-SP reservation share.
   double cp_max_share = 0.0;
   std::size_t cp_floor_tier = 0;
   for (const CpCaseResult& r : cp_results) {
@@ -778,11 +710,7 @@ int main(int argc, char** argv) {
     }
   }
   const double cp_share_bound = 1.0 / 4.0 + 0.10;
-  const std::uint64_t cp_conv_bound = 8;
-  const std::uint64_t spawner_conv_msgs =
-      conv_diff.spawner_reports + conv_diff.verdicts;
-  const bool cp_ok = cp_max_share <= cp_share_bound &&
-                     spawner_conv_msgs <= cp_conv_bound && cp_deterministic;
+  const bool cp_ok = cp_max_share <= cp_share_bound && cp_deterministic;
   if (!cp_ok) ok = false;
 
   std::printf("{\n  \"smoke\": %s,\n  \"seed\": %" PRIu64
@@ -817,26 +745,15 @@ int main(int argc, char** argv) {
                 r.wall_s, i + 1 < cp_results.size() ? "," : "");
   }
   std::printf("  ],\n");
-  std::printf("  \"cp_convergence\": {\"daemons\": %zu, \"tasks\": %u, "
-              "\"centralized_spawner_msgs\": %" PRIu64
-              ", \"centralized_conv_time\": %.4f, "
-              "\"diffusion_spawner_msgs\": %" PRIu64
-              ", \"diffusion_wave_tokens\": %" PRIu64
-              ", \"diffusion_conv_time\": %.4f},\n",
-              conv_daemons, conv_tasks, conv_central.spawner_reports,
-              conv_central.convergence_time, spawner_conv_msgs,
-              conv_diff.wave_tokens, conv_diff.convergence_time);
   // Digests are quoted: u64 values above 2^53 would lose digits through the
   // double-typed JSON tooling (jq) that run_bench.sh stamps files with.
   std::printf("  \"cp_determinism\": {\"shards1_digest\": \"%" PRIu64
               "\", \"shards4_digest\": \"%" PRIu64 "\", \"ok\": %s},\n",
               det1.digest, det4.digest, cp_deterministic ? "true" : "false");
   std::printf("  \"cp_floor\": {\"daemons\": %zu, \"super_peers\": 4, "
-              "\"max_share\": %.4f, \"share_bound\": %.4f, "
-              "\"spawner_conv_msgs\": %" PRIu64 ", \"conv_msgs_bound\": %" PRIu64
-              ", \"ok\": %s},\n",
-              cp_floor_tier, cp_max_share, cp_share_bound, spawner_conv_msgs,
-              cp_conv_bound, cp_ok ? "true" : "false");
+              "\"max_share\": %.4f, \"share_bound\": %.4f, \"ok\": %s},\n",
+              cp_floor_tier, cp_max_share, cp_share_bound,
+              cp_ok ? "true" : "false");
   std::printf("  \"churn_ablation\": {\n"
               "    \"random\": {\"replacements\": %" PRIu64
               ", \"failures_detected\": %" PRIu64
@@ -877,9 +794,8 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "floor: sharded/single at 1k daemons = %.2fx (best: %zu shards)\n",
                floor_ratio, best_shards);
   std::fprintf(stderr,
-               "cp floor: max share %.1f%% (bound %.1f%%), spawner conv msgs "
-               "%" PRIu64 " (bound %" PRIu64 "), deterministic %s\n",
-               cp_max_share * 100.0, cp_share_bound * 100.0, spawner_conv_msgs,
-               cp_conv_bound, cp_deterministic ? "yes" : "NO");
+               "cp floor: max share %.1f%% (bound %.1f%%), deterministic %s\n",
+               cp_max_share * 100.0, cp_share_bound * 100.0,
+               cp_deterministic ? "yes" : "NO");
   return ok ? 0 : 1;
 }

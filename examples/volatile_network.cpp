@@ -1,10 +1,10 @@
 // Volatile-network demo: the paper's §7 scenario in miniature, upgraded to
 // the decentralized control plane (DESIGN.md §13) under a deterministic churn
-// script (DESIGN.md §14). Four linked super-peers shard the daemon Register;
-// convergence is detected by diffusion waves over the task ring; the churn
-// script injects a flash crowd of late joiners, correlated failure bursts
-// (revived ~20 s later) and a batch of suddenly-slow peers while the solver
-// runs. Reputation-aware placement steers replacements toward peers that kept
+// script (DESIGN.md §14). Four linked super-peers shard the daemon Register
+// and hold replicas of the Application Register; the churn script injects a
+// flash crowd of late joiners, correlated failure bursts (revived ~20 s
+// later) and a batch of suddenly-slow peers while the solver runs.
+// Reputation-aware placement steers replacements toward peers that kept
 // their heartbeats up. The run narrates every event and asserts at exit that
 // the solver actually converged to the right answer.
 //
@@ -52,11 +52,10 @@ int main(int argc, char** argv) {
   config.max_sim_time = 4000.0;
 
   // Decentralized control plane (§13): four linked super-peers, sharded
-  // Register, replicated Application Register, diffusion-wave convergence.
+  // Register, replicated Application Register.
   config.super_peer_count = 4;
   config.cp.shard_register = true;
   config.cp.replicate_register = true;
-  config.cp.diffusion = true;
 
   // Deterministic churn script (§14): one flash crowd of late joiners,
   // correlated failure bursts revived ~20 s later, and a slowdown wave.

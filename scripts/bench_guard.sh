@@ -25,12 +25,10 @@
 #     bugs like an accidentally serializing round barrier, not a speedup
 #     target. The real speedup lives at the 10k tier (see EXPERIMENTS.md).
 #  3. Control-plane floors — also inside BENCH_scale.json and also within-run
-#     counters, so machine-portable. Three hard gates from DESIGN.md §13:
+#     counters, so machine-portable. Two hard gates from DESIGN.md §13:
 #     (a) with N super-peers no single one may serve more than
 #         share_bound (1/N + tolerance) of reservation traffic,
-#     (b) diffusion-based detection must keep spawner-bound convergence
-#         traffic at O(1) per application (spawner_conv_msgs <= bound),
-#     (c) the decentralized plane must replay bit-identically across
+#     (b) the decentralized plane must replay bit-identically across
 #         scheduler shard counts (cp_determinism.ok).
 #  4. Churn / voting floors (DESIGN.md §14) — also inside BENCH_scale.json.
 #     All sim-time counters on a pinned seed, so deterministic and
@@ -109,9 +107,6 @@ cp_floor_checks() {
     ((.cp_floor // empty)
       | select(.max_share > .share_bound)
       | "bench-guard: FLOOR cp/reservation_share@\(.daemons)d/\(.super_peers)sp: \(.max_share * 1000 | floor / 1000) above bound \(.share_bound)"),
-    ((.cp_floor // empty)
-      | select(.spawner_conv_msgs > .conv_msgs_bound)
-      | "bench-guard: FLOOR cp/spawner_conv_msgs: \(.spawner_conv_msgs) above O(1) bound \(.conv_msgs_bound)"),
     ((.cp_determinism // empty)
       | select(.ok != true)
       | "bench-guard: FLOOR cp/shard_determinism: digest \(.shards1_digest) (shards=1) != \(.shards4_digest) (shards=4)")

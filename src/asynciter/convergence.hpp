@@ -92,59 +92,4 @@ class GlobalConvergenceBoard {
   std::size_t stable_count_ = 0;
 };
 
-/// Initiator-side bookkeeping for the diffusion/wave global-convergence
-/// detector (DESIGN.md §13, after Bui–Flauzac–Rabat's diffusing
-/// computations): wave ids, outstanding-wave tracking, and the
-/// consecutive-clean-round counter. A wave is a token sent around the task
-/// ring; each task holds it until locally stable, then forwards it with
-/// `dirty` OR-ed with its own became-unstable-since-last-pass flag. A wave
-/// that returns clean says every task was stable when visited and none
-/// wobbled since the previous wave; `required` consecutive clean waves
-/// certify global convergence. Message plumbing lives in core::Daemon — this
-/// piece is pure logic so it can be unit-tested.
-class DiffusionWaveInitiator {
- public:
-  explicit DiffusionWaveInitiator(std::size_t clean_rounds_required = 2)
-      : required_(clean_rounds_required) {}
-
-  /// Start (or relaunch) a wave; returns its id. Relaunching while one is
-  /// outstanding abandons the old token — stale ids are dropped on return.
-  std::uint32_t launch() {
-    ++next_wave_;
-    outstanding_ = true;
-    return next_wave_;
-  }
-
-  [[nodiscard]] bool outstanding() const { return outstanding_; }
-  [[nodiscard]] std::uint32_t current_wave() const { return next_wave_; }
-  [[nodiscard]] std::uint32_t waves_launched() const { return next_wave_; }
-
-  /// The current wave's token came back. Returns true once the run of clean
-  /// rounds reaches the requirement (global convergence certified).
-  bool complete(bool clean) {
-    outstanding_ = false;
-    clean_rounds_ = clean ? clean_rounds_ + 1 : 0;
-    if (clean_rounds_ >= required_) converged_ = true;
-    return converged_;
-  }
-
-  [[nodiscard]] bool converged() const { return converged_; }
-  [[nodiscard]] std::size_t clean_rounds() const { return clean_rounds_; }
-
-  /// Forget progress (initiator restored from checkpoint: its certified
-  /// history is gone, waves restart from scratch; ids keep growing).
-  void reset() {
-    outstanding_ = false;
-    clean_rounds_ = 0;
-    converged_ = false;
-  }
-
- private:
-  std::size_t required_;
-  std::uint32_t next_wave_ = 0;
-  bool outstanding_ = false;
-  std::size_t clean_rounds_ = 0;
-  bool converged_ = false;
-};
-
 }  // namespace jacepp::asynciter

@@ -58,7 +58,11 @@ struct AppRegister {
   net::Stub spawner;
   std::vector<TaskEntry> tasks;  ///< sorted by task_id, one entry per task
 
+  /// The entry of `task`, or nullptr. Every register a spawner builds holds
+  /// task t at index t, so that slot is tried first; a register from a peer
+  /// that is out of order or has gaps still resolves by a scan.
   [[nodiscard]] const TaskEntry* find(TaskId task) const {
+    if (task < tasks.size() && tasks[task].task_id == task) return &tasks[task];
     for (const auto& e : tasks) {
       if (e.task_id == task) return &e;
     }

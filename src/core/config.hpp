@@ -6,13 +6,12 @@
 // (fast_rt_timing()).
 //
 // A value that every deployment runs at one setting is not a field here but
-// a named constant next to its one reader: Daemon::kBackupRetention and the
-// wave timings in core/daemon.cpp, the reservation TTL, assign-ack window,
-// replica count and audit timings in core/spawner.cpp, and
-// ReputationStore's EWMA constants. The simulator's scale settings
-// (`shards` / `worker_threads`, DESIGN.md §12) live in sim::SimConfig and the
-// churn script's in sim::ChurnScriptConfig; both reach experiments through
-// SimDeploymentConfig.
+// a named constant next to its one reader: Daemon::kBackupRetention, the
+// reservation TTL, assign-ack window, replica count and audit timings in
+// core/spawner.cpp, and ReputationStore's EWMA constants. The simulator's
+// scale settings (`shards` / `worker_threads`, DESIGN.md §12) live in
+// sim::SimConfig and the churn script's in sim::ChurnScriptConfig; both
+// reach experiments through SimDeploymentConfig.
 #pragma once
 
 #include <cstddef>
@@ -44,11 +43,11 @@ struct TimingConfig {
 };
 
 /// Control-plane switches (DESIGN.md §13): how daemons map onto the
-/// super-peers, whether the Application Register is replicated off the
-/// spawner, and which global-convergence detector runs. How many super-peers
-/// there are is the deployment's `super_peer_count`. Defaults reproduce the
-/// paper's centralized control plane bit-for-bit (golden-pinned in
-/// tests/core/test_control_plane.cpp).
+/// super-peers, and whether the Application Register is replicated off the
+/// spawner. Global convergence is always the spawner's AND-of-states board
+/// (§5.5). How many super-peers there are is the deployment's
+/// `super_peer_count`. Defaults reproduce the paper's centralized control
+/// plane bit-for-bit (golden-pinned in tests/core/test_control_plane.cpp).
 struct ControlPlaneConfig {
   /// Shard the daemon Register by consistent hash: a daemon registers at its
   /// home super-peer `mix64(node_id) % N` (stable across crash/revive
@@ -60,11 +59,6 @@ struct ControlPlaneConfig {
   /// version change, so a standby spawner can adopt a running application
   /// after the primary dies (Spawner standby mode).
   bool replicate_register = false;
-  /// Distributed diffusion/wave convergence detection (Bui–Flauzac–Rabat
-  /// style ring waves over the task graph) instead of the spawner's
-  /// centralized AND-of-states board. The spawner then receives only the
-  /// final ConvergedVerdict — O(1) convergence messages per application.
-  bool diffusion = false;
 };
 
 /// Reputation and redundant-execution switches (DESIGN.md §14). Defaults keep

@@ -11,11 +11,6 @@ namespace jacepp::core {
 
 namespace {
 
-/// Diffusion mode (cp.diffusion): the initiator's launch/retry scan period,
-/// and how long it waits for a token before relaunching its wave.
-constexpr double kWavePeriod = 0.5;
-constexpr double kWaveTimeout = 3.0;
-
 /// Task `task_id` of `app`, built and initialized, or why a daemon cannot
 /// run it.
 struct BuiltTask {
@@ -72,17 +67,12 @@ const rmi::Table<Daemon>& Daemon::table() {
     t.on<msg::BackupInfo, &Daemon::handle_backup_info>();
     t.on<msg::BackupData, &Daemon::handle_backup_data>();
     t.on<msg::GlobalHalt, &Daemon::handle_halt>();
-    t.on<msg::WaveToken, &Daemon::handle_wave_token>();
     t.on<msg::AuditChallenge, &Daemon::handle_audit_challenge>();
     t.on<msg::BackupPlacement, &Daemon::handle_backup_placement>();
     t.on<msg::StateProbe, &Daemon::handle_state_probe>();
     return t;
   }();
   return table;
-}
-
-std::uint32_t Daemon::waves_launched() const {
-  return wave_.has_value() ? wave_->waves_launched() : 0;
 }
 
 void Daemon::on_start(net::Env& env) {
@@ -161,13 +151,12 @@ void Daemon::handle_heartbeat_ack(const msg::HeartbeatAck&,
   }
 }
 
-void Daemon::handle_reserved(const msg::Reserved& m, const net::Message&,
+void Daemon::handle_reserved(const msg::Reserved&, const net::Message&,
                              net::Env&) {
   // Accept from Registered (normal) and Bootstrapping (the ack that would
   // have moved us to Registered may have been lost).
   if (state_ == State::Registered || state_ == State::Bootstrapping) {
     set_state(State::Reserved);
-    reserving_spawner_ = m.spawner;
     bump_epoch();
     // Fallback: a reservation that never turns into a task means the spawner
     // died or moved on (or sent an assignment this daemon cannot run);
@@ -213,12 +202,6 @@ void Daemon::handle_assignment(const msg::TaskAssignment& m,
   restore_retried_ = false;
   tracker_.emplace(app_.convergence_threshold, app_.stable_iterations_required);
 
-  // Diffusion-wave state: a fresh or replacement task has no certified
-  // history, so it must dirty the next wave pass (DESIGN.md §13).
-  wave_dirty_ = true;
-  held_token_.reset();
-  wave_.reset();
-
   backup_peers_ = backup_peers_of(task_id_, app_.task_count,
                                   app_.backup_peer_count);
   encoder_ = checkpoint::DeltaEncoder{};
@@ -233,18 +216,6 @@ void Daemon::handle_assignment(const msg::TaskAssignment& m,
     rmi::invoke(*env_, reg_.spawner, msg::Heartbeat{});
     return true;
   });
-
-  // Diffusion mode: the daemon running task 0 is the wave initiator. Its
-  // periodic scan launches a wave when locally stable, relaunches one whose
-  // token went missing, and re-sends the verdict until the halt arrives.
-  if (cp_.diffusion && task_id_ == 0 && !finalize_only_) {
-    wave_.emplace();
-    timers_.arm(*env_, kWavePeriod, [this, epoch]() -> bool {
-      if (epoch != epoch_ || state_ != State::Computing || halted_) return false;
-      wave_scan();
-      return true;
-    });
-  }
 
   if (m.restart || m.finalize_only) {
     begin_restore();
@@ -383,28 +354,16 @@ void Daemon::finish_iteration() {
 
   // Local convergence detection (§5.5): report 1/0 transitions only. The
   // error is only evaluated when the iteration consumed fresh dependency
-  // data; see Task::error_is_informative. In diffusion mode (DESIGN.md §13)
-  // transitions feed the wave protocol instead of the spawner: going unstable
-  // dirties the next token pass, going stable releases a held token (and, at
-  // the initiator, may launch the next wave).
+  // data; see Task::error_is_informative.
   if (const auto transition = task_->error_is_informative()
                                   ? tracker_->update(task_->local_error())
                                   : std::nullopt) {
-    if (cp_.diffusion) {
-      if (*transition) {
-        maybe_forward_wave();
-        if (wave_.has_value()) wave_scan();
-      } else {
-        wave_dirty_ = true;
-      }
-    } else {
-      msg::LocalStateReport report;
-      report.app_id = app_.app_id;
-      report.task_id = task_id_;
-      report.stable = *transition;
-      report.iteration = iteration_;
-      rmi::invoke(*env_, reg_.spawner, report);
-    }
+    msg::LocalStateReport report;
+    report.app_id = app_.app_id;
+    report.task_id = task_id_;
+    report.stable = *transition;
+    report.iteration = iteration_;
+    rmi::invoke(*env_, reg_.spawner, report);
   }
 
   // Checkpoint every k = checkpoint_every iterations (jaceSave, §5.4);
@@ -538,97 +497,6 @@ void Daemon::handle_backup_data(const msg::BackupData& m, const net::Message&,
                task_id_, static_cast<unsigned long long>(m.iteration));
     start_iterating();
   }
-}
-
-// ---------------------------------------------------------------------------
-// Diffusion-wave convergence detection (cp.diffusion; DESIGN.md §13)
-// ---------------------------------------------------------------------------
-
-void Daemon::handle_wave_token(const msg::WaveToken& m, const net::Message&,
-                               net::Env&) {
-  if (!cp_.diffusion || state_ != State::Computing || halted_ ||
-      finalize_only_ || m.app_id != app_.app_id || m.to_task != task_id_) {
-    return;
-  }
-  if (task_id_ == m.initiator) {
-    // Wave completed a round trip. Stale tokens (a relaunch superseded their
-    // wave) are dropped; the live one folds the ring's dirty bit with the
-    // initiator's own state.
-    if (!wave_.has_value() || !wave_->outstanding() ||
-        m.wave_id != wave_->current_wave()) {
-      return;
-    }
-    const bool clean =
-        !m.dirty && !wave_dirty_ && tracker_.has_value() && tracker_->stable();
-    wave_dirty_ = false;
-    if (wave_->complete(clean)) {
-      send_verdict();
-    } else if (tracker_.has_value() && tracker_->stable()) {
-      launch_wave();  // chase the next clean round without waiting a period
-    }
-    return;
-  }
-  // Mid-ring: park the token until locally stable (a newer token simply
-  // replaces an older parked one — the old wave already timed out or will).
-  held_token_ = m;
-  maybe_forward_wave();
-}
-
-void Daemon::maybe_forward_wave() {
-  if (!held_token_.has_value() || restore_phase_ != RestorePhase::None) return;
-  if (!tracker_.has_value() || !tracker_->stable()) return;
-  msg::WaveToken token = *held_token_;
-  held_token_.reset();
-  token.dirty = token.dirty || wave_dirty_;
-  wave_dirty_ = false;
-  forward_wave(std::move(token));
-}
-
-void Daemon::forward_wave(msg::WaveToken token) {
-  token.to_task = (task_id_ + 1) % app_.task_count;
-  const net::Stub to = reg_.daemon_of(token.to_task);
-  // A failed, not-yet-replaced successor drops the token; the initiator's
-  // kWaveTimeout relaunches it once the ring is whole again.
-  if (!to.valid()) return;
-  rmi::invoke(*env_, to, token);
-}
-
-void Daemon::launch_wave() {
-  msg::WaveToken token;
-  token.app_id = app_.app_id;
-  token.wave_id = wave_->launch();
-  token.initiator = task_id_;
-  token.dirty = wave_dirty_;
-  wave_dirty_ = false;
-  wave_launched_at_ = env_->now();
-  if (app_.task_count < 2) {
-    // Degenerate single-task ring: the wave completes in place.
-    if (wave_->complete(!token.dirty)) send_verdict();
-    return;
-  }
-  forward_wave(std::move(token));
-}
-
-void Daemon::wave_scan() {
-  if (!wave_.has_value()) return;
-  if (wave_->converged()) {
-    send_verdict();  // re-send until the GlobalHalt kills this timer
-    return;
-  }
-  if (wave_->outstanding()) {
-    // Token lost (daemon crashed holding it, or a ring slot is vacant).
-    if (env_->now() - wave_launched_at_ > kWaveTimeout) launch_wave();
-    return;
-  }
-  if (tracker_.has_value() && tracker_->stable()) launch_wave();
-}
-
-void Daemon::send_verdict() {
-  msg::ConvergedVerdict verdict;
-  verdict.app_id = app_.app_id;
-  verdict.wave_id = wave_->current_wave();
-  verdict.waves_run = wave_->waves_launched();
-  rmi::invoke(*env_, reg_.spawner, verdict);
 }
 
 void Daemon::handle_state_probe(const msg::StateProbe& m,

@@ -79,7 +79,6 @@ class Daemon : public net::Actor {
   [[nodiscard]] std::uint64_t restarts_from_zero() const { return restarts_from_zero_; }
   [[nodiscard]] std::uint64_t bootstrap_attempts() const { return bootstrap_attempts_; }
   [[nodiscard]] const net::Stub& registered_super_peer() const { return super_peer_; }
-  [[nodiscard]] std::uint32_t waves_launched() const;
   [[nodiscard]] Task* task() { return task_.get(); }
 
  private:
@@ -118,8 +117,6 @@ class Daemon : public net::Actor {
                           net::Env& env);
   void handle_halt(const msg::GlobalHalt& m, const net::Message& raw,
                    net::Env& env);
-  void handle_wave_token(const msg::WaveToken& m, const net::Message& raw,
-                         net::Env& env);
   void handle_audit_challenge(const msg::AuditChallenge& m,
                               const net::Message& raw, net::Env& env);
   void handle_backup_placement(const msg::BackupPlacement& m,
@@ -140,14 +137,6 @@ class Daemon : public net::Actor {
   /// rejoin the available pool (the halt, or a finalize-only recovery).
   void hand_in_final_state();
   void teardown_task();
-
-  // Diffusion-wave convergence detection (DESIGN.md §13; only with
-  // cp_.diffusion).
-  void maybe_forward_wave();
-  void forward_wave(msg::WaveToken token);
-  void launch_wave();
-  void wave_scan();
-  void send_verdict();
 
   void bump_epoch() { ++epoch_; }
 
@@ -174,9 +163,6 @@ class Daemon : public net::Actor {
   /// re-registering daemon tries its home super-peer first).
   std::uint64_t shard_walk_ = 0;
 
-  // Reserved state.
-  net::Stub reserving_spawner_;
-
   // Computing state.
   AppDescriptor app_;
   TaskId task_id_ = 0;
@@ -187,12 +173,6 @@ class Daemon : public net::Actor {
   std::optional<asynciter::LocalConvergenceTracker> tracker_;
   bool halted_ = false;
   bool finalize_only_ = false;
-
-  // Diffusion-wave state (cp_.diffusion; DESIGN.md §13).
-  bool wave_dirty_ = false;  ///< went unstable since the last token pass
-  std::optional<msg::WaveToken> held_token_;  ///< parked until locally stable
-  std::optional<asynciter::DiffusionWaveInitiator> wave_;  ///< task 0 only
-  double wave_launched_at_ = 0.0;
 
   // Checkpoint emission (§5.4; frames in core/checkpoint.hpp).
   std::vector<TaskId> backup_peers_;

@@ -93,6 +93,8 @@ struct ReserveReply {
 };
 
 /// Super-Peer → Daemon: you are reserved by this spawner; expect a task.
+/// The daemon learns its spawner from the assignment's register, so it does
+/// not read `spawner`.
 struct Reserved {
   static constexpr net::MessageType kType = 8;
   net::Stub spawner;
@@ -283,33 +285,9 @@ struct AppRegisterSnapshot {
   JACEPP_WIRE_FIELDS(available, reg)
 };
 
-/// Daemon → Daemon: diffusion-wave convergence token (DESIGN.md §13). The
-/// initiator (task 0's daemon) launches a wave when locally stable; each task
-/// holds the token until it is stable too, then forwards it around the task
-/// ring with `dirty` OR-ed with its own instability-since-last-pass flag.
-/// Two consecutive clean round trips certify global convergence.
-struct WaveToken {
-  static constexpr net::MessageType kType = 24;
-  AppId app_id = 0;
-  std::uint32_t wave_id = 0;
-  TaskId initiator = 0;
-  TaskId to_task = 0;
-  bool dirty = false;
-
-  JACEPP_WIRE_FIELDS(app_id, wave_id, initiator, to_task, dirty)
-};
-
-/// Initiator Daemon → Spawner: the diffusion protocol certified global
-/// convergence — the only convergence-detection message the spawner receives
-/// in `cp.diffusion` mode.
-struct ConvergedVerdict {
-  static constexpr net::MessageType kType = 25;
-  AppId app_id = 0;
-  std::uint32_t wave_id = 0;   ///< wave that completed the second clean round
-  std::uint32_t waves_run = 0; ///< total waves the initiator launched
-
-  JACEPP_WIRE_FIELDS(app_id, wave_id, waves_run)
-};
+// Type ids 24 and 25 are retired (a diffusion-wave convergence detector's
+// token and verdict): a peer on an older build may still send them, and no
+// other message may decode them.
 
 /// Spawner → Daemon: re-report your current local stability (sent by a
 /// standby spawner after adopting an application, to rebuild the centralized

@@ -56,7 +56,6 @@ const rmi::Table<Spawner>& Spawner::table() {
     t.on<msg::AuditReply, &Spawner::handle_audit_reply>();
     t.on<msg::LocalStateReport, &Spawner::handle_local_state>();
     t.on<msg::FinalState, &Spawner::handle_final_state>();
-    t.on<msg::ConvergedVerdict, &Spawner::handle_verdict>();
     t.on<msg::AppRegisterSnapshot, &Spawner::handle_snapshot>();
     return t;
   }();
@@ -88,20 +87,9 @@ void Spawner::arm_watchdogs() {
     if (finished_) return false;
     expire_stale_requests();
     expire_pool(env_->now());
-    std::uint32_t needed = 0;
-    if (!launched_) {
-      const auto have = static_cast<std::uint32_t>(pool_.size());
-      needed = app_.task_count > have ? app_.task_count - have : 0;
-    } else {
-      const auto have = static_cast<std::uint32_t>(pool_.size());
-      const auto want = static_cast<std::uint32_t>(awaiting_replacement_.size() +
-                                                   awaiting_final_recovery_.size());
-      needed = want > have ? want - have : 0;
-    }
-    const std::uint32_t outstanding = outstanding_requested();
-    if (needed > outstanding) {
-      request_daemons(needed - outstanding);
-    }
+    request_shortfall(launched_ ? awaiting_replacement_.size() +
+                                      awaiting_final_recovery_.size()
+                                : app_.task_count);
     return true;
   });
 
@@ -145,6 +133,14 @@ void Spawner::request_daemons(std::uint32_t count) {
                                : env_->rng().index(n);
   rmi::invoke(*env_, bootstrap_addresses_[pick], request);
   pending_requests_[request.request_id] = PendingRequest{count, env_->now()};
+}
+
+void Spawner::request_shortfall(std::size_t want) {
+  const std::size_t needed = want > pool_.size() ? want - pool_.size() : 0;
+  const std::uint32_t outstanding = outstanding_requested();
+  if (needed > outstanding) {
+    request_daemons(static_cast<std::uint32_t>(needed - outstanding));
+  }
 }
 
 void Spawner::expire_pool(double now) {
@@ -255,16 +251,20 @@ void Spawner::try_launch() {
 
 void Spawner::assign_task(TaskId task, const net::Stub& daemon, bool restart) {
   // Update the register first so the assignment carries the fresh mapping.
-  ++reg_.version;
-  for (TaskEntry& entry : reg_.tasks) {
-    if (entry.task_id == task) entry.daemon = daemon;
-  }
-  task_of_daemon_[daemon] = task;
+  bind_task(task, daemon);
   last_heartbeat_[task] = env_->now();
   awaiting_first_heartbeat_[task] = env_->now();
   board_.invalidate(task);
   send_assignment(task, daemon, restart, /*finalize_only=*/false);
   broadcast_register();
+}
+
+void Spawner::bind_task(TaskId task, const net::Stub& daemon) {
+  ++reg_.version;
+  for (TaskEntry& entry : reg_.tasks) {
+    if (entry.task_id == task) entry.daemon = daemon;
+  }
+  task_of_daemon_[daemon] = task;
 }
 
 void Spawner::send_assignment(TaskId task, const net::Stub& daemon,
@@ -351,14 +351,10 @@ void Spawner::adopt() {
     board_.invalidate(entry.task_id);
   }
   broadcast_register();
-  if (!cp_.diffusion) {
-    // Rebuild the centralized convergence board the primary took with it.
-    // (Diffusion mode needs nothing: the initiator re-sends its verdict to
-    // reg_.spawner until the halt arrives.)
-    for (const TaskEntry& entry : reg_.tasks) {
-      if (entry.daemon.valid()) {
-        rmi::invoke(*env_, entry.daemon, msg::StateProbe{app_.app_id});
-      }
+  // Rebuild the convergence board the primary took with it.
+  for (const TaskEntry& entry : reg_.tasks) {
+    if (entry.daemon.valid()) {
+      rmi::invoke(*env_, entry.daemon, msg::StateProbe{app_.app_id});
     }
   }
   arm_watchdogs();
@@ -433,13 +429,7 @@ void Spawner::sweep_heartbeats() {
     broadcast_register();
     // Ask the overlay for replacements right away (the watchdog would also
     // catch this, but the paper's spawner reacts immediately, Figure 4).
-    const auto want = static_cast<std::uint32_t>(awaiting_replacement_.size());
-    const auto have = static_cast<std::uint32_t>(pool_.size());
-    const std::uint32_t needed = want > have ? want - have : 0;
-    const std::uint32_t outstanding = outstanding_requested();
-    if (needed > outstanding) {
-      request_daemons(needed - outstanding);
-    }
+    request_shortfall(awaiting_replacement_.size());
   }
 }
 
@@ -451,27 +441,6 @@ void Spawner::handle_local_state(const msg::LocalStateReport& m,
   if (reg_.daemon_of(m.task_id) != raw.from) return;
   board_.set(m.task_id, m.stable);
   maybe_halt();
-}
-
-void Spawner::handle_verdict(const msg::ConvergedVerdict& m,
-                             const net::Message& raw, net::Env&) {
-  // Diffusion mode (DESIGN.md §13): the wave initiator certified global
-  // convergence. Accept only from the current owner of task 0, and only while
-  // the task ring is whole — a verdict racing a failure is stale.
-  if (!cp_.diffusion || m.app_id != app_.app_id || !launched_ ||
-      halt_broadcast_ || reg_.daemon_of(0) != raw.from ||
-      !awaiting_replacement_.empty()) {
-    return;
-  }
-  ++verdicts_received_;
-  if (audit_pending()) {
-    // Redundant-execution gate (DESIGN.md §14): verify results before
-    // trusting the verdict enough to halt the application.
-    halt_after_audit_ = true;
-    start_audit();
-    return;
-  }
-  broadcast_halt();
 }
 
 void Spawner::maybe_halt() {
@@ -545,12 +514,7 @@ void Spawner::retry_final_states() {
     }
   }
   expire_stale_requests();
-  const auto want = static_cast<std::uint32_t>(awaiting_final_recovery_.size());
-  const auto have = static_cast<std::uint32_t>(pool_.size());
-  const std::uint32_t outstanding = outstanding_requested();
-  if (want > have && want - have > outstanding) {
-    request_daemons(want - have - outstanding);
-  }
+  request_shortfall(awaiting_final_recovery_.size());
   serve_final_recovery();
   env_->schedule(timing_.final_state_timeout, [this] { retry_final_states(); });
 }
@@ -560,12 +524,7 @@ void Spawner::serve_final_recovery() {
     const TaskId task = awaiting_final_recovery_.front();
     awaiting_final_recovery_.pop_front();
     const net::Stub daemon = take_from_pool();
-
-    ++reg_.version;
-    for (TaskEntry& entry : reg_.tasks) {
-      if (entry.task_id == task) entry.daemon = daemon;
-    }
-    task_of_daemon_[daemon] = task;
+    bind_task(task, daemon);
     send_assignment(task, daemon, /*restart=*/true, /*finalize_only=*/true);
   }
 }
@@ -752,14 +711,7 @@ void Spawner::finish_audit() {
   }
   audit_votes_.clear();
   audit_sent_at_.clear();
-
-  if (halt_after_audit_) {
-    // Diffusion mode: the verdict already certified convergence.
-    halt_after_audit_ = false;
-    broadcast_halt();
-  } else {
-    maybe_halt();  // audit_done_ is set; the gates decide again
-  }
+  maybe_halt();  // audit_done_ is set; the gates decide again
 }
 
 void Spawner::finish() {

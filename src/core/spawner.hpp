@@ -94,7 +94,6 @@ class Spawner : public net::Actor {
   [[nodiscard]] bool adopted() const { return adopted_; }
   [[nodiscard]] std::uint64_t reservations_expired() const { return reservations_expired_; }
   [[nodiscard]] std::uint64_t assign_nacks() const { return assign_nacks_; }
-  [[nodiscard]] std::uint64_t verdicts_received() const { return verdicts_received_; }
   [[nodiscard]] const AppRegister& app_register() const { return reg_; }
   [[nodiscard]] const SpawnerReport& report() const { return report_; }
   [[nodiscard]] const ReputationStore& reputation() const { return local_rep_; }
@@ -114,16 +113,20 @@ class Spawner : public net::Actor {
                           const net::Message& raw, net::Env& env);
   void handle_final_state(const msg::FinalState& m, const net::Message& raw,
                           net::Env& env);
-  void handle_verdict(const msg::ConvergedVerdict& m, const net::Message& raw,
-                      net::Env& env);
   void handle_snapshot(const msg::AppRegisterSnapshot& m,
                        const net::Message& raw, net::Env& env);
 
   void arm_watchdogs();
   void request_daemons(std::uint32_t count);
+  /// Ask the overlay for `want` daemons minus the pool, minus the daemons
+  /// already requested (if that leaves any).
+  void request_shortfall(std::size_t want);
   void expire_pool(double now);
   void try_launch();
   void assign_task(TaskId task, const net::Stub& daemon, bool restart);
+  /// Bump the register version, point `task`'s slot at `daemon` and map
+  /// `daemon` back to `task`.
+  void bind_task(TaskId task, const net::Stub& daemon);
   /// Send `task` to `daemon` with the current register.
   void send_assignment(TaskId task, const net::Stub& daemon, bool restart,
                        bool finalize_only);
@@ -202,7 +205,6 @@ class Spawner : public net::Actor {
 
   std::uint64_t reservations_expired_ = 0;
   std::uint64_t assign_nacks_ = 0;
-  std::uint64_t verdicts_received_ = 0;
 
   /// The spawner's own view of daemon scores (DESIGN.md §14): fed by the
   /// failures, first-heartbeat latencies and voting outcomes it observes;
@@ -217,7 +219,6 @@ class Spawner : public net::Actor {
   };
   bool audit_done_ = false;
   bool audit_in_progress_ = false;
-  bool halt_after_audit_ = false;  ///< diffusion verdict deferred to the audit
   std::uint32_t audit_round_ = 0;
   std::map<TaskId, std::vector<AuditVote>> audit_votes_;
   /// (task, voter node) → challenge send time; doubles as the outstanding set.

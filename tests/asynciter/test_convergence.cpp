@@ -98,48 +98,6 @@ TEST(GlobalBoard, EmptyBoardIsNeverStable) {
   EXPECT_FALSE(board.all_stable());
 }
 
-TEST(DiffusionWaveInitiator, RequiresConsecutiveCleanRounds) {
-  DiffusionWaveInitiator wave;  // default: 2 clean rounds
-  EXPECT_EQ(wave.launch(), 1u);
-  EXPECT_TRUE(wave.outstanding());
-  EXPECT_FALSE(wave.complete(true));
-  EXPECT_FALSE(wave.outstanding());
-  EXPECT_EQ(wave.clean_rounds(), 1u);
-
-  wave.launch();
-  EXPECT_FALSE(wave.complete(false));  // dirty round resets the run
-  EXPECT_EQ(wave.clean_rounds(), 0u);
-
-  wave.launch();
-  EXPECT_FALSE(wave.complete(true));
-  wave.launch();
-  EXPECT_TRUE(wave.complete(true));
-  EXPECT_TRUE(wave.converged());
-}
-
-TEST(DiffusionWaveInitiator, RelaunchAbandonsOldWaveId) {
-  DiffusionWaveInitiator wave;
-  const auto first = wave.launch();
-  const auto second = wave.launch();  // timeout relaunch: old token stale
-  EXPECT_GT(second, first);
-  EXPECT_EQ(wave.current_wave(), second);
-  EXPECT_TRUE(wave.outstanding());
-  EXPECT_EQ(wave.waves_launched(), 2u);
-}
-
-TEST(DiffusionWaveInitiator, ResetForgetsProgressButKeepsIds) {
-  DiffusionWaveInitiator wave(1);
-  wave.launch();
-  EXPECT_TRUE(wave.complete(true));
-  wave.reset();
-  EXPECT_FALSE(wave.converged());
-  EXPECT_EQ(wave.clean_rounds(), 0u);
-  EXPECT_FALSE(wave.outstanding());
-  // Ids keep growing across the reset so stale tokens stay stale.
-  EXPECT_EQ(wave.launch(), 2u);
-  EXPECT_TRUE(wave.complete(true));
-}
-
 TEST(GlobalBoard, ResizeResets) {
   GlobalConvergenceBoard board(1);
   board.set(0, true);

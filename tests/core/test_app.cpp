@@ -79,6 +79,28 @@ TEST(AppRegister, FindAndDaemonOf) {
   EXPECT_FALSE(reg.daemon_of(7).valid());
   EXPECT_NE(reg.find(1), nullptr);
   EXPECT_EQ(reg.find(9), nullptr);
+
+  // A register from a peer may be out of order or have gaps: lookups still
+  // resolve by task id, not by position.
+  AppRegister shuffled;
+  shuffled.tasks = {{2, net::Stub{12, 1, net::EntityKind::Daemon}},
+                    {0, net::Stub{10, 1, net::EntityKind::Daemon}},
+                    {1, net::Stub{11, 1, net::EntityKind::Daemon}}};
+  EXPECT_EQ(shuffled.daemon_of(0).node, 10u);
+  EXPECT_EQ(shuffled.daemon_of(1).node, 11u);
+  EXPECT_EQ(shuffled.daemon_of(2).node, 12u);
+  EXPECT_EQ(shuffled.find(3), nullptr);
+
+  AppRegister gapped;
+  gapped.tasks = {{0, net::Stub{10, 1, net::EntityKind::Daemon}},
+                  {3, net::Stub{13, 1, net::EntityKind::Daemon}},
+                  {5, net::Stub{15, 1, net::EntityKind::Daemon}}};
+  EXPECT_EQ(gapped.daemon_of(0).node, 10u);
+  EXPECT_EQ(gapped.daemon_of(3).node, 13u);
+  EXPECT_EQ(gapped.daemon_of(5).node, 15u);
+  EXPECT_EQ(gapped.find(1), nullptr);
+  EXPECT_EQ(gapped.find(2), nullptr);
+  EXPECT_FALSE(gapped.daemon_of(4).valid());
 }
 
 TEST(AppRegister, SerializationRoundTrip) {

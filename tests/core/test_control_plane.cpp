@@ -1,8 +1,8 @@
 // Decentralized control plane (DESIGN.md §13): golden pin of the default
 // centralized path, a golden pin of the sharded Register at a few thousand
 // daemons, last-heard-index failure detection, register sharding edges,
-// Application Register replication + standby failover, diffusion-wave
-// convergence detection, and the reservation-staleness fixes.
+// Application Register replication + standby failover, and the
+// reservation-staleness fixes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -617,78 +617,8 @@ TEST(ControlPlane, StandbySpawnerAdoptsAfterPrimaryDies) {
 }
 
 // ---------------------------------------------------------------------------
-// Diffusion-wave convergence detection
-// ---------------------------------------------------------------------------
-
-TEST(ControlPlane, DiffusionDetectsConvergenceWithO1SpawnerMessages) {
-  SimDeploymentConfig config = golden_config();
-  config.disconnect_times.clear();
-  config.cp.diffusion = true;
-  SimDeployment deployment(config);
-  const auto report = deployment.run();
-  ASSERT_TRUE(report.spawner.completed);
-  ASSERT_NE(deployment.spawner(), nullptr);
-  EXPECT_GE(deployment.spawner()->verdicts_received(), 1u);
-
-  // No per-transition reports funnel through the spawner, and the verdict
-  // count is O(1) per application (re-sends are bounded by the wave period ×
-  // halt latency, in practice a handful).
-  const auto& delivered = report.net.delivered_by_type;
-  const auto reports_it = delivered.find(msg::LocalStateReport::kType);
-  EXPECT_TRUE(reports_it == delivered.end() || reports_it->second == 0u);
-  const auto verdicts_it = delivered.find(msg::ConvergedVerdict::kType);
-  ASSERT_NE(verdicts_it, delivered.end());
-  EXPECT_GE(verdicts_it->second, 1u);
-  EXPECT_LE(verdicts_it->second, 8u);
-  // The wave itself ran: tokens circulated the task ring.
-  const auto tokens_it = delivered.find(msg::WaveToken::kType);
-  ASSERT_NE(tokens_it, delivered.end());
-  EXPECT_GE(tokens_it->second, 2u * config.app.task_count);
-}
-
-TEST(ControlPlane, DiffusionConvergenceTimeMatchesCentralized) {
-  // Off-vs-on parity: the wave protocol certifies the same convergence the
-  // centralized board sees, within detection latency (a few wave periods +
-  // the freshness gate the centralized path applies).
-  SimDeploymentConfig base = golden_config();
-  base.disconnect_times.clear();
-
-  SimDeployment centralized(base);
-  const auto centralized_report = centralized.run();
-  ASSERT_TRUE(centralized_report.spawner.completed);
-
-  SimDeploymentConfig diffusion_config = base;
-  diffusion_config.cp.diffusion = true;
-  SimDeployment diffusion(diffusion_config);
-  const auto diffusion_report = diffusion.run();
-  ASSERT_TRUE(diffusion_report.spawner.completed);
-
-  // Same stability point (threshold 0.002 → iteration ~503), so detection
-  // times must agree within a small number of seconds of detection latency.
-  EXPECT_NEAR(diffusion_report.spawner.convergence_time,
-              centralized_report.spawner.convergence_time, 5.0);
-  for (std::size_t t = 0; t < base.app.task_count; ++t) {
-    EXPECT_GE(diffusion_report.spawner.final_iterations[t], 503u);
-  }
-}
-
-TEST(ControlPlane, DiffusionSurvivesMidWaveReplacement) {
-  // Crash a computing daemon while waves are circulating: the token may die
-  // with it; the initiator's wave timeout must relaunch, the replacement
-  // dirties the wave, and the run still completes.
-  SimDeploymentConfig config = golden_config();
-  config.cp.diffusion = true;
-  config.disconnect_times = {1.8, 9.0};
-  SimDeployment deployment(config);
-  const auto report = deployment.run();
-  ASSERT_TRUE(report.spawner.completed);
-  EXPECT_GE(report.spawner.replacements, 1u);
-  EXPECT_GE(deployment.spawner()->verdicts_received(), 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Fully decentralized plane: bit-determinism across scheduler shards (this
-// test also backs the TSan CI leg; keep "ShardedDiffusion" in its name).
+// Sharded plane: bit-determinism across scheduler shards (this test also
+// backs the TSan CI leg; keep "ShardedPlane" in its name).
 // ---------------------------------------------------------------------------
 
 std::uint64_t run_decentralized(std::size_t shards, std::size_t threads) {
@@ -708,7 +638,6 @@ std::uint64_t run_decentralized(std::size_t shards, std::size_t threads) {
   config.super_peer_count = 4;
   config.cp.shard_register = true;
   config.cp.replicate_register = true;
-  config.cp.diffusion = true;
   config.sim.shards = shards;
   config.sim.worker_threads = threads;
   SimDeployment deployment(config);
@@ -739,7 +668,7 @@ std::uint64_t run_decentralized(std::size_t shards, std::size_t threads) {
   return h;
 }
 
-TEST(ControlPlane, ShardedDiffusionDeterministicAcrossShardsAndThreads) {
+TEST(ControlPlane, ShardedPlaneDeterministicAcrossShardsAndThreads) {
   const std::uint64_t base = run_decentralized(1, 0);
   EXPECT_EQ(run_decentralized(4, 0), base);
   EXPECT_EQ(run_decentralized(4, 2), base);

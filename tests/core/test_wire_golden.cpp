@@ -407,20 +407,6 @@ TEST(WireGolden, AppRegisterSnapshot) {
       "0000000000000044332211010600000065000000000000004433221101");
 }
 
-TEST(WireGolden, WaveToken) {
-  msg::WaveToken m;
-  m.app_id = 42;
-  m.wave_id = 3;
-  m.initiator = 5;
-  m.to_task = 6;
-  m.dirty = true;
-  expect_golden(m, "2a00000003000000050000000600000001");
-}
-
-TEST(WireGolden, ConvergedVerdict) {
-  expect_golden(msg::ConvergedVerdict{42, 3, 4}, "2a0000000300000004000000");
-}
-
 TEST(WireGolden, StateProbe) { expect_golden(msg::StateProbe{42}, "2a000000"); }
 
 TEST(WireGolden, AuditChallenge) {
