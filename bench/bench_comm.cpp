@@ -16,12 +16,18 @@
 // answer pipeline* exactly — same seed, same comm config, identical bits.
 // The JSON reports both: `replay_bitwise` (hard gate) and the off-vs-on
 // `max_abs_diff` / residuals (must sit at solver precision).
+//
+// Acceptance (exit status): all four arms complete, each flaky arm detects
+// exactly its disconnections, the slow consumer's coalescing saves >= 30% of
+// its data messages and some wire bytes, and parity holds. A reduction is
+// computed only between two arms that both completed (null otherwise).
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 
-#include "bench_common.hpp"
+#include "bench_comm.hpp"
 #include "core/messages.hpp"
 #include "support/flags.hpp"
 
@@ -35,7 +41,7 @@ struct CommRun {
   std::uint64_t sent_data = 0;       ///< TaskData messages actors sent
   std::uint64_t delivered_data = 0;  ///< TaskData messages actors received
   std::uint64_t wire_bytes = 0;
-  std::uint64_t wire_frames = 0;     ///< frames delivered (a Batch is one)
+  std::uint64_t wire_frames = 0;     ///< frames delivered
   net::CommStatsSnapshot comm;
   linalg::Vector solution;
 };
@@ -108,23 +114,64 @@ void print_run_json(const char* key, const CommRun& r, bool last) {
       "        \"wire_bytes\": %" PRIu64 ",\n"
       "        \"coalesced\": %" PRIu64 ",\n"
       "        \"dropped_data\": %" PRIu64 ",\n"
-      "        \"batches\": %" PRIu64 ",\n"
-      "        \"batched_messages\": %" PRIu64 ",\n"
       "        \"queue_high_water_bytes\": %" PRIu64 ",\n"
       "        \"failures_detected\": %" PRIu64 ",\n"
       "        \"replacements\": %" PRIu64 "\n"
       "      }%s\n",
       key, r.outcome.completed ? "true" : "false", r.outcome.execution_time,
       r.outcome.residual, r.sent_data, r.delivered_data, r.wire_frames,
-      r.wire_bytes, r.comm.coalesced, r.comm.dropped_data, r.comm.batches,
-      r.comm.batched_messages, r.comm.queue_high_water_bytes,
+      r.wire_bytes, r.comm.coalesced, r.comm.dropped_data,
+      r.comm.queue_high_water_bytes,
       r.outcome.report.spawner.failures_detected,
       r.outcome.report.spawner.replacements, last ? "" : ",");
 }
 
-double reduction(std::uint64_t off, std::uint64_t on) {
-  return off == 0 ? 0.0
-                  : 1.0 - static_cast<double>(on) / static_cast<double>(off);
+/// 1 - on/off for one counter of two arms; none unless both completed.
+std::optional<double> reduction(const CommRun& off, const CommRun& on,
+                                std::uint64_t CommRun::*count) {
+  if (!off.outcome.completed || !on.outcome.completed) return std::nullopt;
+  const std::uint64_t before = off.*count;
+  return before == 0 ? 0.0
+                     : 1.0 - static_cast<double>(on.*count) /
+                                 static_cast<double>(before);
+}
+
+void print_reduction_json(const char* key, std::optional<double> r,
+                          bool last) {
+  if (r.has_value()) {
+    std::printf("    \"%s\": %.4f%s\n", key, *r, last ? "" : ",");
+  } else {
+    std::printf("    \"%s\": null%s\n", key, last ? "" : ",");
+  }
+}
+
+void print_reductions(const char* scenario, const CommRun& off,
+                      const CommRun& on) {
+  const auto msgs = reduction(off, on, &CommRun::delivered_data);
+  const auto bytes = reduction(off, on, &CommRun::wire_bytes);
+  if (!msgs.has_value()) {
+    std::fprintf(stderr, "%-14s: no reduction, an arm did not complete\n",
+                 scenario);
+    return;
+  }
+  std::fprintf(stderr,
+               "%-14s: data msgs %" PRIu64 " -> %" PRIu64
+               " (-%.1f%%), wire bytes %" PRIu64 " -> %" PRIu64 " (-%.1f%%)\n",
+               scenario, off.delivered_data, on.delivered_data, 100.0 * *msgs,
+               off.wire_bytes, on.wire_bytes, 100.0 * *bytes);
+}
+
+void print_outcome(const char* arm, const CommRun& r) {
+  const auto& spawner = r.outcome.report.spawner;
+  if (r.outcome.completed) {
+    std::fprintf(stderr, "%-26s: completed at %.3f s", arm,
+                 r.outcome.execution_time);
+  } else {
+    std::fprintf(stderr, "%-26s: DID NOT COMPLETE", arm);
+  }
+  std::fprintf(stderr, ", %" PRIu64 " failures detected, %" PRIu64
+               " replacements\n", spawner.failures_detected,
+               spawner.replacements);
 }
 
 }  // namespace
@@ -142,38 +189,7 @@ int main(int argc, char** argv) {
       "divide the paper work_scale by this: faster producers (0 = auto)");
   flags.parse(argc, argv);
 
-  ExperimentParams p;
-  p.seed = *seed;
-  if (*smoke) {
-    p.n = 48;
-    p.tasks = 6;
-    p.daemons = 10;
-    p.super_peers = 2;
-    // Tight detection even in smoke: with coalescing OFF the stale backlog
-    // yields small per-flush updates that would trip a loose update-distance
-    // criterion long before the residual settles, breaking the parity check.
-    p.convergence_threshold = 1e-9;
-    p.stable_required = 5;
-    p.inner_tolerance = 1e-10;
-    p.max_sim_time = 2000.0;
-  } else {
-    // Mid-size: the largest configuration where BOTH ablation arms still
-    // converge. Past this (n = 96, 16 tasks) the non-coalesced arm saturates
-    // the serialized wire — its backlog and staleness grow without bound, on
-    // top of burst drains stalling daemons past the failure-detection
-    // timeouts — and it never reaches the threshold. That is the qualitative
-    // point of the PR, but no longer a two-sided measurement.
-    p.n = 64;
-    p.tasks = 8;
-    p.daemons = 16;
-    p.super_peers = 3;
-    // Tight thresholds: both ablation arms iterate to solver-precision
-    // convergence so the parity comparison is meaningful.
-    p.convergence_threshold = 1e-9;
-    p.stable_required = 5;
-    p.inner_tolerance = 1e-10;
-    p.max_sim_time = 4000.0;
-  }
+  ExperimentParams p = comm_params(*smoke, *seed);
   // Fast-producer regime: shrink the per-iteration compute so tasks iterate
   // every ~10-40 ms against a 250 ms flush cadence. Each flush window then
   // holds several superseded boundary lines per stream — the slow-consumer
@@ -186,10 +202,6 @@ int main(int argc, char** argv) {
   const double divisor =
       *work_div > 0 ? static_cast<double>(*work_div) : 8.0;
   p.work_scale /= divisor;
-  // Checkpoint cadence scaled to the fast iteration rate (the paper's
-  // every-5 assumes ~0.5 s iterations; at 20-40 ms it would checkpoint
-  // every ~0.15 s and backup traffic would swamp the wire-byte metric).
-  p.checkpoint_every = 50;
 
   // Slow-consumer comm regime: flush windows several times the iteration
   // period, one frame in flight per link. The heterogeneous fleet
@@ -210,45 +222,21 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "== slow-consumer: coalescing ON (replay) ==\n");
   const CommRun slow_replay = run_one(p, comm_on, /*relax_failure_detection=*/true);
 
-  // Flaky-consumer: daemons crash mid-run and reconnect ~20 s later as fresh
-  // peers; queued frames to/from the victims die with them, replacements
-  // rebuild from backups while traffic keeps flowing.
-  ExperimentParams pf = p;
-  pf.disconnections = *smoke ? 2 : 4;
-  pf.disconnect_start = 20.0;
-  pf.disconnect_horizon = *smoke ? 60.0 : 120.0;
-  pf.reconnect_delay = 20.0;
-  // This scenario measures fault-tolerance traffic, not parity (the parity
-  // gate runs on the slow-consumer pair above), so it can afford the paper's
-  // looser update-distance detection.
-  pf.convergence_threshold = 1e-6;
-  pf.stable_required = 3;
-  pf.max_sim_time = *smoke ? 600.0 : 1500.0;
-  // Milder producer rate than the slow-consumer regime, and no wire
-  // serialization: with both hostile axes at once the non-coalesced arm
-  // wedges for good — its post-recovery data backlog outgrows the serialized
-  // wire and the recovery RPCs starve behind it, so the run never finishes.
-  // Interesting (coalescing keeps churn survivable), but not a comparison;
-  // here the churn axis is isolated so both arms complete.
-  pf.work_scale = paper_scale_factor() * paper_scale_factor() / 4.0;
-  core::CommConfig flaky_comm_off = comm_off;
-  flaky_comm_off.serialize_links = false;
-  core::CommConfig flaky_comm_on = comm_on;
-  flaky_comm_on.serialize_links = false;
+  const ExperimentParams pf = flaky_consumer_params(*smoke, *seed);
+  const core::CommConfig flaky_comm_off =
+      flaky_consumer_comm(false, comm_on.flush_window);
+  const core::CommConfig flaky_comm_on =
+      flaky_consumer_comm(true, comm_on.flush_window);
 
   std::fprintf(stderr, "== flaky-consumer: coalescing OFF ==\n");
   const CommRun flaky_off = run_one(pf, flaky_comm_off);
   std::fprintf(stderr, "== flaky-consumer: coalescing ON ==\n");
   const CommRun flaky_on = run_one(pf, flaky_comm_on);
 
-  const double slow_msg_reduction =
-      reduction(slow_off.delivered_data, slow_on.delivered_data);
-  const double slow_byte_reduction =
-      reduction(slow_off.wire_bytes, slow_on.wire_bytes);
-  const double flaky_msg_reduction =
-      reduction(flaky_off.delivered_data, flaky_on.delivered_data);
-  const double flaky_byte_reduction =
-      reduction(flaky_off.wire_bytes, flaky_on.wire_bytes);
+  const auto slow_msg_reduction =
+      reduction(slow_off, slow_on, &CommRun::delivered_data);
+  const auto slow_byte_reduction =
+      reduction(slow_off, slow_on, &CommRun::wire_bytes);
 
   const bool replay_bitwise = bitwise_equal(slow_on.solution, slow_replay.solution);
   const double off_on_diff = max_abs_diff(slow_off.solution, slow_on.solution);
@@ -270,8 +258,8 @@ int main(int argc, char** argv) {
   print_run_json("coalesce_off", slow_off, false);
   print_run_json("coalesce_on", slow_on, true);
   std::printf("    },\n");
-  std::printf("    \"data_message_reduction\": %.4f,\n", slow_msg_reduction);
-  std::printf("    \"wire_byte_reduction\": %.4f\n", slow_byte_reduction);
+  print_reduction_json("data_message_reduction", slow_msg_reduction, false);
+  print_reduction_json("wire_byte_reduction", slow_byte_reduction, true);
   std::printf("  },\n");
   std::printf("  \"flaky_consumer\": {\n");
   std::printf("    \"serialize_links\": false,\n");
@@ -280,8 +268,12 @@ int main(int argc, char** argv) {
   print_run_json("coalesce_off", flaky_off, false);
   print_run_json("coalesce_on", flaky_on, true);
   std::printf("    },\n");
-  std::printf("    \"data_message_reduction\": %.4f,\n", flaky_msg_reduction);
-  std::printf("    \"wire_byte_reduction\": %.4f\n", flaky_byte_reduction);
+  print_reduction_json("data_message_reduction",
+                       reduction(flaky_off, flaky_on, &CommRun::delivered_data),
+                       false);
+  print_reduction_json("wire_byte_reduction",
+                       reduction(flaky_off, flaky_on, &CommRun::wire_bytes),
+                       true);
   std::printf("  },\n");
   std::printf("  \"parity\": {\n");
   std::printf(
@@ -297,18 +289,13 @@ int main(int argc, char** argv) {
   std::printf("  }\n");
   std::printf("}\n");
 
-  std::fprintf(stderr,
-               "\nslow-consumer : data msgs %" PRIu64 " -> %" PRIu64
-               " (-%.1f%%), wire bytes %" PRIu64 " -> %" PRIu64 " (-%.1f%%)\n",
-               slow_off.delivered_data, slow_on.delivered_data,
-               100.0 * slow_msg_reduction, slow_off.wire_bytes,
-               slow_on.wire_bytes, 100.0 * slow_byte_reduction);
-  std::fprintf(stderr,
-               "flaky-consumer: data msgs %" PRIu64 " -> %" PRIu64
-               " (-%.1f%%), wire bytes %" PRIu64 " -> %" PRIu64 " (-%.1f%%)\n",
-               flaky_off.delivered_data, flaky_on.delivered_data,
-               100.0 * flaky_msg_reduction, flaky_off.wire_bytes,
-               flaky_on.wire_bytes, 100.0 * flaky_byte_reduction);
+  std::fprintf(stderr, "\n");
+  print_outcome("slow-consumer coalesce_off", slow_off);
+  print_outcome("slow-consumer coalesce_on", slow_on);
+  print_outcome("flaky-consumer coalesce_off", flaky_off);
+  print_outcome("flaky-consumer coalesce_on", flaky_on);
+  print_reductions("slow-consumer", slow_off, slow_on);
+  print_reductions("flaky-consumer", flaky_off, flaky_on);
   std::fprintf(stderr,
                "parity        : replay bitwise %s, off-vs-on max|diff| %.3e, "
                "residuals %.3e / %.3e -> %s\n",
@@ -316,10 +303,16 @@ int main(int argc, char** argv) {
                slow_off.outcome.residual, slow_on.outcome.residual,
                parity_ok ? "OK" : "FAIL");
 
-  const bool pass = parity_ok && slow_msg_reduction >= 0.30 &&
+  const auto detects_each = [&](const CommRun& r) {
+    return r.outcome.completed &&
+           r.outcome.report.spawner.failures_detected == pf.disconnections;
+  };
+  const bool flaky_ok = detects_each(flaky_off) && detects_each(flaky_on);
+  const bool pass = parity_ok && flaky_ok && slow_msg_reduction >= 0.30 &&
                     slow_byte_reduction > 0.0;
-  std::fprintf(stderr, "acceptance    : %s (need >=30%% data-message "
-               "reduction, reduced bytes, parity)\n",
-               pass ? "PASS" : "FAIL");
+  std::fprintf(stderr, "acceptance    : %s (need every arm complete, each "
+               "flaky arm detecting its %zu disconnections, >=30%% "
+               "data-message reduction, reduced bytes, parity)\n",
+               pass ? "PASS" : "FAIL", pf.disconnections);
   return pass ? 0 : 1;
 }

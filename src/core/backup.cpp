@@ -23,10 +23,6 @@ BackupStore::StoreResult BackupStore::store_frame(AppId app, TaskId task,
   entry.state_checksum = decoded->state_checksum;
   entry.state = std::move(decoded->full_state);
   total_bytes_ += entry.bytes();
-
-  AppMeta& meta = app_meta_[app];
-  meta.last_store_tick = ++store_tick_;
-  enforce_budget(app);
   return {true, false};
 }
 
@@ -57,52 +53,12 @@ void BackupStore::clear_app(AppId app) {
       ++it;
     }
   }
-  app_meta_.erase(app);
-}
-
-void BackupStore::mark_app_finished(AppId app) {
-  const auto it = app_meta_.find(app);
-  if (it != app_meta_.end()) it->second.finished = true;
-}
-
-void BackupStore::set_byte_budget(std::size_t budget) {
-  byte_budget_ = budget;
-  enforce_budget(/*protect_app=*/0xFFFFFFFFu);
 }
 
 void BackupStore::erase_entry(
     std::unordered_map<std::uint64_t, Entry>::iterator it) {
   total_bytes_ -= it->second.bytes();
   entries_.erase(it);
-}
-
-void BackupStore::enforce_budget(AppId protect_app) {
-  if (byte_budget_ == 0) return;
-  while (total_bytes_ > byte_budget_) {
-    // Victim: a finished app beats a live one; within a class, the app least
-    // recently stored into. The app currently being stored is off limits —
-    // evicting it would drop the state just stored.
-    bool found = false;
-    AppId victim = 0;
-    bool victim_finished = false;
-    std::uint64_t victim_tick = 0;
-    for (const auto& [app, meta] : app_meta_) {
-      if (app == protect_app) continue;
-      const bool better =
-          !found || (meta.finished && !victim_finished) ||
-          (meta.finished == victim_finished &&
-           meta.last_store_tick < victim_tick);
-      if (better) {
-        found = true;
-        victim = app;
-        victim_finished = meta.finished;
-        victim_tick = meta.last_store_tick;
-      }
-    }
-    if (!found) return;  // only the protected app remains
-    clear_app(victim);
-    ++evicted_apps_;
-  }
 }
 
 }  // namespace jacepp::core

@@ -3,9 +3,8 @@
 // a checkpoint frame (core/checkpoint.hpp), and hands it to a replacement
 // daemon after checking the state's CRC.
 //
-// Memory is bounded: an optional byte budget evicts whole applications,
-// oldest finished apps first, then the most stale (least recently stored)
-// ones — never the application a frame is currently being stored for.
+// It holds one state per task of the apps its daemon backs up; the daemon
+// clears a finished app's states Daemon::kBackupRetention after the halt.
 #pragma once
 
 #include <cstdint>
@@ -52,38 +51,18 @@ class BackupStore {
   /// Drop all checkpoints of a finished application.
   void clear_app(AppId app);
 
-  /// Mark an application finished: it becomes the preferred eviction victim
-  /// when the byte budget is exceeded.
-  void mark_app_finished(AppId app);
-
-  /// Cap the store's total bytes; 0 = unbounded. Enforced on every store by
-  /// evicting whole applications (finished first, then least recently
-  /// stored).
-  void set_byte_budget(std::size_t budget);
-
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] std::size_t bytes() const { return total_bytes_; }
-  [[nodiscard]] std::uint64_t evicted_apps() const { return evicted_apps_; }
 
  private:
-  struct AppMeta {
-    std::uint64_t last_store_tick = 0;
-    bool finished = false;
-  };
-
   static std::uint64_t key(AppId app, TaskId task) {
     return static_cast<std::uint64_t>(app) << 32 | task;
   }
 
   void erase_entry(std::unordered_map<std::uint64_t, Entry>::iterator it);
-  void enforce_budget(AppId protect_app);
 
   std::unordered_map<std::uint64_t, Entry> entries_;
-  std::unordered_map<AppId, AppMeta> app_meta_;
   std::size_t total_bytes_ = 0;
-  std::size_t byte_budget_ = 0;
-  std::uint64_t store_tick_ = 0;
-  std::uint64_t evicted_apps_ = 0;
 };
 
 }  // namespace jacepp::core

@@ -1,6 +1,6 @@
-// The settable parameters of a deployment: the timings and memory bound
-// shared by all JaceP2P entities, the control-plane and reputation switches,
-// and the comm path. Defaults are tuned for the simulator (sub-second
+// The settable parameters of a deployment: the timings shared by all
+// JaceP2P entities, the control-plane and reputation switches, and the comm
+// path. Defaults are tuned for the simulator (sub-second
 // heartbeats keep failure detection fast relative to iteration times); the
 // threaded runtime uses the same fields with smaller values
 // (fast_rt_timing()).
@@ -8,7 +8,8 @@
 // A value that every deployment runs at one setting is not a field here but
 // a named constant next to its one reader: Daemon::kBackupRetention, the
 // reservation TTL, assign-ack window, replica count and audit timings in
-// core/spawner.cpp, and ReputationStore's EWMA constants. The simulator's
+// core/spawner.cpp, ReputationStore's EWMA constants, and the link queue
+// budgets net::Link::kMaxQueueBytes / kMaxQueueMessages. The simulator's
 // scale settings (`shards` / `worker_threads`, DESIGN.md §12) live in
 // sim::SimConfig and the churn script's in sim::ChurnScriptConfig; both
 // reach experiments through SimDeploymentConfig.
@@ -37,9 +38,6 @@ struct TimingConfig {
   double backup_fetch_timeout = 2.0; ///< ... and this long for the BackupData
   double final_state_timeout = 3.0;  ///< spawner waits this long for
                                      ///< FinalState after broadcasting halt
-  std::size_t backup_byte_budget = 0;  ///< BackupStore cap, bytes; exceeding
-                                       ///< it evicts whole apps (finished,
-                                       ///< then stalest, first); 0 = unbounded
 };
 
 /// Control-plane switches (DESIGN.md §13): how daemons map onto the
@@ -96,10 +94,6 @@ struct CommConfig {
   bool serialize_links = false;  ///< sim only: one in-flight frame per
                                  ///< directed link (models a busy NIC, makes
                                  ///< backlogs — and coalescing — visible)
-  std::size_t max_queue_bytes = 4u << 20;   ///< per-link byte budget
-  std::size_t max_queue_messages = 4096;    ///< per-link count budget
-  std::size_t max_batch_messages = 32;      ///< control messages per Batch
-  std::size_t max_batch_bytes = 16 * 1024;  ///< body bytes per Batch
 };
 
 /// Inert fields that the benchmark drivers still assign; no behaviour depends

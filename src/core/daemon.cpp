@@ -49,7 +49,6 @@ Daemon::Daemon(std::vector<net::Stub> bootstrap_addresses, TimingConfig timing,
                "PerfConfig is inert: only early_send = false, grain 0 or "
                "kVectorOpGrain, pool_buffers = true, simd = false and "
                "sell = false are accepted (ROADMAP item 2)");
-  backup_store_.set_byte_budget(timing_.backup_byte_budget);
 }
 
 const rmi::Table<Daemon>& Daemon::table() {
@@ -613,11 +612,8 @@ void Daemon::handle_backup_placement(const msg::BackupPlacement& m,
 void Daemon::teardown_task() {
   finished_apps_.insert(app_.app_id);
   // Retain the app's Backups for a grace period: a post-halt finalize-only
-  // replacement may still need to read them (see TaskAssignment). Marking the
-  // app finished makes its states the preferred victims if the store's byte
-  // budget bites before the retention timer fires.
+  // replacement may still need to read them (see TaskAssignment).
   const AppId app = app_.app_id;
-  backup_store_.mark_app_finished(app);
   env_->schedule(kBackupRetention,
                  [this, app] { backup_store_.clear_app(app); });
   task_.reset();

@@ -399,10 +399,6 @@ inline net::LinkConfig link_config_from(const CommConfig& comm) {
   lc.classifier = &classify_for_link;
   lc.coalesce = comm.coalesce;
   lc.flush_window = comm.flush_window;
-  lc.max_queue_bytes = comm.max_queue_bytes;
-  lc.max_queue_messages = comm.max_queue_messages;
-  lc.max_batch_messages = comm.max_batch_messages;
-  lc.max_batch_bytes = comm.max_batch_bytes;
   return lc;
 }
 

@@ -8,23 +8,6 @@
 
 namespace jacepp::net {
 
-Message pack_batch(const std::vector<Message>& parts) {
-  JACEPP_ASSERT(parts.size() >= 2);
-  serial::Writer sub;
-  for (const Message& m : parts) {
-    sub.varint(m.type);
-    sub.bytes(m.body.bytes());
-  }
-  serial::Writer w;
-  w.varint(parts.size());
-  w.u32(serial::crc32(sub.data()));
-  w.bytes(sub.data());
-  Message envelope;
-  envelope.type = kBatchMessageType;
-  envelope.body = w.take();
-  return envelope;
-}
-
 bool unpack_batch(const Message& envelope, std::vector<Message>& out) {
   out.clear();
   if (envelope.type != kBatchMessageType) return false;
@@ -95,8 +78,7 @@ void Link::enqueue(Message message, const Stub& to) {
 }
 
 void Link::enforce_budget() {
-  while ((live_bytes_ > config_->max_queue_bytes ||
-          live_count_ > config_->max_queue_messages) &&
+  while ((live_bytes_ > kMaxQueueBytes || live_count_ > kMaxQueueMessages) &&
          drop_oldest_data()) {
   }
 }
@@ -151,50 +133,10 @@ std::optional<WireFrame> Link::next_wire_frame() {
   if (queue_.empty()) return std::nullopt;
 
   Pending& front = queue_.front();
-  WireFrame frame;
-  frame.to = front.to;
-
-  if (front.cls.cls == DeliveryClass::Data) {
-    // Data travels alone: its Payload goes to the wire untouched (zero-copy
-    // from producer to consumer, PR 1 invariant).
-    frame.message = std::move(front.msg);
-    pop_front_entry();
-  } else {
-    // Gather consecutive live Control messages to the same stub. Stops at a
-    // live Data entry, a different destination stub, or the batch caps —
-    // order across classes is preserved.
-    std::vector<Message> parts;
-    std::size_t body_bytes = 0;
-    std::size_t last_taken = 0;
-    std::size_t i = 0;
-    for (Pending& p : queue_) {
-      if (!p.dead) {
-        if (p.cls.cls == DeliveryClass::Data || !(p.to == frame.to)) break;
-        const std::size_t sz = p.msg.body.size();
-        if (!parts.empty() && (parts.size() >= config_->max_batch_messages ||
-                               body_bytes + sz > config_->max_batch_bytes)) {
-          break;
-        }
-        parts.push_back(std::move(p.msg));
-        body_bytes += sz;
-        last_taken = i;
-      }
-      ++i;
-    }
-    for (std::size_t n = 0; n <= last_taken; ++n) pop_front_entry();
-    if (parts.size() == 1) {
-      frame.message = std::move(parts.front());
-    } else {
-      frame.message = pack_batch(parts);
-      stats_->batches.fetch_add(1, std::memory_order_relaxed);
-      stats_->batched_messages.fetch_add(parts.size(),
-                                         std::memory_order_relaxed);
-    }
-  }
-
+  WireFrame frame{std::move(front.msg), front.to};
   stats_->wire_frames.fetch_add(1, std::memory_order_relaxed);
-  stats_->wire_bytes.fetch_add(frame.message.wire_size(),
-                               std::memory_order_relaxed);
+  stats_->wire_bytes.fetch_add(front.bytes, std::memory_order_relaxed);
+  pop_front_entry();
   return frame;
 }
 

@@ -1,6 +1,6 @@
-// Staleness-aware outbound link: latest-wins coalescing, control batching,
-// bounded queues with backpressure (the "comm substrate" between actors and
-// the transports).
+// Staleness-aware outbound link: latest-wins coalescing and bounded queues
+// with backpressure (the "comm substrate" between actors and the
+// transports).
 //
 // The paper's asynchronous iteration model (§4, §5.3) tolerates message loss
 // and staleness for *dependency data* — a receiver overwrites whatever halo
@@ -13,10 +13,11 @@
 // never coalesced or dropped.
 //
 // A Link is a passive per-destination queue; the owning transport decides
-// when to pump it (flush windows, wire serialization). Both transports share
-// the exact same Link code, so the coalescing/batching semantics tested
-// against the deterministic simulator are the semantics the threaded runtime
-// runs.
+// when to pump it (flush windows, wire serialization). Every queued message
+// leaves as its own frame, in queue order, with the sender stub its Env
+// stamped on it, as the paper's one RMI call per exchange. Both transports
+// share the exact same Link code, so the coalescing semantics tested against
+// the deterministic simulator are the semantics the threaded runtime runs.
 //
 // Layering: net/ cannot see core/'s message catalogue, so the Data-vs-Control
 // split is injected as a plain function pointer (LinkConfig::classifier);
@@ -58,10 +59,6 @@ struct LinkConfig {
   bool coalesce = true;             ///< latest-wins replacement of queued Data
   double flush_window = 0.0;        ///< seconds a link accumulates between
                                     ///< flushes (0 = transports bypass links)
-  std::size_t max_queue_bytes = 4u << 20;  ///< per-link byte budget
-  std::size_t max_queue_messages = 4096;   ///< per-link count budget
-  std::size_t max_batch_messages = 32;     ///< control sub-messages per Batch
-  std::size_t max_batch_bytes = 16 * 1024; ///< body bytes per Batch
 };
 
 /// Link-layer counters, shared by every Link of one transport. Relaxed
@@ -71,8 +68,9 @@ struct CommStatsSnapshot {
   std::uint64_t enqueued = 0;          ///< messages handed to links
   std::uint64_t coalesced = 0;         ///< superseded Data replaced in place
   std::uint64_t dropped_data = 0;      ///< Data dropped by backpressure
-  std::uint64_t batches = 0;           ///< Batch envelopes formed
-  std::uint64_t batched_messages = 0;  ///< control messages packed into them
+  /// Batch envelopes formed: always 0, since no link packs messages.
+  /// Kept because perfbench reads it (ROADMAP item 2).
+  std::uint64_t batches = 0;
   std::uint64_t wire_frames = 0;       ///< frames handed to the wire
   std::uint64_t wire_bytes = 0;        ///< their wire_size() total
   std::uint64_t queue_high_water_bytes = 0;  ///< max per-link queued bytes
@@ -84,7 +82,6 @@ class CommStats {
   std::atomic<std::uint64_t> coalesced{0};
   std::atomic<std::uint64_t> dropped_data{0};
   std::atomic<std::uint64_t> batches{0};
-  std::atomic<std::uint64_t> batched_messages{0};
   std::atomic<std::uint64_t> wire_frames{0};
   std::atomic<std::uint64_t> wire_bytes{0};
   std::atomic<std::uint64_t> queue_high_water_bytes{0};
@@ -103,7 +100,6 @@ class CommStats {
     s.coalesced = coalesced.load(std::memory_order_relaxed);
     s.dropped_data = dropped_data.load(std::memory_order_relaxed);
     s.batches = batches.load(std::memory_order_relaxed);
-    s.batched_messages = batched_messages.load(std::memory_order_relaxed);
     s.wire_frames = wire_frames.load(std::memory_order_relaxed);
     s.wire_bytes = wire_bytes.load(std::memory_order_relaxed);
     s.queue_high_water_bytes =
@@ -112,22 +108,22 @@ class CommStats {
   }
 };
 
-/// Envelope type for a packed batch of control messages. High value, far from
-/// the protocol catalogue; transports unpack it transparently on receive.
+/// Type of the old Batch envelope, which packed several control messages
+/// into one frame. No link builds one and no transport unpacks one: a
+/// message of this type is delivered as it is, and an actor's rmi::Table
+/// drops it as Unhandled like any unknown type.
 inline constexpr MessageType kBatchMessageType = 0xB47C0001u;
 
-/// Pack >= 2 messages into one Batch envelope:
+/// Decode a Batch envelope body:
 ///   varint sub_count | u32 crc32(subframes) | bytes(subframes)
-/// where subframes = repeated { varint type | bytes body }.
-[[nodiscard]] Message pack_batch(const std::vector<Message>& parts);
-
-/// Unpack a Batch envelope; sub-messages inherit the envelope's `from`.
-/// Returns false (and leaves `out` empty) on CRC mismatch or malformed
-/// framing — the receiver treats the frame as lost.
+/// where subframes = repeated { varint type | bytes body }. Sub-messages
+/// inherit the envelope's `from`. Returns false (and leaves `out` empty) on
+/// CRC mismatch or malformed framing. Nothing in the library calls it; the
+/// traced perfbench build wraps it (ROADMAP item 2).
 [[nodiscard]] bool unpack_batch(const Message& envelope,
                                 std::vector<Message>& out);
 
-/// One frame ready for the wire: either a single message or a Batch envelope.
+/// One message ready for the wire, and the stub it is addressed to.
 struct WireFrame {
   Message message;
   Stub to;
@@ -140,16 +136,19 @@ class Link {
  public:
   Link(const LinkConfig* config, CommStats* stats);
 
+  /// Per-link budgets, enforced on every enqueue (enforce_budget). Over
+  /// either one the link drops its oldest queued Data; Control is never
+  /// dropped, so an all-control queue may exceed them.
+  static constexpr std::size_t kMaxQueueBytes = 4u << 20;
+  static constexpr std::size_t kMaxQueueMessages = 4096;
+
   /// Queue a message. Data with a key already queued is replaced in place
   /// (latest wins, position preserved); then the byte/count budgets are
-  /// enforced by dropping the oldest queued Data (never Control — an
-  /// all-control queue may exceed its budget).
+  /// enforced by dropping the oldest queued Data.
   void enqueue(Message message, const Stub& to);
 
-  /// Next frame for the wire, or nullopt when the queue is empty. A Data
-  /// message always travels alone (its Payload stays zero-copy end to end);
-  /// consecutive Control messages to the same stub are packed into one Batch
-  /// envelope up to the batch caps.
+  /// The front queued message as its own frame, or nullopt when the queue
+  /// is empty. Its Payload goes to the wire untouched (zero-copy end to end).
   std::optional<WireFrame> next_wire_frame();
 
   [[nodiscard]] bool empty() const { return live_count_ == 0; }

@@ -97,8 +97,8 @@ void ThreadRuntime::flush_worker_link(Worker* worker, WorkerLink* wl) {
     sent_any = true;
   }
   if (sent_any) {
-    // The flush opens a window: messages arriving before it closes
-    // accumulate (coalesce/batch) until the armed flush timer fires.
+    // The flush opens a window: messages arriving before it closes queue
+    // (and Data coalesces) until the armed flush timer fires.
     wl->next_flush = std::chrono::steady_clock::now() +
                      std::chrono::microseconds(static_cast<std::int64_t>(
                          link_config_.flush_window * 1e6));
@@ -244,21 +244,7 @@ void ThreadRuntime::worker_loop(Worker* worker) {
       drained_any = true;
       switch (command->kind) {
         case Command::Kind::Deliver:
-          if (command->message.type == net::kBatchMessageType) {
-            // Transparent Batch unpack: the actor sees the original control
-            // messages one by one, in their send order.
-            std::vector<net::Message> parts;
-            if (net::unpack_batch(command->message, parts)) {
-              for (net::Message& part : parts) {
-                worker->actor->on_message(part, env);
-                if (worker->stop_requested || !worker->up.load()) break;
-              }
-            } else {
-              stats_.corrupt_frames.fetch_add(1, std::memory_order_relaxed);
-            }
-          } else {
-            worker->actor->on_message(command->message, env);
-          }
+          worker->actor->on_message(command->message, env);
           break;
         case Command::Kind::Stop:
           worker->stop_requested = true;

@@ -33,7 +33,6 @@ struct RtStats {
   std::atomic<std::uint64_t> sent{0};       ///< frames handed to the router
   std::atomic<std::uint64_t> delivered{0};  ///< frames that reached a mailbox
   std::atomic<std::uint64_t> lost{0};
-  std::atomic<std::uint64_t> corrupt_frames{0};  ///< Batch CRC/framing fails
 };
 
 class ThreadRuntime {

@@ -46,7 +46,6 @@ void accumulate(NetStats& into, const NetStats& from) {
   into.lost_down += from.lost_down;
   into.lost_stale += from.lost_stale;
   into.bytes_sent += from.bytes_sent;
-  into.corrupt_frames += from.corrupt_frames;
   into.frames_on_wire += from.frames_on_wire;
   into.cross_shard_frames += from.cross_shard_frames;
   for (const auto& [type, count] : from.sent_by_type) {
@@ -343,7 +342,7 @@ void SimWorld::pump_link(net::NodeId from_id, net::NodeId to_node) {
     if (sh.now < ls.next_flush) {
       // Nagle-style accumulation: the first send after an idle period left
       // immediately and opened a window; everything arriving inside it
-      // coalesces/batches until the flush event fires.
+      // queues (and Data coalesces) until the flush event fires.
       if (!ls.flush_armed) {
         ls.flush_armed = true;
         const LinkKey key{from_id, to_node};
@@ -417,8 +416,9 @@ void SimWorld::transmit_wire(net::NodeId from_id, const net::Stub& to,
     ++sh.stats->cross_shard_frames;
     // seq = position in this outbox: the per-shard (arrival, seq) sort at the
     // end of the round then reproduces send order for equal arrivals.
-    sh.outbox.push_back(CrossFrame{sh.now + delay, to, std::move(message),
-                                   dest.shard, sh.outbox.size()});
+    sh.outbox.push_back(CrossFrame{fifo_arrival(ls, sh.now + delay), to,
+                                   std::move(message), dest.shard,
+                                   sh.outbox.size()});
     return;
   }
 
@@ -441,9 +441,15 @@ void SimWorld::transmit_wire(net::NodeId from_id, const net::Stub& to,
       transfer_delay(from, dest.spec, message.wire_size(), *sh.link_rng);
   // Deliver only if the destination is still the same live incarnation when
   // the bits arrive; otherwise the message is lost in flight.
-  park(from.shard, sh.now + delay,
+  park(from.shard, fifo_arrival(ls, sh.now + delay),
        net::Stub{to.node, dest.stub.incarnation, to.kind}, std::move(message),
        /*cross=*/false);
+}
+
+double SimWorld::fifo_arrival(LinkState* ls, double arrival) {
+  if (ls == nullptr) return arrival;
+  ls->last_arrival = std::max(ls->last_arrival, arrival);
+  return ls->last_arrival;
 }
 
 void SimWorld::deliver_wire(net::NodeId dest_id, net::Incarnation dest_inc,
@@ -454,28 +460,13 @@ void SimWorld::deliver_wire(net::NodeId dest_id, net::Incarnation dest_inc,
     ++sh.stats->lost_down;  // lost in flight, same as the classic alive_at drop
     return;
   }
-  deliver_body(dest, sh, dest_id, dest_inc, std::move(msg));
+  deliver_body(dest, sh, std::move(msg));
 }
 
-void SimWorld::deliver_body(Node& dest, Shard& sh, net::NodeId dest_id,
-                            net::Incarnation dest_inc, net::Message msg) {
+void SimWorld::deliver_body(Node& dest, Shard& sh, net::Message msg) {
   ++sh.stats->delivered;
-  if (msg.type == net::kBatchMessageType) {
-    std::vector<net::Message> parts;
-    if (!net::unpack_batch(msg, parts)) {
-      ++sh.stats->corrupt_frames;
-      return;
-    }
-    for (net::Message& part : parts) {
-      // An earlier sub-message may have shut the actor down mid-batch.
-      if (!alive_at(dest_id, dest_inc)) break;
-      ++sh.stats->delivered_by_type[part.type];
-      dest.actor->on_message(part, *dest.env);
-    }
-  } else {
-    ++sh.stats->delivered_by_type[msg.type];
-    dest.actor->on_message(msg, *dest.env);
-  }
+  ++sh.stats->delivered_by_type[msg.type];
+  dest.actor->on_message(msg, *dest.env);
 }
 
 void SimWorld::deliver_cross(Node& dest, const net::Stub& to, net::Message msg) {
@@ -489,7 +480,7 @@ void SimWorld::deliver_cross(Node& dest, const net::Stub& to, net::Message msg) 
     ++sh.stats->lost_stale;
     return;
   }
-  deliver_body(dest, sh, to.node, dest.stub.incarnation, std::move(msg));
+  deliver_body(dest, sh, std::move(msg));
 }
 
 // --- schedulers --------------------------------------------------------------

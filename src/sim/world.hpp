@@ -54,17 +54,16 @@ namespace jacepp::sim {
 
 struct NetStats {
   std::uint64_t sent = 0;         ///< actor-level sends (pre link layer)
-  std::uint64_t delivered = 0;    ///< wire frames delivered (a Batch is one)
+  std::uint64_t delivered = 0;    ///< wire frames delivered
   std::uint64_t lost_down = 0;    ///< destination node disconnected
   std::uint64_t lost_stale = 0;   ///< destination incarnation outdated
-  std::uint64_t bytes_sent = 0;   ///< wire bytes (post coalescing/batching)
-  std::uint64_t corrupt_frames = 0;  ///< Batch envelopes failing CRC/framing
+  std::uint64_t bytes_sent = 0;   ///< wire bytes (post coalescing)
   std::uint64_t frames_on_wire = 0;  ///< frames put on the wire (pre delivery)
   /// Frames whose endpoints live on different shards, routed through the
   /// round-barrier mailboxes. Always 0 with shards == 1.
   std::uint64_t cross_shard_frames = 0;
   std::unordered_map<net::MessageType, std::uint64_t> sent_by_type;
-  /// Actor-level messages delivered (Batch sub-messages counted one by one).
+  /// Wire frames delivered, by message type.
   std::unordered_map<net::MessageType, std::uint64_t> delivered_by_type;
 
   [[nodiscard]] std::uint64_t lost() const { return lost_down + lost_stale; }
@@ -243,6 +242,7 @@ class SimWorld {
     bool busy = false;          ///< a frame occupies the wire (serialize_links)
     double next_flush = 0.0;    ///< earliest time the next flush may start
     bool flush_armed = false;   ///< a flush event is already scheduled
+    double last_arrival = 0.0;  ///< arrival time of the latest frame sent
     LinkState(const net::LinkConfig* config, net::CommStats* stats)
         : link(config, stats) {}
   };
@@ -328,9 +328,16 @@ class SimWorld {
   /// Put one frame on the wire: same-shard frames run the classic
   /// liveness/incarnation checks and park for local delivery; cross-shard
   /// frames wait in the sender's outbox. `ls` is non-null when the frame
-  /// came off a link queue (occupancy accounting).
+  /// came off a link queue (occupancy accounting, FIFO arrival).
   void transmit_wire(net::NodeId from, const net::Stub& to,
                      net::Message message, LinkState* ls);
+  /// FIFO rule for a frame that came off link `ls`: it arrives no earlier
+  /// than the frame the link sent before it (each frame draws its own
+  /// jitter, so a flush burst would otherwise arrive shuffled). Equal
+  /// arrivals keep send order, as the event queue and the outbox merge
+  /// both break ties by insertion. A frame that bypassed the link queues
+  /// (`ls` null) keeps `arrival` as drawn.
+  static double fifo_arrival(LinkState* ls, double arrival);
   /// With serialize_links, hold a link-queue frame's link busy for its
   /// sender-side wire occupancy, then pump the link again. A no-op for a
   /// frame that bypassed the link queues (`ls` null).
@@ -340,9 +347,8 @@ class SimWorld {
   /// Deliver a frame to (dest, inc): the classic delivery path (lost-in-
   /// flight check, then deliver_body). Runs on the destination's shard.
   void deliver_wire(net::NodeId dest, net::Incarnation inc, net::Message msg);
-  /// The shared delivery body: counters, Batch unpack, actor dispatch.
-  void deliver_body(Node& dest, Shard& sh, net::NodeId dest_id,
-                    net::Incarnation dest_inc, net::Message msg);
+  /// The shared delivery body: counters, then actor dispatch.
+  void deliver_body(Node& dest, Shard& sh, net::Message msg);
   /// Cross-shard arrival: re-resolve liveness/incarnation on the destination
   /// shard, then deliver.
   void deliver_cross(Node& dest, const net::Stub& to, net::Message msg);

@@ -392,44 +392,5 @@ TEST(CheckpointFailure, TamperedStoredStateIsDroppedAtMaterialize) {
   EXPECT_EQ(store.bytes(), 0u);
 }
 
-// --- BackupStore budget / eviction -----------------------------------------
-
-TEST(BackupStoreBudget, EvictsWholeOldAppsFinishedFirst) {
-  BackupStore store;
-  store.set_byte_budget(1500);
-  const Bytes state(400, 7);
-  store.store_frame(1, 0, 1, checkpoint::encode_full_frame(1, 64, state));
-  store.store_frame(2, 0, 1, checkpoint::encode_full_frame(1, 64, state));
-  store.store_frame(3, 0, 1, checkpoint::encode_full_frame(1, 64, state));
-  EXPECT_EQ(store.size(), 3u);
-  store.mark_app_finished(2);
-
-  // The 4th app pushes past 1500 bytes: the finished app goes first even
-  // though app 1 is staler.
-  store.store_frame(4, 0, 1, checkpoint::encode_full_frame(1, 64, state));
-  EXPECT_EQ(store.find(2, 0), nullptr);
-  ASSERT_NE(store.find(1, 0), nullptr);
-  EXPECT_EQ(store.evicted_apps(), 1u);
-
-  // Next overflow: no finished apps left, the least recently stored (app 1)
-  // is the victim; the app being stored into is protected.
-  store.store_frame(5, 0, 1, checkpoint::encode_full_frame(1, 64, state));
-  EXPECT_EQ(store.find(1, 0), nullptr);
-  ASSERT_NE(store.find(5, 0), nullptr);
-  EXPECT_LE(store.bytes(), 1500u);
-}
-
-TEST(BackupStoreBudget, NeverEvictsTheAppBeingStored) {
-  BackupStore store;
-  store.set_byte_budget(100);  // smaller than a single 400-byte state
-  const Bytes state(400, 7);
-  ASSERT_TRUE(
-      store.store_frame(9, 0, 1, checkpoint::encode_full_frame(1, 64, state))
-          .accepted);
-  // Over budget but the only app is the protected one: entry survives.
-  ASSERT_NE(store.find(9, 0), nullptr);
-  EXPECT_EQ(store.materialize(9, 0), state);
-}
-
 }  // namespace
 }  // namespace jacepp::core

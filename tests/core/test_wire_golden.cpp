@@ -6,8 +6,9 @@
 // A protocol message's strict prefixes are also delivered to every actor class
 // that handles its type: each must be dropped at dispatch, running no handler
 // and not aborting, since a peer can send any bytes. The hand-written codecs
-// (checkpoint frames, the link Batch envelope) are pinned at the end: their
-// bytes, decode of the golden, and rejection of every strict prefix.
+// are pinned at the end: the checkpoint frame's bytes, decode of its golden
+// and rejection of every strict prefix, and the same decode and prefix
+// rejection for a pinned link Batch envelope.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -486,16 +487,18 @@ TEST(WireGolden, FullCheckpointFrame) {
 }
 
 TEST(WireGolden, LinkBatchEnvelope) {
+  // Three sub-messages: type 7 with body 010203, type 300 (a two-byte
+  // varint) with an empty body, and type 0xB47C0001 (a five-byte varint)
+  // with body ff.
   std::vector<net::Message> parts(3);
   parts[0].type = 7;
   parts[0].body = serial::Bytes{1, 2, 3};
-  parts[1].type = 300;  // two-byte varint type
-  parts[2].type = 0xB47C0001u;  // five-byte varint type
+  parts[1].type = 300;
+  parts[2].type = 0xB47C0001u;
   parts[2].body = serial::Bytes{0xff};
-  const net::Message envelope = net::pack_batch(parts);
-  EXPECT_EQ(envelope.type, net::kBatchMessageType);
-  EXPECT_EQ(to_hex(envelope.body.bytes()),
-            "03e1e8191a0f0703010203ac02008180f0a30b01ff");
+  net::Message envelope;
+  envelope.type = net::kBatchMessageType;
+  envelope.body = from_hex("03e1e8191a0f0703010203ac02008180f0a30b01ff");
 
   std::vector<net::Message> unpacked;
   ASSERT_TRUE(net::unpack_batch(envelope, unpacked));

@@ -1,5 +1,5 @@
 // Unit tests for the staleness-aware link layer: latest-wins coalescing,
-// control batching, backpressure, and the Batch wire framing.
+// one frame per message, backpressure, and the Batch envelope decoder.
 #include "net/link.hpp"
 
 #include <gtest/gtest.h>
@@ -134,58 +134,9 @@ TEST(Link, ControlIsNeverCoalesced) {
   EXPECT_EQ(f.stats.coalesced.load(), 0u);
 }
 
-TEST(Link, BatchPackUnpackRoundTrip) {
-  std::vector<Message> parts;
-  for (std::uint32_t v = 0; v < 5; ++v) parts.push_back(ctrl_msg(v));
-  Message envelope = pack_batch(parts);
-  EXPECT_EQ(envelope.type, kBatchMessageType);
-  envelope.from = Stub{3, 2, EntityKind::SuperPeer};
-
-  std::vector<Message> out;
-  ASSERT_TRUE(unpack_batch(envelope, out));
-  ASSERT_EQ(out.size(), 5u);
-  for (std::uint32_t v = 0; v < 5; ++v) {
-    EXPECT_EQ(out[v].type, kCtrlType);
-    EXPECT_EQ(value_of(out[v]), v);
-    // Sub-messages inherit the envelope's sender stub.
-    EXPECT_EQ(out[v].from.node, 3u);
-    EXPECT_EQ(out[v].from.incarnation, 2u);
-  }
-}
-
-TEST(Link, UnpackRejectsCorruptedBatch) {
-  std::vector<Message> parts{ctrl_msg(1), ctrl_msg(2)};
-  const Message envelope = pack_batch(parts);
-
-  // Flip one byte anywhere in the body: the CRC must catch it.
-  serial::Bytes corrupt = envelope.body.bytes();
-  corrupt[corrupt.size() / 2] ^= 0x40;
-  Message bad;
-  bad.type = envelope.type;
-  bad.body = std::move(corrupt);
-
-  std::vector<Message> out{ctrl_msg(9)};
-  EXPECT_FALSE(unpack_batch(bad, out));
-  EXPECT_TRUE(out.empty());  // out is cleared, never half-filled
-}
-
-TEST(Link, UnpackRejectsTruncationAndWrongType) {
-  const Message envelope = pack_batch({ctrl_msg(1), ctrl_msg(2)});
-
-  serial::Bytes truncated = envelope.body.bytes();
-  truncated.resize(truncated.size() - 3);
-  Message short_frame;
-  short_frame.type = envelope.type;
-  short_frame.body = std::move(truncated);
-  std::vector<Message> out;
-  EXPECT_FALSE(unpack_batch(short_frame, out));
-
-  Message not_a_batch = ctrl_msg(1);
-  EXPECT_FALSE(unpack_batch(not_a_batch, out));
-}
-
-// A Batch envelope framed like pack_batch's, but whose count field claims
-// `count` sub-messages. The CRC covers only the subframes, so it stays valid.
+// A Batch envelope whose count field claims `count` sub-messages, framed
+// as the envelope format says. The CRC covers only the subframes, so it
+// stays valid whatever the count.
 Message batch_claiming(std::uint64_t count, const std::vector<Message>& parts) {
   serial::Writer sub;
   for (const Message& m : parts) {
@@ -202,6 +153,58 @@ Message batch_claiming(std::uint64_t count, const std::vector<Message>& parts) {
   return envelope;
 }
 
+Message batch_of(const std::vector<Message>& parts) {
+  return batch_claiming(parts.size(), parts);
+}
+
+TEST(Link, BatchPackUnpackRoundTrip) {
+  std::vector<Message> parts;
+  for (std::uint32_t v = 0; v < 5; ++v) parts.push_back(ctrl_msg(v));
+  Message envelope = batch_of(parts);
+  envelope.from = Stub{3, 2, EntityKind::SuperPeer};
+
+  std::vector<Message> out;
+  ASSERT_TRUE(unpack_batch(envelope, out));
+  ASSERT_EQ(out.size(), 5u);
+  for (std::uint32_t v = 0; v < 5; ++v) {
+    EXPECT_EQ(out[v].type, kCtrlType);
+    EXPECT_EQ(value_of(out[v]), v);
+    // Sub-messages inherit the envelope's sender stub.
+    EXPECT_EQ(out[v].from.node, 3u);
+    EXPECT_EQ(out[v].from.incarnation, 2u);
+  }
+}
+
+TEST(Link, UnpackRejectsCorruptedBatch) {
+  const Message envelope = batch_of({ctrl_msg(1), ctrl_msg(2)});
+
+  // Flip one byte anywhere in the body: the CRC must catch it.
+  serial::Bytes corrupt = envelope.body.bytes();
+  corrupt[corrupt.size() / 2] ^= 0x40;
+  Message bad;
+  bad.type = envelope.type;
+  bad.body = std::move(corrupt);
+
+  std::vector<Message> out{ctrl_msg(9)};
+  EXPECT_FALSE(unpack_batch(bad, out));
+  EXPECT_TRUE(out.empty());  // out is cleared, never half-filled
+}
+
+TEST(Link, UnpackRejectsTruncationAndWrongType) {
+  const Message envelope = batch_of({ctrl_msg(1), ctrl_msg(2)});
+
+  serial::Bytes truncated = envelope.body.bytes();
+  truncated.resize(truncated.size() - 3);
+  Message short_frame;
+  short_frame.type = envelope.type;
+  short_frame.body = std::move(truncated);
+  std::vector<Message> out;
+  EXPECT_FALSE(unpack_batch(short_frame, out));
+
+  Message not_a_batch = ctrl_msg(1);
+  EXPECT_FALSE(unpack_batch(not_a_batch, out));
+}
+
 TEST(Link, UnpackRejectsInflatedSubMessageCount) {
   const std::vector<Message> parts{ctrl_msg(1), ctrl_msg(2)};
   std::vector<Message> out{ctrl_msg(9)};
@@ -213,24 +216,6 @@ TEST(Link, UnpackRejectsInflatedSubMessageCount) {
   // The true count unpacks, so only the count made the difference.
   ASSERT_TRUE(unpack_batch(batch_claiming(parts.size(), parts), out));
   EXPECT_EQ(out.size(), 2u);
-}
-
-TEST(Link, BatchesConsecutiveControlMessages) {
-  Fixture f;
-  Link link = f.make();
-  for (std::uint32_t v = 0; v < 5; ++v) link.enqueue(ctrl_msg(v), f.dest);
-
-  const auto frames = drain(link);
-  ASSERT_EQ(frames.size(), 1u);
-  EXPECT_EQ(frames[0].message.type, kBatchMessageType);
-  EXPECT_EQ(frames[0].to.node, f.dest.node);
-  EXPECT_EQ(f.stats.batches.load(), 1u);
-  EXPECT_EQ(f.stats.batched_messages.load(), 5u);
-
-  std::vector<Message> out;
-  ASSERT_TRUE(unpack_batch(frames[0].message, out));
-  ASSERT_EQ(out.size(), 5u);
-  for (std::uint32_t v = 0; v < 5; ++v) EXPECT_EQ(value_of(out[v]), v);
 }
 
 TEST(Link, SingleControlTravelsUnwrapped) {
@@ -258,121 +243,93 @@ TEST(Link, DataTravelsAloneAndZeroCopy) {
   EXPECT_TRUE(frames[0].message.body.shares_buffer_with(handle));
 }
 
-TEST(Link, BatchStopsAtDataPreservingOrder) {
+TEST(Link, EveryMessageLeavesAsItsOwnFrameInOrder) {
   Fixture f;
+  const Stub next_incarnation{f.dest.node, 2, EntityKind::Daemon};
   Link link = f.make();
   link.enqueue(ctrl_msg(1), f.dest);
   link.enqueue(ctrl_msg(2), f.dest);
-  link.enqueue(data_msg(1, 10), f.dest);
-  link.enqueue(ctrl_msg(3), f.dest);
+  link.enqueue(data_msg(1, 3), f.dest);
+  link.enqueue(ctrl_msg(4), next_incarnation);
+  link.enqueue(ctrl_msg(5), f.dest);
 
   const auto frames = drain(link);
-  ASSERT_EQ(frames.size(), 3u);
-  EXPECT_EQ(frames[0].message.type, kBatchMessageType);  // ctrl 1 + 2
-  EXPECT_EQ(frames[1].message.type, kDataType);
-  EXPECT_EQ(frames[2].message.type, kCtrlType);
-  EXPECT_EQ(value_of(frames[2].message), 3u);
-}
-
-TEST(Link, BatchStopsAtDifferentDestinationStub) {
-  Fixture f;
-  const Stub other{8, 1, EntityKind::Daemon};
-  Link link = f.make();
-  link.enqueue(ctrl_msg(1), f.dest);
-  link.enqueue(ctrl_msg(2), other);
-  link.enqueue(ctrl_msg(3), other);
-
-  const auto frames = drain(link);
-  ASSERT_EQ(frames.size(), 2u);
-  EXPECT_EQ(frames[0].message.type, kCtrlType);
-  EXPECT_EQ(frames[0].to.node, f.dest.node);
-  EXPECT_EQ(frames[1].message.type, kBatchMessageType);
-  EXPECT_EQ(frames[1].to.node, other.node);
-}
-
-TEST(Link, BatchRespectsMessageCap) {
-  Fixture f;
-  f.config.max_batch_messages = 4;
-  Link link = f.make();
-  for (std::uint32_t v = 0; v < 10; ++v) link.enqueue(ctrl_msg(v), f.dest);
-
-  const auto frames = drain(link);
-  ASSERT_EQ(frames.size(), 3u);  // 4 + 4 + 2
-  std::vector<Message> out;
-  ASSERT_TRUE(unpack_batch(frames[0].message, out));
-  EXPECT_EQ(out.size(), 4u);
-  ASSERT_TRUE(unpack_batch(frames[2].message, out));
-  EXPECT_EQ(out.size(), 2u);
-}
-
-TEST(Link, BatchRespectsByteCap) {
-  Fixture f;
-  f.config.max_batch_bytes = 8;  // each ctrl body is 4 bytes
-  Link link = f.make();
-  for (std::uint32_t v = 0; v < 6; ++v) link.enqueue(ctrl_msg(v), f.dest);
-  EXPECT_EQ(drain(link).size(), 3u);  // pairs of two
+  ASSERT_EQ(frames.size(), 5u);
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(value_of(frames[i].message), i + 1);
+    EXPECT_EQ(frames[i].to.incarnation, i == 3 ? 2u : 1u);
+  }
+  EXPECT_EQ(f.stats.wire_frames.load(), 5u);
+  EXPECT_EQ(f.stats.batches.load(), 0u);
 }
 
 TEST(Link, BackpressureDropsOldestDataFirst) {
   Fixture f;
-  f.config.max_queue_messages = 4;
   Link link = f.make();
+  constexpr std::uint32_t kBudget = Link::kMaxQueueMessages;
   link.enqueue(ctrl_msg(99), f.dest);
-  for (std::uint32_t k = 1; k <= 4; ++k) link.enqueue(data_msg(k, k), f.dest);
+  for (std::uint32_t k = 1; k <= kBudget; ++k) {
+    link.enqueue(data_msg(k, k), f.dest);
+  }
 
-  // 5 live > 4: the oldest Data (key 1) was dropped, the control kept.
-  EXPECT_EQ(link.queued_messages(), 4u);
+  // One over the count budget: the oldest Data (key 1) was dropped, the
+  // control kept.
+  EXPECT_EQ(link.queued_messages(), kBudget);
   EXPECT_EQ(f.stats.dropped_data.load(), 1u);
 
   const auto frames = drain(link);
-  ASSERT_EQ(frames.size(), 4u);
+  ASSERT_EQ(frames.size(), kBudget);
   EXPECT_EQ(frames[0].message.type, kCtrlType);
-  EXPECT_EQ(value_of(frames[1].message), 2u);  // key 1 is gone
-  EXPECT_EQ(value_of(frames[2].message), 3u);
-  EXPECT_EQ(value_of(frames[3].message), 4u);
+  for (std::uint32_t i = 1; i < kBudget; ++i) {
+    EXPECT_EQ(value_of(frames[i].message), i + 1);  // key 1 is gone
+  }
 }
 
 TEST(Link, BackpressureNeverDropsControlEvenOverBudget) {
   Fixture f;
-  f.config.max_queue_messages = 2;
   Link link = f.make();
-  for (std::uint32_t v = 0; v < 6; ++v) link.enqueue(ctrl_msg(v), f.dest);
+  constexpr std::uint32_t kCount = Link::kMaxQueueMessages + 2;
+  for (std::uint32_t v = 0; v < kCount; ++v) link.enqueue(ctrl_msg(v), f.dest);
 
   // An all-control queue exceeds its budget rather than losing protocol
   // traffic.
-  EXPECT_EQ(link.queued_messages(), 6u);
+  EXPECT_EQ(link.queued_messages(), kCount);
   EXPECT_EQ(f.stats.dropped_data.load(), 0u);
 
-  std::vector<Message> out;
   const auto frames = drain(link);
-  ASSERT_EQ(frames.size(), 1u);
-  ASSERT_TRUE(unpack_batch(frames[0].message, out));
-  ASSERT_EQ(out.size(), 6u);
-  for (std::uint32_t v = 0; v < 6; ++v) EXPECT_EQ(value_of(out[v]), v);
+  ASSERT_EQ(frames.size(), kCount);
+  for (std::uint32_t v = 0; v < kCount; ++v) {
+    EXPECT_EQ(value_of(frames[v].message), v);
+  }
 }
 
 TEST(Link, ByteBudgetDropsBulkyData) {
   Fixture f;
-  f.config.max_queue_bytes = 3000;  // each padded data message is ~1KB wire
   Link link = f.make();
+  // Each padded data message is a quarter of the byte budget plus its
+  // header, so the fourth one goes over it.
   for (std::uint32_t k = 1; k <= 5; ++k) {
-    link.enqueue(data_msg(k, k, /*pad=*/1000), f.dest);
+    link.enqueue(data_msg(k, k, /*pad=*/Link::kMaxQueueBytes / 4), f.dest);
   }
   EXPECT_GT(f.stats.dropped_data.load(), 0u);
-  EXPECT_LE(link.queued_bytes(), 3000u);
+  EXPECT_LE(link.queued_bytes(), Link::kMaxQueueBytes);
 }
 
 TEST(Link, DroppedDataKeyCanBeReenqueued) {
   Fixture f;
-  f.config.max_queue_messages = 1;
   Link link = f.make();
+  constexpr std::uint32_t kBudget = Link::kMaxQueueMessages;
   link.enqueue(data_msg(1, 10), f.dest);
-  link.enqueue(data_msg(2, 20), f.dest);  // drops key 1 (oldest)
+  // Keys 2..kBudget+1 fill the queue; the last one drops key 1 (oldest).
+  for (std::uint32_t k = 2; k <= kBudget + 1; ++k) {
+    link.enqueue(data_msg(k, k), f.dest);
+  }
   link.enqueue(data_msg(1, 11), f.dest);  // key 1 returns; drops key 2
 
   const auto frames = drain(link);
-  ASSERT_EQ(frames.size(), 1u);
-  EXPECT_EQ(value_of(frames[0].message), 11u);
+  ASSERT_EQ(frames.size(), kBudget);
+  EXPECT_EQ(value_of(frames.front().message), 3u);
+  EXPECT_EQ(value_of(frames.back().message), 11u);
   EXPECT_EQ(f.stats.dropped_data.load(), 2u);
 }
 
@@ -449,18 +406,10 @@ TEST(LinkClassifier, LinkConfigFromCommConfigMapsKnobs) {
   core::CommConfig comm;
   comm.coalesce = false;
   comm.flush_window = 0.25;
-  comm.max_queue_bytes = 1234;
-  comm.max_queue_messages = 9;
-  comm.max_batch_messages = 3;
-  comm.max_batch_bytes = 77;
   const LinkConfig lc = core::msg::link_config_from(comm);
   EXPECT_EQ(lc.classifier, &core::msg::classify_for_link);
   EXPECT_FALSE(lc.coalesce);
   EXPECT_DOUBLE_EQ(lc.flush_window, 0.25);
-  EXPECT_EQ(lc.max_queue_bytes, 1234u);
-  EXPECT_EQ(lc.max_queue_messages, 9u);
-  EXPECT_EQ(lc.max_batch_messages, 3u);
-  EXPECT_EQ(lc.max_batch_bytes, 77u);
 }
 
 }  // namespace

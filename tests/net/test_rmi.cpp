@@ -89,8 +89,8 @@ TEST(Rmi, UnknownTypeReturnsFalse) {
   Recorder r;
   FakeEnv env;
   // Inside the table but unregistered, one past its end, far beyond it, the
-  // largest type, and the link layer's Batch envelope (which transports
-  // unpack before any actor sees it).
+  // largest type, and the old link Batch envelope type (no transport
+  // unpacks it, so a peer's Batch-typed message lands here).
   for (const net::MessageType type :
        {net::MessageType{0}, net::MessageType{99}, net::MessageType{102},
         net::MessageType{424242}, net::MessageType{0xFFFFFFFFu},

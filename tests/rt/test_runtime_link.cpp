@@ -1,5 +1,5 @@
-// ThreadRuntime + link layer: coalescing under flush windows, transparent
-// batch delivery and the graceful-exit flush, on real threads.
+// ThreadRuntime + link layer: coalescing under flush windows, one frame per
+// message in send order, and the graceful-exit flush, on real threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -30,6 +30,7 @@ class Sink : public net::Actor {
   void on_start(net::Env&) override {}
   void on_message(const net::Message& m, net::Env&) override {
     std::lock_guard<std::mutex> lock(mutex);
+    senders.push_back(m.from);
     if (m.type == TaskData::kType) {
       data_iterations.push_back(net::payload_of<TaskData>(m).iteration);
     } else if (m.type == Ping::kType) {
@@ -40,6 +41,7 @@ class Sink : public net::Actor {
 
   std::atomic<int> received{0};
   std::mutex mutex;
+  std::vector<net::Stub> senders;
   std::vector<std::uint64_t> data_iterations;
   std::vector<std::uint32_t> ping_values;
 };
@@ -107,32 +109,35 @@ TEST(ThreadRuntimeLink, CoalescesDataBurstToNewest) {
   EXPECT_EQ(runtime.comm_stats().snapshot().coalesced, 3u);
 }
 
-TEST(ThreadRuntimeLink, ControlBurstFullyDeliveredAndBatched) {
+TEST(ThreadRuntimeLink, ControlBurstArrivesInOrderFromItsSender) {
   ThreadRuntime runtime(42, link_config(0.05));
   auto sink = std::make_unique<Sink>();
   Sink* s = sink.get();
   const auto sink_stub = runtime.add_node(std::move(sink), net::EntityKind::Daemon);
 
   constexpr std::uint32_t kCount = 20;
-  runtime.add_node(std::make_unique<Script>([&](net::Env& env) {
-                     for (std::uint32_t v = 0; v < kCount; ++v) {
-                       env.send(sink_stub, net::make_message(Ping{v}));
-                     }
-                   }),
-                   net::EntityKind::Daemon);
+  const auto script_stub = runtime.add_node(
+      std::make_unique<Script>([&](net::Env& env) {
+        for (std::uint32_t v = 0; v < kCount; ++v) {
+          env.send(sink_stub, net::make_message(Ping{v}));
+        }
+      }),
+      net::EntityKind::Daemon);
 
   wait_for([&] { return s->received.load() >= static_cast<int>(kCount); });
   runtime.shutdown_all();
 
-  // Every control message arrived, in send order, despite batching.
+  // Every control message arrived once, in send order, each its own frame
+  // naming its sender.
   ASSERT_EQ(s->ping_values.size(), kCount);
   for (std::uint32_t v = 0; v < kCount; ++v) {
     EXPECT_EQ(s->ping_values[v], v);
+    EXPECT_EQ(s->senders[v], script_stub)
+        << "ping " << v << " from " << s->senders[v].to_debug_string();
   }
   const auto comm = runtime.comm_stats().snapshot();
-  EXPECT_GE(comm.batches, 1u);
-  EXPECT_LT(comm.wire_frames, kCount);  // batching shrank the frame count
-  EXPECT_EQ(runtime.stats().corrupt_frames.load(), 0u);
+  EXPECT_EQ(comm.batches, 0u);
+  EXPECT_EQ(comm.wire_frames, kCount);
 }
 
 TEST(ThreadRuntimeLink, GracefulExitFlushesPendingFrames) {

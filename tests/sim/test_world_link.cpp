@@ -1,5 +1,6 @@
-// SimWorld + link layer: coalescing, transparent batching, wire
-// serialization and backpressure through the full capture -> deliver path.
+// SimWorld + link layer: coalescing, one frame per message in send order,
+// wire serialization and backpressure through the full capture -> deliver
+// path.
 #include <gtest/gtest.h>
 
 #include "core/config.hpp"
@@ -24,9 +25,12 @@ class LinkRecorder : public net::Actor {
   void on_start(net::Env& env) override { env_ = &env; }
   void on_message(const net::Message& m, net::Env&) override {
     types.push_back(m.type);
+    senders.push_back(m.from);
     bodies.push_back(m.body);
     if (m.type == TaskData::kType) {
-      data_iterations.push_back(net::payload_of<TaskData>(m).iteration);
+      const TaskData d = net::payload_of<TaskData>(m);
+      data_iterations.push_back(d.iteration);
+      data_tags.push_back(d.tag);
     } else if (m.type == Ping::kType) {
       ping_values.push_back(net::payload_of<Ping>(m).value);
     }
@@ -34,8 +38,10 @@ class LinkRecorder : public net::Actor {
 
   net::Env* env_ = nullptr;
   std::vector<net::MessageType> types;
+  std::vector<net::Stub> senders;
   std::vector<net::Payload> bodies;
   std::vector<std::uint64_t> data_iterations;
+  std::vector<std::uint32_t> data_tags;
   std::vector<std::uint32_t> ping_values;
 };
 
@@ -64,6 +70,7 @@ struct TwoNodes {
   SimWorld world;
   LinkRecorder* sender;
   LinkRecorder* receiver;
+  net::Stub sender_stub;
   net::Stub receiver_stub;
 
   explicit TwoNodes(const SimConfig& config) : world(config) {
@@ -71,7 +78,8 @@ struct TwoNodes {
     auto b = std::make_unique<LinkRecorder>();
     sender = a.get();
     receiver = b.get();
-    world.add_node(std::move(a), MachineSpec{}, net::EntityKind::Daemon);
+    sender_stub =
+        world.add_node(std::move(a), MachineSpec{}, net::EntityKind::Daemon);
     receiver_stub =
         world.add_node(std::move(b), MachineSpec{}, net::EntityKind::Daemon);
   }
@@ -117,11 +125,13 @@ TEST(SimWorldLink, CoalescesSupersededDataAndKeepsZeroCopy) {
   EXPECT_EQ(t.world.stats().delivered, 2u);
 }
 
-TEST(SimWorldLink, BatchesControlAndUnpacksTransparently) {
+TEST(SimWorldLink, ControlBurstArrivesOnceInOrderFromItsSender) {
   core::CommConfig comm;
   comm.flush_window = 0.5;
   TwoNodes t(link_sim_config(comm));
 
+  // The first ping leaves at once and opens the window; the other five
+  // queue behind it and leave together when the window closes.
   t.world.schedule_global(0.0, [&] {
     for (std::uint32_t v = 0; v < 6; ++v) {
       t.sender->env_->send(t.receiver_stub, net::make_message(Ping{v}));
@@ -129,22 +139,67 @@ TEST(SimWorldLink, BatchesControlAndUnpacksTransparently) {
   });
   t.world.run();
 
-  // All six arrive, in order, as ordinary Ping messages — the Batch envelope
-  // is invisible to the actor.
+  // Each arrives once, in send order, and names its sender: a receiver
+  // matches heartbeats and state reports to the daemon that sent them.
   ASSERT_EQ(t.receiver->ping_values.size(), 6u);
   for (std::uint32_t v = 0; v < 6; ++v) {
     EXPECT_EQ(t.receiver->ping_values[v], v);
-  }
-  for (const net::MessageType type : t.receiver->types) {
-    EXPECT_EQ(type, Ping::kType);
+    EXPECT_EQ(t.receiver->senders[v], t.sender_stub)
+        << "ping " << v << " from " << t.receiver->senders[v].to_debug_string();
   }
 
   const auto comm_snap = t.world.comm_stats().snapshot();
-  EXPECT_EQ(comm_snap.batches, 1u);
-  EXPECT_EQ(comm_snap.batched_messages, 5u);  // first ping left unbatched
-  EXPECT_EQ(t.world.stats().delivered, 2u);   // one ping + one batch frame
+  EXPECT_EQ(comm_snap.batches, 0u);
+  EXPECT_EQ(comm_snap.wire_frames, 6u);
+  EXPECT_EQ(t.world.stats().delivered, 6u);
   EXPECT_EQ(t.world.stats().delivered_by_type.at(Ping::kType), 6u);
-  EXPECT_EQ(t.world.stats().corrupt_frames, 0u);
+}
+
+TEST(SimWorldLink, JitteredDataBurstArrivesInSendOrder) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    core::CommConfig comm;
+    comm.flush_window = 0.5;
+    SimConfig config = link_sim_config(comm);
+    config.seed = seed;
+    config.message_jitter = 0.05;
+    TwoNodes t(config);
+
+    // Distinct tags are distinct streams, so nothing coalesces: sixteen
+    // frames leave the link at the same instant and each draws its own
+    // jitter, yet they must arrive in the order they left.
+    constexpr std::uint32_t kBurst = 16;
+    t.world.schedule_global(0.0, [&] {
+      for (std::uint32_t tag = 0; tag < kBurst; ++tag) {
+        t.sender->env_->send(t.receiver_stub, task_data(tag, 1));
+      }
+    });
+    t.world.run();
+
+    ASSERT_EQ(t.receiver->data_tags.size(), kBurst) << "seed " << seed;
+    for (std::uint32_t tag = 0; tag < kBurst; ++tag) {
+      EXPECT_EQ(t.receiver->data_tags[tag], tag) << "seed " << seed;
+    }
+  }
+}
+
+TEST(SimWorldLink, BatchTypedMessageReachesTheActorAsItIs) {
+  core::CommConfig comm;
+  comm.flush_window = 0.5;
+  TwoNodes t(link_sim_config(comm));
+
+  // A Batch-typed message is an unknown type like any other: the world
+  // delivers it as it is, from its sender, and leaves it to the actor.
+  t.world.schedule_global(0.0, [&] {
+    net::Message m;
+    m.type = net::kBatchMessageType;
+    m.body = serial::Bytes{2, 0, 0, 0, 0, 0};
+    t.sender->env_->send(t.receiver_stub, std::move(m));
+  });
+  t.world.run();
+
+  ASSERT_EQ(t.receiver->types.size(), 1u);
+  EXPECT_EQ(t.receiver->types[0], net::kBatchMessageType);
+  EXPECT_EQ(t.receiver->senders[0], t.sender_stub);
 }
 
 TEST(SimWorldLink, SerializeLinksDeliversEverythingInOrder) {
@@ -192,16 +247,16 @@ TEST(SimWorldLink, BackpressureDropsDataButNeverControl) {
   core::CommConfig comm;
   comm.flush_window = 10.0;  // long window: the queue builds up
   comm.coalesce = false;     // distinct entries so the count budget bites
-  comm.max_queue_messages = 3;
   TwoNodes t(link_sim_config(comm));
 
+  constexpr std::uint32_t kData = net::Link::kMaxQueueMessages;
   t.world.schedule_global(0.0, [&] {
     // Opens the window (leaves immediately).
     t.sender->env_->send(t.receiver_stub, net::make_message(Ping{100}));
-    // 5 data + 5 control queue inside the window; budget 3 forces drops,
-    // which must all fall on data.
-    for (std::uint32_t i = 0; i < 5; ++i) {
-      t.sender->env_->send(t.receiver_stub, task_data(i, i + 1));
+    // A full budget of data, then 5 control, queue inside the window; the
+    // count budget forces 5 drops, which must all fall on data.
+    for (std::uint32_t i = 0; i < kData; ++i) {
+      t.sender->env_->send(t.receiver_stub, task_data(0, i + 1));
     }
     for (std::uint32_t v = 0; v < 5; ++v) {
       t.sender->env_->send(t.receiver_stub, net::make_message(Ping{v}));
@@ -215,9 +270,10 @@ TEST(SimWorldLink, BackpressureDropsDataButNeverControl) {
   for (std::uint32_t v = 0; v < 5; ++v) {
     EXPECT_EQ(t.receiver->ping_values[v + 1], v);
   }
-  // Data was sacrificed to the budget.
-  EXPECT_LT(t.receiver->data_iterations.size(), 5u);
-  EXPECT_GT(t.world.comm_stats().snapshot().dropped_data, 0u);
+  // Data was sacrificed to the budget, oldest first.
+  ASSERT_EQ(t.receiver->data_iterations.size(), kData - 5);
+  EXPECT_EQ(t.receiver->data_iterations.front(), 6u);
+  EXPECT_EQ(t.world.comm_stats().snapshot().dropped_data, 5u);
 }
 
 TEST(SimWorldLink, CrashedSenderQueuesDieWithIt) {
