@@ -1,18 +1,20 @@
-// The settable parameters of a deployment: the timings shared by all
-// JaceP2P entities, the control-plane and reputation switches, and the comm
-// path. Defaults are tuned for the simulator (sub-second
-// heartbeats keep failure detection fast relative to iteration times); the
-// threaded runtime uses the same fields with smaller values
-// (fast_rt_timing()).
+// The settable parameters of a simulated deployment (SimDeploymentConfig):
+// the timings shared by all JaceP2P entities, the control-plane and
+// reputation switches, and the simulator's comm path. Defaults are tuned for
+// the simulator (sub-second heartbeats keep failure detection fast relative
+// to iteration times). The threaded runtime sets none of them: RtDeployment
+// runs the default control plane with timings shrunk for wall-clock runs,
+// and its sends bypass the link layer.
 //
 // A value that every deployment runs at one setting is not a field here but
 // a named constant next to its one reader: Daemon::kBackupRetention, the
 // reservation TTL, assign-ack window, replica count and audit timings in
-// core/spawner.cpp, ReputationStore's EWMA constants, and the link queue
-// budgets net::Link::kMaxQueueBytes / kMaxQueueMessages. The simulator's
-// scale settings (`shards` / `worker_threads`, DESIGN.md §12) live in
-// sim::SimConfig and the churn script's in sim::ChurnScriptConfig; both
-// reach experiments through SimDeploymentConfig.
+// core/spawner.cpp, ReputationStore's EWMA constants, the link queue
+// budgets net::Link::kMaxQueueBytes / kMaxQueueMessages, and the fleet's
+// network constants sim::FleetModel::kSlowBandwidthBps and friends. The
+// simulator's scale settings (`shards` / `worker_threads`, DESIGN.md §12)
+// live in sim::SimConfig and the churn script's in sim::ChurnScriptConfig;
+// both reach experiments through SimDeploymentConfig.
 #pragma once
 
 #include <cstddef>
@@ -82,18 +84,18 @@ struct ReputationConfig {
   std::uint32_t redundancy = 0;
 };
 
-/// Knobs for the staleness-aware comm path (net/link.hpp; DESIGN.md §8).
-/// Defaults keep the link layer dormant — `flush_window == 0` (and
-/// `serialize_links == false`) means both transports bypass it entirely and
-/// behave exactly as before this subsystem existed.
+/// Knobs for the simulator's staleness-aware comm path (net/link.hpp;
+/// DESIGN.md §8). Defaults keep the link layer dormant — `flush_window == 0`
+/// (and `serialize_links == false`) means every send bypasses it and behaves
+/// exactly as before this subsystem existed.
 struct CommConfig {
   bool coalesce = true;          ///< latest-wins replacement of queued
                                  ///< dependency data (only with a window)
   double flush_window = 0.0;     ///< seconds a link accumulates between
                                  ///< flushes; 0 disables the link layer
-  bool serialize_links = false;  ///< sim only: one in-flight frame per
-                                 ///< directed link (models a busy NIC, makes
-                                 ///< backlogs — and coalescing — visible)
+  bool serialize_links = false;  ///< one in-flight frame per directed link
+                                 ///< (models a busy NIC, makes backlogs —
+                                 ///< and coalescing — visible)
 };
 
 /// Inert fields that the benchmark drivers still assign; no behaviour depends

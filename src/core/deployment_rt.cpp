@@ -9,6 +9,10 @@
 
 namespace jacepp::core {
 
+namespace {
+
+/// Timing constants shrunk to keep threaded runs fast (heartbeats every
+/// 50 ms, failure detection within ~300 ms).
 TimingConfig fast_rt_timing() {
   TimingConfig t;
   t.heartbeat_period = 0.05;
@@ -24,10 +28,11 @@ TimingConfig fast_rt_timing() {
   return t;
 }
 
+}  // namespace
+
 RtDeployment::RtDeployment(RtDeploymentConfig config)
     : config_(std::move(config)), rng_(config_.seed) {
-  runtime_ = std::make_unique<rt::ThreadRuntime>(
-      config_.seed, msg::link_config_from(config_.comm));
+  runtime_ = std::make_unique<rt::ThreadRuntime>(config_.seed);
 }
 
 RtDeployment::~RtDeployment() {
@@ -35,10 +40,11 @@ RtDeployment::~RtDeployment() {
 }
 
 void RtDeployment::start() {
+  const TimingConfig timing = fast_rt_timing();
   // Super-peers first: their addresses seed every bootstrap list.
   std::vector<net::Stub> full_stubs;
   for (std::size_t i = 0; i < config_.super_peer_count; ++i) {
-    auto sp = std::make_unique<SuperPeer>(config_.timing, config_.cp);
+    auto sp = std::make_unique<SuperPeer>(timing);
     const net::Stub stub =
         runtime_->add_node(std::move(sp), net::EntityKind::SuperPeer);
     super_peer_addresses_.push_back(stub.address());
@@ -51,8 +57,7 @@ void RtDeployment::start() {
   }
 
   for (std::size_t i = 0; i < config_.daemon_count; ++i) {
-    auto daemon = std::make_unique<Daemon>(super_peer_addresses_, config_.timing,
-                                           PerfConfig{}, config_.cp);
+    auto daemon = std::make_unique<Daemon>(super_peer_addresses_, timing);
     const net::Stub stub =
         runtime_->add_node(std::move(daemon), net::EntityKind::Daemon);
     daemon_nodes_.push_back(stub.node);
@@ -67,7 +72,7 @@ void RtDeployment::start() {
         }
         done_cv_.notify_all();
       },
-      config_.timing, config_.cp);
+      timing);
   const net::Stub stub =
       runtime_->add_node(std::move(spawner), net::EntityKind::Spawner);
   spawner_node_ = stub.node;

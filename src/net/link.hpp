@@ -1,6 +1,6 @@
 // Staleness-aware outbound link: latest-wins coalescing and bounded queues
-// with backpressure (the "comm substrate" between actors and the
-// transports).
+// with backpressure (the simulator's "comm substrate" between actors and
+// the modelled wire).
 //
 // The paper's asynchronous iteration model (§4, §5.3) tolerates message loss
 // and staleness for *dependency data* — a receiver overwrites whatever halo
@@ -12,12 +12,12 @@
 // Backup frames, heartbeats) has no such redundancy and is
 // never coalesced or dropped.
 //
-// A Link is a passive per-destination queue; the owning transport decides
-// when to pump it (flush windows, wire serialization). Every queued message
-// leaves as its own frame, in queue order, with the sender stub its Env
-// stamped on it, as the paper's one RMI call per exchange. Both transports
-// share the exact same Link code, so the coalescing semantics tested against
-// the deterministic simulator are the semantics the threaded runtime runs.
+// A Link is a passive per-destination queue; the simulator (sim::SimWorld)
+// decides when to pump it (flush windows, wire serialization). Every queued
+// message leaves as its own frame, in queue order, with the sender stub its
+// Env stamped on it, as the paper's one RMI call per exchange. The link layer
+// belongs to the simulator alone: the threaded runtime hands every send
+// straight to the destination's mailbox.
 //
 // Layering: net/ cannot see core/'s message catalogue, so the Data-vs-Control
 // split is injected as a plain function pointer (LinkConfig::classifier);
@@ -58,12 +58,13 @@ struct LinkConfig {
   Classifier classifier = nullptr;  ///< null => everything is Control
   bool coalesce = true;             ///< latest-wins replacement of queued Data
   double flush_window = 0.0;        ///< seconds a link accumulates between
-                                    ///< flushes (0 = transports bypass links)
+                                    ///< flushes (0 = sends bypass links)
 };
 
-/// Link-layer counters, shared by every Link of one transport. Relaxed
-/// atomics: rt workers update them concurrently; exact cross-counter
-/// consistency is not needed (they are diagnostics, read after quiescence).
+/// Link-layer counters, shared by every Link of one SimWorld. Relaxed
+/// atomics: the round crew's lanes update them concurrently; exact
+/// cross-counter consistency is not needed (they are diagnostics, read after
+/// quiescence).
 struct CommStatsSnapshot {
   std::uint64_t enqueued = 0;          ///< messages handed to links
   std::uint64_t coalesced = 0;         ///< superseded Data replaced in place
@@ -129,9 +130,9 @@ struct WireFrame {
   Stub to;
 };
 
-/// Per-destination outbound queue. Single-owner: the sim world or one rt
-/// worker thread; only CommStats is shared. The transport enqueues every
-/// outgoing message and pops WireFrames whenever its flush policy says so.
+/// Per-destination outbound queue of one sending node; only CommStats is
+/// shared. The simulator enqueues every outgoing message and pops
+/// WireFrames whenever its flush policy says so.
 class Link {
  public:
   Link(const LinkConfig* config, CommStats* stats);

@@ -24,33 +24,7 @@ class ThreadRuntime::WorkerEnv : public net::Env {
 
   void send(const net::Stub& to, net::Message message) override {
     message.from = worker_->stub;
-    if (runtime_->link_config_.flush_window <= 0.0) {
-      runtime_->route(to, std::move(message));
-      return;
-    }
-    // Staleness-aware link path: enqueue on this worker's per-destination
-    // link, flush immediately after an idle period (which opens a window) or
-    // let the armed flush timer pick it up. All of this runs on the worker
-    // thread — send() and timers share it — so the links need no locking.
-    auto [it, inserted] = worker_->links.try_emplace(to.node, nullptr);
-    if (inserted) {
-      it->second = std::make_unique<WorkerLink>(&runtime_->link_config_,
-                                                &runtime_->comm_stats_);
-    }
-    WorkerLink* wl = it->second.get();
-    wl->link.enqueue(std::move(message), to);
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= wl->next_flush) {
-      runtime_->flush_worker_link(worker_, wl);
-    } else if (!wl->flush_armed) {
-      wl->flush_armed = true;
-      const double delay =
-          std::chrono::duration<double>(wl->next_flush - now).count();
-      schedule(delay, [this, wl] {
-        wl->flush_armed = false;
-        runtime_->flush_worker_link(worker_, wl);
-      });
-    }
+    runtime_->route(to, std::move(message));
   }
 
   net::TimerId schedule(double delay, std::function<void()> fn) override {
@@ -84,34 +58,8 @@ class ThreadRuntime::WorkerEnv : public net::Env {
   Worker* worker_;
 };
 
-ThreadRuntime::ThreadRuntime(std::uint64_t seed, net::LinkConfig link)
-    : epoch_(std::chrono::steady_clock::now()),
-      seed_rng_(seed),
-      link_config_(link) {}
-
-void ThreadRuntime::flush_worker_link(Worker* worker, WorkerLink* wl) {
-  (void)worker;
-  bool sent_any = false;
-  while (auto frame = wl->link.next_wire_frame()) {
-    route(frame->to, std::move(frame->message));
-    sent_any = true;
-  }
-  if (sent_any) {
-    // The flush opens a window: messages arriving before it closes queue
-    // (and Data coalesces) until the armed flush timer fires.
-    wl->next_flush = std::chrono::steady_clock::now() +
-                     std::chrono::microseconds(static_cast<std::int64_t>(
-                         link_config_.flush_window * 1e6));
-  }
-}
-
-void ThreadRuntime::flush_all_worker_links(Worker* worker) {
-  for (auto& [node, wl] : worker->links) {
-    while (auto frame = wl->link.next_wire_frame()) {
-      route(frame->to, std::move(frame->message));
-    }
-  }
-}
+ThreadRuntime::ThreadRuntime(std::uint64_t seed)
+    : epoch_(std::chrono::steady_clock::now()), seed_rng_(seed) {}
 
 ThreadRuntime::~ThreadRuntime() { shutdown_all(); }
 
@@ -265,18 +213,10 @@ void ThreadRuntime::worker_loop(Worker* worker) {
   }
 
   // on_stop only runs on graceful shutdown; a crash (disconnect) exits
-  // silently, as a powered-off machine would — its queued link frames are
-  // lost with it.
+  // silently, as a powered-off machine would.
   const bool graceful = worker->stop_requested && !worker->crashed;
   worker->up.store(false);
-  if (graceful) {
-    // Drain outbound links so window-delayed messages (e.g. a FinalState
-    // waiting out a flush window) are not silently dropped; on_stop may send
-    // more, so drain again after it.
-    flush_all_worker_links(worker);
-    worker->actor->on_stop(env);
-    flush_all_worker_links(worker);
-  }
+  if (graceful) worker->actor->on_stop(env);
   {
     // Publish under the lock so a wait_node() predicate check cannot slip
     // between the store and the notify.

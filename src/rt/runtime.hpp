@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "net/env.hpp"
-#include "net/link.hpp"
 #include "net/message.hpp"
 #include "net/stub.hpp"
 #include "support/queue.hpp"
@@ -37,10 +36,9 @@ struct RtStats {
 
 class ThreadRuntime {
  public:
-  /// `link` configures the staleness-aware comm path (net/link.hpp). The
-  /// default — flush_window 0 — bypasses it: every send routes straight to
-  /// the destination mailbox exactly as before the link layer existed.
-  explicit ThreadRuntime(std::uint64_t seed = 42, net::LinkConfig link = {});
+  /// Every send goes straight to the destination's mailbox, which is FIFO:
+  /// the messages one sender sends one receiver arrive in send order.
+  explicit ThreadRuntime(std::uint64_t seed = 42);
   ~ThreadRuntime();
 
   ThreadRuntime(const ThreadRuntime&) = delete;
@@ -72,7 +70,6 @@ class ThreadRuntime {
   [[nodiscard]] net::Actor* actor(net::NodeId node);
 
   RtStats& stats() { return stats_; }
-  net::CommStats& comm_stats() { return comm_stats_; }
 
  private:
   class WorkerEnv;
@@ -90,17 +87,6 @@ class ThreadRuntime {
     net::Message message;  // for Deliver
   };
 
-  /// Per-destination outbound link of one worker. Touched only by the owning
-  /// worker thread (sends and flush timers both run there); only the shared
-  /// CommStats inside net::Link uses atomics.
-  struct WorkerLink {
-    net::Link link;
-    std::chrono::steady_clock::time_point next_flush{};
-    bool flush_armed = false;
-    WorkerLink(const net::LinkConfig* config, net::CommStats* stats)
-        : link(config, stats) {}
-  };
-
   struct Worker {
     std::unique_ptr<net::Actor> actor;
     std::unique_ptr<WorkerEnv> env;
@@ -115,14 +101,10 @@ class ThreadRuntime {
     std::vector<net::TimerId> cancelled;
     bool stop_requested = false;
     bool crashed = false;
-    // Outbound links, worker-thread-only (see WorkerLink).
-    std::unordered_map<net::NodeId, std::unique_ptr<WorkerLink>> links;
   };
 
   void worker_loop(Worker* worker);
   void route(const net::Stub& to, net::Message message);
-  void flush_worker_link(Worker* worker, WorkerLink* wl);
-  void flush_all_worker_links(Worker* worker);
   Worker* find_worker(net::NodeId node);
 
   std::chrono::steady_clock::time_point epoch_;
@@ -136,8 +118,6 @@ class ThreadRuntime {
   std::mutex exit_mutex_;
   std::condition_variable exit_cv_;
   RtStats stats_;
-  net::LinkConfig link_config_;
-  net::CommStats comm_stats_;
 };
 
 }  // namespace jacepp::rt

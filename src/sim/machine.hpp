@@ -25,7 +25,6 @@ struct MachineSpec {
   /// scheduling, TCP stack) — dominates small-message delay on the paper's
   /// stack and creates the small compute/comm-ratio regime at small n.
   double message_overhead_s = 8e-3;
-  double ram_bytes = 512e6;       ///< informational (paper reports RAM)
 
   /// Lower bound this machine contributes to any wire transfer it is an
   /// endpoint of — the sharded scheduler's lookahead input (DESIGN.md §12):
@@ -37,7 +36,7 @@ struct MachineSpec {
 
   [[nodiscard]] static MachineSpec super_peer_class() {
     // P4 2.40 GHz / 512 MB on the faster network.
-    return MachineSpec{220e6, 1000e6, 200e-6, 8e-3, 512e6};
+    return MachineSpec{220e6, 1000e6, 200e-6, 8e-3};
   }
   [[nodiscard]] static MachineSpec spawner_class() { return super_peer_class(); }
 };
@@ -47,11 +46,14 @@ struct FleetModel {
   double min_flops = 100e6;       ///< P3 1.266 GHz class
   double max_flops = 300e6;       ///< P4 3.0 GHz class
   double fast_network_fraction = 0.5;  ///< share of daemons on 1 Gb/s
-  double slow_bandwidth_bps = 100e6;
-  double fast_bandwidth_bps = 1000e6;
-  double latency_s = 250e-6;
   double latency_jitter = 0.2;    ///< +/- fraction applied per machine
-  double message_overhead_s = 8e-3;  ///< RMI-style per-message software cost
+
+  /// The paper's two Ethernet classes (§7), the base one-way latency, and
+  /// the RMI-style per-message software cost of a 200 Mflop/s machine.
+  static constexpr double kSlowBandwidthBps = 100e6;
+  static constexpr double kFastBandwidthBps = 1000e6;
+  static constexpr double kLatencyS = 250e-6;
+  static constexpr double kMessageOverheadS = 8e-3;
 
   /// Draw `count` daemon machine specs. Deterministic in `rng`.
   [[nodiscard]] std::vector<MachineSpec> draw(std::size_t count, Rng& rng) const;

@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
+#include <vector>
 
 #include "rmi/rmi.hpp"
 
@@ -187,6 +189,56 @@ TEST(ThreadRuntime, ComputeDefersCompletion) {
   wait_for([&] { return looper->got_message.load() || looper->rounds.load() > 200; });
   EXPECT_TRUE(looper->got_message.load());
   runtime.shutdown_all();
+}
+
+TEST(ThreadRuntime, BurstArrivesInOrderFromItsSender) {
+  constexpr std::uint32_t kCount = 20;
+  // Records each ping's value and sender; the test reads the vectors only
+  // after shutdown_all() joined the worker.
+  class Sink : public net::Actor {
+   public:
+    void on_start(net::Env&) override {}
+    void on_message(const net::Message& m, net::Env&) override {
+      std::lock_guard<std::mutex> lock(mutex);
+      values.push_back(net::payload_of<Ping>(m).value);
+      senders.push_back(m.from);
+      received.fetch_add(1);
+    }
+    std::atomic<int> received{0};
+    std::mutex mutex;
+    std::vector<std::uint32_t> values;
+    std::vector<net::Stub> senders;
+  };
+  class Burst : public net::Actor {
+   public:
+    explicit Burst(net::Stub to) : to_(to) {}
+    void on_start(net::Env& env) override {
+      for (std::uint32_t v = 0; v < kCount; ++v) {
+        env.send(to_, net::make_message(Ping{v}));
+      }
+    }
+    void on_message(const net::Message&, net::Env&) override {}
+
+   private:
+    net::Stub to_;
+  };
+
+  ThreadRuntime runtime;
+  auto sink = std::make_unique<Sink>();
+  Sink* s = sink.get();
+  const auto sink_stub = runtime.add_node(std::move(sink), net::EntityKind::Daemon);
+  const auto burst_stub = runtime.add_node(std::make_unique<Burst>(sink_stub),
+                                           net::EntityKind::Daemon);
+  wait_for([&] { return s->received.load() >= static_cast<int>(kCount); });
+  runtime.shutdown_all();
+
+  // Every message arrived once, in send order, stamped with its sender.
+  ASSERT_EQ(s->values.size(), kCount);
+  for (std::uint32_t v = 0; v < kCount; ++v) {
+    EXPECT_EQ(s->values[v], v);
+    EXPECT_EQ(s->senders[v], burst_stub)
+        << "ping " << v << " from " << s->senders[v].to_debug_string();
+  }
 }
 
 TEST(ThreadRuntime, ShutdownIsIdempotent) {

@@ -43,7 +43,7 @@ TEST(Fleet, NetworkMixTracksFraction) {
   std::size_t fast = 0;
   const auto specs = model.draw(1000, rng);
   for (const auto& spec : specs) {
-    if (spec.bandwidth_bps == model.fast_bandwidth_bps) ++fast;
+    if (spec.bandwidth_bps == FleetModel::kFastBandwidthBps) ++fast;
   }
   EXPECT_NEAR(static_cast<double>(fast) / 1000.0, 0.5, 0.06);
 }
@@ -53,7 +53,7 @@ TEST(Fleet, AllSlowWhenFractionZero) {
   model.fast_network_fraction = 0.0;
   Rng rng(5);
   for (const auto& spec : model.draw(50, rng)) {
-    EXPECT_EQ(spec.bandwidth_bps, model.slow_bandwidth_bps);
+    EXPECT_EQ(spec.bandwidth_bps, FleetModel::kSlowBandwidthBps);
   }
 }
 
