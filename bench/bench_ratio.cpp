@@ -54,7 +54,7 @@ double measured_flops_per_iteration(std::size_t n, std::uint32_t tasks,
     for (int i = 0; i < 3; ++i) {
       for (auto& out : ring[i].outgoing()) {
         for (int j = 0; j < 3; ++j) {
-          if (ids[j] == out.to_task) ring[j].on_data(ids[i], round + 1, out.payload);
+          if (ids[j] == out.to_task) ring[j].on_data(ids[i], out.payload);
         }
       }
     }

@@ -136,7 +136,7 @@ class HeatTask : public core::Task {
   [[nodiscard]] double local_error() const override { return error_; }
   [[nodiscard]] bool error_is_informative() const override { return informative_; }
 
-  void on_data(core::TaskId from, std::uint64_t, serial::ByteView bytes) override {
+  void on_data(core::TaskId from, serial::ByteView bytes) override {
     serial::Reader reader(bytes);
     const double value = reader.f64();
     if (!reader.ok()) return;

@@ -236,7 +236,7 @@ void Daemon::handle_task_data(const msg::TaskData& m, const net::Message&,
   // Dependency data is accepted whenever the task object exists (also during
   // restore, so a replacement starts with fresh neighbour data).
   if (task_ != nullptr && m.app_id == app_.app_id && m.to_task == task_id_) {
-    task_->on_data(m.from_task, m.iteration, m.payload);
+    task_->on_data(m.from_task, m.payload);
   }
 }
 
@@ -346,7 +346,6 @@ void Daemon::finish_iteration() {
     data.from_task = task_id_;
     data.to_task = out.to_task;
     data.tag = out.tag;
-    data.iteration = iteration_;
     data.payload = out.payload;
     rmi::invoke(*env_, to, data);
   }
@@ -361,7 +360,6 @@ void Daemon::finish_iteration() {
     report.app_id = app_.app_id;
     report.task_id = task_id_;
     report.stable = *transition;
-    report.iteration = iteration_;
     rmi::invoke(*env_, reg_.spawner, report);
   }
 
@@ -509,7 +507,6 @@ void Daemon::handle_state_probe(const msg::StateProbe& m,
   report.app_id = app_.app_id;
   report.task_id = task_id_;
   report.stable = tracker_.has_value() && tracker_->stable();
-  report.iteration = iteration_;
   rmi::invoke(env, raw.from, report);
 }
 

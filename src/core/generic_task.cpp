@@ -155,7 +155,7 @@ std::span<const OutgoingData> GenericMultisplitTask::outgoing() {
   return outgoing_;
 }
 
-void GenericMultisplitTask::on_data(TaskId from_task, std::uint64_t /*iteration*/,
+void GenericMultisplitTask::on_data(TaskId from_task,
                                     serial::ByteView payload) {
   if (from_task >= task_count_ || from_task == task_id_) return;
   serial::Reader reader(payload);

@@ -46,8 +46,7 @@ class GenericMultisplitTask : public Task {
     return state_.local_error;
   }
   [[nodiscard]] bool error_is_informative() const override { return informative_; }
-  void on_data(TaskId from_task, std::uint64_t iteration,
-               serial::ByteView payload) override;
+  void on_data(TaskId from_task, serial::ByteView payload) override;
   [[nodiscard]] serial::Bytes checkpoint() const override;
   [[nodiscard]] bool restore(const serial::Bytes& state) override;
   [[nodiscard]] serial::Bytes final_payload() const override;

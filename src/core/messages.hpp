@@ -92,14 +92,11 @@ struct ReserveReply {
   JACEPP_WIRE_FIELDS(request_id, daemons, exhausted)
 };
 
-/// Super-Peer → Daemon: you are reserved by this spawner; expect a task.
-/// The daemon learns its spawner from the assignment's register, so it does
-/// not read `spawner`.
+/// Super-Peer → Daemon: you are reserved; expect a task. The daemon learns
+/// its spawner from the assignment's register, so the grant carries nothing.
 struct Reserved {
   static constexpr net::MessageType kType = 8;
-  net::Stub spawner;
-
-  JACEPP_WIRE_FIELDS(spawner)
+  JACEPP_WIRE_FIELDS()
 };
 
 // ---------------------------------------------------------------------------
@@ -136,12 +133,12 @@ struct RegisterUpdate {
 // Inter-task data exchange (the computing dependencies)
 // ---------------------------------------------------------------------------
 
-/// Daemon → Daemon: one task's dependency data for another task (latest-wins
-/// by `iteration` on the receiving side; lost messages are tolerated). `tag`
-/// distinguishes independent update streams between the same task pair (a
-/// Poisson task sends its lower and upper boundary lines as separate
-/// streams): the link layer coalesces per (app, from, to, tag), never across
-/// tags. The four stream-key fields lead the encoding so a classifier can
+/// Daemon → Daemon: one task's dependency data for another task (the
+/// receiver keeps the newest arrival, paper §4; lost messages are
+/// tolerated). `tag` distinguishes independent update streams between the
+/// same task pair (a Poisson task sends its lower and upper boundary lines
+/// as separate streams): the link layer coalesces per (app, from, to, tag),
+/// never across tags. The four stream-key fields lead the encoding so a classifier can
 /// peek them without touching the payload. The payload is a view: on the
 /// sender into the task's own line buffer, on the receiver into the message
 /// body it was decoded from, so a line is copied once, into the body.
@@ -151,10 +148,9 @@ struct TaskData {
   TaskId from_task = 0;
   TaskId to_task = 0;
   std::uint32_t tag = 0;
-  std::uint64_t iteration = 0;
   serial::ByteView payload;
 
-  JACEPP_WIRE_FIELDS(app_id, from_task, to_task, tag, iteration, payload)
+  JACEPP_WIRE_FIELDS(app_id, from_task, to_task, tag, payload)
 };
 
 // ---------------------------------------------------------------------------
@@ -226,9 +222,8 @@ struct LocalStateReport {
   AppId app_id = 0;
   TaskId task_id = 0;
   bool stable = false;
-  std::uint64_t iteration = 0;
 
-  JACEPP_WIRE_FIELDS(app_id, task_id, stable, iteration)
+  JACEPP_WIRE_FIELDS(app_id, task_id, stable)
 };
 
 /// Spawner → all Daemons: global convergence reached; stop computing.

@@ -118,7 +118,7 @@ void SuperPeer::handle_reserve(const msg::ReserveRequest& m,
     }
   }
   for (const net::Stub& daemon : granted) {
-    rmi::invoke(env, daemon, msg::Reserved{m.requester});
+    rmi::invoke(env, daemon, msg::Reserved{});
   }
   reservations_served_ += granted.size();
 

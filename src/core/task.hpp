@@ -6,7 +6,8 @@
 //   init() once → repeat { iterate() → outgoing() sent to neighbours →
 //   local_error() fed to convergence detection → periodic checkpoint() to
 //   backup-peers } until GlobalHalt; on_data() fires whenever dependency data
-//   arrives (latest-wins, possibly stale — the asynchronous model).
+//   arrives (the newest arrival wins, possibly stale — the asynchronous
+//   model, paper §4).
 //
 // Programs are registered by name in the TaskProgramRegistry — the analogue of
 // the paper's "URL of a web server where the class files are available": a
@@ -77,12 +78,13 @@ class Task {
   /// starved task would spin to a zero update-distance and fake stability.
   [[nodiscard]] virtual bool error_is_informative() const { return true; }
 
-  /// Dependency data received from another task. `iteration` is the sender's
-  /// iteration counter; implementations keep the latest version per sender
-  /// and ignore older ones (asynchronous latest-wins semantics). `payload`
+  /// Dependency data received from another task. Implementations keep the
+  /// newest arrival per sender, replacing whatever they held (paper §4: a
+  /// peer computes with the last data it received). A sender that restarted
+  /// from a checkpoint resends older iterates, which are still its freshest
+  /// data, so arrival order, not the sender's progress, decides. `payload`
   /// views the received message and is valid only during the call.
-  virtual void on_data(TaskId from_task, std::uint64_t iteration,
-                       serial::ByteView payload) = 0;
+  virtual void on_data(TaskId from_task, serial::ByteView payload) = 0;
 
   /// Serialize the full task state (the Backup object's body, §5.4).
   [[nodiscard]] virtual serial::Bytes checkpoint() const = 0;

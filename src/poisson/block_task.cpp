@@ -183,7 +183,7 @@ double PoissonTask::iterate() {
   last_iteration_informative_ =
       lower_fresh_ || upper_fresh_ || task_count_ == 1 ||
       state_.iterations_done == 1;
-  if (last_iteration_informative_) ++iterations_with_fresh_data_;
+  if (last_iteration_informative_) ++state_.informative_iterations;
   lower_fresh_ = upper_fresh_ = false;
 
   const double flops =
@@ -289,16 +289,15 @@ bool take_line(const std::uint8_t* line, linalg::Vector& held) {
 
 }  // namespace
 
-void PoissonTask::on_data(core::TaskId from_task, std::uint64_t iteration,
-                          serial::ByteView payload) {
+void PoissonTask::on_data(core::TaskId from_task, serial::ByteView payload) {
   // A line is taken when it is n doubles in the f64_vector encoding (bytes
   // after them are ignored); it is decoded straight into the held line.
   serial::Reader reader(payload);
   const std::uint8_t* line = reader.f64_vector_in_place(config_.n);
   if (line == nullptr) return;  // malformed: drop
-  // Last-received-wins: after a neighbour restarts from a checkpoint its
-  // iteration counter regresses, yet its data is the freshest available, so
-  // arrival order (not the counter) decides. The tag is kept for diagnostics.
+  // Last-received-wins (paper §4): the newest line to arrive replaces the
+  // held one, also after the neighbour restarted from an older checkpoint,
+  // since its data is then the freshest available.
   //
   // Freshness is CONTENT-based: a starved neighbour keeps re-sending an
   // unchanged line every spin iteration, and treating those arrivals as new
@@ -306,10 +305,8 @@ void PoissonTask::on_data(core::TaskId from_task, std::uint64_t iteration,
   // (the paper's "no update received" iterations).
   if (from_task + 1 == task_id_) {
     if (take_line(line, state_.lower_boundary)) lower_fresh_ = true;
-    state_.lower_tag = iteration;
   } else if (from_task == task_id_ + 1) {
     if (take_line(line, state_.upper_boundary)) upper_fresh_ = true;
-    state_.upper_tag = iteration;
   }
 }
 

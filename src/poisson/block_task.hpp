@@ -62,13 +62,12 @@ class PoissonTask : public core::Task {
   [[nodiscard]] bool error_is_informative() const override {
     return last_iteration_informative_;
   }
-  void on_data(core::TaskId from_task, std::uint64_t iteration,
-               serial::ByteView payload) override;
+  void on_data(core::TaskId from_task, serial::ByteView payload) override;
   [[nodiscard]] serial::Bytes checkpoint() const override;
   [[nodiscard]] bool restore(const serial::Bytes& state) override;
   [[nodiscard]] serial::Bytes final_payload() const override;
   [[nodiscard]] std::uint64_t informative_iterations() const override {
-    return iterations_with_fresh_data_;
+    return state_.informative_iterations;
   }
 
   // --- Introspection / testing ---
@@ -80,9 +79,6 @@ class PoissonTask : public core::Task {
   [[nodiscard]] const linalg::Vector& b_ext() const { return b_ext_; }
   [[nodiscard]] std::uint64_t iterations_done() const {
     return state_.iterations_done;
-  }
-  [[nodiscard]] std::uint64_t stale_free_iterations() const {
-    return iterations_with_fresh_data_;
   }
 
   /// Owned slice of the current iterate (the task's published components).
@@ -104,13 +100,14 @@ class PoissonTask : public core::Task {
     // Latest boundary lines received (last-received-wins; see DESIGN.md).
     linalg::Vector lower_boundary;  ///< grid line just below ext_lo
     linalg::Vector upper_boundary;  ///< grid line just above ext_hi
-    std::uint64_t lower_tag = 0;
-    std::uint64_t upper_tag = 0;
+    /// Iterations that consumed fresh boundary data (Eq. (4) diagnostics),
+    /// saved with the iteration count so both count across a restore.
+    std::uint64_t informative_iterations = 0;
     double local_error = 1.0;
     std::uint64_t iterations_done = 0;
 
     JACEPP_WIRE_FIELDS(x_ext, owned_prev, lower_boundary, upper_boundary,
-                       lower_tag, upper_tag, local_error, iterations_done)
+                       informative_iterations, local_error, iterations_done)
   };
 
   linalg::CsrMatrix a_local_;
@@ -133,7 +130,6 @@ class PoissonTask : public core::Task {
   double last_solve_flops_ = 0.0;
   std::uint64_t last_send_iteration_ = 0;
   bool sent_since_last_solve_ = false;
-  std::uint64_t iterations_with_fresh_data_ = 0;
 };
 
 /// Reassemble the global solution from per-task FinalState payloads.

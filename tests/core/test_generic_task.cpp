@@ -89,7 +89,7 @@ TEST(GenericTask, ManualDrivingConvergesToDirectSolution) {
     for (auto& t : tasks) t.iterate();
     for (std::uint32_t t = 0; t < 4; ++t) {
       for (auto& out : tasks[t].outgoing()) {
-        tasks[out.to_task].on_data(t, round + 1, out.payload);
+        tasks[out.to_task].on_data(t, out.payload);
       }
     }
   }
@@ -178,7 +178,7 @@ TEST(GenericTask, CheckpointBytesGolden) {
     for (auto& t : tasks) t.iterate();
     for (std::uint32_t t = 0; t < 3; ++t) {
       for (auto& out : tasks[t].outgoing()) {
-        tasks[out.to_task].on_data(t, round + 1, out.payload);
+        tasks[out.to_task].on_data(t, out.payload);
       }
     }
   }

@@ -34,7 +34,7 @@ class TickerTask : public Task {
     return {&out_, 1};
   }
   [[nodiscard]] double local_error() const override { return error_; }
-  void on_data(TaskId, std::uint64_t, serial::ByteView) override {
+  void on_data(TaskId, serial::ByteView) override {
     ++tokens_received_;
   }
   [[nodiscard]] serial::Bytes checkpoint() const override {

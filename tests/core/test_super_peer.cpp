@@ -449,7 +449,7 @@ TEST(DaemonRestore, MisshapedBackupStateRestartsFromZero) {
   (void)r.f64_vector<linalg::Vector>();
   w.f64_vector({0.5});                            // lower boundary, 1 of n
   w.f64_vector(r.f64_vector<linalg::Vector>());  // upper boundary
-  for (int i = 0; i < 4; ++i) w.u64(r.u64());    // tags, error, iterations
+  for (int i = 0; i < 3; ++i) w.u64(r.u64());    // counts and error
   ASSERT_TRUE(r.ok() && r.exhausted());
 
   Scenario s(1, 7);

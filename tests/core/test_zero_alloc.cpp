@@ -136,14 +136,13 @@ class Volley : public net::Actor {
   explicit Volley(TaskId self) : self_(self), line_(kLineBytes, 0) {}
 
   void on_start(net::Env& env) override {
-    if (serve_to_.valid()) send(env, 0);
+    if (serve_to_.valid()) send(env, serve_to_);
   }
   void on_message(const net::Message& message, net::Env& env) override {
     ++received;
     const auto m = net::payload_of<msg::TaskData>(message);
     for (const std::uint8_t b : m.payload) payload_sum += b;
-    send_to_ = message.from;
-    send(env, m.iteration + 1);
+    send(env, message.from);
   }
 
   /// Serve the first line to `peer` from on_start.
@@ -153,18 +152,16 @@ class Volley : public net::Actor {
   std::uint64_t payload_sum = 0;
 
  private:
-  void send(net::Env& env, std::uint64_t iteration) {
-    const net::Stub to = serve_to_.valid() && iteration == 0 ? serve_to_
-                                                              : send_to_;
+  void send(net::Env& env, const net::Stub& to) {
     // Rewrite the line in place, as PoissonTask::outgoing does.
     for (std::size_t i = 0; i < line_.size(); ++i) {
-      line_[i] = static_cast<std::uint8_t>(iteration + i);
+      line_[i] = static_cast<std::uint8_t>(sent_ + i);
     }
+    ++sent_;
     msg::TaskData data;
     data.app_id = 1;
     data.from_task = self_;
     data.to_task = 1 - self_;
-    data.iteration = iteration;
     data.payload = line_;
     rmi::invoke(env, to, data);
   }
@@ -172,7 +169,7 @@ class Volley : public net::Actor {
   TaskId self_;
   serial::Bytes line_;
   net::Stub serve_to_;
-  net::Stub send_to_;
+  std::uint64_t sent_ = 0;
 };
 
 /// Two Volleys on `shards` shards, on different shards when shards > 1.

@@ -369,7 +369,6 @@ TEST(LinkClassifier, TaskDataKeyPacksStreamIdentity) {
   d.from_task = 5;
   d.to_task = 6;
   d.tag = 1;
-  d.iteration = 99;
   const serial::Bytes payload(64);
   d.payload = payload;
   const Classification c = core::msg::classify_for_link(make_message(d));
@@ -377,8 +376,9 @@ TEST(LinkClassifier, TaskDataKeyPacksStreamIdentity) {
   EXPECT_EQ(c.key_hi, (std::uint64_t{3} << 32) | 5u);
   EXPECT_EQ(c.key_lo, (std::uint64_t{6} << 32) | 1u);
 
-  // Same stream, newer iteration: identical key (it supersedes).
-  d.iteration = 100;
+  // Same stream, newer line: identical key (it supersedes).
+  const serial::Bytes newer(64, 0x01);
+  d.payload = newer;
   const Classification c2 = core::msg::classify_for_link(make_message(d));
   EXPECT_EQ(c2.key_hi, c.key_hi);
   EXPECT_EQ(c2.key_lo, c.key_lo);

@@ -35,8 +35,7 @@ void run_rounds(std::vector<PoissonTask>& tasks, std::size_t rounds) {
     for (auto& t : tasks) t.iterate();
     for (std::size_t i = 0; i < tasks.size(); ++i) {
       for (auto& out : tasks[i].outgoing()) {
-        tasks[out.to_task].on_data(static_cast<core::TaskId>(i), round + 1,
-                                   out.payload);
+        tasks[out.to_task].on_data(static_cast<core::TaskId>(i), out.payload);
       }
     }
   }
@@ -161,6 +160,34 @@ TEST(BlockTask, CheckpointRestoreRoundTrip) {
   EXPECT_DOUBLE_EQ(replacement.local_error(), tasks[1].local_error());
 }
 
+TEST(BlockTask, RestoredTaskKeepsItsInformativeCount) {
+  // The Eq. (4) count is part of the checkpoint, like the iteration count, so
+  // a replacement reports the iterations its predecessor ran with fresh data
+  // and keeps counting from there.
+  auto app = make_app(16, 4);
+  std::vector<PoissonTask> tasks(4);
+  for (std::uint32_t t = 0; t < 4; ++t) ASSERT_TRUE(tasks[t].init(app, t));
+  run_rounds(tasks, 10);
+  const std::uint64_t informative = tasks[1].informative_iterations();
+  ASSERT_GT(informative, 0u);
+
+  PoissonTask replacement;
+  ASSERT_TRUE(replacement.init(app, 1));
+  ASSERT_TRUE(replacement.restore(tasks[1].checkpoint()));
+  EXPECT_EQ(replacement.informative_iterations(), informative);
+  EXPECT_EQ(replacement.iterations_done(), tasks[1].iterations_done());
+
+  // A line it has not seen makes the next iteration informative, counted on
+  // top of the restored count.
+  tasks[0].iterate();
+  for (const auto& out : tasks[0].outgoing()) {
+    if (out.to_task == 1) replacement.on_data(0, out.payload);
+  }
+  replacement.iterate();
+  ASSERT_TRUE(replacement.error_is_informative());
+  EXPECT_EQ(replacement.informative_iterations(), informative + 1);
+}
+
 TEST(BlockTask, RestoredTaskContinuesConverging) {
   const std::uint32_t n = 16;
   auto app = make_app(n, 4);
@@ -186,16 +213,14 @@ serial::Bytes reshaped_state(const serial::Bytes& state, std::size_t field,
   serial::Reader r(state);
   std::vector<linalg::Vector> vectors(4);
   for (auto& v : vectors) v = r.f64_vector<linalg::Vector>();
-  const std::uint64_t lower_tag = r.u64();
-  const std::uint64_t upper_tag = r.u64();
+  const std::uint64_t informative = r.u64();
   const double local_error = r.f64();
   const std::uint64_t iterations = r.u64();
   EXPECT_TRUE(r.ok() && r.exhausted());
   vectors[field].resize(vectors[field].size() + delta, 0.5);
   serial::Writer w;
   for (const auto& v : vectors) w.f64_vector(v);
-  w.u64(lower_tag);
-  w.u64(upper_tag);
+  w.u64(informative);
   w.f64(local_error);
   w.u64(iterations);
   return w.take();
@@ -224,11 +249,13 @@ TEST(BlockTask, RestoreRefusesMisshapedState) {
 
 TEST(BlockTask, CheckpointBytesGolden) {
   // The checkpoint() encoding of a middle block with overlap, pinned by size
-  // and CRC-32. With overlap, x_ext and owned_prev differ in length, and the
-  // two boundaries carry different lines and tags, so reordering any field
-  // of the state changes these bytes. A backup holder keeps such bytes across
-  // versions, so the layout must not move silently. The CRC was re-pinned
-  // (size unchanged) when CG's reductions moved to the 4-lane order.
+  // and CRC-32. With overlap, x_ext and owned_prev differ in length, the two
+  // boundaries carry different lines, and the informative and iteration
+  // counts differ, so reordering any field of the state changes these bytes.
+  // A backup holder keeps such bytes across versions, so the layout must not
+  // move silently. The CRC was re-pinned (size unchanged) when CG's
+  // reductions moved to the 4-lane order, and both were re-pinned when the
+  // two boundary tags gave way to the informative count.
   auto app = make_app(6, 3, /*overlap_lines=*/1, /*rhs_kind=*/1);
   std::vector<PoissonTask> tasks(3);
   for (std::uint32_t t = 0; t < 3; ++t) ASSERT_TRUE(tasks[t].init(app, t));
@@ -236,14 +263,14 @@ TEST(BlockTask, CheckpointBytesGolden) {
     for (auto& t : tasks) t.iterate();
     for (std::uint32_t i = 0; i < 3; ++i) {
       for (auto& out : tasks[i].outgoing()) {
-        tasks[out.to_task].on_data(i, 100 * i + round + 1, out.payload);
+        tasks[out.to_task].on_data(i, out.payload);
       }
     }
   }
   tasks[1].iterate();
   const serial::Bytes state = tasks[1].checkpoint();
-  EXPECT_EQ(state.size(), 420u);
-  EXPECT_EQ(serial::crc32(state), 0xae5632beu);
+  EXPECT_EQ(state.size(), 412u);
+  EXPECT_EQ(serial::crc32(state), 0x26a4b911u);
 }
 
 /// A boundary line as outgoing() encodes it, followed by `trailing` bytes.
@@ -281,16 +308,15 @@ TEST(BlockTask, MalformedDataDropped) {
   const double before = task.local_error();
   const serial::Bytes state = task.checkpoint();
   // A wrong length, garbage bytes and a line one byte short are refused, and
-  // none of them touches the held line or its tag.
+  // none of them touches the held line.
   serial::Bytes truncated = line_payload(std::vector<double>(16, 1.0));
   truncated.pop_back();
   const serial::Bytes refused[] = {line_payload({1.0, 2.0}),
                                    serial::Bytes{0xff, 0x03, 0x01},
                                    truncated};
-  std::uint64_t iteration = 5;
-  for (const serial::Bytes& payload : refused) {
-    task.on_data(1, iteration++, payload);
-    EXPECT_EQ(task.checkpoint(), state) << "payload " << iteration - 5;
+  for (std::size_t i = 0; i < std::size(refused); ++i) {
+    task.on_data(1, refused[i]);
+    EXPECT_EQ(task.checkpoint(), state) << "payload " << i;
   }
   task.iterate();
   // No fresh (valid) data arrived: the spin path keeps the error untouched.
@@ -305,7 +331,7 @@ TEST(BlockTask, LineFreshnessComparesValues) {
   auto app = make_app(n, 2);
   const auto fresh_after = [&](PoissonTask& task,
                                const serial::Bytes& payload) {
-    task.on_data(0, 1, payload);
+    task.on_data(0, payload);
     task.iterate();
     return task.error_is_informative();
   };
@@ -386,12 +412,35 @@ TEST(BlockTask, IdenticalContentDoesNotCountAsFresh) {
   const auto out = a.outgoing();
   ASSERT_EQ(out.size(), 1u);
   b.iterate();
-  b.on_data(0, 1, out[0].payload);
+  b.on_data(0, out[0].payload);
   b.iterate();
   EXPECT_TRUE(b.error_is_informative());  // content changed from zeros
-  b.on_data(0, 2, out[0].payload);        // same content re-sent
+  b.on_data(0, out[0].payload);           // same content re-sent
   b.iterate();
   EXPECT_FALSE(b.error_is_informative());
+}
+
+TEST(BlockTask, NewestArrivalWins) {
+  // The last line to arrive is the one held, whatever the sender's progress:
+  // a neighbour that restarted from an older checkpoint resends an older
+  // iterate, which is still its freshest data (paper §4).
+  const std::size_t n = 16;
+  auto app = make_app(n, 2);
+  PoissonTask task;
+  ASSERT_TRUE(task.init(app, 1));
+  task.iterate();
+  const std::vector<double> later(n, 0.75);
+  const std::vector<double> earlier(n, 0.5);
+  task.on_data(0, line_payload(later));
+  task.on_data(0, line_payload(earlier));
+  EXPECT_TRUE(same_bits(held_lower_line(task), earlier));
+  task.iterate();
+  EXPECT_TRUE(task.error_is_informative());
+  // Re-sent after the restart, the later line is fresh again.
+  task.on_data(0, line_payload(later));
+  EXPECT_TRUE(same_bits(held_lower_line(task), later));
+  task.iterate();
+  EXPECT_TRUE(task.error_is_informative());
 }
 
 TEST(BlockTask, BlockRhsMatchesGlobalRhsSlice) {

@@ -3,6 +3,8 @@
 // path.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/config.hpp"
 #include "core/messages.hpp"
 #include "sim/world.hpp"
@@ -29,7 +31,9 @@ class LinkRecorder : public net::Actor {
     bodies.push_back(m.body);
     if (m.type == TaskData::kType) {
       const TaskData d = net::payload_of<TaskData>(m);
-      data_iterations.push_back(d.iteration);
+      std::uint64_t seq = 0;
+      std::memcpy(&seq, d.payload.data(), sizeof seq);
+      data_seqs.push_back(seq);
       data_tags.push_back(d.tag);
     } else if (m.type == Ping::kType) {
       ping_values.push_back(net::payload_of<Ping>(m).value);
@@ -40,20 +44,22 @@ class LinkRecorder : public net::Actor {
   std::vector<net::MessageType> types;
   std::vector<net::Stub> senders;
   std::vector<net::Payload> bodies;
-  std::vector<std::uint64_t> data_iterations;
+  std::vector<std::uint64_t> data_seqs;  ///< each TaskData's sequence number
   std::vector<std::uint32_t> data_tags;
   std::vector<std::uint32_t> ping_values;
 };
 
-net::Message task_data(std::uint32_t tag, std::uint64_t iteration,
+/// A TaskData whose payload opens with `seq`, so a test can tell which
+/// message of a stream arrived.
+net::Message task_data(std::uint32_t tag, std::uint64_t seq,
                        std::size_t payload_bytes = 256) {
   TaskData d;
   d.app_id = 1;
   d.from_task = 0;
   d.to_task = 1;
   d.tag = tag;
-  d.iteration = iteration;
-  const serial::Bytes payload(payload_bytes);
+  serial::Bytes payload(payload_bytes);
+  std::memcpy(payload.data(), &seq, sizeof seq);
   d.payload = payload;
   return net::make_message(d);
 }
@@ -105,9 +111,9 @@ TEST(SimWorldLink, CoalescesSupersededDataAndKeepsZeroCopy) {
   });
   t.world.run();
 
-  ASSERT_EQ(t.receiver->data_iterations.size(), 2u);
-  EXPECT_EQ(t.receiver->data_iterations[0], 1u);
-  EXPECT_EQ(t.receiver->data_iterations[1], 3u);  // iteration 2 never crossed
+  ASSERT_EQ(t.receiver->data_seqs.size(), 2u);
+  EXPECT_EQ(t.receiver->data_seqs[0], 1u);
+  EXPECT_EQ(t.receiver->data_seqs[1], 3u);  // message 2 never crossed
 
   // Zero-copy across capture -> queue -> coalesce -> deliver: the delivered
   // body IS the producer's buffer, and the superseded buffer reached no one.
@@ -236,10 +242,10 @@ TEST(SimWorldLink, SlowWireCoalescesBacklogUnderSerialization) {
   });
   t.world.run();
 
-  // Latest iteration always arrives; most of the backlog never hits the wire.
-  ASSERT_FALSE(t.receiver->data_iterations.empty());
-  EXPECT_EQ(t.receiver->data_iterations.back(), 10u);
-  EXPECT_LT(t.receiver->data_iterations.size(), 10u);
+  // The newest message always arrives; most of the backlog never hits the wire.
+  ASSERT_FALSE(t.receiver->data_seqs.empty());
+  EXPECT_EQ(t.receiver->data_seqs.back(), 10u);
+  EXPECT_LT(t.receiver->data_seqs.size(), 10u);
   EXPECT_GT(t.world.comm_stats().snapshot().coalesced, 0u);
 }
 
@@ -271,8 +277,8 @@ TEST(SimWorldLink, BackpressureDropsDataButNeverControl) {
     EXPECT_EQ(t.receiver->ping_values[v + 1], v);
   }
   // Data was sacrificed to the budget, oldest first.
-  ASSERT_EQ(t.receiver->data_iterations.size(), kData - 5);
-  EXPECT_EQ(t.receiver->data_iterations.front(), 6u);
+  ASSERT_EQ(t.receiver->data_seqs.size(), kData - 5);
+  EXPECT_EQ(t.receiver->data_seqs.front(), 6u);
   EXPECT_EQ(t.world.comm_stats().snapshot().dropped_data, 5u);
 }
 
@@ -306,7 +312,7 @@ TEST(SimWorldLink, InactiveLinkLayerBypassesQueues) {
   });
   t.world.run();
 
-  ASSERT_EQ(t.receiver->data_iterations.size(), 3u);
+  ASSERT_EQ(t.receiver->data_seqs.size(), 3u);
   EXPECT_EQ(t.world.comm_stats().snapshot().enqueued, 0u);
 }
 
